@@ -4,41 +4,24 @@ numerical sweeps.
 Four spectral-sum bounds (per-mode amplification envelope, geometric eta-sum,
 resolvent power sum, heat-kernel spectrum sum) plus the sampling inequality
 relating discrete and Sobolev norms.  Each is checked over a grid/CFL sweep
-and reported with its worst observed margin.
+and reported with its worst observed margin and where it occurred.
 """
 
-from neumannheat import (Grid1D, amplification_bound_check, eta_geometric_sum,
-                         heat_kernel_spectrum_sum, quadrature_inequality_check,
-                         resolvent_power_sum)
-from neumannheat.harness import h1_constant, h1_cosine_mode, h1_linear
-from neumannheat.spectral import resolvent_power_sum_bound
+from neumannheat import bound_sweep
 
-L = 1.0
-J_sweep = list(range(2, 257))
+J_sweep = range(2, 257)
 cfls = (0.5, 0.25, 0.1)
-
-worst_margin = float("inf")
-worst_eta = worst_res = worst_ker = 0.0
-for J in J_sweep:
-    g = Grid1D(J, L)
-    for c in cfls:
-        dt = c * g.dx ** 2
-        worst_margin = min(worst_margin, amplification_bound_check(g, dt).worst_margin)
-        for n in (1, 100, 10 ** 6):
-            worst_eta = max(worst_eta, eta_geometric_sum(g, dt, n) / (2 * L ** 2))
-            worst_res = max(worst_res, resolvent_power_sum(g, dt, n)
-                            / resolvent_power_sum_bound(L))
-        for m in (1, 10, 100, 1000):
-            value, bound = heat_kernel_spectrum_sum(g, c, m)
-            worst_ker = max(worst_ker, value / bound)
+worst = bound_sweep(J_sweep, cfls, ns=(1, 100, 10 ** 6), ms=(1, 10, 100, 1000), L=1.0)
 
 print(f"sweep: J = 2..{J_sweep[-1]}, CFL ratios {cfls}")
-print(f"  amplification envelope: smallest margin {worst_margin:+.3e} (>= 0)")
-print(f"  eta-sum vs 2 L^2:              worst ratio {worst_eta:.3f}")
-print(f"  resolvent sum vs 4 pi^4 L^4/90: worst ratio {worst_res:.3f}")
-print(f"  kernel sum vs L sqrt(pi/(m a)): worst ratio {worst_ker:.3f}")
-
-print("\nsampling inequality ||sampled v||^2 <= 2 (1+dx) (J-1)/J ||v||_H1^2:")
-for h1 in (h1_constant(), h1_linear(L), h1_cosine_mode(1, L)):
-    rep = quadrature_inequality_check(h1, J_sweep, L)
-    print(f"  v = {h1.label:10s}: worst lhs/rhs = {rep.max_ratio:.3f} (<= 1)")
+labels = {
+    "amplification": "amplification envelope: smallest margin (>= 0)",
+    "eta_sum": "eta-sum vs 2 L^2: worst ratio",
+    "resolvent": "resolvent sum vs 4 pi^4 L^4/90: worst ratio",
+    "kernel": "kernel sum vs L sqrt(pi/(m a)): worst ratio",
+    "quadrature": "sampling inequality ||sampled v||^2 <= 2 (1+dx) (J-1)/J ||v||_H1^2: "
+                  "worst lhs/rhs (<= 1)",
+}
+for name, w in worst.items():
+    print(f"  {labels[name]} = {w.value:.3e} at {w.where}"
+          f" -> {'holds' if w.ok else 'FAILS'}")

@@ -23,7 +23,7 @@ from .scheme1d import (Checkpoint, DiscreteRHS, NonhomogProblem, RunState,
                        solve_steady_iterative, solve_steady_laplace, step)
 from .scheme2d import (Problem2D, Rhs2D, Run2D, apply2d, build_rhs2d, cfl2d,
                        new_run2d, run2d_to, solve_steady_2d)
-from .harness import (ErrorRecord, ExperimentConfig, SlopeFit,
+from .harness import (ErrorRecord, ExperimentConfig, SlopeFit, bound_sweep,
                       convolution_bound_check, default_config, emit_csv,
                       epsilon_diagnostics, estimate_slope,
                       quadrature_inequality_check, run_convergence)

@@ -65,10 +65,13 @@ def read_config(path: str) -> dict:
     return out
 
 
-def _apply_config_defaults(args, config: dict, keys) -> None:
-    for key in keys:
-        if getattr(args, key, None) is None and key in config:
-            setattr(args, key, config[key])
+def _apply_config_defaults(args, config: dict) -> None:
+    """Fill each flag not given on the command line from the config file,
+    else from its built-in default."""
+    for key, kind, default in (("J", str, None), ("t", str, None), ("out", str, None),
+                               ("cfl", float, 0.5), ("threads", int, 1)):
+        if getattr(args, key) is None:
+            setattr(args, key, kind(config[key]) if key in config else default)
 
 
 def _write_or_print(text: str, out_path) -> None:
@@ -77,16 +80,6 @@ def _write_or_print(text: str, out_path) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _records_csv_text(records) -> str:
-    lines = ["experiment,J,dx,dt,t_target,t_realized,n,abs_err,rel_err,wall_ms"]
-    for r in sorted(records, key=lambda r: (r.experiment, r.J, r.t_target)):
-        lines.append(",".join([
-            r.experiment, str(r.J), repr(r.dx), repr(r.dt), repr(r.t_target),
-            repr(r.t_realized), str(r.n), repr(r.abs_err), repr(r.rel_err),
-            repr(r.wall_ms)]))
-    return "\n".join(lines) + "\n"
 
 
 def _print_slope_table(records, checkpoints) -> None:
@@ -100,13 +93,11 @@ def _print_slope_table(records, checkpoints) -> None:
             print(f"  t={t:g}: <3 grids, no fit")
 
 
-def cmd_homog(args) -> int:
-    experiment = f"homog-{args.datum}"
-    if experiment not in harness.EXPERIMENT_IDS:
-        print(f"unknown datum {args.datum!r}", file=sys.stderr)
-        return EXIT_USAGE
+def cmd_study(args) -> int:
+    """Convergence study of one catalog experiment: `homog --datum D` runs
+    homog-D, `steady2d --case C` runs steady2d-C."""
     cfg = harness.default_config(
-        experiment,
+        f"{args.command}-{args.variant}",
         J_list=parse_j_list(args.J) if args.J else None,
         checkpoints=parse_t_list(args.t) if args.t else None,
         cfl=args.cfl,
@@ -116,7 +107,7 @@ def cmd_homog(args) -> int:
     if args.out:
         harness.emit_csv(records, args.out, cfg)
     else:
-        sys.stdout.write(_records_csv_text(records))
+        sys.stdout.write(harness.csv_text(records))
     _print_slope_table(records, cfg.checkpoints)
     return EXIT_OK
 
@@ -139,11 +130,6 @@ def _steady_problem(args):
 
 def cmd_steady1d(args) -> int:
     problem, ss = _steady_problem(args)
-    residual = scheme1d.check_compatibility(problem)
-    if abs(residual) > 1e-8:
-        print(f"incompatible problem: flux/source balance residual {residual:.3e}",
-              file=sys.stderr)
-        return EXIT_INCOMPATIBLE
     for J in parse_j_list(args.J):
         g = Grid1D(J, problem.L)
         if args.solver == "laplace":
@@ -173,27 +159,6 @@ def cmd_steady1d(args) -> int:
     return EXIT_OK
 
 
-def cmd_steady2d(args) -> int:
-    experiment = f"steady2d-{args.case}"
-    if experiment not in harness.EXPERIMENT_IDS:
-        print(f"unknown case {args.case!r}", file=sys.stderr)
-        return EXIT_USAGE
-    cfg = harness.default_config(
-        experiment,
-        J_list=parse_j_list(args.J) if args.J else None,
-        checkpoints=parse_t_list(args.t) if args.t else None,
-        cfl=args.cfl,
-        threads=args.threads,
-    )
-    records = harness.run_convergence(cfg)
-    if args.out:
-        harness.emit_csv(records, args.out, cfg)
-    else:
-        sys.stdout.write(_records_csv_text(records))
-    _print_slope_table(records, cfg.checkpoints)
-    return EXIT_OK
-
-
 def cmd_spectra(args) -> int:
     g = Grid1D(int(args.J), args.L or 1.0)
     dt = args.dt if args.dt is not None else args.cfl * g.dx ** 2
@@ -211,47 +176,17 @@ def cmd_bounds(args) -> int:
     J_list = parse_j_list(args.J) if args.J else list(range(2, 513))
     cfls = parse_t_list(args.cfl_list) if args.cfl_list else [0.5, 0.25, 0.1]
     ms = [int(m) for m in parse_t_list(args.m)] if args.m else [1, 10, 100, 1000]
-    ns = [1, 10, 1000, 1_000_000]
-    perturb = args.perturb or 0.0
-    worst = {"amplification": math.inf, "eta_sum": -math.inf,
-             "resolvent": -math.inf, "kernel": -math.inf, "quadrature": -math.inf}
-    failed = None
-    for J in J_list:
-        for c in cfls:
-            g = Grid1D(J, args.L or 1.0)
-            dt = c * g.dx ** 2
-            rep = spectral.amplification_bound_check(g, dt)
-            margin = rep.worst_margin - perturb
-            worst["amplification"] = min(worst["amplification"], margin)
-            if margin < 0 and failed is None:
-                failed = ("amplification", J, c, rep.worst_index)
-            for n in ns:
-                v = spectral.eta_geometric_sum(g, dt, n) / (2.0 * g.L ** 2)
-                worst["eta_sum"] = max(worst["eta_sum"], v)
-                if v > 1.0 and failed is None:
-                    failed = ("eta_sum", J, c, n)
-                v = (spectral.resolvent_power_sum(g, dt, n)
-                     / spectral.resolvent_power_sum_bound(g.L))
-                worst["resolvent"] = max(worst["resolvent"], v)
-                if v > 1.0 and failed is None:
-                    failed = ("resolvent", J, c, n)
-            for m in ms:
-                value, bound = spectral.heat_kernel_spectrum_sum(g, c, m)
-                v = value / bound
-                worst["kernel"] = max(worst["kernel"], v)
-                if v > 1.0 and failed is None:
-                    failed = ("kernel", J, c, m)
-    L = args.L or 1.0
-    for h1 in (harness.h1_constant(), harness.h1_linear(L), harness.h1_cosine_mode(1, L)):
-        rep = harness.quadrature_inequality_check(h1, J_list, L)
-        worst["quadrature"] = max(worst["quadrature"], rep.max_ratio)
-        if not rep.ok and failed is None:
-            failed = ("quadrature", rep.worst_J, h1.label, None)
+    worst = harness.bound_sweep(J_list, cfls, ms=ms, L=args.L or 1.0)
+    if args.perturb and "amplification" in worst:
+        amp = worst["amplification"]
+        margin = amp.value - args.perturb
+        worst["amplification"] = harness.WorstCase(margin, amp.where, margin >= 0.0)
     print("bound suite worst figures (amplification: min margin; others: max value/bound):")
-    for k, v in worst.items():
-        print(f"  {k}: {v:.6g}")
-    if failed is not None:
-        print(f"FAILED: {failed}", file=sys.stderr)
+    for name, w in worst.items():
+        print(f"  {name}: {w.value:.6g} at {w.where}")
+    failed = [f"{name} at {w.where}" for name, w in worst.items() if not w.ok]
+    if failed:
+        print(f"FAILED: {'; '.join(failed)}", file=sys.stderr)
         return EXIT_BOUND_FAIL
     print("all bounds hold")
     return EXIT_OK
@@ -267,14 +202,13 @@ def cmd_sweep(args) -> int:
         print("config must list experiments=<id,id,...>", file=sys.stderr)
         return EXIT_USAGE
     out_prefix = config.get("out_prefix", "sweep")
-    threads = int(config.get("threads", args.threads))
     for exp in experiments:
         cfg = harness.default_config(
             exp,
             J_list=parse_j_list(config[f"{exp}.J"]) if f"{exp}.J" in config else None,
             checkpoints=parse_t_list(config[f"{exp}.t"]) if f"{exp}.t" in config else None,
-            cfl=float(config.get(f"{exp}.cfl", config.get("cfl", 0.5))),
-            threads=threads,
+            cfl=float(config.get(f"{exp}.cfl", args.cfl)),
+            threads=args.threads,
         )
         records = harness.run_convergence(cfg)
         path = f"{out_prefix}-{exp}.csv"
@@ -291,17 +225,18 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p):
         p.add_argument("--J", help="comma list (17,33,65) or range (2..512)")
         p.add_argument("--L", type=float, help="interval length override")
-        p.add_argument("--cfl", type=float, default=0.5,
+        p.add_argument("--cfl", type=float,
                        help="dt = cfl * dx^2 (default 0.5)")
         p.add_argument("--t", help="comma list of checkpoint times")
         p.add_argument("--out", help="CSV output path (default: stdout)")
         p.add_argument("--config", help="key=value config file (flags win)")
-        p.add_argument("--threads", type=int, default=1)
+        p.add_argument("--threads", type=int, help="worker threads (default 1)")
 
     p = sub.add_parser("homog", help="homogeneous 1D convergence study")
     add_common(p)
-    p.add_argument("--datum", required=True, choices=["trigpoly", "polybump", "hat"])
-    p.set_defaults(fn=cmd_homog)
+    p.add_argument("--datum", dest="variant", required=True,
+                   choices=["trigpoly", "polybump", "hat"])
+    p.set_defaults(fn=cmd_study)
 
     p = sub.add_parser("steady1d", help="1D steady-state solve")
     add_common(p)
@@ -317,8 +252,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("steady2d", help="2D Gaussian steady-state study")
     add_common(p)
-    p.add_argument("--case", required=True, choices=["centered", "offset"])
-    p.set_defaults(fn=cmd_steady2d)
+    p.add_argument("--case", dest="variant", required=True, choices=["centered", "offset"])
+    p.set_defaults(fn=cmd_study)
 
     p = sub.add_parser("spectra", help="dump the discrete spectrum")
     add_common(p)
@@ -341,7 +276,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
-    if getattr(args, "config", None) and args.command != "sweep":
+    config = {}
+    if args.config:
         try:
             config = read_config(args.config)
         except OSError as exc:
@@ -350,10 +286,8 @@ def main(argv=None) -> int:
         except ValueError as exc:
             print(str(exc), file=sys.stderr)
             return EXIT_USAGE
-        _apply_config_defaults(args, config, ["J", "t", "out"])
-        if "cfl" in config and "--cfl" not in (argv or sys.argv):
-            args.cfl = float(config["cfl"])
     try:
+        _apply_config_defaults(args, config)
         return args.fn(args)
     except CflViolationError as exc:
         print(f"CFL violation: {exc}", file=sys.stderr)

@@ -22,6 +22,7 @@ import numpy as np
 
 from .exact import SmoothFunction
 from .grid import Field1D, Grid1D
+from .spectral import laplacian
 
 __all__ = ["l_delta", "l1", "l2", "embed_boundary", "split_defect"]
 
@@ -35,13 +36,7 @@ def l_delta(w: SmoothFunction, g: Grid1D) -> Field1D:
     """Full defect: sampled second derivative minus the discrete Laplacian of
     the sampled function."""
     x = g.nodes()
-    wx = w(x)
-    stencil = np.empty_like(wx)
-    stencil[0] = wx[1] - wx[0]
-    stencil[1:-1] = wx[:-2] - 2.0 * wx[1:-1] + wx[2:]
-    stencil[-1] = wx[-2] - wx[-1]
-    stencil /= g.dx ** 2
-    return Field1D(g, w.deriv(2, x) - stencil)
+    return Field1D(g, w.deriv(2, x) - laplacian(w(x), g.spacings))
 
 
 def l1(w: SmoothFunction, g: Grid1D) -> tuple[float, float]:

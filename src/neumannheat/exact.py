@@ -90,7 +90,7 @@ def polynomial_function(coeffs, order: int = 5) -> SmoothFunction:
 
 def _mode_sum(weights: np.ndarray, L: float, k: int, x) -> np.ndarray:
     """k-th x-derivative of sum_p weights[p] * c_p(x), dropping dead modes."""
-    x_arr = np.atleast_1d(np.asarray(x, dtype=float))
+    x_arr = np.asarray(x, dtype=float).ravel()
     out = np.zeros_like(x_arr)
     if k == 0 and len(weights) > 0:
         out += weights[0]
@@ -99,7 +99,7 @@ def _mode_sum(weights: np.ndarray, L: float, k: int, x) -> np.ndarray:
         kp = live * math.pi / L
         phases = np.cos(np.outer(kp, x_arr) + k * math.pi / 2)
         out += (_SQRT2 * weights[live] * kp ** k) @ phases
-    if np.isscalar(x) or np.asarray(x).ndim == 0:
+    if np.ndim(x) == 0:
         return out[0]
     return out.reshape(np.shape(x))
 

@@ -40,6 +40,14 @@ class Grid1D:
     def dx(self) -> float:
         return self.L / (self.J - 1)
 
+    @property
+    def shape(self) -> tuple:
+        return (self.J,)
+
+    @property
+    def spacings(self) -> tuple:
+        return (self.dx,)
+
     def nodes(self) -> np.ndarray:
         return np.arange(self.J) * self.dx
 
@@ -51,21 +59,22 @@ class Grid1D:
 
 @dataclass(eq=False)
 class Field1D:
-    """Nodal values of a real function on a Grid1D."""
+    """Nodal values of a real function on a Grid1D (and, as `Field2D`, on a
+    Grid2D); the values array has the grid's shape."""
 
     grid: Grid1D
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != (self.grid.J,):
+        self.values = np.ascontiguousarray(self.values, dtype=float)
+        if self.values.shape != self.grid.shape:
             raise ValueError(
-                f"field has shape {self.values.shape}, grid has J={self.grid.J}")
+                f"field has shape {self.values.shape}, grid has shape {self.grid.shape}")
         if not np.all(np.isfinite(self.values)):
             raise ValueError("field contains non-finite entries")
 
-    def copy(self) -> "Field1D":
-        return Field1D(self.grid, self.values.copy())
+    def copy(self):
+        return type(self)(self.grid, self.values.copy())
 
 
 def _same_grid(v: Field1D, w: Field1D) -> None:
@@ -74,9 +83,10 @@ def _same_grid(v: Field1D, w: Field1D) -> None:
 
 
 def inner(v: Field1D, w: Field1D) -> float:
-    """Scaled inner product (1/J) sum_j v_j w_j, exactly rounded."""
+    """Scaled inner product (1/J) sum_j v_j w_j, exactly rounded; J counts
+    all nodes, so it serves 2D fields as well."""
     _same_grid(v, w)
-    return math.fsum(v.values * w.values) / v.grid.J
+    return math.fsum((v.values * w.values).ravel()) / v.values.size
 
 
 def mean(v: Field1D) -> float:
@@ -125,6 +135,16 @@ class Grid2D:
     def dy(self) -> float:
         return self.Ly / (self.Jy - 1)
 
+    @property
+    def shape(self) -> tuple:
+        """Array shape of a field, (Jy, Jx), matching values[iy, ix]."""
+        return (self.Jy, self.Jx)
+
+    @property
+    def spacings(self) -> tuple:
+        """Node spacing per array axis: (dy, dx)."""
+        return (self.dy, self.dx)
+
     def nodes_x(self) -> np.ndarray:
         return np.arange(self.Jx) * self.dx
 
@@ -136,34 +156,11 @@ class Grid2D:
         return np.meshgrid(self.nodes_x(), self.nodes_y())
 
 
-@dataclass(eq=False)
-class Field2D:
+class Field2D(Field1D):
     """Nodal values on a Grid2D, stored as values[iy, ix] = v(x_ix, y_iy)."""
 
-    grid: Grid2D
-    values: np.ndarray = field(repr=False)
 
-    def __post_init__(self):
-        self.values = np.ascontiguousarray(self.values, dtype=float)
-        if self.values.shape != (self.grid.Jy, self.grid.Jx):
-            raise ValueError(
-                f"field has shape {self.values.shape}, grid is {self.grid.Jy}x{self.grid.Jx}")
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("field contains non-finite entries")
-
-    def copy(self) -> "Field2D":
-        return Field2D(self.grid, self.values.copy())
-
-
-def _same_grid2d(v: Field2D, w: Field2D) -> None:
-    if v.grid != w.grid:
-        raise GridMismatchError(f"fields on different grids: {v.grid} vs {w.grid}")
-
-
-def inner2d(v: Field2D, w: Field2D) -> float:
-    _same_grid2d(v, w)
-    n = v.grid.Jx * v.grid.Jy
-    return math.fsum((v.values * w.values).ravel()) / n
+inner2d = inner
 
 
 def mean2d(v: Field2D) -> float:

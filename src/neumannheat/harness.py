@@ -1,5 +1,6 @@
 """Convergence experiments, error records, log-log slope fits, the one-step
-defect diagnostics, and the spectral-sum / quadrature inequality sweeps.
+defect diagnostics, and the spectral-sum / quadrature inequality sweeps
+(`bound_sweep`).
 
 Experiment catalog (grid resolution J is the x-resolution in 2D):
 
@@ -31,7 +32,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import scheme1d, scheme2d
+from . import scheme1d, scheme2d, spectral
 from .consistency import l_delta
 from .errors import CflViolationError
 from .exact import (InitialDatum, companion_w, cosine_mode, gaussian_2d,
@@ -44,7 +45,8 @@ __all__ = [
     "default_config", "run_convergence", "estimate_slope", "records_at",
     "epsilon_diagnostics", "convolution_bound_check", "ConvolutionReport",
     "quadrature_inequality_check", "QuadratureInequalityReport", "H1Function",
-    "h1_cosine_mode", "h1_linear", "h1_constant", "emit_csv",
+    "h1_cosine_mode", "h1_linear", "h1_constant", "bound_sweep", "WorstCase",
+    "csv_text", "emit_csv",
 ]
 
 EXPERIMENT_IDS = (
@@ -142,6 +144,15 @@ class ErrorRecord:
     wall_ms: float
 
 
+def _study(cfg: ExperimentConfig, J: int, st, run, error) -> list[ErrorRecord]:
+    """Advance the run ``st`` through the configured checkpoints with ``run``
+    (`run_to` or `run2d_to`); ``error(cp)`` gives (abs_err, rel_err)."""
+    t0 = time.perf_counter()
+    return [ErrorRecord(cfg.experiment, J, st.grid.dx, st.dt, cp.t_target, cp.t_realized,
+                        cp.n, *error(cp), (time.perf_counter() - t0) * 1e3)
+            for cp in run(st, cfg.checkpoints)]
+
+
 def _run_homog(cfg: ExperimentConfig, datum: InitialDatum, J: int) -> list[ErrorRecord]:
     g = Grid1D(J, datum.L)
     dt = cfg.cfl * g.dx ** 2
@@ -151,16 +162,12 @@ def _run_homog(cfg: ExperimentConfig, datum: InitialDatum, J: int) -> list[Error
     else:  # relative-to-initial-fluctuation
         m = mean(v0)
         normalizer = norm_l2(Field1D(g, v0.values - m))
-    st = scheme1d.new_run(g, dt, v0)
-    t0 = time.perf_counter()
-    records = []
-    for cp in scheme1d.run_to(st, cfg.checkpoints):
+
+    def error(cp):
         exact = datum.series.evaluate(cp.t_realized, g.nodes())
         err = norm_l2(Field1D(g, exact - cp.field.values))
-        records.append(ErrorRecord(
-            cfg.experiment, J, g.dx, dt, cp.t_target, cp.t_realized, cp.n,
-            err, err / normalizer, (time.perf_counter() - t0) * 1e3))
-    return records
+        return err, err / normalizer
+    return _study(cfg, J, scheme1d.new_run(g, dt, v0), scheme1d.run_to, error)
 
 
 def _run_steady1d(cfg: ExperimentConfig, J: int) -> list[ErrorRecord]:
@@ -179,15 +186,11 @@ def _run_steady1d(cfg: ExperimentConfig, J: int) -> list[ErrorRecord]:
         # constant datum at the only mean the discrete dynamics can hold:
         # the discrete mean of the sampled steady state
         v0 = Field1D(g, np.full(J, mean(target)))
-    st = scheme1d.new_run(g, dt, v0, rhs)
-    t0 = time.perf_counter()
-    records = []
-    for cp in scheme1d.run_to(st, cfg.checkpoints):
+
+    def error(cp):
         err = norm_l2(Field1D(g, target.values - cp.field.values))
-        records.append(ErrorRecord(
-            cfg.experiment, J, g.dx, dt, cp.t_target, cp.t_realized, cp.n,
-            err, err / normalizer, (time.perf_counter() - t0) * 1e3))
-    return records
+        return err, err / normalizer
+    return _study(cfg, J, scheme1d.new_run(g, dt, v0, rhs), scheme1d.run_to, error)
 
 
 _GAUSSIAN_CASES = {
@@ -205,17 +208,13 @@ def _run_steady2d(cfg: ExperimentConfig, J: int) -> list[ErrorRecord]:
     target = project2d(g, case.u_inf)
     target_mean = mean2d(target)
     v0 = Field2D(g, np.zeros((g.Jy, g.Jx)))
-    st = scheme2d.new_run2d(g, dt, v0, rhs)
-    t0 = time.perf_counter()
-    records = []
-    for cp in scheme2d.run2d_to(st, cfg.checkpoints):
+
+    def error(cp):
         # match the free constant before comparing
         shifted = cp.field.values + (target_mean - mean2d(cp.field))
         err = norm2d(Field2D(g, target.values - shifted))
-        records.append(ErrorRecord(
-            cfg.experiment, J, g.dx, dt, cp.t_target, cp.t_realized, cp.n,
-            err, err, (time.perf_counter() - t0) * 1e3))
-    return records
+        return err, err
+    return _study(cfg, J, scheme2d.new_run2d(g, dt, v0, rhs), scheme2d.run2d_to, error)
 
 
 def _run_one(cfg: ExperimentConfig, J: int) -> list[ErrorRecord]:
@@ -401,23 +400,70 @@ def quadrature_inequality_check(v: H1Function, J_sweep: Sequence[int],
     return QuadratureInequalityReport(worst[0], worst[0] <= 1.0, worst[1])
 
 
-_CSV_HEADER = "experiment,J,dx,dt,t_target,t_realized,n,abs_err,rel_err,wall_ms"
+@dataclass(frozen=True)
+class WorstCase:
+    """The figure of one bound that came closest to failing, where it
+    occurred, and whether the bound holds there."""
+
+    value: float
+    where: tuple
+    ok: bool
 
 
-def emit_csv(records: Sequence[ErrorRecord], path, config: Optional[ExperimentConfig] = None) -> None:
-    """Write records (sorted by experiment, J, target time) in full precision;
-    a sidecar `<path>.meta` records the generating configuration."""
-    recs = sorted(records, key=lambda r: (r.experiment, r.J, r.t_target))
-    lines = [_CSV_HEADER]
-    for r in recs:
+def bound_sweep(J_list: Sequence[int], cfls: Sequence[float] = (0.5, 0.25, 0.1),
+                ns: Sequence[int] = (1, 10, 1000, 1_000_000),
+                ms: Sequence[int] = (1, 10, 100, 1000),
+                L: float = 1.0) -> dict[str, WorstCase]:
+    """Worst case of each bound: the four spectral-sum bounds at every
+    (J, cfl) of the sweep, the sampling inequality over ``J_list``.  Keys:
+    "amplification" (smallest envelope margin, at (J, cfl, mode); holds when
+    >= 0), then "eta_sum", "resolvent", "kernel" and "quadrature" (value/bound
+    ratios, at (J, cfl, n or m) or (J, function); hold when <= 1)."""
+    worst = {}
+
+    def keep(name, value, where, sign=1.0):  # sign -1 keeps the minimum
+        if name not in worst or sign * value > sign * worst[name][0]:
+            worst[name] = (value, where)
+
+    for J in J_list:
+        g = Grid1D(J, L)
+        for c in cfls:
+            dt = c * g.dx ** 2
+            rep = spectral.amplification_bound_check(g, dt)
+            keep("amplification", rep.worst_margin, (J, c, rep.worst_index), -1.0)
+            for n in ns:
+                keep("eta_sum", spectral.eta_geometric_sum(g, dt, n) / (2.0 * L ** 2),
+                     (J, c, n))
+                keep("resolvent", spectral.resolvent_power_sum(g, dt, n)
+                     / spectral.resolvent_power_sum_bound(L), (J, c, n))
+            for m in ms:
+                value, bound = spectral.heat_kernel_spectrum_sum(g, c, m)
+                keep("kernel", value / bound, (J, c, m))
+    for h1 in (h1_constant(), h1_linear(L), h1_cosine_mode(1, L)):
+        rep = quadrature_inequality_check(h1, J_list, L)
+        keep("quadrature", rep.max_ratio, (rep.worst_J, h1.label))
+    return {name: WorstCase(v, where, v >= 0.0 if name == "amplification" else v <= 1.0)
+            for name, (v, where) in worst.items()}
+
+
+def csv_text(records: Sequence[ErrorRecord]) -> str:
+    """Records sorted by (experiment, J, target time) as CSV text, floats in
+    full round-trip precision."""
+    lines = ["experiment,J,dx,dt,t_target,t_realized,n,abs_err,rel_err,wall_ms"]
+    for r in sorted(records, key=lambda r: (r.experiment, r.J, r.t_target)):
         lines.append(",".join([
             r.experiment, str(r.J), repr(r.dx), repr(r.dt), repr(r.t_target),
             repr(r.t_realized), str(r.n), repr(r.abs_err), repr(r.rel_err),
             repr(r.wall_ms),
         ]))
-    text = "\n".join(lines) + "\n"
+    return "\n".join(lines) + "\n"
+
+
+def emit_csv(records: Sequence[ErrorRecord], path, config: Optional[ExperimentConfig] = None) -> None:
+    """Write `csv_text(records)` to ``path``; a sidecar `<path>.meta` records
+    the generating configuration."""
     with open(path, "w") as fh:
-        fh.write(text)
+        fh.write(csv_text(records))
     if config is not None:
         with open(f"{path}.meta", "w") as fh:
             for k, v in config.as_meta().items():

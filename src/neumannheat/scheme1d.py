@@ -1,11 +1,16 @@
-"""Explicit Euler time stepping for the 1D Neumann heat problem, the discrete
+"""Explicit Euler time stepping for the Neumann heat problem, the discrete
 right-hand side with its mean correction, and the two steady-state solvers
 (long-time iteration and shifted direct solve).
 
 The update is v <- v + dt * (A v + b), with A the matrix-free Neumann stencil
 and b assembled so that its discrete mean vanishes exactly for balanced
 problems; the constant mode is then conserved and the iteration converges to
-the unique steady state with the initial datum's mean.
+the unique steady state with the initial datum's mean.  For an unbalanced b
+the mean drifts at exactly the rate mean(b).
+
+The run machinery (`RunState`, `run_to`, the residual and the steady loop) is
+shared with `scheme2d`: it works on 1D and 2D fields alike and picks the
+stepping kernel by the dimension of the values array.
 """
 
 from __future__ import annotations
@@ -18,10 +23,9 @@ import numpy as np
 from scipy import integrate
 
 from . import _kernels
-from .errors import (CflViolationError, IncompatibleProblemError,
-                     InstabilityError, QuadratureError)
-from .grid import Field1D, Grid1D, mean
-from .spectral import NeumannLaplacian1D, cfl_ok
+from .errors import IncompatibleProblemError, InstabilityError, QuadratureError
+from .grid import Field1D, Field2D, Grid1D, Grid2D, mean, project
+from .spectral import laplacian, require_stable
 
 __all__ = [
     "NonhomogProblem", "DiscreteRHS", "RunState", "Checkpoint",
@@ -29,9 +33,6 @@ __all__ = [
     "solve_steady_iterative", "solve_steady_laplace", "laplace_shift_gap_bound",
     "SteadySolve",
 ]
-
-# float drift in the constant mode is re-zeroed at this step cadence
-ANCHOR_INTERVAL = 4096
 
 
 @dataclass(frozen=True)
@@ -61,7 +62,7 @@ class NonhomogProblem:
 class DiscreteRHS:
     """Assembled forcing vector b and the uniform correction r folded into it."""
 
-    b: Field1D
+    b: Field1D | Field2D
     r: float
 
 
@@ -77,10 +78,7 @@ def build_rhs(p: NonhomogProblem, g: Grid1D) -> DiscreteRHS:
 
         r = (int_0^L f - dx * sum_j f(x_j)) / (J * dx)
     """
-    x = g.nodes()
-    fx = np.asarray(p.f(x), dtype=float)
-    if fx.shape != x.shape:
-        fx = np.array([float(p.f(xj)) for xj in x])
+    fx = project(g, p.f).values
     r = (p.source_integral() - g.dx * math.fsum(fx)) / (g.J * g.dx)
     b = fx + r
     b[0] -= p.beta / g.dx
@@ -90,9 +88,10 @@ def build_rhs(p: NonhomogProblem, g: Grid1D) -> DiscreteRHS:
 
 @dataclass
 class RunState:
-    """One explicit Euler trajectory; mutated in place by `step`."""
+    """One explicit Euler trajectory on a 1D or 2D grid; mutated in place by
+    `step` and `run_to`."""
 
-    grid: Grid1D
+    grid: Grid1D | Grid2D
     dt: float
     n: int
     values: np.ndarray = field(repr=False)
@@ -104,52 +103,45 @@ class RunState:
         return self.n * self.dt
 
     @property
-    def field(self) -> Field1D:
-        return Field1D(self.grid, self.values.copy())
+    def field(self) -> Field1D | Field2D:
+        return (Field2D if self.values.ndim == 2 else Field1D)(self.grid, self.values.copy())
 
 
-def new_run(g: Grid1D, dt: float, v0: Field1D, rhs: Optional[DiscreteRHS] = None) -> RunState:
+def new_run(g: Grid1D | Grid2D, dt: float, v0, rhs: Optional[DiscreteRHS] = None) -> RunState:
+    """Start a trajectory at v0; the time step must satisfy the grid's
+    stability rule (`cfl_ok` in 1D, `cfl2d` in 2D)."""
     if v0.grid != g:
         raise ValueError("initial field lives on a different grid")
     if rhs is not None and rhs.b.grid != g:
         raise ValueError("right-hand side lives on a different grid")
-    if not cfl_ok(g, dt):
-        raise CflViolationError(
-            f"dt/dx^2 = {dt / g.dx ** 2:.6g} exceeds 1/2 (J={g.J})")
+    require_stable(g, dt)
     vals = v0.values.copy()
-    return RunState(g, dt, 0, vals, rhs, math.fsum(vals) / g.J)
-
-
-def step(st: RunState) -> RunState:
-    """One update v <- v + dt*(A v [+ b]); O(J), one buffer swap."""
-    c = st.dt / st.grid.dx ** 2
-    if st.rhs is None:
-        st.values = _kernels.advance_1d(st.values, c, 1)
-    else:
-        st.values = _kernels.advance_1d_rhs(st.values, c, st.dt * st.rhs.b.values, 1)
-    st.n += 1
-    return st
+    return RunState(g, dt, 0, vals, rhs, math.fsum(vals.ravel()) / vals.size)
 
 
 def _advance_to(st: RunState, n_target: int) -> None:
-    """Advance in blocks, re-zeroing constant-mode float drift at global step
-    counts divisible by ANCHOR_INTERVAL (so results do not depend on how a run
-    is split into checkpoints)."""
-    c = st.dt / st.grid.dx ** 2
-    dtb = None if st.rhs is None else st.dt * st.rhs.b.values
-    while st.n < n_target:
-        boundary = ((st.n // ANCHOR_INTERVAL) + 1) * ANCHOR_INTERVAL
-        n_stop = min(n_target, boundary)
-        k = n_stop - st.n
-        if dtb is None:
-            st.values = _kernels.advance_1d(st.values, c, k)
+    """Advance to step n_target in one kernel call (1D or 2D by the array's
+    dimension), then check that the values stayed finite."""
+    k = n_target - st.n
+    if k > 0:
+        c = [st.dt / h ** 2 for h in reversed(st.grid.spacings)]  # x first
+        if st.values.ndim == 1:
+            plain, forced = _kernels.advance_1d, _kernels.advance_1d_rhs
         else:
-            st.values = _kernels.advance_1d_rhs(st.values, c, dtb, k)
-        st.n = n_stop
-        if st.n % ANCHOR_INTERVAL == 0:
-            st.values += st.mean0 - math.fsum(st.values) / st.grid.J
+            plain, forced = _kernels.advance_2d, _kernels.advance_2d_rhs
+        if st.rhs is None:
+            st.values = plain(st.values, *c, k)
+        else:
+            st.values = forced(st.values, *c, st.dt * st.rhs.b.values, k)
+        st.n = n_target
     if not np.all(np.isfinite(st.values)):
         raise InstabilityError(f"non-finite values at step {st.n}")
+
+
+def step(st: RunState) -> RunState:
+    """One update v <- v + dt*(A v [+ b])."""
+    _advance_to(st, st.n + 1)
+    return st
 
 
 @dataclass(frozen=True)
@@ -157,16 +149,10 @@ class Checkpoint:
     t_target: float
     t_realized: float
     n: int
-    field: Field1D
+    field: Field1D | Field2D
 
 
-def run_to(st: RunState, checkpoints) -> list[Checkpoint]:
-    """Record the state at n = round(t/dt) for each target time.
-
-    Targets must be nondecreasing and not behind the current time; the
-    realized time n*dt is reported alongside (it differs from the target when
-    t is not a step multiple).
-    """
+def _run_checkpoints(st: RunState, checkpoints) -> list[Checkpoint]:
     targets = list(checkpoints)
     if not targets:
         raise ValueError("need at least one checkpoint")
@@ -182,18 +168,47 @@ def run_to(st: RunState, checkpoints) -> list[Checkpoint]:
     return out
 
 
+def run_to(st: RunState, checkpoints) -> list[Checkpoint]:
+    """Record the state at n = round(t/dt) for each target time.
+
+    Targets must be nondecreasing and not behind the current time; the
+    realized time n*dt is reported alongside (it differs from the target when
+    t is not a step multiple).
+    """
+    return _run_checkpoints(st, checkpoints)
+
+
 @dataclass(frozen=True)
 class SteadySolve:
-    field: Field1D
+    field: Field1D | Field2D
     iterations: int
     residual: float
     converged: bool
 
 
-def _residual(g: Grid1D, values: np.ndarray, b: np.ndarray) -> float:
-    op = NeumannLaplacian1D(g)
-    resid = op.apply(Field1D(g, values)).values + b
-    return math.sqrt(math.fsum(resid * resid) / g.J)
+def _residual(g, values: np.ndarray, b: np.ndarray) -> float:
+    """Root-mean-square of A v + b."""
+    resid = laplacian(values, g.spacings) + b
+    return math.sqrt(math.fsum((resid * resid).ravel()) / resid.size)
+
+
+def _iterate_to_steady(st: RunState, tol: float, max_steps: int,
+                       check_every: int) -> SteadySolve:
+    """Step a forced run until the residual ||A v + b|| drops below ``tol``,
+    stagnates at the rounding floor, or ``max_steps`` is reached."""
+    b = st.rhs.b.values
+    res = _residual(st.grid, st.values, b)
+    stagnant = 0
+    while res > tol and st.n < max_steps:
+        _advance_to(st, min(st.n + check_every, max_steps))
+        new_res = _residual(st.grid, st.values, b)
+        # the residual decays geometrically until the rounding floor; once it
+        # stops improving the requested tol is unreachable
+        stagnant = stagnant + 1 if new_res > res * (1.0 - 1e-9) else 0
+        res = new_res
+        if stagnant >= 10:
+            break
+    return SteadySolve(st.field, st.n, res, res <= tol)
 
 
 def solve_steady_iterative(p: NonhomogProblem, g: Grid1D, dt: float, v0: Field1D,
@@ -209,19 +224,7 @@ def solve_steady_iterative(p: NonhomogProblem, g: Grid1D, dt: float, v0: Field1D
     if abs(mean(rhs.b)) > 1e-10:
         raise IncompatibleProblemError(
             f"discrete mean of b is {mean(rhs.b):.3e}; steady iteration would drift")
-    st = new_run(g, dt, v0, rhs)
-    res = _residual(g, st.values, rhs.b.values)
-    stagnant = 0
-    while res > tol and st.n < max_steps:
-        _advance_to(st, min(st.n + check_every, max_steps))
-        new_res = _residual(g, st.values, rhs.b.values)
-        # the residual decays geometrically until the rounding floor; once it
-        # stops improving the requested tol is unreachable
-        stagnant = stagnant + 1 if new_res > res * (1.0 - 1e-9) else 0
-        res = new_res
-        if stagnant >= 10:
-            break
-    return SteadySolve(st.field, st.n, res, res <= tol)
+    return _iterate_to_steady(new_run(g, dt, v0, rhs), tol, max_steps, check_every)
 
 
 def solve_steady_laplace(p: NonhomogProblem, g: Grid1D, s: float) -> Field1D:

@@ -6,19 +6,24 @@ each direction, so the constant field spans its kernel and the flux pattern of
 the 1D right-hand side applies per boundary face; corner nodes accumulate both
 face contributions.  Stability requires dt * (1/dx^2 + 1/dy^2) <= 1/2, which
 reduces to the 1D rule when one spacing becomes infinite.
+
+Runs, checkpoints and the steady iteration are those of `scheme1d`, which
+works on 2D fields as well; the 2D names below are aliases of the 1D ones.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from . import _kernels
-from .errors import CflViolationError, InstabilityError
+from .errors import IncompatibleProblemError
 from .grid import Field2D, Grid2D
+from .scheme1d import (Checkpoint, DiscreteRHS, RunState, SteadySolve,
+                       _iterate_to_steady, _run_checkpoints, new_run)
+from .spectral import cfl2d, laplacian
 
 __all__ = [
     "Problem2D", "Rhs2D", "apply2d", "cfl2d", "build_rhs2d",
@@ -26,7 +31,11 @@ __all__ = [
     "balance_residual_2d", "Checkpoint2D", "SteadySolve2D", "grid_for",
 ]
 
-ANCHOR_INTERVAL = 4096
+Run2D = RunState
+Checkpoint2D = Checkpoint
+SteadySolve2D = SteadySolve
+Rhs2D = DiscreteRHS
+new_run2d = new_run
 
 # composite Gauss-Legendre panels for the balance quadrature
 _GX, _GW = np.polynomial.legendre.leggauss(24)
@@ -45,36 +54,24 @@ class Problem2D:
     Ly: float
 
 
-def _panel_quad_1d(fn, a: float, b: float, panels: int = 16) -> float:
+def _panel_rule(a: float, b: float, panels: int):
+    """Nodes and weights of the composite Gauss-Legendre rule on [a, b]."""
     edges = np.linspace(a, b, panels + 1)
-    total = 0.0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        xm = 0.5 * (hi + lo) + 0.5 * (hi - lo) * _GX
-        total += 0.5 * (hi - lo) * float(_GW @ np.asarray(fn(xm), dtype=float))
-    return total
+    half = 0.5 * (edges[1:] - edges[:-1])[:, None]
+    nodes = 0.5 * (edges[1:] + edges[:-1])[:, None] + half * _GX
+    return nodes.ravel(), (half * _GW).ravel()
 
 
 def balance_residual_2d(p: Problem2D, panels: int = 16) -> float:
     """Net flux/source imbalance: integral of f plus the boundary flux of the
-    would-be steady state; zero for solvable problems."""
-    fint = 0.0
-    edges = np.linspace(0.0, p.Ly, panels + 1)
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        ym = 0.5 * (hi + lo) + 0.5 * (hi - lo) * _GX
-        w = 0.5 * (hi - lo) * _GW
-        for yk, wk in zip(ym, w):
-            fint += wk * _panel_quad_1d(lambda x: p.f(x, yk), 0.0, p.Lx, panels)
-    flux = (_panel_quad_1d(lambda y: p.g1(p.Lx, y), 0.0, p.Ly, panels)
-            - _panel_quad_1d(lambda y: p.g1(0.0, y), 0.0, p.Ly, panels)
-            + _panel_quad_1d(lambda x: p.g2(x, p.Ly), 0.0, p.Lx, panels)
-            - _panel_quad_1d(lambda x: p.g2(x, 0.0), 0.0, p.Lx, panels))
-    return fint + flux
-
-
-@dataclass(frozen=True)
-class Rhs2D:
-    b: Field2D
-    r: float
+    would-be steady state; zero for solvable problems.  The source integral
+    evaluates f once on the tensor product of the two composite rules."""
+    x, wx = _panel_rule(0.0, p.Lx, panels)
+    y, wy = _panel_rule(0.0, p.Ly, panels)
+    fint = wy @ np.asarray(p.f(x[None, :], y[:, None]), dtype=float) @ wx
+    flux = (wy @ (np.asarray(p.g1(p.Lx, y), dtype=float) - p.g1(0.0, y))
+            + wx @ (np.asarray(p.g2(x, p.Ly), dtype=float) - p.g2(x, 0.0)))
+    return float(fint + flux)
 
 
 def grid_for(Jx: int, Lx: float, Ly: float) -> Grid2D:
@@ -87,24 +84,7 @@ def apply2d(g: Grid2D, v: Field2D) -> Field2D:
     """Additive application of the 1D Neumann stencil along x and along y."""
     if v.grid != g:
         raise ValueError("field does not live on this grid")
-    u = v.values
-    out = np.empty_like(u)
-    out[:, 1:-1] = u[:, :-2] - 2.0 * u[:, 1:-1] + u[:, 2:]
-    out[:, 0] = u[:, 1] - u[:, 0]
-    out[:, -1] = u[:, -2] - u[:, -1]
-    out /= g.dx ** 2
-    oy = np.empty_like(u)
-    oy[1:-1, :] = u[:-2, :] - 2.0 * u[1:-1, :] + u[2:, :]
-    oy[0, :] = u[1, :] - u[0, :]
-    oy[-1, :] = u[-2, :] - u[-1, :]
-    out += oy / g.dy ** 2
-    return Field2D(g, out)
-
-
-def cfl2d(g: Grid2D, dt: float) -> bool:
-    if not dt > 0:
-        raise ValueError(f"time step must be positive, got dt={dt}")
-    return dt * (1.0 / g.dx ** 2 + 1.0 / g.dy ** 2) <= 0.5
+    return Field2D(g, laplacian(v.values, g.spacings))
 
 
 def build_rhs2d(p: Problem2D, g: Grid2D) -> Rhs2D:
@@ -123,106 +103,27 @@ def build_rhs2d(p: Problem2D, g: Grid2D) -> Rhs2D:
     return Rhs2D(Field2D(g, b), r)
 
 
-@dataclass
-class Run2D:
-    grid: Grid2D
-    dt: float
-    n: int
-    values: np.ndarray = field(repr=False)
-    rhs: Optional[Rhs2D] = None
-    mean0: float = 0.0
-
-    @property
-    def t(self) -> float:
-        return self.n * self.dt
-
-    @property
-    def field(self) -> Field2D:
-        return Field2D(self.grid, self.values.copy())
-
-
-def new_run2d(g: Grid2D, dt: float, v0: Field2D, rhs: Optional[Rhs2D] = None) -> Run2D:
-    if v0.grid != g:
-        raise ValueError("initial field lives on a different grid")
-    if not cfl2d(g, dt):
-        raise CflViolationError(
-            f"dt*(1/dx^2+1/dy^2) = {dt * (1 / g.dx ** 2 + 1 / g.dy ** 2):.6g} exceeds 1/2")
-    vals = v0.values.copy()
-    return Run2D(g, dt, 0, vals, rhs, math.fsum(vals.ravel()) / (g.Jx * g.Jy))
-
-
-def _advance2d_to(st: Run2D, n_target: int) -> None:
-    cx = st.dt / st.grid.dx ** 2
-    cy = st.dt / st.grid.dy ** 2
-    dtb = None if st.rhs is None else st.dt * st.rhs.b.values
-    npts = st.grid.Jx * st.grid.Jy
-    while st.n < n_target:
-        boundary = ((st.n // ANCHOR_INTERVAL) + 1) * ANCHOR_INTERVAL
-        n_stop = min(n_target, boundary)
-        k = n_stop - st.n
-        if dtb is None:
-            st.values = _kernels.advance_2d(st.values, cx, cy, k)
-        else:
-            st.values = _kernels.advance_2d_rhs(st.values, cx, cy, dtb, k)
-        st.n = n_stop
-        if st.n % ANCHOR_INTERVAL == 0:
-            st.values += st.mean0 - math.fsum(st.values.ravel()) / npts
-    if not np.all(np.isfinite(st.values)):
-        raise InstabilityError(f"non-finite values at step {st.n}")
-
-
-@dataclass(frozen=True)
-class Checkpoint2D:
-    t_target: float
-    t_realized: float
-    n: int
-    field: Field2D
-
-
 def run2d_to(st: Run2D, checkpoints) -> list[Checkpoint2D]:
-    """2D analogue of the 1D checkpointed run (nearest-step rounding)."""
-    targets = list(checkpoints)
-    if not targets:
-        raise ValueError("need at least one checkpoint")
-    if any(b < a for a, b in zip(targets, targets[1:])):
-        raise ValueError("checkpoints must be nondecreasing")
-    out = []
-    for t in targets:
-        n_rec = round(t / st.dt)
-        if n_rec < st.n:
-            raise ValueError(f"checkpoint t={t} rounds behind the current step {st.n}")
-        _advance2d_to(st, n_rec)
-        out.append(Checkpoint2D(t, st.t, st.n, st.field))
-    return out
-
-
-@dataclass(frozen=True)
-class SteadySolve2D:
-    field: Field2D
-    iterations: int
-    residual: float
-    converged: bool
-
-
-def _residual2d(g: Grid2D, values: np.ndarray, b: np.ndarray) -> float:
-    resid = apply2d(g, Field2D(g, values)).values + b
-    return math.sqrt(math.fsum((resid * resid).ravel()) / (g.Jx * g.Jy))
+    """2D entry point of the checkpointed run: the loop of `scheme1d.run_to`,
+    kept a separate function so that bench/tracing.py, which counts kernel
+    steps under their caller, tells 2D steps from 1D steps."""
+    return _run_checkpoints(st, checkpoints)
 
 
 def solve_steady_2d(p: Problem2D, g: Grid2D, dt: float, v0: Field2D,
                     tol: float = 1e-10, max_steps: int = 50_000_000,
                     check_every: int = 64) -> SteadySolve2D:
     """Euler iteration v <- v + dt*(A v + b) down to residual ``tol``; the
-    mean of the iterate stays at the initial mean."""
+    mean of the iterate stays at the initial mean.
+
+    `build_rhs2d` shifts b to zero mean whatever the data, so a problem with
+    no steady state is recognised from the continuous balance instead and
+    rejected, as the 1D solver rejects a nonzero mean(b).
+    """
+    imbalance = balance_residual_2d(p) / (p.Lx * p.Ly)
+    if abs(imbalance) > 1e-10:
+        raise IncompatibleProblemError(
+            f"flux/source balance residual per unit area is {imbalance:.3e}; "
+            "no steady state exists")
     rhs = build_rhs2d(p, g)
-    st = new_run2d(g, dt, v0, rhs)
-    res = _residual2d(g, st.values, rhs.b.values)
-    stagnant = 0
-    while res > tol and st.n < max_steps:
-        _advance2d_to(st, min(st.n + check_every, max_steps))
-        new_res = _residual2d(g, st.values, rhs.b.values)
-        stagnant = stagnant + 1 if new_res > res * (1.0 - 1e-9) else 0
-        res = new_res
-        if stagnant >= 10:
-            break
-    return SteadySolve2D(st.field, st.n, res, res <= tol)
+    return _iterate_to_steady(new_run2d(g, dt, v0, rhs), tol, max_steps, check_every)

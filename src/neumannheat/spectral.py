@@ -7,6 +7,9 @@ The operator acts matrix-free in O(J):
     (A v)_j     = (v_{j-1} - 2 v_j + v_{j+1}) / dx^2     (0 < j < J-1)
     (A v)_{J-1} = (v_{J-2} - v_{J-1}) / dx^2
 
+and `laplacian` applies it along every axis of a 1D or 2D array (the 2D
+operator is the Kronecker sum of the 1D ones).
+
 Its eigenvalues are lambda_l = -(4/dx^2) sin^2(l pi / (2J)), l = 0..J-1, with
 eigenvectors W_0 = 1 and (W_l)_j = sqrt(2) cos(l (j + 1/2) pi / J), an
 orthonormal family for the scaled inner product.  Eigenpairs always come from
@@ -21,11 +24,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CflViolationError, GridMismatchError
-from .grid import Field1D, Grid1D, ones
+from .grid import Field1D, Grid1D, Grid2D, ones
 
 __all__ = [
-    "NeumannLaplacian1D", "EigenPair", "eigenvalue", "eigenvector", "eigenpair",
-    "eta", "cfl_ok", "amplification_bound_check", "AmplificationReport",
+    "NeumannLaplacian1D", "laplacian", "EigenPair", "eigenvalue", "eigenvector",
+    "eigenpair", "eta", "cfl_ok", "cfl2d", "require_stable",
+    "amplification_bound_check", "AmplificationReport",
     "eta_geometric_sum", "resolvent_power_sum", "heat_kernel_spectrum_sum",
 ]
 
@@ -39,13 +43,24 @@ class NeumannLaplacian1D:
     def apply(self, v: Field1D) -> Field1D:
         if v.grid != self.grid:
             raise GridMismatchError("field does not live on the operator's grid")
-        u = v.values
-        out = np.empty_like(u)
-        out[0] = u[1] - u[0]
-        out[1:-1] = u[:-2] - 2.0 * u[1:-1] + u[2:]
-        out[-1] = u[-2] - u[-1]
-        out /= self.grid.dx ** 2
-        return Field1D(self.grid, out)
+        return Field1D(self.grid, laplacian(v.values, self.grid.spacings))
+
+
+def laplacian(u: np.ndarray, spacings) -> np.ndarray:
+    """Kronecker sum over the axes of the per-axis Neumann second difference
+    (the stencil of the module docstring), each divided by its spacing
+    squared; ``spacings`` is in axis order, as the grids give it, and the last
+    (x) axis is added first."""
+    out = None
+    for axis in range(u.ndim - 1, -1, -1):
+        v = np.moveaxis(u, axis, -1)
+        d = np.empty_like(v)
+        d[..., 0] = v[..., 1] - v[..., 0]
+        d[..., 1:-1] = v[..., :-2] - 2.0 * v[..., 1:-1] + v[..., 2:]
+        d[..., -1] = v[..., -2] - v[..., -1]
+        term = np.moveaxis(d, -1, axis) / spacings[axis] ** 2
+        out = term if out is None else out + term
+    return out
 
 
 @dataclass(frozen=True)
@@ -86,10 +101,18 @@ def cfl_ok(g: Grid1D, dt: float) -> bool:
     return dt / g.dx ** 2 <= 0.5
 
 
-def _require_cfl(g: Grid1D, dt: float) -> None:
-    if not cfl_ok(g, dt):
-        raise CflViolationError(
-            f"dt/dx^2 = {dt / g.dx ** 2:.6g} exceeds 1/2 (J={g.J}, L={g.L})")
+def cfl2d(g: Grid2D, dt: float) -> bool:
+    """Exact comparison dt * (1/dx^2 + 1/dy^2) <= 1/2; reduces to the 1D rule
+    when one spacing becomes infinite."""
+    if not dt > 0:
+        raise ValueError(f"time step must be positive, got dt={dt}")
+    return dt * (1.0 / g.dx ** 2 + 1.0 / g.dy ** 2) <= 0.5
+
+
+def require_stable(g: Grid1D | Grid2D, dt: float) -> None:
+    """Raise CflViolationError unless dt passes the grid's stability rule."""
+    if not (cfl2d(g, dt) if isinstance(g, Grid2D) else cfl_ok(g, dt)):
+        raise CflViolationError(f"dt = {dt:.6g} exceeds the stability limit of {g}")
 
 
 def eta(g: Grid1D, dt: float) -> float:
@@ -124,7 +147,7 @@ class AmplificationReport:
 
 def amplification_bound_check(g: Grid1D, dt: float) -> AmplificationReport:
     """Check |1 + dt*lambda_l| <= exp(-(dt/dx^2) sin^2(l pi / J)) for all l."""
-    _require_cfl(g, dt)
+    require_stable(g, dt)
     ell = np.arange(g.J)
     lam = -4.0 / g.dx ** 2 * np.sin(ell * np.pi / (2 * g.J)) ** 2
     lhs = np.abs(1.0 + dt * lam)
@@ -139,7 +162,7 @@ def eta_geometric_sum(g: Grid1D, dt: float, n: int) -> float:
     Under the stability restriction the result is bounded by 2 L^2 uniformly
     in n, J and dt.
     """
-    _require_cfl(g, dt)
+    require_stable(g, dt)
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     e = eta(g, dt)
@@ -155,7 +178,7 @@ def resolvent_power_sum(g: Grid1D, dt: float, n: int) -> float:
     the cost is O(J) regardless of n.  The result is bounded by
     4 * pi^4 * L^4 / 90 uniformly in n and dt under the CFL restriction.
     """
-    _require_cfl(g, dt)
+    require_stable(g, dt)
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     total = 0.0

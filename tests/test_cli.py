@@ -125,6 +125,29 @@ def test_config_file_defaults(tmp_path, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "homog-trigpoly,17," in out and "homog-trigpoly,33," in out
+    # an explicit --cfl beats cfl= from the config however it is spelled
+    cfgfile.write_text("J=17\nt=0.02\ncfl=0.1\n")
+    for flag in (["--cfl", "0.3"], ["--cfl=0.3"], []):
+        code = run_cli("homog", "--datum", "trigpoly", "--config", str(cfgfile), *flag)
+        assert code == 0
+        row = capsys.readouterr().out.splitlines()[1].split(",")
+        cfl = 0.3 if flag else 0.1
+        assert float(row[3]) == cfl * float(row[2]) ** 2
+
+
+def test_sweep_explicit_threads_beat_config(tmp_path, monkeypatch):
+    from neumannheat import harness
+    seen = []
+    real = harness.run_convergence
+    monkeypatch.setattr(harness, "run_convergence",
+                        lambda cfg: seen.append(cfg.threads) or real(cfg))
+    cfgfile = tmp_path / "sweep.cfg"
+    cfgfile.write_text(f"experiments=homog-trigpoly\nout_prefix={tmp_path / 'r'}\n"
+                       "homog-trigpoly.J=17\nhomog-trigpoly.t=0.02\nthreads=3\n")
+    assert run_cli("sweep", "--config", str(cfgfile)) == 0
+    assert run_cli("sweep", "--config", str(cfgfile), "--threads=2") == 0
+    assert run_cli("sweep", "--config", str(cfgfile), "--threads", "1") == 0
+    assert seen == [3, 2, 1]
 
 
 def test_sweep_config(tmp_path):

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from neumannheat import Grid1D, cosine_mode, l1, l2, l_delta, norm_l2, poly_bump
+from neumannheat import (Grid1D, cosine_mode, l1, l2, l_delta, norm_l2, poly_bump,
+                         trig_poly)
 from neumannheat.consistency import embed_boundary, split_defect
 from neumannheat.exact import polynomial_function
 
@@ -126,6 +127,19 @@ def test_splitting_identity():
             bnd, interior = split_defect(w, g)
             recon = bnd.values + g.dx ** 2 * interior.values
             assert np.abs(full - recon).max() < 1e-10
+
+
+def test_split_defect_of_series_backed_functions():
+    # l2 evaluates the fourth derivative on a (nodes x quadrature points)
+    # array, which series-backed functions must accept
+    datum = trig_poly()
+    for w in (datum.smooth, datum.series.solution(0.01)):
+        for J in (17, 65):
+            g = Grid1D(J, 1.0)
+            bnd, interior = split_defect(w, g)
+            full = l_delta(w, g).values
+            recon = bnd.values + g.dx ** 2 * interior.values
+            assert np.abs(full - recon)[1:-1].max() < 1e-8 * np.abs(full).max()
 
 
 def test_embed_boundary():

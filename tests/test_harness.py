@@ -4,13 +4,15 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from neumannheat import (Grid1D, convolution_bound_check, default_config,
-                         emit_csv, epsilon_diagnostics, estimate_slope,
+from neumannheat import (Grid1D, bound_sweep, convolution_bound_check,
+                         default_config, emit_csv, epsilon_diagnostics, estimate_slope,
                          quadrature_inequality_check, run_convergence,
                          trig_poly)
 from neumannheat.harness import (CONVOLUTION_CAP, ErrorRecord, H1Function,
-                                 convolution_value, h1_constant,
+                                 convolution_value, csv_text, h1_constant,
                                  h1_cosine_mode, h1_linear, records_at)
+from neumannheat.spectral import (amplification_bound_check, eta_geometric_sum,
+                                  resolvent_power_sum, resolvent_power_sum_bound)
 
 from oracles import brute_convolution
 
@@ -197,3 +199,36 @@ def test_emit_csv_meta_and_determinism(tmp_path):
     meta = (tmp_path / "a.csv.meta").read_text()
     assert "experiment=homog-trigpoly" in meta
     assert "J=17,33" in meta
+
+
+def test_bound_sweep_reports_worst_case_and_location():
+    Js, cfls, ns = range(2, 20), (0.5, 0.1), (1, 50)
+    worst = bound_sweep(Js, cfls, ns=ns, ms=(1, 10))
+    assert list(worst) == ["amplification", "eta_sum", "resolvent", "kernel", "quadrature"]
+    assert all(w.ok for w in worst.values())
+    # independent brute loop over the same sweep
+    grid_points = [(J, c, n) for J in Js for c in cfls for n in ns]
+
+    def resolvent_ratio(J, c, n):
+        g = Grid1D(J, 1.0)
+        return resolvent_power_sum(g, c * g.dx ** 2, n) / resolvent_power_sum_bound(1.0)
+
+    where = max(grid_points, key=lambda p: resolvent_ratio(*p))
+    assert worst["resolvent"].where == where
+    assert worst["resolvent"].value == resolvent_ratio(*where)
+    eta_max = max(eta_geometric_sum(Grid1D(J, 1.0), c / (J - 1) ** 2, n) / 2.0
+                  for J, c, n in grid_points)
+    assert worst["eta_sum"].value == pytest.approx(eta_max, rel=1e-15)
+    margins = [(amplification_bound_check(Grid1D(J, 1.0), c / (J - 1) ** 2).worst_margin, J, c)
+               for J in Js for c in cfls]
+    first_min = min(margins, key=lambda m: m[0])  # ties keep the first in sweep order
+    assert worst["amplification"].value == first_min[0]
+    assert worst["amplification"].where[:2] == first_min[1:]
+    quad = quadrature_inequality_check(h1_linear(1.0), Js, 1.0)
+    assert worst["quadrature"].value >= quad.max_ratio
+
+
+def test_csv_text_matches_emit_csv(tmp_path):
+    recs = run_convergence(default_config("homog-trigpoly", J_list=(17,), checkpoints=(0.02,)))
+    emit_csv(recs, tmp_path / "r.csv")
+    assert (tmp_path / "r.csv").read_text() == csv_text(recs)

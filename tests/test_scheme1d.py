@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as hs
 
-from neumannheat import (CflViolationError, Field1D, Grid1D,
-                         IncompatibleProblemError, NeumannLaplacian1D,
-                         NonhomogProblem, build_rhs, check_compatibility, eta,
+from neumannheat import (CflViolationError, DiscreteRHS, Field1D, Field2D,
+                         Grid1D, Grid2D, IncompatibleProblemError,
+                         NeumannLaplacian1D, NonhomogProblem, build_rhs,
+                         check_compatibility, eta,
                          eigenvalue, eigenvector, mean, new_run, norm_l2,
                          ones, run_to, solve_steady_iterative,
                          solve_steady_laplace, steady_1d, step)
@@ -123,13 +126,38 @@ def test_incompatible_rejected_by_steady_solvers_but_steppable():
         solve_steady_iterative(p_bad, g, g.dx ** 2 / 2, ones(g))
     with pytest.raises(IncompatibleProblemError):
         solve_steady_laplace(p_bad, g, 1e-3)
-    # time stepping remains well defined
-    st = new_run(g, g.dx ** 2 / 2, ones(g), build_rhs(p_bad, g))
-    (cp,) = run_to(st, [20 * st.dt])
-    assert np.all(np.isfinite(cp.field.values))
-    # the mean drifts linearly at rate mean(b)
-    drift = mean(cp.field) - 1.0
-    assert drift == pytest.approx(20 * st.dt * mean(build_rhs(p_bad, g).b), rel=1e-10)
+    # time stepping remains well defined, also past 4096 steps
+    for n in (20, 5000):
+        st = new_run(g, g.dx ** 2 / 2, ones(g), build_rhs(p_bad, g))
+        (cp,) = run_to(st, [n * st.dt])
+        assert cp.n == n
+        assert np.all(np.isfinite(cp.field.values))
+        # the mean drifts linearly at rate mean(b)
+        drift = mean(cp.field) - 1.0
+        assert drift == pytest.approx(n * st.dt * mean(build_rhs(p_bad, g).b), rel=1e-10)
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(dim=hs.sampled_from([1, 2]), J=hs.integers(2, 12), cfl=hs.floats(0.01, 0.5),
+       n=hs.integers(0, 10_000), seed=hs.integers(0, 2 ** 32 - 1))
+@example(dim=1, J=9, cfl=0.5, n=5000, seed=0)
+@example(dim=2, J=5, cfl=0.5, n=4096, seed=1)
+def test_mean_evolves_at_rate_mean_b(dim, J, cfl, n, seed):
+    # sum_j (A v)_j = 0, so each step adds exactly dt * mean(b) to the mean
+    rng = np.random.default_rng(seed)
+    if dim == 1:
+        g, make = Grid1D(J, 1.0 + rng.random()), Field1D
+        dt = cfl * g.dx ** 2
+    else:
+        g, make = Grid2D(J, J + 2, 1.0, 1.0 + rng.random()), Field2D
+        dt = cfl / (1.0 / g.dx ** 2 + 1.0 / g.dy ** 2)
+    v0, b = make(g, rng.standard_normal(g.shape)), make(g, rng.standard_normal(g.shape))
+    run = new_run(g, dt, v0, DiscreteRHS(b, 0.0))
+    (cp,) = run_to(run, [n * dt])
+    assert cp.n == n
+    expected = run.mean0 + n * dt * b.values.mean()
+    scale = max(1.0, np.abs(cp.field.values).max(), n * dt * np.abs(b.values).max())
+    assert abs(cp.field.values.mean() - expected) <= 1e-13 * (n + 1) * scale
 
 
 def test_steady_iterative_homogeneous_decays_to_mean():

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from neumannheat import (CflViolationError, Field1D, Field2D, Grid1D, Grid2D,
-                         NeumannLaplacian1D, Problem2D, apply2d, build_rhs2d,
-                         cfl2d, gaussian_2d, inner2d, mean2d, new_run2d,
-                         norm2d, ones2d, run2d_to, solve_steady_2d)
-from neumannheat.scheme2d import grid_for
+                         IncompatibleProblemError, NeumannLaplacian1D,
+                         Problem2D, apply2d, build_rhs2d, cfl2d, gaussian_2d,
+                         inner2d, mean2d, new_run2d, norm2d, ones2d, run2d_to,
+                         solve_steady_2d)
+from neumannheat.scheme2d import balance_residual_2d, grid_for
 from neumannheat.spectral import eigenvalue, eigenvector
 
 
@@ -152,3 +153,36 @@ def test_solve_steady_2d_small_gaussian():
     target = case.u_inf(*g.mesh())
     shifted = res.field.values + (target.mean() - res.field.values.mean())
     assert np.abs(shifted - target).max() < 0.05
+
+
+def test_solve_steady_2d_rejects_unbalanced_problem():
+    # f = 1 with zero flux heats the rectangle forever: no steady state
+    g = Grid2D(5, 5, 1.0, 1.0)
+    one = lambda x, y: np.ones(np.broadcast(x, y).shape)
+    zero = lambda x, y: np.zeros(np.broadcast(x, y).shape)
+    p = Problem2D(one, zero, zero, 1.0, 1.0)
+    assert balance_residual_2d(p) == pytest.approx(1.0, rel=1e-14)
+    with pytest.raises(IncompatibleProblemError):
+        solve_steady_2d(p, g, g.dx ** 2 / 8, ones2d(g))
+    # the same source balanced by the outflow of u = -x^2/2 through x = Lx
+    p_ok = Problem2D(one, lambda x, y: -np.asarray(x) * np.ones_like(y), zero, 2.0, 1.0)
+    assert abs(balance_residual_2d(p_ok)) < 1e-14
+    g_ok = grid_for(5, 2.0, 1.0)
+    assert solve_steady_2d(p_ok, g_ok, 0.01, ones2d(g_ok), tol=1e-8).converged
+
+
+def test_balance_residual_2d_tensor_rule():
+    # polynomial data are integrated exactly by the 24-point panels:
+    # int_0^2 int_0^3 x y^2 = 18; flux terms (g1 = x^2 y, g2 = x y):
+    # int_0^3 (4 y - 0) dy + int_0^2 (3 x - 0) dx = 18 + 6
+    p = Problem2D(lambda x, y: x * y ** 2, lambda x, y: x ** 2 * np.asarray(y),
+                  lambda x, y: np.asarray(x) * y, 2.0, 3.0)
+    assert balance_residual_2d(p) == pytest.approx(18.0 + 24.0, rel=1e-14)
+
+
+def test_new_run2d_checks_rhs_grid():
+    g, other = Grid2D(4, 4, 1.0, 1.0), Grid2D(4, 5, 1.0, 1.0)
+    zero = lambda x, y: np.zeros(np.broadcast(x, y).shape)
+    rhs = build_rhs2d(Problem2D(zero, zero, zero, 1.0, 1.0), other)
+    with pytest.raises(ValueError):
+        new_run2d(g, g.dx ** 2 / 8, ones2d(g), rhs)
