@@ -9,7 +9,7 @@ from .errors import (CflViolationError, GridMismatchError,
 from .grid import (Field1D, Field2D, Grid1D, Grid2D, inner, inner2d, mean,
                    mean2d, norm2d, norm_l2, ones, ones2d, project, project2d)
 from .spectral import (NeumannLaplacian1D, amplification_bound_check, cfl_ok,
-                       eigenpair, eigenvalue, eigenvector, eta,
+                       eigenpair, eigenvalue, eigenvalues, eigenvector, eta,
                        eta_geometric_sum, heat_kernel_spectrum_sum,
                        resolvent_power_sum)
 from .exact import (CosineSeries, Gaussian2DProblem, InitialDatum,
@@ -19,7 +19,7 @@ from .exact import (CosineSeries, Gaussian2DProblem, InitialDatum,
                     steady_1d, trig_poly)
 from .consistency import l1, l2, l_delta, split_defect
 from .scheme1d import (Checkpoint, DiscreteRHS, NonhomogProblem, RunState,
-                       build_rhs, check_compatibility, new_run, run_to,
+                       build_rhs, check_compatibility, new_run, propagate, run_to,
                        solve_steady_iterative, solve_steady_laplace, step)
 from .scheme2d import (Problem2D, Rhs2D, Run2D, apply2d, build_rhs2d, cfl2d,
                        new_run2d, run2d_to, solve_steady_2d)

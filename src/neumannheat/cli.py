@@ -67,11 +67,19 @@ def read_config(path: str) -> dict:
 
 def _apply_config_defaults(args, config: dict) -> None:
     """Fill each flag not given on the command line from the config file,
-    else from its built-in default."""
+    else from its built-in default; ``args.explicit`` keeps the names of the
+    flags that were given."""
+    args.explicit = {key for key, value in vars(args).items() if value is not None}
     for key, kind, default in (("J", str, None), ("t", str, None), ("out", str, None),
                                ("cfl", float, 0.5), ("threads", int, 1)):
         if getattr(args, key) is None:
             setattr(args, key, kind(config[key]) if key in config else default)
+
+
+def _required_j(args) -> str:
+    if args.J is None:
+        raise ValueError(f"{args.command} needs --J (or J= in --config)")
+    return args.J
 
 
 def _write_or_print(text: str, out_path) -> None:
@@ -130,7 +138,7 @@ def _steady_problem(args):
 
 def cmd_steady1d(args) -> int:
     problem, ss = _steady_problem(args)
-    for J in parse_j_list(args.J):
+    for J in parse_j_list(_required_j(args)):
         g = Grid1D(J, problem.L)
         if args.solver == "laplace":
             v = scheme1d.solve_steady_laplace(problem, g, args.s)
@@ -160,7 +168,7 @@ def cmd_steady1d(args) -> int:
 
 
 def cmd_spectra(args) -> int:
-    g = Grid1D(int(args.J), args.L or 1.0)
+    g = Grid1D(int(_required_j(args)), args.L or 1.0)
     dt = args.dt if args.dt is not None else args.cfl * g.dx ** 2
     lines = ["ell,lambda,amplification,envelope"]
     for ell in range(g.J):
@@ -203,11 +211,17 @@ def cmd_sweep(args) -> int:
         return EXIT_USAGE
     out_prefix = config.get("out_prefix", "sweep")
     for exp in experiments:
+        def pick(key):
+            # explicit flag > <exp>.key > global key or built-in (already in args)
+            if key in args.explicit or f"{exp}.{key}" not in config:
+                return getattr(args, key)
+            return config[f"{exp}.{key}"]
+        J, t = pick("J"), pick("t")
         cfg = harness.default_config(
             exp,
-            J_list=parse_j_list(config[f"{exp}.J"]) if f"{exp}.J" in config else None,
-            checkpoints=parse_t_list(config[f"{exp}.t"]) if f"{exp}.t" in config else None,
-            cfl=float(config.get(f"{exp}.cfl", args.cfl)),
+            J_list=parse_j_list(J) if J else None,
+            checkpoints=parse_t_list(t) if t else None,
+            cfl=float(pick("cfl")),
             threads=args.threads,
         )
         records = harness.run_convergence(cfg)

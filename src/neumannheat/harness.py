@@ -12,14 +12,15 @@ Experiment catalog (grid resolution J is the x-resolution in 2D):
     steady2d-centered 2D forced, Gaussian steady state away from the boundary
     steady2d-offset   2D forced, Gaussian steady state centered on a corner
 
-Errors compare the run against the exact solution sampled on the grid, at the
-realized time of the nearest step.  Normalization is per experiment: the
-homogeneous errors divide by the sampled initial datum's norm (the bump uses
-the norm of its mean-free part, whose decay the error actually tracks), the 1D
-steady errors divide by the sampled steady state's norm, and the 2D errors are
-absolute with the numerical mean matched to the sampled steady state's mean
-before comparing (the continuous problem fixes the state only up to a
-constant).
+Runs reach their checkpoints by exact propagation (`scheme1d.propagate`), not
+by stepping.  Errors compare the run against the exact solution sampled on the
+grid, at the realized time of the nearest step.  Normalization is per
+experiment: the homogeneous errors divide by the sampled initial datum's norm
+(the bump uses the norm of its mean-free part, whose decay the error actually
+tracks), the 1D steady errors divide by the sampled steady state's norm, and
+the 2D errors are absolute with the numerical mean matched to the sampled
+steady state's mean before comparing (the continuous problem fixes the state
+only up to a constant).
 """
 
 from __future__ import annotations
@@ -144,13 +145,14 @@ class ErrorRecord:
     wall_ms: float
 
 
-def _study(cfg: ExperimentConfig, J: int, st, run, error) -> list[ErrorRecord]:
-    """Advance the run ``st`` through the configured checkpoints with ``run``
-    (`run_to` or `run2d_to`); ``error(cp)`` gives (abs_err, rel_err)."""
+def _study(cfg: ExperimentConfig, J: int, st, error) -> list[ErrorRecord]:
+    """Carry the 1D or 2D run ``st`` to the configured checkpoints with
+    `scheme1d.propagate` (the step counts and times of `run_to`, without
+    stepping); ``error(cp)`` gives (abs_err, rel_err)."""
     t0 = time.perf_counter()
     return [ErrorRecord(cfg.experiment, J, st.grid.dx, st.dt, cp.t_target, cp.t_realized,
                         cp.n, *error(cp), (time.perf_counter() - t0) * 1e3)
-            for cp in run(st, cfg.checkpoints)]
+            for cp in scheme1d.propagate(st, cfg.checkpoints)]
 
 
 def _run_homog(cfg: ExperimentConfig, datum: InitialDatum, J: int) -> list[ErrorRecord]:
@@ -167,7 +169,7 @@ def _run_homog(cfg: ExperimentConfig, datum: InitialDatum, J: int) -> list[Error
         exact = datum.series.evaluate(cp.t_realized, g.nodes())
         err = norm_l2(Field1D(g, exact - cp.field.values))
         return err, err / normalizer
-    return _study(cfg, J, scheme1d.new_run(g, dt, v0), scheme1d.run_to, error)
+    return _study(cfg, J, scheme1d.new_run(g, dt, v0), error)
 
 
 def _run_steady1d(cfg: ExperimentConfig, J: int) -> list[ErrorRecord]:
@@ -190,7 +192,7 @@ def _run_steady1d(cfg: ExperimentConfig, J: int) -> list[ErrorRecord]:
     def error(cp):
         err = norm_l2(Field1D(g, target.values - cp.field.values))
         return err, err / normalizer
-    return _study(cfg, J, scheme1d.new_run(g, dt, v0, rhs), scheme1d.run_to, error)
+    return _study(cfg, J, scheme1d.new_run(g, dt, v0, rhs), error)
 
 
 _GAUSSIAN_CASES = {
@@ -214,7 +216,7 @@ def _run_steady2d(cfg: ExperimentConfig, J: int) -> list[ErrorRecord]:
         shifted = cp.field.values + (target_mean - mean2d(cp.field))
         err = norm2d(Field2D(g, target.values - shifted))
         return err, err
-    return _study(cfg, J, scheme2d.new_run2d(g, dt, v0, rhs), scheme2d.run2d_to, error)
+    return _study(cfg, J, scheme2d.new_run2d(g, dt, v0, rhs), error)
 
 
 def _run_one(cfg: ExperimentConfig, J: int) -> list[ErrorRecord]:

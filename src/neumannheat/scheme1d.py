@@ -10,7 +10,8 @@ the mean drifts at exactly the rate mean(b).
 
 The run machinery (`RunState`, `run_to`, the residual and the steady loop) is
 shared with `scheme2d`: it works on 1D and 2D fields alike and picks the
-stepping kernel by the dimension of the values array.
+stepping kernel by the dimension of the values array.  `propagate` reaches the
+same checkpoints exactly, by one DCT-II transform pair, without stepping.
 """
 
 from __future__ import annotations
@@ -21,15 +22,17 @@ from typing import Callable, Optional
 
 import numpy as np
 from scipy import integrate
+from scipy.fft import dctn, idctn
+from scipy.linalg.lapack import dptsv
 
 from . import _kernels
 from .errors import IncompatibleProblemError, InstabilityError, QuadratureError
 from .grid import Field1D, Field2D, Grid1D, Grid2D, mean, project
-from .spectral import laplacian, require_stable
+from .spectral import eigenvalues, laplacian, require_stable
 
 __all__ = [
     "NonhomogProblem", "DiscreteRHS", "RunState", "Checkpoint",
-    "new_run", "step", "run_to", "build_rhs", "check_compatibility",
+    "new_run", "step", "run_to", "propagate", "build_rhs", "check_compatibility",
     "solve_steady_iterative", "solve_steady_laplace", "laplace_shift_gap_bound",
     "SteadySolve",
 ]
@@ -134,6 +137,29 @@ def _advance_to(st: RunState, n_target: int) -> None:
         else:
             st.values = forced(st.values, *c, st.dt * st.rhs.b.values, k)
         st.n = n_target
+    _check_finite(st)
+
+
+def _propagate_to(st: RunState, n_target: int) -> None:
+    """Advance to step n_target in the DCT-II basis, where k steps multiply
+    mode l by q_l^k (q_l = 1 + dt*lambda_l) and add g_l = dt * sum_{i<k} q_l^i
+    times the forcing mode: (1 - q^k)/(-lambda), or k*dt for the constant
+    mode (lambda = 0), so the mean drifts at exactly mean(b)."""
+    k = n_target - st.n
+    if k > 0:
+        lam = eigenvalues(st.grid)
+        qk = (1.0 + st.dt * lam) ** k
+        vhat = qk * dctn(st.values, type=2, norm="ortho")
+        if st.rhs is not None:
+            gk = np.divide(1.0 - qk, -lam, out=np.full(lam.shape, k * st.dt),
+                           where=lam != 0.0)
+            vhat += gk * dctn(st.rhs.b.values, type=2, norm="ortho")
+        st.values = idctn(vhat, type=2, norm="ortho")
+        st.n = n_target
+    _check_finite(st)
+
+
+def _check_finite(st: RunState) -> None:
     if not np.all(np.isfinite(st.values)):
         raise InstabilityError(f"non-finite values at step {st.n}")
 
@@ -152,7 +178,7 @@ class Checkpoint:
     field: Field1D | Field2D
 
 
-def _run_checkpoints(st: RunState, checkpoints) -> list[Checkpoint]:
+def _run_checkpoints(st: RunState, checkpoints, advance=_advance_to) -> list[Checkpoint]:
     targets = list(checkpoints)
     if not targets:
         raise ValueError("need at least one checkpoint")
@@ -163,7 +189,7 @@ def _run_checkpoints(st: RunState, checkpoints) -> list[Checkpoint]:
         n_rec = round(t / st.dt)
         if n_rec < st.n:
             raise ValueError(f"checkpoint t={t} rounds behind the current step {st.n}")
-        _advance_to(st, n_rec)
+        advance(st, n_rec)
         out.append(Checkpoint(t, st.t, st.n, st.field))
     return out
 
@@ -176,6 +202,13 @@ def run_to(st: RunState, checkpoints) -> list[Checkpoint]:
     t is not a step multiple).
     """
     return _run_checkpoints(st, checkpoints)
+
+
+def propagate(st: RunState, checkpoints) -> list[Checkpoint]:
+    """`run_to` by exact propagation instead of stepping: the same checkpoint
+    rules, step counts and records, on 1D and 2D runs alike; the values agree
+    with stepping to rounding."""
+    return _run_checkpoints(st, checkpoints, _propagate_to)
 
 
 @dataclass(frozen=True)
@@ -232,7 +265,7 @@ def solve_steady_laplace(p: NonhomogProblem, g: Grid1D, s: float) -> Field1D:
 
     The shift makes the singular Neumann system definite; the solution has
     zero discrete mean and approaches the zero-mean steady state at rate O(s).
-    Symmetric tridiagonal elimination without pivoting (the matrix is SPD).
+    The matrix is symmetric positive definite and tridiagonal: LAPACK dptsv.
     """
     if not s > 0:
         raise ValueError(f"shift must be positive, got s={s}")
@@ -240,30 +273,15 @@ def solve_steady_laplace(p: NonhomogProblem, g: Grid1D, s: float) -> Field1D:
     if abs(mean(rhs.b)) > 1e-10:
         raise IncompatibleProblemError(
             f"discrete mean of b is {mean(rhs.b):.3e}")
-    J = g.J
     inv_dx2 = 1.0 / g.dx ** 2
-    diag = np.full(J, s + 2.0 * inv_dx2)
+    diag = np.full(g.J, s + 2.0 * inv_dx2)
     diag[0] = diag[-1] = s + inv_dx2
-    off = -inv_dx2
-    # Thomas elimination
-    cp = np.empty(J - 1)
-    dp = np.empty(J)
-    b = rhs.b.values
-    dp[0] = diag[0]
-    for i in range(1, J):
-        cp[i - 1] = off / dp[i - 1]
-        dp[i] = diag[i] - off * cp[i - 1]
-    y = np.empty(J)
-    y[0] = b[0]
-    for i in range(1, J):
-        y[i] = b[i] - cp[i - 1] * y[i - 1]
-    v = np.empty(J)
-    v[-1] = y[-1] / dp[-1]
-    for i in range(J - 2, -1, -1):
-        v[i] = (y[i] - off * v[i + 1]) / dp[i]
+    _, _, v, info = dptsv(diag, np.full(g.J - 1, -inv_dx2), rhs.b.values)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dptsv failed with info={info}")
     # the kernel direction amplifies the float residue of mean(b) by 1/s;
     # re-anchor it (this perturbs the residual by only s * mean(v) = mean(b))
-    v -= math.fsum(v) / J
+    v -= math.fsum(v) / g.J
     return Field1D(g, v)
 
 

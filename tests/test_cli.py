@@ -109,6 +109,14 @@ def test_spectra(capsys):
         assert abs(float(row[2])) <= float(row[3]) + 1e-15
 
 
+def test_steady1d_and_spectra_need_j(tmp_path, capsys):
+    cfgfile = tmp_path / "no_j.cfg"
+    cfgfile.write_text("cfl=0.25\n")
+    for argv in (["steady1d"], ["spectra"], ["spectra", "--config", str(cfgfile)]):
+        assert run_cli(*argv) == 2
+        assert "--J" in capsys.readouterr().err
+
+
 def test_bounds_small_sweep(capsys):
     assert run_cli("bounds", "--J", "2..64") == 0
     assert "all bounds hold" in capsys.readouterr().out
@@ -148,6 +156,33 @@ def test_sweep_explicit_threads_beat_config(tmp_path, monkeypatch):
     assert run_cli("sweep", "--config", str(cfgfile), "--threads=2") == 0
     assert run_cli("sweep", "--config", str(cfgfile), "--threads", "1") == 0
     assert seen == [3, 2, 1]
+
+
+def test_sweep_flags_beat_experiment_keys_beat_config(tmp_path):
+    cfgfile = tmp_path / "sweep.cfg"
+    prefix = tmp_path / "r"
+    cfgfile.write_text(
+        f"experiments=homog-trigpoly,homog-polybump\nout_prefix={prefix}\n"
+        "J=9\nt=0.01\ncfl=0.2\n"
+        "homog-trigpoly.J=17\nhomog-trigpoly.t=0.02\nhomog-trigpoly.cfl=0.1\n")
+
+    def rows(exp):
+        lines = (tmp_path / f"r-{exp}.csv").read_text().splitlines()[1:]
+        return [(int(r[1]), float(r[2]), float(r[3]), float(r[4]))
+                for r in (line.split(",") for line in lines)]
+
+    def check(exp, J, t, cfl):
+        ((j, dx, dt, t_target),) = rows(exp)
+        assert (j, t_target) == (J, t)
+        assert dt == cfl * dx ** 2
+
+    assert run_cli("sweep", "--config", str(cfgfile)) == 0
+    check("homog-trigpoly", 17, 0.02, 0.1)   # <exp>.key beats the global key
+    check("homog-polybump", 9, 0.01, 0.2)    # the global key beats the default
+    assert run_cli("sweep", "--config", str(cfgfile),
+                   "--J", "33", "--t=0.05", "--cfl", "0.3") == 0
+    check("homog-trigpoly", 33, 0.05, 0.3)   # explicit flags beat both
+    check("homog-polybump", 33, 0.05, 0.3)
 
 
 def test_sweep_config(tmp_path):

@@ -10,12 +10,12 @@ from neumannheat import (CflViolationError, DiscreteRHS, Field1D, Field2D,
                          NeumannLaplacian1D, NonhomogProblem, build_rhs,
                          check_compatibility, eta,
                          eigenvalue, eigenvector, mean, new_run, norm_l2,
-                         ones, run_to, solve_steady_iterative,
+                         ones, propagate, run_to, solve_steady_iterative,
                          solve_steady_laplace, steady_1d, step)
 from neumannheat import _kernels
 from neumannheat.scheme1d import laplace_shift_gap_bound
 
-from oracles import dense_power_apply
+from oracles import dense_neumann_matrix, dense_power_apply
 
 
 def sec52_problem():
@@ -152,12 +152,108 @@ def test_mean_evolves_at_rate_mean_b(dim, J, cfl, n, seed):
         g, make = Grid2D(J, J + 2, 1.0, 1.0 + rng.random()), Field2D
         dt = cfl / (1.0 / g.dx ** 2 + 1.0 / g.dy ** 2)
     v0, b = make(g, rng.standard_normal(g.shape)), make(g, rng.standard_normal(g.shape))
-    run = new_run(g, dt, v0, DiscreteRHS(b, 0.0))
-    (cp,) = run_to(run, [n * dt])
-    assert cp.n == n
-    expected = run.mean0 + n * dt * b.values.mean()
-    scale = max(1.0, np.abs(cp.field.values).max(), n * dt * np.abs(b.values).max())
-    assert abs(cp.field.values.mean() - expected) <= 1e-13 * (n + 1) * scale
+    for advance in (run_to, propagate):
+        run = new_run(g, dt, v0, DiscreteRHS(b, 0.0))
+        (cp,) = advance(run, [n * dt])
+        assert cp.n == n
+        expected = run.mean0 + n * dt * b.values.mean()
+        scale = max(1.0, np.abs(cp.field.values).max(), n * dt * np.abs(b.values).max())
+        assert abs(cp.field.values.mean() - expected) <= 1e-13 * (n + 1) * scale
+
+
+def _random_run(dim, J, Jy, cfl, seed, forced):
+    """A random datum, and a random right-hand side if ``forced``, on a random
+    1D or 2D grid, with dt/dx^2 = cfl in 1D and dt (1/dx^2 + 1/dy^2) = cfl
+    in 2D."""
+    rng = np.random.default_rng(seed)
+    if dim == 1:
+        g, make = Grid1D(J, 0.5 + rng.random()), Field1D
+        dt = cfl * g.dx ** 2
+    else:
+        g, make = Grid2D(J, Jy, 0.5 + rng.random(), 0.5 + rng.random()), Field2D
+        dt = cfl / (1.0 / g.dx ** 2 + 1.0 / g.dy ** 2)
+    rhs = DiscreteRHS(make(g, rng.standard_normal(g.shape)), 0.0) if forced else None
+    return g, dt, make(g, rng.standard_normal(g.shape)), rhs
+
+
+def _rel_gap(a, ref):
+    return np.abs(a - ref).max() / np.abs(ref).max()
+
+
+@settings(max_examples=16, deadline=None, derandomize=True)
+@given(dim=hs.sampled_from([1, 2]), J=hs.integers(2, 64), Jy=hs.integers(2, 16),
+       cfl=hs.floats(0.01, 0.5), n=hs.integers(0, 10_000),
+       seed=hs.integers(0, 2 ** 32 - 1), forced=hs.booleans())
+@example(dim=1, J=64, Jy=2, cfl=0.5, n=10_000, seed=3, forced=True)
+@example(dim=2, J=64, Jy=16, cfl=0.5, n=10_000, seed=4, forced=True)
+@example(dim=2, J=2, Jy=2, cfl=0.5, n=7, seed=5, forced=False)
+def test_propagate_matches_stepping(dim, J, Jy, cfl, n, seed, forced):
+    g, dt, v0, rhs = _random_run(dim, J, Jy, cfl, seed, forced)
+    stepped = run_to(new_run(g, dt, v0, rhs), [n * dt / 3, n * dt])
+    exact = propagate(new_run(g, dt, v0, rhs), [n * dt / 3, n * dt])
+    for s, p in zip(stepped, exact):
+        assert (p.n, p.t_realized) == (s.n, s.t_realized)
+        assert _rel_gap(p.field.values, s.field.values) <= 1e-11
+
+
+def test_propagate_matches_stepping_forced_j257():
+    p52, ss = sec52_problem()
+    g = Grid1D(257, p52.L)
+    dt = g.dx ** 2 / 2
+    v0 = Field1D(g, np.full(257, ss.mean_value))
+    (s,) = run_to(new_run(g, dt, v0, build_rhs(p52, g)), [1.0])
+    (p,) = propagate(new_run(g, dt, v0, build_rhs(p52, g)), [1.0])
+    assert p.n == s.n == round(1.0 / dt)
+    assert _rel_gap(p.field.values, s.field.values) <= 1e-11
+
+
+def test_propagate_matches_dense_matrix_power():
+    rng = np.random.default_rng(32)
+    for J in (2, 5, 9):
+        g = Grid1D(J, 1.3)
+        for c in (0.5, 0.23):
+            dt = c * g.dx ** 2
+            v0, b = rng.standard_normal(J), rng.standard_normal(J)
+            for rhs in (None, DiscreteRHS(Field1D(g, b), 0.0)):
+                st = new_run(g, dt, Field1D(g, v0), rhs)
+                propagate(st, [200 * dt])
+                ref = dense_power_apply(J, g.dx, dt, v0, 200, None if rhs is None else b)
+                assert np.abs(st.values - ref).max() < 1e-12
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(J=hs.integers(2, 64), cfl=hs.floats(0.01, 0.5), n=hs.integers(1, 10_000),
+       seed=hs.integers(0, 2 ** 32 - 1))
+@example(J=17, cfl=0.5, n=500, seed=8)
+def test_mean_free_norm_decays_at_rate_eta(J, cfl, n, seed):
+    # on the mean-free subspace one step contracts by eta = max_l |1 + dt lambda_l|;
+    # the absolute slack covers rounding residue in the constant mode
+    g, dt, v0, _ = _random_run(1, J, 2, cfl, seed, False)
+    v0 = Field1D(g, v0.values - v0.values.mean())
+    bound = eta(g, dt) ** n * norm_l2(v0)
+    for advance in (run_to, propagate):
+        st = new_run(g, dt, v0)
+        (cp,) = advance(st, [n * dt])
+        assert norm_l2(cp.field) <= bound * (1 + 1e-12) + 1e-15 * n * norm_l2(v0)
+
+
+def test_propagate_checkpoint_contract():
+    g = Grid1D(9, 1.0)
+    rng = np.random.default_rng(40)
+    v0 = Field1D(g, rng.standard_normal(9))
+    rhs = DiscreteRHS(Field1D(g, rng.standard_normal(9)), 0.0)
+    st = new_run(g, g.dx ** 2 / 2, v0, rhs)
+    cp0, cp1, cp2 = propagate(st, [0.0, 0.0, 10 * st.dt])
+    assert cp0.n == cp1.n == 0 and cp0.t_realized == 0.0
+    assert np.array_equal(cp0.field.values, v0.values)
+    assert np.array_equal(cp1.field.values, v0.values)
+    assert cp2.n == st.n == 10
+    (cp3,) = propagate(st, [10 * st.dt])  # k = 0 after a move leaves values as they are
+    assert np.array_equal(cp3.field.values, cp2.field.values)
+    for advance in (run_to, propagate):  # bad lists raise alike on both paths
+        for bad in ([], [0.5, 0.25], [5 * st.dt]):  # empty, decreasing, behind the run
+            with pytest.raises(ValueError):
+                advance(st, bad)
 
 
 def test_steady_iterative_homogeneous_decays_to_mean():
@@ -242,6 +338,17 @@ def test_laplace_solver_contract():
         assert norm_l2(Field1D(g, resid)) <= 1e-11 * norm_l2(rhs.b)
     with pytest.raises(ValueError):
         solve_steady_laplace(p52, g, 0.0)
+
+
+def test_laplace_matches_dense_solve():
+    p52, _ = sec52_problem()
+    for J in (2, 5, 33):
+        g = Grid1D(J, p52.L)
+        b = build_rhs(p52, g).b.values
+        for s in (1e-3, 1.0):
+            ref = np.linalg.solve(s * np.eye(J) - dense_neumann_matrix(J, g.dx), b)
+            v = solve_steady_laplace(p52, g, s).values
+            assert np.abs(v - (ref - ref.mean())).max() <= 1e-12 * np.abs(ref).max()
 
 
 def test_laplace_zero_rhs():

@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from neumannheat import (CflViolationError, Field1D, Grid1D,
+from scipy.fft import dctn
+
+from neumannheat import (CflViolationError, Field1D, Grid1D, Grid2D,
                          NeumannLaplacian1D, amplification_bound_check,
                          cfl_ok, eigenvalue, eigenvector, eta,
                          eta_geometric_sum, heat_kernel_spectrum_sum, inner,
                          norm_l2, ones, resolvent_power_sum)
-from neumannheat.spectral import resolvent_power_sum_bound
+from neumannheat.spectral import eigenvalues, laplacian, resolvent_power_sum_bound
 
 from oracles import brute_eta_sum, brute_resolvent_power_sum, dense_neumann_matrix
 
@@ -72,6 +74,26 @@ def test_min_nonzero_eigenvalue_identity():
         smallest = min(abs(eigenvalue(g, ell)) for ell in range(1, J))
         assert smallest == pytest.approx(
             4.0 / g.dx ** 2 * math.sin(math.pi / (2 * J)) ** 2, rel=1e-15)
+
+
+def test_eigenvalues_diagonalised_by_dct():
+    rng = np.random.default_rng(17)
+    g1 = Grid1D(7, 1.3)
+    g2 = Grid2D(5, 8, 1.0, 2.5)
+    lam1, lam2 = eigenvalues(g1), eigenvalues(g2)
+    assert lam1.shape == (7,) and lam2.shape == (8, 5)
+    assert lam1 == pytest.approx([eigenvalue(g1, ell) for ell in range(7)], rel=1e-14)
+    gx, gy = Grid1D(5, 1.0), Grid1D(8, 2.5)
+    for ly in range(8):
+        for lx in range(5):
+            assert lam2[ly, lx] == pytest.approx(
+                eigenvalue(gy, ly) + eigenvalue(gx, lx), rel=1e-14, abs=1e-14)
+    # the orthonormal DCT-II turns the stencil into multiplication by lambda
+    for g, lam in ((g1, lam1), (g2, lam2)):
+        u = rng.standard_normal(g.shape)
+        lhs = dctn(laplacian(u, g.spacings), type=2, norm="ortho")
+        rhs = lam * dctn(u, type=2, norm="ortho")
+        assert np.abs(lhs - rhs).max() <= 1e-12 * np.abs(lam).max()
 
 
 def test_eigenvector_examples():
@@ -163,6 +185,8 @@ def test_resolvent_power_sum():
     for n in (1, 3, 7, 25):
         assert resolvent_power_sum(g, dt, n) == pytest.approx(
             brute_resolvent_power_sum(9, 1.0, dt, n), rel=1e-11)
+    # ratio within 1e-14 of 1: the geometric sum falls back to n*dt per mode
+    assert resolvent_power_sum(g, 1e-18, 7) == pytest.approx(8 * (7e-18) ** 2, rel=1e-12)
     vals = [resolvent_power_sum(g, dt, n) for n in (1, 2, 5, 20, 100, 10 ** 5)]
     assert all(b >= a * (1 - 1e-12) for a, b in zip(vals, vals[1:]))  # nondecreasing
     g65 = Grid1D(65, 1.0)
