@@ -156,7 +156,7 @@ def cmd_steady1d(args) -> int:
             res = scheme1d.solve_steady_iterative(problem, g, dt, v0, tol=args.tol)
             line = (f"steady1d J={J} solver=iterate tol={args.tol:g} "
                     f"iterations={res.iterations} residual={res.residual:.3e} "
-                    f"mean={mean(res.field):.12g}")
+                    f"stop={res.stop_reason} mean={mean(res.field):.12g}")
             sol = res.field
         if ss is not None:
             exact = project(g, ss.solution)

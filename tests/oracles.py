@@ -114,3 +114,30 @@ def brute_convolution(L: float, dt: float, p: int, n: int) -> float:
                 total += (math.exp(-p * p * math.pi ** 2 * (k1 + k2) * dt / L ** 2)
                           / math.sqrt(r * dt))
     return dt * dt * total
+
+
+def exact_steady_count(axes, v0: np.ndarray, b: np.ndarray, dt: float, tol: float,
+                       check_every: int = 64) -> int:
+    """First multiple of ``check_every`` at which the Euler iteration's
+    residual, taken in exact-arithmetic form (I + dt A)^n (A v0 + b), has
+    root-mean-square <= tol.
+
+    ``axes`` gives (J, h) for each array axis; A is the Kronecker sum of the
+    dense 1D Neumann matrices, each diagonalised by `eigh`.
+    """
+    r = b.astype(float)
+    lam = np.zeros(v0.shape)
+    bases = []
+    for axis, (J, h) in enumerate(axes):
+        A = dense_neumann_matrix(J, h)
+        r += np.moveaxis(np.tensordot(A, v0, axes=(1, axis)), 0, axis)
+        w, W = np.linalg.eigh(A)
+        lam += w.reshape([J if a == axis else 1 for a in range(v0.ndim)])
+        bases.append(W)
+    for axis, W in enumerate(bases):  # coefficients of r in the eigenbasis
+        r = np.moveaxis(np.tensordot(W.T, r, axes=(1, axis)), 0, axis)
+    q = 1.0 + dt * lam
+    n = 0
+    while math.sqrt(math.fsum(((q ** n * r) ** 2).ravel()) / r.size) > tol:
+        n += check_every
+    return n

@@ -1,8 +1,11 @@
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import neumannheat
 from neumannheat.cli import main, parse_j_list, parse_t_list
 
 
@@ -73,7 +76,7 @@ def test_steady1d_iterate_and_laplace(capsys):
     out = capsys.readouterr().out
     mean_val = float(out.split("mean=")[1].split()[0])
     assert mean_val == pytest.approx(-193.0 / 384.0, abs=1e-10)
-    assert "err_vs_exact=" in out
+    assert "err_vs_exact=" in out and " stop=converged " in out
 
     code = run_cli("steady1d", "--problem", "sec52", "--J", "65",
                    "--solver", "laplace", "--s", "1e-3")
@@ -206,7 +209,12 @@ def test_sweep_requires_config(capsys):
 
 
 def test_console_entry_point():
+    # the child imports the package from where this process found it, so the
+    # test needs no installed package and no PYTHONPATH
+    src = str(Path(neumannheat.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-m", "neumannheat", "spectra", "--J", "3"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert proc.stdout.startswith("ell,lambda")

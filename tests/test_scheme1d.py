@@ -7,15 +7,16 @@ from hypothesis import strategies as hs
 
 from neumannheat import (CflViolationError, DiscreteRHS, Field1D, Field2D,
                          Grid1D, Grid2D, IncompatibleProblemError,
-                         NeumannLaplacian1D, NonhomogProblem, build_rhs,
-                         check_compatibility, eta,
+                         InstabilityError, NeumannLaplacian1D, NonhomogProblem,
+                         Problem2D, build_rhs, check_compatibility, eta,
                          eigenvalue, eigenvector, mean, new_run, norm_l2,
-                         ones, propagate, run_to, solve_steady_iterative,
-                         solve_steady_laplace, steady_1d, step)
+                         ones, propagate, run_to, solve_steady_2d,
+                         solve_steady_iterative, solve_steady_laplace,
+                         steady_1d, step)
 from neumannheat import _kernels
-from neumannheat.scheme1d import laplace_shift_gap_bound
+from neumannheat.scheme1d import _iterate_to_steady, laplace_shift_gap_bound
 
-from oracles import dense_neumann_matrix, dense_power_apply
+from oracles import dense_neumann_matrix, dense_power_apply, exact_steady_count
 
 
 def sec52_problem():
@@ -271,8 +272,72 @@ def test_steady_iterative_sec52_mean_anchor():
     g = Grid1D(129, p52.L)
     v0 = Field1D(g, np.full(129, ss.mean_value))
     res = solve_steady_iterative(p52, g, g.dx ** 2 / 2, v0, tol=1e-10)
-    assert res.converged
+    assert res.converged and res.stop_reason == "converged"
     assert mean(res.field) == pytest.approx(ss.mean_value, abs=1e-10)
+
+
+@pytest.mark.parametrize("J", [65, 129, 257])
+def test_steady_count_matches_exact_arithmetic(J):
+    # block updates carry no per-step rounding, so the loop stops at the first
+    # check where the exact residual (I + dt A)^n r0 is below tol
+    p52, ss = sec52_problem()
+    g = Grid1D(J, p52.L)
+    dt = g.dx ** 2 / 2
+    v0 = np.full(J, ss.mean_value)
+    res = solve_steady_iterative(p52, g, dt, Field1D(g, v0), tol=1e-10)
+    b = build_rhs(p52, g).b.values
+    assert res.iterations == exact_steady_count([(J, g.dx)], v0, b, dt, 1e-10)
+
+
+def test_steady_j257_reaches_tol_1e_11():
+    # demo 04's setting: the residual floor must sit below tol
+    p52, ss = sec52_problem()
+    g = Grid1D(257, p52.L)
+    res = solve_steady_iterative(p52, g, g.dx ** 2 / 2,
+                                 Field1D(g, np.full(257, ss.mean_value)), tol=1e-11)
+    assert res.converged and res.residual <= 1e-11
+
+
+def test_steady_stagnates_below_rounding_floor():
+    p52, ss = sec52_problem()
+    g = Grid1D(65, p52.L)
+    res = solve_steady_iterative(p52, g, g.dx ** 2 / 2,
+                                 Field1D(g, np.full(65, ss.mean_value)), tol=1e-16)
+    assert res.stop_reason == "stagnated" and not res.converged
+    assert res.residual < 1e-11
+
+
+@settings(max_examples=16, deadline=None, derandomize=True)
+@given(dim=hs.sampled_from([1, 2]), J=hs.integers(2, 64), Jy=hs.integers(2, 16),
+       cfl=hs.floats(0.01, 0.5), max_steps=hs.integers(1, 5000).filter(lambda n: n % 64),
+       seed=hs.integers(0, 2 ** 32 - 1))
+@example(dim=1, J=64, Jy=2, cfl=0.05, max_steps=4999, seed=6)
+@example(dim=2, J=64, Jy=16, cfl=0.05, max_steps=3001, seed=7)
+def test_steady_loop_matches_stepping(dim, J, Jy, cfl, max_steps, seed):
+    # tol 0 is out of reach: the loop runs to the cap (a short last block)
+    # unless it stagnates first; either way it returns the stepped field
+    g, dt, v0, rhs = _random_run(dim, J, Jy, cfl, seed, True)
+    b = rhs.b.values - rhs.b.values.mean()
+    rhs = DiscreteRHS(type(v0)(g, b), 0.0)
+    res = _iterate_to_steady(new_run(g, dt, v0, rhs), 0.0, max_steps, 64)
+    assert (res.iterations == max_steps) == (res.stop_reason == "max_steps")
+    (cp,) = run_to(new_run(g, dt, v0, rhs), [res.iterations * dt])
+    assert cp.n == res.iterations
+    assert _rel_gap(res.field.values, cp.field.values) <= 1e-10
+
+
+def test_steady_loop_matches_dense_matrix_power():
+    rng = np.random.default_rng(33)
+    for J in (2, 5, 9):
+        g = Grid1D(J, 1.3)
+        for c in (0.5, 0.23):
+            dt = c * g.dx ** 2
+            v0, b = rng.standard_normal(J), rng.standard_normal(J)
+            b -= b.mean()
+            rhs = DiscreteRHS(Field1D(g, b), 0.0)
+            res = _iterate_to_steady(new_run(g, dt, Field1D(g, v0), rhs), 0.0, 200, 64)
+            ref = dense_power_apply(J, g.dx, dt, v0, res.iterations, b)
+            assert np.abs(res.field.values - ref).max() < 1e-12
 
 
 def test_steady_iteration_count_scaling():
@@ -311,7 +376,7 @@ def test_steady_iterative_max_steps_flagged():
     g = Grid1D(65, p52.L)
     v0 = Field1D(g, np.full(65, ss.mean_value))
     res = solve_steady_iterative(p52, g, g.dx ** 2 / 2, v0, tol=1e-12, max_steps=50)
-    assert not res.converged
+    assert not res.converged and res.stop_reason == "max_steps"
     assert res.iterations == 50
     assert res.residual > 1e-12  # best-so-far residual reported
 
@@ -407,6 +472,26 @@ def test_mean_drift_over_many_steps():
     (cp,) = run_to(st, [1_000_000 * dt])
     assert cp.n == 1_000_000
     assert abs(mean(cp.field) - st.mean0) <= 1e-8
+
+
+def test_overflow_raises_instability_error():
+    # +-1e308 alternating: the first update overflows to inf and then nan
+    g = Grid1D(9, 1.0)
+    v0 = Field1D(g, 1e308 * (-1.0) ** np.arange(9))
+    zero = lambda *args: np.zeros(np.broadcast(*[np.asarray(a) for a in args]).shape)
+    p = NonhomogProblem(zero, 0.0, 0.0, 1.0, f_integral=0.0)
+    g2 = Grid2D(5, 4, 1.0, 1.0)
+    checker = 1e308 * (-1.0) ** np.add.outer(np.arange(4), np.arange(5))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(InstabilityError):
+            step(new_run(g, g.dx ** 2 / 2, v0))
+        with pytest.raises(InstabilityError):
+            propagate(new_run(g, g.dx ** 2 / 2, v0), [10 * g.dx ** 2 / 2])
+        with pytest.raises(InstabilityError):
+            solve_steady_iterative(p, g, g.dx ** 2 / 2, v0)
+        with pytest.raises(InstabilityError):
+            solve_steady_2d(Problem2D(zero, zero, zero, 1.0, 1.0), g2,
+                            0.5 / (1 / g2.dx ** 2 + 1 / g2.dy ** 2), Field2D(g2, checker))
 
 
 def test_small_instance_matches_dense_matrix_power():

@@ -9,6 +9,8 @@ from neumannheat import (CflViolationError, Field1D, Field2D, Grid1D, Grid2D,
 from neumannheat.scheme2d import balance_residual_2d, grid_for
 from neumannheat.spectral import eigenvalue, eigenvector
 
+from oracles import exact_steady_count
+
 
 def test_apply2d_constant_kernel():
     g = Grid2D(4, 6, 2.0, 3.0)
@@ -153,6 +155,18 @@ def test_solve_steady_2d_small_gaussian():
     target = case.u_inf(*g.mesh())
     shifted = res.field.values + (target.mean() - res.field.values.mean())
     assert np.abs(shifted - target).max() < 0.05
+
+
+def test_solve_steady_2d_count_matches_exact_arithmetic():
+    case = gaussian_2d(alpha=15.0, beta_g=5.0, x0=1.0, y0=2.0)
+    p = Problem2D(case.f, case.g1, case.g2, case.Lx, case.Ly)
+    g = grid_for(48, case.Lx, case.Ly)
+    dt = 0.5 / (1 / g.dx ** 2 + 1 / g.dy ** 2)
+    v0 = np.zeros((g.Jy, g.Jx))
+    res = solve_steady_2d(p, g, dt, Field2D(g, v0), tol=1e-8)
+    assert res.converged
+    b = build_rhs2d(p, g).b.values
+    assert res.iterations == exact_steady_count([(g.Jy, g.dy), (g.Jx, g.dx)], v0, b, dt, 1e-8)
 
 
 def test_solve_steady_2d_rejects_unbalanced_problem():
