@@ -65,13 +65,29 @@ def read_config(path: str) -> dict:
     return out
 
 
+# The flags a subcommand may take: name -> (argparse keywords, config type,
+# built-in default).  A config type of None means the flag has no config key.
+_FLAGS = {
+    "J": (dict(help="comma list (17,33,65) or range (2..512)"), str, None),
+    "L": (dict(type=float, help="interval length (default 1)"), None, 1.0),
+    "cfl": (dict(type=float, help="dt = cfl * dx^2 (default 0.5)"), float, 0.5),
+    "t": (dict(help="comma list of checkpoint times"), str, None),
+    "out": (dict(help="CSV output path (default: stdout)"), str, None),
+    "threads": (dict(type=int, help="worker threads (default 1)"), int, 1),
+}
+
+
 def _apply_config_defaults(args, config: dict) -> None:
-    """Fill each flag not given on the command line from the config file,
-    else from its built-in default; ``args.explicit`` keeps the names of the
-    flags that were given."""
-    args.explicit = {key for key, value in vars(args).items() if value is not None}
-    for key, kind, default in (("J", str, None), ("t", str, None), ("out", str, None),
-                               ("cfl", float, 0.5), ("threads", int, 1)):
+    """Fill each flag of the subcommand not given on the command line from the
+    config file, else from its built-in default; ``args.explicit`` keeps the
+    names of the flags that were given.  A config key that names a flag the
+    subcommand does not take from a config is refused."""
+    for key in config:
+        if key in _FLAGS and (key not in args.flags or _FLAGS[key][1] is None):
+            raise ValueError(f"{args.command} takes no config key {key}=")
+    args.explicit = {key for key in args.flags if getattr(args, key) is not None}
+    for key in args.flags:
+        _, kind, default = _FLAGS[key]
         if getattr(args, key) is None:
             setattr(args, key, kind(config[key]) if key in config else default)
 
@@ -122,17 +138,21 @@ def cmd_study(args) -> int:
 
 def _steady_problem(args):
     if args.problem == "sec52":
+        custom = {"--L": "L" in args.explicit, "--f-const": args.f_const is not None,
+                  "--beta": args.beta is not None, "--gamma": args.gamma is not None}
+        given = [flag for flag, set_ in custom.items() if set_]
+        if given:
+            raise ValueError(f"--problem sec52 fixes its own data; drop {', '.join(given)}")
         ss = steady_1d()
         problem = scheme1d.NonhomogProblem(ss.source, ss.beta, ss.gamma, ss.L,
                                            f_integral=ss.source_integral)
         return problem, ss
     if args.f_const is None:
         raise ValueError("custom problems need --f-const, --beta, --gamma, --L")
-    c = args.f_const
-    L = args.L or 1.0
+    c, L = args.f_const, args.L
     problem = scheme1d.NonhomogProblem(
         lambda x: np.full_like(np.asarray(x, dtype=float), c),
-        args.beta, args.gamma, L, f_integral=c * L)
+        args.beta or 0.0, args.gamma or 0.0, L, f_integral=c * L)
     return problem, None
 
 
@@ -168,7 +188,7 @@ def cmd_steady1d(args) -> int:
 
 
 def cmd_spectra(args) -> int:
-    g = Grid1D(int(_required_j(args)), args.L or 1.0)
+    g = Grid1D(int(_required_j(args)), args.L)
     dt = args.dt if args.dt is not None else args.cfl * g.dx ** 2
     lines = ["ell,lambda,amplification,envelope"]
     for ell in range(g.J):
@@ -184,11 +204,7 @@ def cmd_bounds(args) -> int:
     J_list = parse_j_list(args.J) if args.J else list(range(2, 513))
     cfls = parse_t_list(args.cfl_list) if args.cfl_list else [0.5, 0.25, 0.1]
     ms = [int(m) for m in parse_t_list(args.m)] if args.m else [1, 10, 100, 1000]
-    worst = harness.bound_sweep(J_list, cfls, ms=ms, L=args.L or 1.0)
-    if args.perturb and "amplification" in worst:
-        amp = worst["amplification"]
-        margin = amp.value - args.perturb
-        worst["amplification"] = harness.WorstCase(margin, amp.where, margin >= 0.0)
+    worst = harness.bound_sweep(J_list, cfls, ms=ms, L=args.L)
     print("bound suite worst figures (amplification: min margin; others: max value/bound):")
     for name, w in worst.items():
         print(f"  {name}: {w.value:.6g} at {w.where}")
@@ -209,6 +225,9 @@ def cmd_sweep(args) -> int:
     if not experiments:
         print("config must list experiments=<id,id,...>", file=sys.stderr)
         return EXIT_USAGE
+    for key in config:
+        if "." in key and key.rsplit(".", 1)[1] not in ("J", "t", "cfl"):
+            raise ValueError(f"sweep takes no config key {key}=")
     out_prefix = config.get("out_prefix", "sweep")
     for exp in experiments:
         def pick(key):
@@ -231,59 +250,55 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
+def _variants(kind: str) -> list[str]:
+    """The catalog's experiment ids "<kind>-<variant>", as variants."""
+    return [exp.split("-", 1)[1] for exp in harness.EXPERIMENTS
+            if exp.split("-", 1)[0] == kind]
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="neumannheat", description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
-        p.add_argument("--J", help="comma list (17,33,65) or range (2..512)")
-        p.add_argument("--L", type=float, help="interval length override")
-        p.add_argument("--cfl", type=float,
-                       help="dt = cfl * dx^2 (default 0.5)")
-        p.add_argument("--t", help="comma list of checkpoint times")
-        p.add_argument("--out", help="CSV output path (default: stdout)")
+    def command(name, fn, flags, help):
+        """A subcommand taking the given `_FLAGS` and --config.  Prefixes are
+        not expanded, so a flag the subcommand lacks (bounds --cfl) is refused
+        instead of read as a longer one (--cfl-list)."""
+        p = sub.add_parser(name, help=help, allow_abbrev=False)
+        for flag in flags:
+            p.add_argument(f"--{flag}", **_FLAGS[flag][0])
         p.add_argument("--config", help="key=value config file (flags win)")
-        p.add_argument("--threads", type=int, help="worker threads (default 1)")
+        p.set_defaults(fn=fn, flags=flags)
+        return p
 
-    p = sub.add_parser("homog", help="homogeneous 1D convergence study")
-    add_common(p)
-    p.add_argument("--datum", dest="variant", required=True,
-                   choices=["trigpoly", "polybump", "hat"])
-    p.set_defaults(fn=cmd_study)
+    p = command("homog", cmd_study, ("J", "t", "cfl", "out", "threads"),
+                "homogeneous 1D convergence study")
+    p.add_argument("--datum", dest="variant", required=True, choices=_variants("homog"))
 
-    p = sub.add_parser("steady1d", help="1D steady-state solve")
-    add_common(p)
+    p = command("steady1d", cmd_steady1d, ("J", "L", "cfl"), "1D steady-state solve")
     p.add_argument("--problem", default="sec52", choices=["sec52", "custom"])
     p.add_argument("--solver", default="iterate", choices=["iterate", "laplace"])
     p.add_argument("--s", type=float, default=1e-3, help="laplace shift")
     p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--f-const", dest="f_const", type=float,
                    help="constant source value for --problem custom")
-    p.add_argument("--beta", type=float, default=0.0)
-    p.add_argument("--gamma", type=float, default=0.0)
-    p.set_defaults(fn=cmd_steady1d)
+    p.add_argument("--beta", type=float, help="left flux for --problem custom (default 0)")
+    p.add_argument("--gamma", type=float, help="right flux for --problem custom (default 0)")
 
-    p = sub.add_parser("steady2d", help="2D Gaussian steady-state study")
-    add_common(p)
-    p.add_argument("--case", dest="variant", required=True, choices=["centered", "offset"])
-    p.set_defaults(fn=cmd_study)
+    p = command("steady2d", cmd_study, ("J", "t", "cfl", "out", "threads"),
+                "2D Gaussian steady-state study")
+    p.add_argument("--case", dest="variant", required=True, choices=_variants("steady2d"))
 
-    p = sub.add_parser("spectra", help="dump the discrete spectrum")
-    add_common(p)
+    p = command("spectra", cmd_spectra, ("J", "L", "cfl", "out"), "dump the discrete spectrum")
     p.add_argument("--dt", type=float, help="time step (default cfl*dx^2)")
-    p.set_defaults(fn=cmd_spectra)
 
-    p = sub.add_parser("bounds", help="run the bound-verification sweep")
-    add_common(p)
+    p = command("bounds", cmd_bounds, ("J", "L"), "run the bound-verification sweep")
     p.add_argument("--cfl-list", dest="cfl_list", help="comma list of CFL ratios")
     p.add_argument("--m", help="comma list of kernel-sum step counts")
-    p.add_argument("--perturb", type=float, help=argparse.SUPPRESS)
-    p.set_defaults(fn=cmd_bounds)
 
-    p = sub.add_parser("sweep", help="batch experiments from a config file")
-    add_common(p)
-    p.set_defaults(fn=cmd_sweep)
+    command("sweep", cmd_sweep, ("J", "t", "cfl", "threads"),
+            "batch experiments from a config file")
     return ap
 
 

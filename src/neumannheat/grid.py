@@ -90,8 +90,9 @@ def inner(v: Field1D, w: Field1D) -> float:
 
 
 def mean(v: Field1D) -> float:
-    """Discrete mean value (1/J) sum_j v_j (same summation as `inner`)."""
-    return math.fsum(v.values) / v.grid.J
+    """Discrete mean value (1/J) sum_j v_j (same summation as `inner`, so it
+    serves 2D fields as well)."""
+    return math.fsum(v.values.ravel()) / v.values.size
 
 
 def norm_l2(v: Field1D) -> float:

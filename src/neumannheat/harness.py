@@ -2,7 +2,7 @@
 defect diagnostics, and the spectral-sum / quadrature inequality sweeps
 (`bound_sweep`).
 
-Experiment catalog (grid resolution J is the x-resolution in 2D):
+Experiment catalog (`EXPERIMENTS`; grid resolution J is the x-resolution in 2D):
 
     homog-trigpoly    1D homogeneous, finite cosine datum, L=1
     homog-polybump    1D homogeneous, quartic bump datum, L=1
@@ -29,7 +29,7 @@ import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -42,49 +42,13 @@ from .grid import (Field1D, Field2D, Grid1D, mean, mean2d, norm2d, norm_l2,
                    project, project2d)
 
 __all__ = [
-    "ExperimentConfig", "ErrorRecord", "SlopeFit", "EXPERIMENT_IDS",
+    "ExperimentConfig", "ErrorRecord", "SlopeFit", "EXPERIMENTS",
     "default_config", "run_convergence", "estimate_slope", "records_at",
     "epsilon_diagnostics", "convolution_bound_check", "ConvolutionReport",
     "quadrature_inequality_check", "QuadratureInequalityReport", "H1Function",
     "h1_cosine_mode", "h1_linear", "h1_constant", "bound_sweep", "WorstCase",
     "csv_text", "emit_csv",
 ]
-
-EXPERIMENT_IDS = (
-    "homog-trigpoly", "homog-polybump", "homog-hat",
-    "steady1d-w", "steady1d-const",
-    "steady2d-centered", "steady2d-offset",
-)
-
-_DEFAULT_CHECKPOINTS = {
-    "homog-trigpoly": (0.005, 0.01, 0.02, 0.05, 0.1, 0.2, 1.0),
-    "homog-polybump": (0.005, 0.01, 0.02, 0.05, 0.1, 0.2, 1.0),
-    "homog-hat": (0.005, 0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 1.0, 2.0),
-    "steady1d-w": tuple(0.625 * k for k in range(1, 9)),
-    "steady1d-const": tuple(0.625 * k for k in range(1, 9)),
-    "steady2d-centered": tuple(0.625 * k for k in range(1, 9)),
-    "steady2d-offset": tuple(0.625 * k for k in range(1, 9)),
-}
-
-_DEFAULT_J = {
-    "homog-trigpoly": (17, 33, 65, 129, 257, 513),
-    "homog-polybump": (17, 33, 65, 129, 257, 513),
-    "homog-hat": (201, 401, 801),
-    "steady1d-w": (16, 32, 64, 128, 256, 512),
-    "steady1d-const": (16, 32, 64, 128, 256, 512),
-    "steady2d-centered": (8, 16, 32, 64),
-    "steady2d-offset": (8, 16, 32, 64),
-}
-
-_NORMALIZATION = {
-    "homog-trigpoly": "relative-to-initial",
-    "homog-polybump": "relative-to-initial-fluctuation",
-    "homog-hat": "relative-to-initial",
-    "steady1d-w": "relative-to-steady",
-    "steady1d-const": "relative-to-steady",
-    "steady2d-centered": "absolute",
-    "steady2d-offset": "absolute",
-}
 
 
 @dataclass(frozen=True)
@@ -93,11 +57,10 @@ class ExperimentConfig:
     J_list: tuple
     checkpoints: tuple
     cfl: float = 0.5
-    normalization: str = "relative-to-initial"
     threads: int = 1
 
     def __post_init__(self):
-        if self.experiment not in EXPERIMENT_IDS:
+        if self.experiment not in EXPERIMENTS:
             raise ValueError(f"unknown experiment {self.experiment!r}")
         if not 0 < self.cfl <= 0.5:
             raise CflViolationError(f"cfl ratio must lie in (0, 1/2], got {self.cfl}")
@@ -112,21 +75,21 @@ class ExperimentConfig:
             "J": ",".join(str(j) for j in self.J_list),
             "t": ",".join(repr(float(t)) for t in self.checkpoints),
             "cfl": repr(self.cfl),
-            "normalization": self.normalization,
+            "normalization": EXPERIMENTS[self.experiment][2],
         }
 
 
 def default_config(experiment: str, J_list: Optional[Sequence[int]] = None,
                    checkpoints: Optional[Sequence[float]] = None,
                    cfl: float = 0.5, threads: int = 1) -> ExperimentConfig:
-    if experiment not in EXPERIMENT_IDS:
+    if experiment not in EXPERIMENTS:
         raise ValueError(f"unknown experiment {experiment!r}")
+    default_J, default_checkpoints = EXPERIMENTS[experiment][:2]
     return ExperimentConfig(
         experiment=experiment,
-        J_list=tuple(J_list) if J_list else _DEFAULT_J[experiment],
-        checkpoints=tuple(checkpoints) if checkpoints else _DEFAULT_CHECKPOINTS[experiment],
+        J_list=tuple(J_list) if J_list else default_J,
+        checkpoints=tuple(checkpoints) if checkpoints else default_checkpoints,
         cfl=cfl,
-        normalization=_NORMALIZATION[experiment],
         threads=threads,
     )
 
@@ -155,11 +118,13 @@ def _study(cfg: ExperimentConfig, J: int, st, error) -> list[ErrorRecord]:
             for cp in scheme1d.propagate(st, cfg.checkpoints)]
 
 
-def _run_homog(cfg: ExperimentConfig, datum: InitialDatum, J: int) -> list[ErrorRecord]:
+def _run_homog(cfg: ExperimentConfig, J: int,
+               make_datum: Callable[[], InitialDatum]) -> list[ErrorRecord]:
+    datum = make_datum()
     g = Grid1D(J, datum.L)
     dt = cfg.cfl * g.dx ** 2
     v0 = project(g, datum)
-    if cfg.normalization == "relative-to-initial":
+    if EXPERIMENTS[cfg.experiment][2] == "relative-to-initial":
         normalizer = norm_l2(v0)
     else:  # relative-to-initial-fluctuation
         m = mean(v0)
@@ -172,7 +137,7 @@ def _run_homog(cfg: ExperimentConfig, datum: InitialDatum, J: int) -> list[Error
     return _study(cfg, J, scheme1d.new_run(g, dt, v0), error)
 
 
-def _run_steady1d(cfg: ExperimentConfig, J: int) -> list[ErrorRecord]:
+def _run_steady1d(cfg: ExperimentConfig, J: int, datum: str) -> list[ErrorRecord]:
     ss = steady_1d()
     g = Grid1D(J, ss.L)
     dt = cfg.cfl * g.dx ** 2
@@ -181,7 +146,7 @@ def _run_steady1d(cfg: ExperimentConfig, J: int) -> list[ErrorRecord]:
     rhs = scheme1d.build_rhs(problem, g)
     target = project(g, ss.solution)
     normalizer = norm_l2(target)
-    if cfg.experiment == "steady1d-w":
+    if datum == "w":
         w = companion_w(ss.beta, ss.gamma, ss.L)
         v0 = Field1D(g, ss.mean_value + w(g.nodes()))
     else:
@@ -195,14 +160,8 @@ def _run_steady1d(cfg: ExperimentConfig, J: int) -> list[ErrorRecord]:
     return _study(cfg, J, scheme1d.new_run(g, dt, v0, rhs), error)
 
 
-_GAUSSIAN_CASES = {
-    "steady2d-centered": dict(alpha=15.0, beta_g=5.0, x0=1.0, y0=2.0),
-    "steady2d-offset": dict(alpha=1.0, beta_g=5.0, x0=0.0, y0=4.0),
-}
-
-
-def _run_steady2d(cfg: ExperimentConfig, J: int) -> list[ErrorRecord]:
-    case = gaussian_2d(**_GAUSSIAN_CASES[cfg.experiment])
+def _run_steady2d(cfg: ExperimentConfig, J: int, gaussian: dict) -> list[ErrorRecord]:
+    case = gaussian_2d(**gaussian)
     g = scheme2d.grid_for(J, case.Lx, case.Ly)
     dt = cfg.cfl / (1.0 / g.dx ** 2 + 1.0 / g.dy ** 2)
     problem = scheme2d.Problem2D(case.f, case.g1, case.g2, case.Lx, case.Ly)
@@ -219,27 +178,39 @@ def _run_steady2d(cfg: ExperimentConfig, J: int) -> list[ErrorRecord]:
     return _study(cfg, J, scheme2d.new_run2d(g, dt, v0, rhs), error)
 
 
-def _run_one(cfg: ExperimentConfig, J: int) -> list[ErrorRecord]:
-    if cfg.experiment == "homog-trigpoly":
-        return _run_homog(cfg, trig_poly(), J)
-    if cfg.experiment == "homog-polybump":
-        return _run_homog(cfg, poly_bump(), J)
-    if cfg.experiment == "homog-hat":
-        return _run_homog(cfg, hat_function(), J)
-    if cfg.experiment in ("steady1d-w", "steady1d-const"):
-        return _run_steady1d(cfg, J)
-    return _run_steady2d(cfg, J)
+_HOMOG_J = (17, 33, 65, 129, 257, 513)
+_HOMOG_T = (0.005, 0.01, 0.02, 0.05, 0.1, 0.2, 1.0)
+_HAT_T = (0.005, 0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 1.0, 2.0)
+_STEADY_T = tuple(0.625 * k for k in range(1, 9))
+
+# The experiment catalog: id -> (default J list, default checkpoint times,
+# error normalization, runner, the runner's case argument).
+EXPERIMENTS = {
+    "homog-trigpoly": (_HOMOG_J, _HOMOG_T, "relative-to-initial", _run_homog, trig_poly),
+    "homog-polybump": (_HOMOG_J, _HOMOG_T, "relative-to-initial-fluctuation",
+                       _run_homog, poly_bump),
+    "homog-hat": ((201, 401, 801), _HAT_T, "relative-to-initial", _run_homog, hat_function),
+    "steady1d-w": ((16, 32, 64, 128, 256, 512), _STEADY_T, "relative-to-steady",
+                   _run_steady1d, "w"),
+    "steady1d-const": ((16, 32, 64, 128, 256, 512), _STEADY_T, "relative-to-steady",
+                       _run_steady1d, "const"),
+    "steady2d-centered": ((8, 16, 32, 64), _STEADY_T, "absolute", _run_steady2d,
+                          dict(alpha=15.0, beta_g=5.0, x0=1.0, y0=2.0)),
+    "steady2d-offset": ((8, 16, 32, 64), _STEADY_T, "absolute", _run_steady2d,
+                        dict(alpha=1.0, beta_g=5.0, x0=0.0, y0=4.0)),
+}
 
 
 def run_convergence(cfg: ExperimentConfig) -> list[ErrorRecord]:
     """Run the experiment over all grid resolutions; records are returned in
     deterministic (J ascending, time ascending) order regardless of threads."""
+    run, case = EXPERIMENTS[cfg.experiment][3:]
     js = sorted(cfg.J_list)
     if cfg.threads > 1:
         with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            chunks = list(pool.map(lambda j: _run_one(cfg, j), js))
+            chunks = list(pool.map(lambda j: run(cfg, j, case), js))
     else:
-        chunks = [_run_one(cfg, j) for j in js]
+        chunks = [run(cfg, j, case) for j in js]
     return [rec for chunk in chunks for rec in chunk]
 
 

@@ -30,7 +30,7 @@ from scipy.linalg.lapack import dptsv
 from . import _kernels
 from .errors import IncompatibleProblemError, InstabilityError, QuadratureError
 from .grid import Field1D, Field2D, Grid1D, Grid2D, mean, project
-from .spectral import eigenvalues, laplacian, require_stable
+from .spectral import eigenvalues, geometric_sum, laplacian, require_stable
 
 __all__ = [
     "NonhomogProblem", "DiscreteRHS", "RunState", "Checkpoint",
@@ -142,15 +142,9 @@ def _advance_to(st: RunState, n_target: int) -> None:
     _check_finite(st)
 
 
-def _gain(lam: np.ndarray, qk: np.ndarray, k: int, dt: float) -> np.ndarray:
-    """dt * sum_{i<k} q_l^i per mode, given qk = q^k (q_l = 1 + dt*lambda_l):
-    (1 - q^k)/(-lambda), or k*dt for the constant mode (lambda = 0)."""
-    return np.divide(1.0 - qk, -lam, out=np.full(lam.shape, k * dt), where=lam != 0.0)
-
-
 def _propagate_to(st: RunState, n_target: int) -> None:
     """Advance to step n_target in the DCT-II basis, where k steps multiply
-    mode l by q_l^k and add `_gain` times the forcing mode; the constant
+    mode l by q_l^k and add `geometric_sum` times the forcing mode; the constant
     mode's gain k*dt makes the mean drift at exactly mean(b)."""
     k = n_target - st.n
     if k > 0:
@@ -158,7 +152,7 @@ def _propagate_to(st: RunState, n_target: int) -> None:
         qk = (1.0 + st.dt * lam) ** k
         vhat = qk * dctn(st.values, type=2, norm="ortho")
         if st.rhs is not None:
-            vhat += _gain(lam, qk, k, st.dt) * dctn(st.rhs.b.values, type=2, norm="ortho")
+            vhat += geometric_sum(lam, qk, k, st.dt) * dctn(st.rhs.b.values, type=2, norm="ortho")
         st.values = idctn(vhat, type=2, norm="ortho")
         st.n = n_target
     _check_finite(st)
@@ -248,13 +242,13 @@ def _iterate_to_steady(st: RunState, tol: float, max_steps: int,
     b = st.rhs.b.values
     lam = eigenvalues(st.grid)
     q = 1.0 + st.dt * lam
-    full = _gain(lam, q ** check_every, check_every, st.dt)
+    full = geometric_sum(lam, q ** check_every, check_every, st.dt)
     r, res = _residual(st.grid, st.values, b)
     best, stagnant = res, 0
     # `not res <= tol` lets a nan residual through to the finiteness check
     while not res <= tol and st.n < max_steps and stagnant < 10:
         k = min(check_every, max_steps - st.n)
-        gk = full if k == check_every else _gain(lam, q ** k, k, st.dt)
+        gk = full if k == check_every else geometric_sum(lam, q ** k, k, st.dt)
         st.values = st.values + idctn(gk * dctn(r, type=2, norm="ortho"), type=2, norm="ortho")
         st.n += k
         _check_finite(st)
@@ -269,6 +263,16 @@ def _iterate_to_steady(st: RunState, tol: float, max_steps: int,
     return SteadySolve(st.field, st.n, res, reason)
 
 
+def _balanced_rhs(p: NonhomogProblem, g: Grid1D, consequence: str = "") -> DiscreteRHS:
+    """`build_rhs`, rejecting a right-hand side whose discrete mean does not
+    vanish: the problem then has no steady state."""
+    rhs = build_rhs(p, g)
+    m = mean(rhs.b)
+    if abs(m) > 1e-10:
+        raise IncompatibleProblemError(f"discrete mean of b is {m:.3e}{consequence}")
+    return rhs
+
+
 def solve_steady_iterative(p: NonhomogProblem, g: Grid1D, dt: float, v0: Field1D,
                            tol: float = 1e-10, max_steps: int = 50_000_000,
                            check_every: int = 64) -> SteadySolve:
@@ -279,10 +283,7 @@ def solve_steady_iterative(p: NonhomogProblem, g: Grid1D, dt: float, v0: Field1D
     An unbalanced right-hand side would drift linearly and never converge, so
     it is rejected up front.
     """
-    rhs = build_rhs(p, g)
-    if abs(mean(rhs.b)) > 1e-10:
-        raise IncompatibleProblemError(
-            f"discrete mean of b is {mean(rhs.b):.3e}; steady iteration would drift")
+    rhs = _balanced_rhs(p, g, "; steady iteration would drift")
     return _iterate_to_steady(new_run(g, dt, v0, rhs), tol, max_steps, check_every)
 
 
@@ -295,10 +296,7 @@ def solve_steady_laplace(p: NonhomogProblem, g: Grid1D, s: float) -> Field1D:
     """
     if not s > 0:
         raise ValueError(f"shift must be positive, got s={s}")
-    rhs = build_rhs(p, g)
-    if abs(mean(rhs.b)) > 1e-10:
-        raise IncompatibleProblemError(
-            f"discrete mean of b is {mean(rhs.b):.3e}")
+    rhs = _balanced_rhs(p, g)
     inv_dx2 = 1.0 / g.dx ** 2
     diag = np.full(g.J, s + 2.0 * inv_dx2)
     diag[0] = diag[-1] = s + inv_dx2

@@ -31,7 +31,8 @@ __all__ = [
     "NeumannLaplacian1D", "laplacian", "EigenPair", "eigenvalue", "eigenvalues",
     "eigenvector", "eigenpair", "eta", "cfl_ok", "cfl2d", "require_stable",
     "amplification_bound_check", "AmplificationReport",
-    "eta_geometric_sum", "resolvent_power_sum", "heat_kernel_spectrum_sum",
+    "geometric_sum", "eta_geometric_sum", "resolvent_power_sum",
+    "heat_kernel_spectrum_sum",
 ]
 
 
@@ -166,6 +167,17 @@ def amplification_bound_check(g: Grid1D, dt: float) -> AmplificationReport:
     return AmplificationReport(g, dt, margins, bool(np.all(margins >= 0.0)))
 
 
+def geometric_sum(lam, qk, k: int, dt: float):
+    """dt * sum_{i<k} q^i per entry of ``lam`` (a float or an array), given
+    qk = q^k for the ratio q = 1 + dt*lam: (1 - q^k)/(-lam), or k*dt where
+    |1 - q| < 1e-14 (the constant mode, lambda = 0, and ratios the closed
+    form cannot resolve)."""
+    if isinstance(lam, float):  # one ratio (eta): float arithmetic, a few times faster
+        return k * dt if abs(dt * lam) < 1e-14 else (1.0 - qk) / -lam
+    near = np.abs(dt * lam) < 1e-14
+    return np.divide(1.0 - qk, -lam, out=np.full(lam.shape, k * dt), where=~near)
+
+
 def eta_geometric_sum(g: Grid1D, dt: float, n: int) -> float:
     """dt * sum_{k=0}^{n-1} eta^k via the closed geometric form.
 
@@ -176,9 +188,7 @@ def eta_geometric_sum(g: Grid1D, dt: float, n: int) -> float:
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     e = eta(g, dt)
-    if abs(1.0 - e) < 1e-14:
-        return n * dt
-    return dt * (1.0 - e ** n) / (1.0 - e)
+    return geometric_sum((e - 1.0) / dt, e ** n, n, dt)
 
 
 def resolvent_power_sum(g: Grid1D, dt: float, n: int) -> float:
@@ -191,9 +201,8 @@ def resolvent_power_sum(g: Grid1D, dt: float, n: int) -> float:
     require_stable(g, dt)
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    q = 1.0 + dt * eigenvalues(g)[1:]
-    near = np.abs(1.0 - q) < 1e-14
-    s = np.where(near, n * dt, dt * (1.0 - q ** n) / np.where(near, 1.0, 1.0 - q))
+    lam = eigenvalues(g)[1:]
+    s = geometric_sum(lam, (1.0 + dt * lam) ** n, n, dt)
     return math.fsum(s * s)
 
 

@@ -6,7 +6,8 @@ from pathlib import Path
 import pytest
 
 import neumannheat
-from neumannheat.cli import main, parse_j_list, parse_t_list
+from neumannheat import harness
+from neumannheat.cli import build_parser, main, parse_j_list, parse_t_list
 
 
 def run_cli(*argv):
@@ -85,6 +86,19 @@ def test_steady1d_iterate_and_laplace(capsys):
     assert "solver=laplace" in out and "residual=" in out
 
 
+@pytest.mark.parametrize("flag", ["--L", "--f-const", "--beta", "--gamma"])
+def test_steady1d_sec52_refuses_custom_data(flag, capsys):
+    assert run_cli("steady1d", "--problem", "sec52", "--J", "17", flag, "0.5") == 2
+    assert flag in capsys.readouterr().err
+
+
+def test_steady1d_custom_fluxes_default_to_zero(capsys):
+    argv = ["steady1d", "--problem", "custom", "--f-const", "0", "--J", "9"]
+    assert run_cli(*argv) == run_cli(*argv, "--beta", "0", "--gamma", "0", "--L", "1") == 0
+    first, second = capsys.readouterr().out.splitlines()
+    assert first == second
+
+
 def test_steady1d_incompatible_exit_5(capsys):
     code = run_cli("steady1d", "--problem", "custom", "--f-const", "1",
                    "--beta", "0", "--gamma", "0", "--L", "1", "--J", "17")
@@ -125,8 +139,69 @@ def test_bounds_small_sweep(capsys):
     assert "all bounds hold" in capsys.readouterr().out
 
 
-def test_bounds_perturbed_fails(capsys):
-    assert run_cli("bounds", "--J", "2..16", "--perturb", "1e-3") == 1
+def test_bounds_perturbed_fails(capsys, monkeypatch):
+    failing = {"amplification": harness.WorstCase(-1e-3, (2, 0.5, 1), False),
+               "kernel": harness.WorstCase(0.5, (4, 0.1, 10), True)}
+    monkeypatch.setattr(harness, "bound_sweep", lambda *a, **k: failing)
+    assert run_cli("bounds", "--J", "2..16") == 1
+    captured = capsys.readouterr()
+    assert "FAILED: amplification at (2, 0.5, 1)" in captured.err
+    assert "all bounds hold" not in captured.out
+
+
+def test_cli_surface():
+    # each subcommand takes exactly the flags its handler reads
+    subcommands = build_parser()._subparsers._group_actions[0].choices
+    surface = {name: {opt for action in p._actions for opt in action.option_strings
+                      if opt.startswith("--")} - {"--help", "--config"}
+               for name, p in subcommands.items()}
+    assert surface == {
+        "homog": {"--J", "--t", "--cfl", "--out", "--threads", "--datum"},
+        "steady1d": {"--J", "--L", "--cfl", "--problem", "--solver", "--s", "--tol",
+                     "--f-const", "--beta", "--gamma"},
+        "steady2d": {"--J", "--t", "--cfl", "--out", "--threads", "--case"},
+        "spectra": {"--J", "--L", "--cfl", "--out", "--dt"},
+        "bounds": {"--J", "--L", "--cfl-list", "--m"},
+        "sweep": {"--J", "--t", "--cfl", "--threads"},
+    }
+    assert all("--config" in p._option_string_actions for p in subcommands.values())
+
+
+_BASE_ARGV = {"homog": ["homog", "--datum", "trigpoly", "--J", "17", "--t", "0.02"],
+              "steady2d": ["steady2d", "--case", "centered", "--J", "8", "--t", "0.625"],
+              "steady1d": ["steady1d", "--J", "17"], "spectra": ["spectra", "--J", "4"],
+              "bounds": ["bounds", "--J", "2..4"], "sweep": ["sweep"]}
+
+
+@pytest.mark.parametrize("command,flag", [
+    ("homog", "--L"), ("steady2d", "--L"),
+    ("steady1d", "--t"), ("steady1d", "--out"), ("steady1d", "--threads"),
+    ("spectra", "--t"), ("spectra", "--threads"),
+    ("bounds", "--cfl"), ("bounds", "--t"), ("bounds", "--out"), ("bounds", "--threads"),
+    ("bounds", "--perturb"), ("sweep", "--L"), ("sweep", "--out"),
+])
+def test_inapplicable_flag_exits_2(command, flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*_BASE_ARGV[command], flag, "1")
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_inapplicable_config_key_exits_2(tmp_path, capsys):
+    cfgfile = tmp_path / "run.cfg"
+    for command, text in (("bounds", "cfl=0.3\n"), ("bounds", "t=1\n"),
+                          ("spectra", "threads=2\n"), ("steady1d", "out=x.csv\n"),
+                          ("homog", "L=3\n"), ("steady1d", "L=3\n")):
+        cfgfile.write_text(text)
+        assert run_cli(*_BASE_ARGV[command], "--config", str(cfgfile)) == 2
+        key = text.split("=")[0]
+        assert f"{command} takes no config key {key}=" in capsys.readouterr().err
+    cfgfile.write_text("experiments=homog-trigpoly\nhomog-trigpoly.L=3\n")
+    assert run_cli("sweep", "--config", str(cfgfile)) == 2
+    assert "sweep takes no config key homog-trigpoly.L=" in capsys.readouterr().err
+    # keys that are no flag name (sweep's experiment list) stay allowed
+    cfgfile.write_text("J=2..4\nexperiments=homog-trigpoly\n")
+    assert run_cli("bounds", "--config", str(cfgfile)) == 0
 
 
 def test_config_file_defaults(tmp_path, capsys):

@@ -132,6 +132,14 @@ def test_2d_basics():
     assert w.values[2, 1] == pytest.approx(1.0 + 20.0, abs=1e-15)
 
 
+def test_mean_equals_mean2d_on_2d_fields():
+    rng = np.random.default_rng(9)
+    g = Grid2D(7, 4, 1.0, 3.0)
+    for _ in range(5):
+        v = Field2D(g, rng.standard_normal((4, 7)))
+        assert mean(v) == mean2d(v)
+
+
 def test_2d_mismatch_and_validation():
     with pytest.raises(GridMismatchError):
         inner2d(ones2d(Grid2D(3, 4, 1, 1)), ones2d(Grid2D(3, 5, 1, 1)))

@@ -222,6 +222,20 @@ def test_propagate_matches_dense_matrix_power():
                 assert np.abs(st.values - ref).max() < 1e-12
 
 
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(J=hs.integers(2, 12), cfl=hs.floats(0.0, 0.5, exclude_min=True, allow_subnormal=False),
+       n=hs.integers(0, 300), seed=hs.integers(0, 2 ** 32 - 1), forced=hs.booleans())
+@example(J=2, cfl=0.5, n=300, seed=9, forced=True)
+@example(J=12, cfl=1e-300, n=300, seed=10, forced=True)
+def test_run_to_and_propagate_match_dense_matrix_power(J, cfl, n, seed, forced):
+    g, dt, v0, rhs = _random_run(1, J, 2, cfl, seed, forced)
+    ref = dense_power_apply(J, g.dx, dt, v0.values, n, None if rhs is None else rhs.b.values)
+    for advance in (run_to, propagate):
+        (cp,) = advance(new_run(g, dt, v0, rhs), [n * dt])
+        assert cp.n == n
+        assert np.abs(cp.field.values - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
+
+
 @settings(max_examples=12, deadline=None, derandomize=True)
 @given(J=hs.integers(2, 64), cfl=hs.floats(0.01, 0.5), n=hs.integers(1, 10_000),
        seed=hs.integers(0, 2 ** 32 - 1))
