@@ -220,7 +220,7 @@ def cmd_sweep(args) -> int:
     if not args.config:
         print("sweep requires --config", file=sys.stderr)
         return EXIT_USAGE
-    config = read_config(args.config)
+    config = args.settings
     experiments = [e.strip() for e in config.get("experiments", "").split(",") if e.strip()]
     if not experiments:
         print("config must list experiments=<id,id,...>", file=sys.stderr)
@@ -305,10 +305,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
-    config = {}
+    args.settings = {}
     if args.config:
         try:
-            config = read_config(args.config)
+            args.settings = read_config(args.config)
         except OSError as exc:
             print(f"cannot read config: {exc}", file=sys.stderr)
             return EXIT_IO
@@ -316,7 +316,7 @@ def main(argv=None) -> int:
             print(str(exc), file=sys.stderr)
             return EXIT_USAGE
     try:
-        _apply_config_defaults(args, config)
+        _apply_config_defaults(args, args.settings)
         return args.fn(args)
     except CflViolationError as exc:
         print(f"CFL violation: {exc}", file=sys.stderr)

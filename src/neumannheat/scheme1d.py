@@ -11,13 +11,14 @@ the mean drifts at exactly the rate mean(b).
 The run machinery (`RunState`, `run_to`, the residual and the steady loop) is
 shared with `scheme2d`: it works on 1D and 2D fields alike and picks the
 stepping kernel by the dimension of the values array.  `propagate` reaches the
-same checkpoints exactly, by one DCT-II transform pair, without stepping, and
-the steady loop advances each block between residual checks the same way;
-`step` and `run_to` stay the step-by-step reference.
+same checkpoints exactly, by one DCT-II transform pair, without stepping; the
+steady loop jumps to its exact-arithmetic count and advances each checked block
+the same way.  `step` and `run_to` stay the step-by-step reference.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Literal, Optional
@@ -212,10 +213,13 @@ def propagate(st: RunState, checkpoints) -> list[Checkpoint]:
 
 @dataclass(frozen=True)
 class SteadySolve:
+    """``jumped``: the steps the closed-form first block advanced, 0 if none."""
+
     field: Field1D | Field2D
     iterations: int
     residual: float
     stop_reason: Literal["converged", "stagnated", "max_steps"]
+    jumped: int
 
     @property
     def converged(self) -> bool:
@@ -238,17 +242,28 @@ def _iterate_to_steady(st: RunState, tol: float, max_steps: int,
     residual the check has just computed.  Adding that small correction to v,
     rather than carrying v itself in the DCT basis, keeps the residual floor
     at stepping's level or below.
+
+    The exact residual after n steps, IDCT(q^n DCT(r0)) with |q| <= 1, never
+    grows in rms, so bisection finds the first check n* <= max_steps where it
+    is <= tol; the first block jumps to n* - check_every, and the checked blocks
+    after it stop at n* unless tol is near that large update's rounding floor.
     """
+    if not (check_every >= 1 and max_steps >= 0 and tol >= 0):
+        raise ValueError(f"invalid steady loop {check_every=}, {max_steps=}, {tol=}")
     b = st.rhs.b.values
     lam = eigenvalues(st.grid)
     q = 1.0 + st.dt * lam
-    full = geometric_sum(lam, q ** check_every, check_every, st.dt)
     r, res = _residual(st.grid, st.values, b)
+    rhat = dctn(r, type=2, norm="ortho")
+    cap = max_steps // check_every  # n* = cap + 1: out of reach, no jump
+    n_star = bisect.bisect_left(range(cap + 1), True, key=lambda checks: np.linalg.norm(
+        q ** (checks * check_every) * rhat) <= tol * math.sqrt(q.size))
+    jumped = first = (n_star - 1) * check_every if 0 < n_star <= cap else 0
     best, stagnant = res, 0
     # `not res <= tol` lets a nan residual through to the finiteness check
     while not res <= tol and st.n < max_steps and stagnant < 10:
-        k = min(check_every, max_steps - st.n)
-        gk = full if k == check_every else geometric_sum(lam, q ** k, k, st.dt)
+        k, first = first or min(check_every, max_steps - st.n), 0
+        gk = geometric_sum(lam, q ** k, k, st.dt)
         st.values = st.values + idctn(gk * dctn(r, type=2, norm="ortho"), type=2, norm="ortho")
         st.n += k
         _check_finite(st)
@@ -260,7 +275,7 @@ def _iterate_to_steady(st: RunState, tol: float, max_steps: int,
         best = min(best, res)
     reason = ("converged" if res <= tol else "max_steps" if st.n >= max_steps
               else "stagnated")
-    return SteadySolve(st.field, st.n, res, reason)
+    return SteadySolve(st.field, st.n, res, reason, jumped)
 
 
 def _balanced_rhs(p: NonhomogProblem, g: Grid1D, consequence: str = "") -> DiscreteRHS:
@@ -277,11 +292,11 @@ def solve_steady_iterative(p: NonhomogProblem, g: Grid1D, dt: float, v0: Field1D
                            tol: float = 1e-10, max_steps: int = 50_000_000,
                            check_every: int = 64) -> SteadySolve:
     """Run the Euler iteration until the residual ||A v + b|| drops below
-    ``tol``; the constant mode stays at the initial datum's mean.  The result's
+    ``tol``: to the exact-arithmetic count when it is within ``max_steps``,
+    then checked blocks (`_iterate_to_steady`).  The mean stays at v0's, and
     ``stop_reason`` says whether it converged, stagnated or hit ``max_steps``.
 
-    An unbalanced right-hand side would drift linearly and never converge, so
-    it is rejected up front.
+    An unbalanced right-hand side would drift forever, so it is rejected.
     """
     rhs = _balanced_rhs(p, g, "; steady iteration would drift")
     return _iterate_to_steady(new_run(g, dt, v0, rhs), tol, max_steps, check_every)

@@ -279,6 +279,18 @@ def test_sweep_config(tmp_path):
     assert "cfl=0.5" in meta
 
 
+def test_sweep_reads_config_once(tmp_path, monkeypatch):
+    from neumannheat import cli
+    calls = []
+    real = cli.read_config
+    monkeypatch.setattr(cli, "read_config", lambda path: calls.append(path) or real(path))
+    cfgfile = tmp_path / "sweep.cfg"
+    cfgfile.write_text(f"experiments=homog-trigpoly\nout_prefix={tmp_path / 'r'}\n"
+                       "homog-trigpoly.J=17\nhomog-trigpoly.t=0.02\n")
+    assert run_cli("sweep", "--config", str(cfgfile)) == 0
+    assert calls == [str(cfgfile)]
+
+
 def test_sweep_requires_config(capsys):
     assert run_cli("sweep") == 2
 

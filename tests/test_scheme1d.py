@@ -301,6 +301,9 @@ def test_steady_count_matches_exact_arithmetic(J):
     res = solve_steady_iterative(p52, g, dt, Field1D(g, v0), tol=1e-10)
     b = build_rhs(p52, g).b.values
     assert res.iterations == exact_steady_count([(J, g.dx)], v0, b, dt, 1e-10)
+    # the closed-form first block covers all but a short tail of checked blocks
+    tail = res.iterations - res.jumped
+    assert res.jumped > 0 and tail % 64 == 0 and 64 <= tail <= 256
 
 
 def test_steady_j257_reaches_tol_1e_11():
@@ -352,6 +355,64 @@ def test_steady_loop_matches_dense_matrix_power():
             res = _iterate_to_steady(new_run(g, dt, Field1D(g, v0), rhs), 0.0, 200, 64)
             ref = dense_power_apply(J, g.dx, dt, v0, res.iterations, b)
             assert np.abs(res.field.values - ref).max() < 1e-12
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(dim=hs.sampled_from([1, 2]), J=hs.integers(2, 64), Jy=hs.integers(2, 16),
+       cfl=hs.floats(0.1, 0.5), digits=hs.integers(0, 6),
+       seed=hs.integers(0, 2 ** 32 - 1))
+@example(dim=1, J=64, Jy=2, cfl=0.1, digits=6, seed=8)
+@example(dim=2, J=64, Jy=16, cfl=0.1, digits=6, seed=9)
+def test_steady_jump_matches_exact_count_and_stepping(dim, J, Jy, cfl, digits, seed):
+    # a positive tol within the cap: the first block jumps to one check before
+    # the exact-arithmetic count, and one checked block lands on it
+    g, dt, v0, rhs = _random_run(dim, J, Jy, cfl, seed, True)
+    b = rhs.b.values - rhs.b.values.mean()
+    rhs = DiscreteRHS(type(v0)(g, b), 0.0)
+    tol = 10.0 ** -digits
+    res = _iterate_to_steady(new_run(g, dt, v0, rhs), tol, 1_000_000, 64)
+    assert res.converged
+    axes = [(g.J, g.dx)] if dim == 1 else [(g.Jy, g.dy), (g.Jx, g.dx)]
+    assert res.iterations == exact_steady_count(axes, v0.values, b, dt, tol)
+    assert res.jumped == max(res.iterations - 64, 0)
+    (cp,) = run_to(new_run(g, dt, v0, rhs), [res.iterations * dt])
+    assert cp.n == res.iterations
+    assert _rel_gap(res.field.values, cp.field.values) <= 1e-10
+
+
+def test_steady_jump_matches_dense_matrix_power():
+    rng = np.random.default_rng(34)
+    jumps = []
+    for J in (2, 5, 9):
+        g = Grid1D(J, 1.3)
+        for c in (0.5, 0.23):
+            dt = c * g.dx ** 2
+            v0, b = rng.standard_normal(J), rng.standard_normal(J)
+            b -= b.mean()
+            rhs = DiscreteRHS(Field1D(g, b), 0.0)
+            res = _iterate_to_steady(new_run(g, dt, Field1D(g, v0), rhs), 1e-9, 10_000, 64)
+            assert res.converged
+            assert res.iterations == exact_steady_count([(J, g.dx)], v0, b, dt, 1e-9)
+            ref = dense_power_apply(J, g.dx, dt, v0, res.iterations, b)
+            assert np.abs(res.field.values - ref).max() < 1e-12
+            jumps.append(res.jumped)
+    assert max(jumps) > 0
+
+
+@pytest.mark.parametrize("bad", [dict(check_every=-5), dict(check_every=0),
+                                 dict(max_steps=-1), dict(tol=-1.0),
+                                 dict(tol=float("nan"))])
+def test_steady_solvers_refuse_bad_loop_arguments(bad):
+    p52, ss = sec52_problem()
+    g = Grid1D(17, p52.L)
+    zero = lambda *args: np.zeros(np.broadcast(*[np.asarray(a) for a in args]).shape)
+    g2 = Grid2D(5, 4, 1.0, 1.0)
+    with pytest.raises(ValueError):
+        solve_steady_iterative(p52, g, g.dx ** 2 / 2, Field1D(g, np.zeros(17)), **bad)
+    with pytest.raises(ValueError):
+        solve_steady_2d(Problem2D(zero, zero, zero, 1.0, 1.0), g2,
+                        0.5 / (1 / g2.dx ** 2 + 1 / g2.dy ** 2),
+                        Field2D(g2, np.ones((4, 5))), **bad)
 
 
 def test_steady_iteration_count_scaling():
