@@ -1,26 +1,19 @@
-"""Hot stepping loops, jit-compiled with numba when available.
+"""Explicit Euler stepping loops in numpy: the step-by-step reference that the
+transform paths (`scheme1d.propagate` and the steady loop) are tested against.
 
-The numpy fallbacks compute the same elementwise expressions in the same
-order, so both backends produce bit-identical trajectories.  Callers hand over
-the input array (it may be reused as scratch) and own the returned one.
+Each call runs nsteps steps, ping-ponging between the input array (it may be
+reused as scratch) and one work array; the caller owns the returned one.
 """
 
 import numpy as np
 
-try:
-    import numba
-
-    _NJIT = {"cache": True, "nogil": True}
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    numba = None
-    HAVE_NUMBA = False
-
-# flipped by tests to exercise the numpy path
-FORCE_NUMPY = False
+# bench/run.py reads these two names; ROADMAP item 4 removes them
+HAVE_NUMBA = False
+FORCE_NUMPY = True
 
 
-def _advance_1d_numpy(v, c, nsteps):
+def advance_1d(v, c, nsteps):
+    """nsteps explicit Euler steps of the 1D Neumann stencil; c = dt/dx^2."""
     w = np.empty_like(v)
     for _ in range(nsteps):
         w[0] = v[0] + c * (v[1] - v[0])
@@ -30,7 +23,8 @@ def _advance_1d_numpy(v, c, nsteps):
     return v
 
 
-def _advance_1d_rhs_numpy(v, c, dtb, nsteps):
+def advance_1d_rhs(v, c, dtb, nsteps):
+    """Same as advance_1d with a constant source dtb = dt*b added per step."""
     w = np.empty_like(v)
     for _ in range(nsteps):
         w[0] = v[0] + c * (v[1] - v[0]) + dtb[0]
@@ -40,7 +34,8 @@ def _advance_1d_rhs_numpy(v, c, dtb, nsteps):
     return v
 
 
-def _advance_2d_numpy(v, cx, cy, nsteps):
+def advance_2d(v, cx, cy, nsteps):
+    """advance_1d for the five-point stencil on a (Jy, Jx) array."""
     w = np.empty_like(v)
     for _ in range(nsteps):
         w[:, 1:-1] = cx * (v[:, :-2] - 2.0 * v[:, 1:-1] + v[:, 2:])
@@ -54,7 +49,8 @@ def _advance_2d_numpy(v, cx, cy, nsteps):
     return v
 
 
-def _advance_2d_rhs_numpy(v, cx, cy, dtb, nsteps):
+def advance_2d_rhs(v, cx, cy, dtb, nsteps):
+    """Same as advance_2d with a constant source dtb = dt*b added per step."""
     w = np.empty_like(v)
     for _ in range(nsteps):
         w[:, 1:-1] = cx * (v[:, :-2] - 2.0 * v[:, 1:-1] + v[:, 2:])
@@ -67,106 +63,3 @@ def _advance_2d_rhs_numpy(v, cx, cy, dtb, nsteps):
         w += dtb
         v, w = w, v
     return v
-
-
-if HAVE_NUMBA:
-
-    @numba.njit(**_NJIT)
-    def _advance_1d_numba(v, c, nsteps):
-        J = v.shape[0]
-        w = np.empty_like(v)
-        for _ in range(nsteps):
-            w[0] = v[0] + c * (v[1] - v[0])
-            for j in range(1, J - 1):
-                w[j] = v[j] + c * (v[j - 1] - 2.0 * v[j] + v[j + 1])
-            w[J - 1] = v[J - 1] + c * (v[J - 2] - v[J - 1])
-            v, w = w, v
-        return v
-
-    @numba.njit(**_NJIT)
-    def _advance_1d_rhs_numba(v, c, dtb, nsteps):
-        J = v.shape[0]
-        w = np.empty_like(v)
-        for _ in range(nsteps):
-            w[0] = v[0] + c * (v[1] - v[0]) + dtb[0]
-            for j in range(1, J - 1):
-                w[j] = v[j] + c * (v[j - 1] - 2.0 * v[j] + v[j + 1]) + dtb[j]
-            w[J - 1] = v[J - 1] + c * (v[J - 2] - v[J - 1]) + dtb[J - 1]
-            v, w = w, v
-        return v
-
-    @numba.njit(**_NJIT)
-    def _lap2d_rows(v, w, cx, cy, ny, nx):
-        for i in range(ny):
-            if i == 0:
-                for j in range(nx):
-                    w[i, j] = cy * (v[1, j] - v[0, j])
-            elif i == ny - 1:
-                for j in range(nx):
-                    w[i, j] = cy * (v[ny - 2, j] - v[ny - 1, j])
-            else:
-                for j in range(nx):
-                    w[i, j] = cy * (v[i - 1, j] - 2.0 * v[i, j] + v[i + 1, j])
-            w[i, 0] = cx * (v[i, 1] - v[i, 0]) + w[i, 0]
-            for j in range(1, nx - 1):
-                w[i, j] = cx * (v[i, j - 1] - 2.0 * v[i, j] + v[i, j + 1]) + w[i, j]
-            w[i, nx - 1] = cx * (v[i, nx - 2] - v[i, nx - 1]) + w[i, nx - 1]
-
-    @numba.njit(**_NJIT)
-    def _advance_2d_numba(v, cx, cy, nsteps):
-        ny, nx = v.shape
-        w = np.empty_like(v)
-        for _ in range(nsteps):
-            _lap2d_rows(v, w, cx, cy, ny, nx)
-            for i in range(ny):
-                for j in range(nx):
-                    w[i, j] += v[i, j]
-            v, w = w, v
-        return v
-
-    @numba.njit(**_NJIT)
-    def _advance_2d_rhs_numba(v, cx, cy, dtb, nsteps):
-        ny, nx = v.shape
-        w = np.empty_like(v)
-        for _ in range(nsteps):
-            _lap2d_rows(v, w, cx, cy, ny, nx)
-            for i in range(ny):
-                for j in range(nx):
-                    w[i, j] += v[i, j]
-                    w[i, j] += dtb[i, j]
-            v, w = w, v
-        return v
-
-
-def advance_1d(v, c, nsteps):
-    """nsteps explicit Euler steps of the 1D Neumann stencil; c = dt/dx^2."""
-    if nsteps <= 0:
-        return v
-    if HAVE_NUMBA and not FORCE_NUMPY:
-        return _advance_1d_numba(v, c, nsteps)
-    return _advance_1d_numpy(v, c, nsteps)
-
-
-def advance_1d_rhs(v, c, dtb, nsteps):
-    """Same as advance_1d with a constant source dtb = dt*b added per step."""
-    if nsteps <= 0:
-        return v
-    if HAVE_NUMBA and not FORCE_NUMPY:
-        return _advance_1d_rhs_numba(v, c, dtb, nsteps)
-    return _advance_1d_rhs_numpy(v, c, dtb, nsteps)
-
-
-def advance_2d(v, cx, cy, nsteps):
-    if nsteps <= 0:
-        return v
-    if HAVE_NUMBA and not FORCE_NUMPY:
-        return _advance_2d_numba(v, cx, cy, nsteps)
-    return _advance_2d_numpy(v, cx, cy, nsteps)
-
-
-def advance_2d_rhs(v, cx, cy, dtb, nsteps):
-    if nsteps <= 0:
-        return v
-    if HAVE_NUMBA and not FORCE_NUMPY:
-        return _advance_2d_rhs_numba(v, cx, cy, dtb, nsteps)
-    return _advance_2d_rhs_numpy(v, cx, cy, dtb, nsteps)

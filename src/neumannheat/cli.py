@@ -73,7 +73,6 @@ _FLAGS = {
     "cfl": (dict(type=float, help="dt = cfl * dx^2 (default 0.5)"), float, 0.5),
     "t": (dict(help="comma list of checkpoint times"), str, None),
     "out": (dict(help="CSV output path (default: stdout)"), str, None),
-    "threads": (dict(type=int, help="worker threads (default 1)"), int, 1),
 }
 
 
@@ -125,7 +124,6 @@ def cmd_study(args) -> int:
         J_list=parse_j_list(args.J) if args.J else None,
         checkpoints=parse_t_list(args.t) if args.t else None,
         cfl=args.cfl,
-        threads=args.threads,
     )
     records = harness.run_convergence(cfg)
     if args.out:
@@ -190,6 +188,9 @@ def cmd_steady1d(args) -> int:
 def cmd_spectra(args) -> int:
     g = Grid1D(int(_required_j(args)), args.L)
     dt = args.dt if args.dt is not None else args.cfl * g.dx ** 2
+    # an unstable positive step is a fair diagnostic question; dt <= 0 is not
+    if not dt > 0:
+        raise ValueError(f"time step must be positive, got dt={dt}")
     lines = ["ell,lambda,amplification,envelope"]
     for ell in range(g.J):
         lam = spectral.eigenvalue(g, ell)
@@ -241,7 +242,6 @@ def cmd_sweep(args) -> int:
             J_list=parse_j_list(J) if J else None,
             checkpoints=parse_t_list(t) if t else None,
             cfl=float(pick("cfl")),
-            threads=args.threads,
         )
         records = harness.run_convergence(cfg)
         path = f"{out_prefix}-{exp}.csv"
@@ -272,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(fn=fn, flags=flags)
         return p
 
-    p = command("homog", cmd_study, ("J", "t", "cfl", "out", "threads"),
+    p = command("homog", cmd_study, ("J", "t", "cfl", "out"),
                 "homogeneous 1D convergence study")
     p.add_argument("--datum", dest="variant", required=True, choices=_variants("homog"))
 
@@ -286,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", type=float, help="left flux for --problem custom (default 0)")
     p.add_argument("--gamma", type=float, help="right flux for --problem custom (default 0)")
 
-    p = command("steady2d", cmd_study, ("J", "t", "cfl", "out", "threads"),
+    p = command("steady2d", cmd_study, ("J", "t", "cfl", "out"),
                 "2D Gaussian steady-state study")
     p.add_argument("--case", dest="variant", required=True, choices=_variants("steady2d"))
 
@@ -297,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cfl-list", dest="cfl_list", help="comma list of CFL ratios")
     p.add_argument("--m", help="comma list of kernel-sum step counts")
 
-    command("sweep", cmd_sweep, ("J", "t", "cfl", "threads"),
+    command("sweep", cmd_sweep, ("J", "t", "cfl"),
             "batch experiments from a config file")
     return ap
 

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -57,7 +56,6 @@ class ExperimentConfig:
     J_list: tuple
     checkpoints: tuple
     cfl: float = 0.5
-    threads: int = 1
 
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
@@ -82,6 +80,9 @@ class ExperimentConfig:
 def default_config(experiment: str, J_list: Optional[Sequence[int]] = None,
                    checkpoints: Optional[Sequence[float]] = None,
                    cfl: float = 0.5, threads: int = 1) -> ExperimentConfig:
+    # bench/run.py passes threads=1; ROADMAP item 4 removes the keyword
+    if threads != 1:
+        raise ValueError(f"experiments run on one thread, got threads={threads}")
     if experiment not in EXPERIMENTS:
         raise ValueError(f"unknown experiment {experiment!r}")
     default_J, default_checkpoints = EXPERIMENTS[experiment][:2]
@@ -90,7 +91,6 @@ def default_config(experiment: str, J_list: Optional[Sequence[int]] = None,
         J_list=tuple(J_list) if J_list else default_J,
         checkpoints=tuple(checkpoints) if checkpoints else default_checkpoints,
         cfl=cfl,
-        threads=threads,
     )
 
 
@@ -202,16 +202,10 @@ EXPERIMENTS = {
 
 
 def run_convergence(cfg: ExperimentConfig) -> list[ErrorRecord]:
-    """Run the experiment over all grid resolutions; records are returned in
-    deterministic (J ascending, time ascending) order regardless of threads."""
+    """Run the experiment at each grid resolution in turn; records come in
+    deterministic (J ascending, time ascending) order."""
     run, case = EXPERIMENTS[cfg.experiment][3:]
-    js = sorted(cfg.J_list)
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            chunks = list(pool.map(lambda j: run(cfg, j, case), js))
-    else:
-        chunks = [run(cfg, j, case) for j in js]
-    return [rec for chunk in chunks for rec in chunk]
+    return [rec for J in sorted(cfg.J_list) for rec in run(cfg, J, case)]
 
 
 def records_at(records: Sequence[ErrorRecord], t_target: float) -> list[ErrorRecord]:

@@ -10,10 +10,10 @@ the mean drifts at exactly the rate mean(b).
 
 The run machinery (`RunState`, `run_to`, the residual and the steady loop) is
 shared with `scheme2d`: it works on 1D and 2D fields alike and picks the
-stepping kernel by the dimension of the values array.  `propagate` reaches the
-same checkpoints exactly, by one DCT-II transform pair, without stepping; the
+numpy stepping loop of `_kernels` by the dimension of the values array.
+`propagate` reaches the same checkpoints by one DCT-II transform pair; the
 steady loop jumps to its exact-arithmetic count and advances each checked block
-the same way.  `step` and `run_to` stay the step-by-step reference.
+the same way.  `step` and `run_to` are the reference both are tested against.
 """
 
 from __future__ import annotations
@@ -226,16 +226,21 @@ class SteadySolve:
         return self.stop_reason == "converged"
 
 
+# steps between residual checks of the steady loop: the paper's interval, which
+# defines its iteration counts
+CHECK_EVERY = 64
+
+
 def _residual(g, values: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
     """A v + b and its root-mean-square."""
     resid = laplacian(values, g.spacings) + b
     return resid, math.sqrt(math.fsum((resid * resid).ravel()) / resid.size)
 
 
-def _iterate_to_steady(st: RunState, tol: float, max_steps: int,
-                       check_every: int) -> SteadySolve:
+def _iterate_to_steady(st: RunState, tol: float, max_steps: int) -> SteadySolve:
     """Iterate a forced run until the residual r = A v + b drops below
-    ``tol``, stagnates at the rounding floor, or ``max_steps`` is reached.
+    ``tol``, stagnates at the rounding floor, or ``max_steps`` is reached;
+    the residual is checked every `CHECK_EVERY` steps.
 
     k Euler steps map r to (I + dt A)^k r, so a block of k steps between
     checks adds dt * sum_{i<k} (I + dt A)^i r to v: one DCT-II pair on the
@@ -245,24 +250,25 @@ def _iterate_to_steady(st: RunState, tol: float, max_steps: int,
 
     The exact residual after n steps, IDCT(q^n DCT(r0)) with |q| <= 1, never
     grows in rms, so bisection finds the first check n* <= max_steps where it
-    is <= tol; the first block jumps to n* - check_every, and the checked blocks
+    is <= tol; the first block jumps to n* - CHECK_EVERY, and the checked blocks
     after it stop at n* unless tol is near that large update's rounding floor.
+    A stagnated solve returns the checked iterate with the smallest residual.
     """
-    if not (check_every >= 1 and max_steps >= 0 and tol >= 0):
-        raise ValueError(f"invalid steady loop {check_every=}, {max_steps=}, {tol=}")
+    if not (max_steps >= 0 and tol >= 0):
+        raise ValueError(f"invalid steady loop {max_steps=}, {tol=}")
     b = st.rhs.b.values
     lam = eigenvalues(st.grid)
     q = 1.0 + st.dt * lam
     r, res = _residual(st.grid, st.values, b)
     rhat = dctn(r, type=2, norm="ortho")
-    cap = max_steps // check_every  # n* = cap + 1: out of reach, no jump
+    cap = max_steps // CHECK_EVERY  # n* = cap + 1: out of reach, no jump
     n_star = bisect.bisect_left(range(cap + 1), True, key=lambda checks: np.linalg.norm(
-        q ** (checks * check_every) * rhat) <= tol * math.sqrt(q.size))
-    jumped = first = (n_star - 1) * check_every if 0 < n_star <= cap else 0
-    best, stagnant = res, 0
+        q ** (checks * CHECK_EVERY) * rhat) <= tol * math.sqrt(q.size))
+    jumped = first = (n_star - 1) * CHECK_EVERY if 0 < n_star <= cap else 0
+    best, stagnant = (res, st.values, st.n), 0
     # `not res <= tol` lets a nan residual through to the finiteness check
     while not res <= tol and st.n < max_steps and stagnant < 10:
-        k, first = first or min(check_every, max_steps - st.n), 0
+        k, first = first or min(CHECK_EVERY, max_steps - st.n), 0
         gk = geometric_sum(lam, q ** k, k, st.dt)
         st.values = st.values + idctn(gk * dctn(r, type=2, norm="ortho"), type=2, norm="ortho")
         st.n += k
@@ -271,11 +277,15 @@ def _iterate_to_steady(st: RunState, tol: float, max_steps: int,
         # the residual decays geometrically down to the rounding floor, where
         # it scatters from check to check; ten checks without a new best mean
         # the requested tol is unreachable
-        stagnant = stagnant + 1 if res > best * (1.0 - 1e-9) else 0
-        best = min(best, res)
+        stagnant = stagnant + 1 if res > best[0] * (1.0 - 1e-9) else 0
+        if res < best[0]:
+            best = (res, st.values, st.n)
     reason = ("converged" if res <= tol else "max_steps" if st.n >= max_steps
               else "stagnated")
-    return SteadySolve(st.field, st.n, res, reason, jumped)
+    if reason == "stagnated":
+        res, st.values, st.n = best
+    # a best iterate from before the first block owes nothing to the jump
+    return SteadySolve(st.field, st.n, res, reason, min(jumped, st.n))
 
 
 def _balanced_rhs(p: NonhomogProblem, g: Grid1D, consequence: str = "") -> DiscreteRHS:
@@ -289,17 +299,17 @@ def _balanced_rhs(p: NonhomogProblem, g: Grid1D, consequence: str = "") -> Discr
 
 
 def solve_steady_iterative(p: NonhomogProblem, g: Grid1D, dt: float, v0: Field1D,
-                           tol: float = 1e-10, max_steps: int = 50_000_000,
-                           check_every: int = 64) -> SteadySolve:
-    """Run the Euler iteration until the residual ||A v + b|| drops below
-    ``tol``: to the exact-arithmetic count when it is within ``max_steps``,
-    then checked blocks (`_iterate_to_steady`).  The mean stays at v0's, and
-    ``stop_reason`` says whether it converged, stagnated or hit ``max_steps``.
+                           tol: float = 1e-10, max_steps: int = 50_000_000) -> SteadySolve:
+    """Run the Euler iteration until the residual ||A v + b||, checked every
+    `CHECK_EVERY` steps, drops below ``tol``: to the exact-arithmetic count
+    when it is within ``max_steps``, then checked blocks (`_iterate_to_steady`).
+    The mean stays at v0's, and ``stop_reason`` says whether it converged,
+    stagnated (the best checked iterate is returned) or hit ``max_steps``.
 
     An unbalanced right-hand side would drift forever, so it is rejected.
     """
     rhs = _balanced_rhs(p, g, "; steady iteration would drift")
-    return _iterate_to_steady(new_run(g, dt, v0, rhs), tol, max_steps, check_every)
+    return _iterate_to_steady(new_run(g, dt, v0, rhs), tol, max_steps)
 
 
 def solve_steady_laplace(p: NonhomogProblem, g: Grid1D, s: float) -> Field1D:

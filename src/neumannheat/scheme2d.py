@@ -37,7 +37,8 @@ SteadySolve2D = SteadySolve
 Rhs2D = DiscreteRHS
 new_run2d = new_run
 
-# composite Gauss-Legendre panels for the balance quadrature
+# the balance quadrature: 16 composite Gauss-Legendre panels of 24 points
+_PANELS = 16
 _GX, _GW = np.polynomial.legendre.leggauss(24)
 
 
@@ -54,20 +55,20 @@ class Problem2D:
     Ly: float
 
 
-def _panel_rule(a: float, b: float, panels: int):
+def _panel_rule(a: float, b: float):
     """Nodes and weights of the composite Gauss-Legendre rule on [a, b]."""
-    edges = np.linspace(a, b, panels + 1)
+    edges = np.linspace(a, b, _PANELS + 1)
     half = 0.5 * (edges[1:] - edges[:-1])[:, None]
     nodes = 0.5 * (edges[1:] + edges[:-1])[:, None] + half * _GX
     return nodes.ravel(), (half * _GW).ravel()
 
 
-def balance_residual_2d(p: Problem2D, panels: int = 16) -> float:
+def balance_residual_2d(p: Problem2D) -> float:
     """Net flux/source imbalance: integral of f plus the boundary flux of the
     would-be steady state; zero for solvable problems.  The source integral
     evaluates f once on the tensor product of the two composite rules."""
-    x, wx = _panel_rule(0.0, p.Lx, panels)
-    y, wy = _panel_rule(0.0, p.Ly, panels)
+    x, wx = _panel_rule(0.0, p.Lx)
+    y, wy = _panel_rule(0.0, p.Ly)
     fint = wy @ np.asarray(p.f(x[None, :], y[:, None]), dtype=float) @ wx
     flux = (wy @ (np.asarray(p.g1(p.Lx, y), dtype=float) - p.g1(0.0, y))
             + wx @ (np.asarray(p.g2(x, p.Ly), dtype=float) - p.g2(x, 0.0)))
@@ -111,10 +112,11 @@ def run2d_to(st: Run2D, checkpoints) -> list[Checkpoint2D]:
 
 
 def solve_steady_2d(p: Problem2D, g: Grid2D, dt: float, v0: Field2D,
-                    tol: float = 1e-10, max_steps: int = 50_000_000,
-                    check_every: int = 64) -> SteadySolve2D:
-    """Euler iteration v <- v + dt*(A v + b) down to residual ``tol``; the
-    mean of the iterate stays at the initial mean.
+                    tol: float = 1e-10, max_steps: int = 50_000_000) -> SteadySolve2D:
+    """Euler iteration v <- v + dt*(A v + b) down to residual ``tol``, by the
+    loop of `scheme1d.solve_steady_iterative` (residual checked every 64
+    steps, best checked iterate on stagnation); the mean of the iterate stays
+    at the initial mean.
 
     `build_rhs2d` shifts b to zero mean whatever the data, so a problem with
     no steady state is recognised from the continuous balance instead and
@@ -126,4 +128,4 @@ def solve_steady_2d(p: Problem2D, g: Grid2D, dt: float, v0: Field2D,
             f"flux/source balance residual per unit area is {imbalance:.3e}; "
             "no steady state exists")
     rhs = build_rhs2d(p, g)
-    return _iterate_to_steady(new_run2d(g, dt, v0, rhs), tol, max_steps, check_every)
+    return _iterate_to_steady(new_run2d(g, dt, v0, rhs), tol, max_steps)

@@ -1,0 +1,41 @@
+"""The names of the package that the benchmark in `bench/` reads.
+
+`bench/tracing.py` wraps each of its `ENTRY_POINTS` by name, and `bench/run.py`
+reads the kernel-backend flags and passes ``threads=1`` to `default_config`.
+Only `tracing.py` is imported here: it needs the standard library alone.
+"""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+from neumannheat import _kernels, default_config
+
+TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+
+
+def _resolves(module, attribute):
+    owner = importlib.import_module(f"neumannheat.{module}")
+    try:
+        for part in attribute.split("."):
+            owner = getattr(owner, part)
+    except AttributeError:
+        return False
+    return callable(owner)
+
+
+def test_bench_entry_points_resolve():
+    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = [f"{module}.{attribute}" for _, module, attribute, _ in tracing.ENTRY_POINTS
+               if not _resolves(module, attribute)]
+    assert not missing
+    assert len(tracing.ENTRY_POINTS) > 20
+
+
+def test_bench_environment_names_exist():
+    assert _kernels.HAVE_NUMBA is False and _kernels.FORCE_NUMPY is True
+    cfg = default_config("homog-trigpoly", J_list=(17,), checkpoints=(0.02,),
+                         cfl=0.5, threads=1)
+    assert cfg.J_list == (17,) and cfg.checkpoints == (0.02,)

@@ -126,6 +126,16 @@ def test_spectra(capsys):
         assert abs(float(row[2])) <= float(row[3]) + 1e-15
 
 
+def test_spectra_refuses_nonpositive_time_step(capsys):
+    for flag in (["--dt", "-1"], ["--dt", "0"], ["--cfl", "0"], ["--cfl", "-0.2"]):
+        assert run_cli("spectra", "--J", "4", *flag) == 2
+        assert "time step must be positive" in capsys.readouterr().err
+    # an unstable positive step is still reported, not refused
+    assert run_cli("spectra", "--J", "4", "--cfl", "2") == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+    assert max(abs(float(row[2])) for row in rows) > 1.0
+
+
 def test_steady1d_and_spectra_need_j(tmp_path, capsys):
     cfgfile = tmp_path / "no_j.cfg"
     cfgfile.write_text("cfl=0.25\n")
@@ -156,13 +166,13 @@ def test_cli_surface():
                       if opt.startswith("--")} - {"--help", "--config"}
                for name, p in subcommands.items()}
     assert surface == {
-        "homog": {"--J", "--t", "--cfl", "--out", "--threads", "--datum"},
+        "homog": {"--J", "--t", "--cfl", "--out", "--datum"},
         "steady1d": {"--J", "--L", "--cfl", "--problem", "--solver", "--s", "--tol",
                      "--f-const", "--beta", "--gamma"},
-        "steady2d": {"--J", "--t", "--cfl", "--out", "--threads", "--case"},
+        "steady2d": {"--J", "--t", "--cfl", "--out", "--case"},
         "spectra": {"--J", "--L", "--cfl", "--out", "--dt"},
         "bounds": {"--J", "--L", "--cfl-list", "--m"},
-        "sweep": {"--J", "--t", "--cfl", "--threads"},
+        "sweep": {"--J", "--t", "--cfl"},
     }
     assert all("--config" in p._option_string_actions for p in subcommands.values())
 
@@ -174,11 +184,11 @@ _BASE_ARGV = {"homog": ["homog", "--datum", "trigpoly", "--J", "17", "--t", "0.0
 
 
 @pytest.mark.parametrize("command,flag", [
-    ("homog", "--L"), ("steady2d", "--L"),
+    ("homog", "--L"), ("homog", "--threads"), ("steady2d", "--L"), ("steady2d", "--threads"),
     ("steady1d", "--t"), ("steady1d", "--out"), ("steady1d", "--threads"),
     ("spectra", "--t"), ("spectra", "--threads"),
     ("bounds", "--cfl"), ("bounds", "--t"), ("bounds", "--out"), ("bounds", "--threads"),
-    ("bounds", "--perturb"), ("sweep", "--L"), ("sweep", "--out"),
+    ("bounds", "--perturb"), ("sweep", "--L"), ("sweep", "--out"), ("sweep", "--threads"),
 ])
 def test_inapplicable_flag_exits_2(command, flag, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -190,7 +200,7 @@ def test_inapplicable_flag_exits_2(command, flag, capsys):
 def test_inapplicable_config_key_exits_2(tmp_path, capsys):
     cfgfile = tmp_path / "run.cfg"
     for command, text in (("bounds", "cfl=0.3\n"), ("bounds", "t=1\n"),
-                          ("spectra", "threads=2\n"), ("steady1d", "out=x.csv\n"),
+                          ("spectra", "t=1\n"), ("steady1d", "out=x.csv\n"),
                           ("homog", "L=3\n"), ("steady1d", "L=3\n")):
         cfgfile.write_text(text)
         assert run_cli(*_BASE_ARGV[command], "--config", str(cfgfile)) == 2
@@ -219,21 +229,6 @@ def test_config_file_defaults(tmp_path, capsys):
         row = capsys.readouterr().out.splitlines()[1].split(",")
         cfl = 0.3 if flag else 0.1
         assert float(row[3]) == cfl * float(row[2]) ** 2
-
-
-def test_sweep_explicit_threads_beat_config(tmp_path, monkeypatch):
-    from neumannheat import harness
-    seen = []
-    real = harness.run_convergence
-    monkeypatch.setattr(harness, "run_convergence",
-                        lambda cfg: seen.append(cfg.threads) or real(cfg))
-    cfgfile = tmp_path / "sweep.cfg"
-    cfgfile.write_text(f"experiments=homog-trigpoly\nout_prefix={tmp_path / 'r'}\n"
-                       "homog-trigpoly.J=17\nhomog-trigpoly.t=0.02\nthreads=3\n")
-    assert run_cli("sweep", "--config", str(cfgfile)) == 0
-    assert run_cli("sweep", "--config", str(cfgfile), "--threads=2") == 0
-    assert run_cli("sweep", "--config", str(cfgfile), "--threads", "1") == 0
-    assert seen == [3, 2, 1]
 
 
 def test_sweep_flags_beat_experiment_keys_beat_config(tmp_path):

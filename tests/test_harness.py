@@ -65,21 +65,15 @@ def test_run_convergence_basic():
         assert r.t_realized == pytest.approx(r.n * r.dt, abs=0.0)
 
 
-def test_run_convergence_threads_deterministic():
-    cfg1 = default_config("homog-trigpoly", J_list=(17, 33, 65), checkpoints=(0.02,))
-    cfg4 = default_config("homog-trigpoly", J_list=(17, 33, 65), checkpoints=(0.02,),
-                          )
-    recs1 = run_convergence(cfg1)
-    import dataclasses
-    cfg4 = dataclasses.replace(cfg4, threads=3)
-    recs4 = run_convergence(cfg4)
-    for a, b in zip(recs1, recs4):
-        assert (a.J, a.n, a.abs_err, a.rel_err) == (b.J, b.n, b.abs_err, b.rel_err)
-
-
 def test_unknown_experiment_rejected():
     with pytest.raises(ValueError):
         default_config("nope")
+
+
+def test_default_config_runs_on_one_thread_only():
+    assert default_config("homog-trigpoly", threads=1) == default_config("homog-trigpoly")
+    with pytest.raises(ValueError):
+        default_config("homog-trigpoly", threads=2)
 
 
 def test_epsilon_diagnostics_constant_datum():
