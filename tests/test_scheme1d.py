@@ -429,7 +429,9 @@ def test_steady_jump_matches_dense_matrix_power():
     assert max(jumps) > 0
 
 
-@pytest.mark.parametrize("bad", [dict(max_steps=-1), dict(tol=-1.0),
+@pytest.mark.parametrize("bad", [dict(max_steps=-1),
+                                 dict(max_steps=-1, tol=float("nan")),
+                                 dict(tol=float("-inf")), dict(tol=-1.0),
                                  dict(tol=float("nan"))])
 def test_steady_solvers_refuse_bad_loop_arguments(bad):
     p52, ss = sec52_problem()
