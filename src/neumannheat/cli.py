@@ -79,10 +79,13 @@ _FLAGS = {
 def _apply_config_defaults(args, config: dict) -> None:
     """Fill each flag of the subcommand not given on the command line from the
     config file, else from its built-in default; ``args.explicit`` keeps the
-    names of the flags that were given.  A config key that names a flag the
-    subcommand does not take from a config is refused."""
+    names of the flags that were given.  A config key the subcommand does not
+    read is refused, unless it is one of sweep's (a config may be shared)."""
     for key in config:
-        if key in _FLAGS and (key not in args.flags or _FLAGS[key][1] is None):
+        exp, _, suffix = key.rpartition(".")
+        shared = (key in ("experiments", "out_prefix")
+                  or (exp in harness.EXPERIMENTS and suffix in ("J", "t", "cfl")))
+        if not shared and (key not in args.flags or _FLAGS[key][1] is None):
             raise ValueError(f"{args.command} takes no config key {key}=")
     args.explicit = {key for key in args.flags if getattr(args, key) is not None}
     for key in args.flags:
@@ -204,8 +207,10 @@ def cmd_spectra(args) -> int:
 def cmd_bounds(args) -> int:
     J_list = parse_j_list(args.J) if args.J else list(range(2, 513))
     cfls = parse_t_list(args.cfl_list) if args.cfl_list else [0.5, 0.25, 0.1]
-    ms = [int(m) for m in parse_t_list(args.m)] if args.m else [1, 10, 100, 1000]
-    worst = harness.bound_sweep(J_list, cfls, ms=ms, L=args.L)
+    ms = parse_t_list(args.m or "1,10,100,1000")
+    if not all(m.is_integer() for m in ms):
+        raise ValueError(f"--m takes whole step counts, got {args.m}")
+    worst = harness.bound_sweep(J_list, cfls, ms=[int(m) for m in ms], L=args.L)
     print("bound suite worst figures (amplification: min margin; others: max value/bound):")
     for name, w in worst.items():
         print(f"  {name}: {w.value:.6g} at {w.where}")
@@ -226,9 +231,6 @@ def cmd_sweep(args) -> int:
     if not experiments:
         print("config must list experiments=<id,id,...>", file=sys.stderr)
         return EXIT_USAGE
-    for key in config:
-        if "." in key and key.rsplit(".", 1)[1] not in ("J", "t", "cfl"):
-            raise ValueError(f"sweep takes no config key {key}=")
     out_prefix = config.get("out_prefix", "sweep")
     for exp in experiments:
         def pick(key):

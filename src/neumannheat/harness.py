@@ -175,7 +175,7 @@ def _run_steady2d(cfg: ExperimentConfig, J: int, gaussian: dict) -> list[ErrorRe
         shifted = cp.field.values + (target_mean - mean2d(cp.field))
         err = norm2d(Field2D(g, target.values - shifted))
         return err, err
-    return _study(cfg, J, scheme2d.new_run2d(g, dt, v0, rhs), error)
+    return _study(cfg, J, scheme1d.new_run(g, dt, v0, rhs), error)
 
 
 _HOMOG_J = (17, 33, 65, 129, 257, 513)

@@ -9,8 +9,8 @@ the unique steady state with the initial datum's mean.  For an unbalanced b
 the mean drifts at exactly the rate mean(b).
 
 The run machinery (`RunState`, `run_to`, the residual and the steady loop) is
-shared with `scheme2d`: it works on 1D and 2D fields alike and picks the
-numpy stepping loop of `_kernels` by the dimension of the values array.
+shared with `scheme2d`: it works on 1D and 2D fields alike, and steps with the
+one numpy loop of `_kernels`, which takes arrays of any number of axes.
 `propagate` reaches the same checkpoints by one DCT-II transform pair; the
 steady loop jumps to its exact-arithmetic count and advances each checked block
 the same way.  `step` and `run_to` are the reference both are tested against.
@@ -126,19 +126,13 @@ def new_run(g: Grid1D | Grid2D, dt: float, v0, rhs: Optional[DiscreteRHS] = None
 
 
 def _advance_to(st: RunState, n_target: int) -> None:
-    """Advance to step n_target in one kernel call (1D or 2D by the array's
-    dimension), then check that the values stayed finite."""
+    """Advance to step n_target in one call of the stepping loop, then check
+    that the values stayed finite."""
     k = n_target - st.n
     if k > 0:
-        c = [st.dt / h ** 2 for h in reversed(st.grid.spacings)]  # x first
-        if st.values.ndim == 1:
-            plain, forced = _kernels.advance_1d, _kernels.advance_1d_rhs
-        else:
-            plain, forced = _kernels.advance_2d, _kernels.advance_2d_rhs
-        if st.rhs is None:
-            st.values = plain(st.values, *c, k)
-        else:
-            st.values = forced(st.values, *c, st.dt * st.rhs.b.values, k)
+        c = [st.dt / h ** 2 for h in st.grid.spacings]
+        dtb = None if st.rhs is None else st.dt * st.rhs.b.values
+        st.values = _kernels.advance(st.values, c, dtb, k)
         st.n = n_target
     _check_finite(st)
 
@@ -182,8 +176,8 @@ def _run_checkpoints(st: RunState, checkpoints, advance=_advance_to) -> list[Che
     targets = list(checkpoints)
     if not targets:
         raise ValueError("need at least one checkpoint")
-    if any(b < a for a, b in zip(targets, targets[1:])):
-        raise ValueError("checkpoints must be nondecreasing")
+    if not all(map(math.isfinite, targets)) or any(b < a for a, b in zip(targets, targets[1:])):
+        raise ValueError("checkpoints must be finite and nondecreasing")
     out = []
     for t in targets:
         n_rec = round(t / st.dt)

@@ -8,7 +8,7 @@ face contributions.  Stability requires dt * (1/dx^2 + 1/dy^2) <= 1/2, which
 reduces to the 1D rule when one spacing becomes infinite.
 
 Runs, checkpoints and the steady iteration are those of `scheme1d`, which
-works on 2D fields as well; the 2D names below are aliases of the 1D ones.
+works on 2D fields as well.
 """
 
 from __future__ import annotations
@@ -26,16 +26,9 @@ from .scheme1d import (Checkpoint, DiscreteRHS, RunState, SteadySolve,
 from .spectral import cfl2d, laplacian
 
 __all__ = [
-    "Problem2D", "Rhs2D", "apply2d", "cfl2d", "build_rhs2d",
-    "Run2D", "new_run2d", "run2d_to", "solve_steady_2d",
-    "balance_residual_2d", "Checkpoint2D", "SteadySolve2D", "grid_for",
+    "Problem2D", "apply2d", "cfl2d", "build_rhs2d", "run2d_to", "solve_steady_2d",
+    "balance_residual_2d", "grid_for",
 ]
-
-Run2D = RunState
-Checkpoint2D = Checkpoint
-SteadySolve2D = SteadySolve
-Rhs2D = DiscreteRHS
-new_run2d = new_run
 
 # the balance quadrature: 16 composite Gauss-Legendre panels of 24 points
 _PANELS = 16
@@ -88,7 +81,7 @@ def apply2d(g: Grid2D, v: Field2D) -> Field2D:
     return Field2D(g, laplacian(v.values, g.spacings))
 
 
-def build_rhs2d(p: Problem2D, g: Grid2D) -> Rhs2D:
+def build_rhs2d(p: Problem2D, g: Grid2D) -> DiscreteRHS:
     """Sampled source plus per-face flux terms, then a uniform shift r so the
     discrete mean vanishes exactly."""
     X, Y = g.mesh()
@@ -101,10 +94,10 @@ def build_rhs2d(p: Problem2D, g: Grid2D) -> Rhs2D:
     b[-1, :] += np.asarray(p.g2(x, p.Ly), dtype=float) / g.dy
     r = -math.fsum(b.ravel()) / (g.Jx * g.Jy)
     b += r
-    return Rhs2D(Field2D(g, b), r)
+    return DiscreteRHS(Field2D(g, b), r)
 
 
-def run2d_to(st: Run2D, checkpoints) -> list[Checkpoint2D]:
+def run2d_to(st: RunState, checkpoints) -> list[Checkpoint]:
     """2D entry point of the checkpointed run: the loop of `scheme1d.run_to`,
     kept a separate function so that bench/tracing.py, which counts kernel
     steps under their caller, tells 2D steps from 1D steps."""
@@ -112,7 +105,7 @@ def run2d_to(st: Run2D, checkpoints) -> list[Checkpoint2D]:
 
 
 def solve_steady_2d(p: Problem2D, g: Grid2D, dt: float, v0: Field2D,
-                    tol: float = 1e-10, max_steps: int = 50_000_000) -> SteadySolve2D:
+                    tol: float = 1e-10, max_steps: int = 50_000_000) -> SteadySolve:
     """Euler iteration v <- v + dt*(A v + b) down to residual ``tol``, by the
     loop of `scheme1d.solve_steady_iterative` (residual checked every 64
     steps, best checked iterate on stagnation); the mean of the iterate stays
@@ -128,4 +121,4 @@ def solve_steady_2d(p: Problem2D, g: Grid2D, dt: float, v0: Field2D,
             f"flux/source balance residual per unit area is {imbalance:.3e}; "
             "no steady state exists")
     rhs = build_rhs2d(p, g)
-    return _iterate_to_steady(new_run2d(g, dt, v0, rhs), tol, max_steps)
+    return _iterate_to_steady(new_run(g, dt, v0, rhs), tol, max_steps)

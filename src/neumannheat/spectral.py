@@ -7,7 +7,8 @@ The operator acts matrix-free in O(J):
     (A v)_j     = (v_{j-1} - 2 v_j + v_{j+1}) / dx^2     (0 < j < J-1)
     (A v)_{J-1} = (v_{J-2} - v_{J-1}) / dx^2
 
-and `laplacian` applies it along every axis of a 1D or 2D array (the 2D
+written once, in `second_difference`; `laplacian` and the stepping loop of
+`_kernels` apply it along every axis of an array of any dimension (the 2D
 operator is the Kronecker sum of the 1D ones).
 
 Its eigenvalues are lambda_l = -(4/dx^2) sin^2(l pi / (2J)), l = 0..J-1, with
@@ -48,19 +49,34 @@ class NeumannLaplacian1D:
         return Field1D(self.grid, laplacian(v.values, self.grid.spacings))
 
 
+def axis_slices(ndim: int, axis: int) -> tuple:
+    """Index tuples along ``axis`` of an ndim-axis array, for
+    `second_difference`: the first node, the second, the interior, the
+    interior's left and right neighbours, the second-to-last and the last."""
+    pad = (slice(None),) * axis, (slice(None),) * (ndim - axis - 1)
+    return tuple(pad[0] + (s,) + pad[1] for s in
+                 (0, 1, slice(1, -1), slice(None, -2), slice(2, None), -2, -1))
+
+
+def second_difference(v: np.ndarray, out: np.ndarray, ix: tuple) -> np.ndarray:
+    """Write the unscaled Neumann second difference of ``v`` (the stencil of
+    the module docstring times dx^2) along the axis of ``ix = axis_slices(...)``
+    into ``out``, and return it."""
+    first, second, interior, left, right, penult, last = ix
+    out[first] = v[second] - v[first]
+    out[interior] = v[left] - 2.0 * v[interior] + v[right]
+    out[last] = v[penult] - v[last]
+    return out
+
+
 def laplacian(u: np.ndarray, spacings) -> np.ndarray:
-    """Kronecker sum over the axes of the per-axis Neumann second difference
-    (the stencil of the module docstring), each divided by its spacing
-    squared; ``spacings`` is in axis order, as the grids give it, and the last
-    (x) axis is added first."""
+    """Kronecker sum over the axes of the per-axis `second_difference`, each
+    divided by its spacing squared; ``spacings`` is in axis order, as the
+    grids give it, and the last (x) axis is added first."""
     out = None
-    for axis in range(u.ndim - 1, -1, -1):
-        v = np.moveaxis(u, axis, -1)
-        d = np.empty_like(v)
-        d[..., 0] = v[..., 1] - v[..., 0]
-        d[..., 1:-1] = v[..., :-2] - 2.0 * v[..., 1:-1] + v[..., 2:]
-        d[..., -1] = v[..., -2] - v[..., -1]
-        term = np.moveaxis(d, -1, axis) / spacings[axis] ** 2
+    for axis in reversed(range(u.ndim)):
+        d = second_difference(u, np.empty_like(u), axis_slices(u.ndim, axis))
+        term = d / spacings[axis] ** 2
         out = term if out is None else out + term
     return out
 

@@ -58,6 +58,9 @@ def test_flag_errors_exit_2(capsys):
         run_cli("homog", "--datum", "nonsense", "--J", "17", "--t", "1")
     assert exc.value.code == 2
     assert run_cli("homog", "--datum", "trigpoly", "--J", "banana", "--t", "1") == 2
+    for t in ("inf", "-inf", "0.02,inf"):
+        assert run_cli("homog", "--datum", "trigpoly", "--J", "17,33,65", f"--t={t}") == 2
+        assert "checkpoints must be finite" in capsys.readouterr().err
 
 
 def test_cfl_violation_exit_3():
@@ -149,6 +152,16 @@ def test_bounds_small_sweep(capsys):
     assert "all bounds hold" in capsys.readouterr().out
 
 
+def test_bounds_refuses_fractional_step_counts(capsys):
+    for m in ("2.7", "1,2.5", "inf", "nan"):
+        assert run_cli("bounds", "--J", "2..4", "--m", m) == 2
+        assert "--m takes whole step counts" in capsys.readouterr().err
+    # integer spellings keep working
+    for m in ("2", "1,10", "1e2", "3.0"):
+        assert run_cli("bounds", "--J", "2..4", "--m", m) == 0
+    assert "kernel" in capsys.readouterr().out
+
+
 def test_bounds_perturbed_fails(capsys, monkeypatch):
     failing = {"amplification": harness.WorstCase(-1e-3, (2, 0.5, 1), False),
                "kernel": harness.WorstCase(0.5, (4, 0.1, 10), True)}
@@ -201,7 +214,11 @@ def test_inapplicable_config_key_exits_2(tmp_path, capsys):
     cfgfile = tmp_path / "run.cfg"
     for command, text in (("bounds", "cfl=0.3\n"), ("bounds", "t=1\n"),
                           ("spectra", "t=1\n"), ("steady1d", "out=x.csv\n"),
-                          ("homog", "L=3\n"), ("steady1d", "L=3\n")):
+                          ("homog", "L=3\n"), ("steady1d", "L=3\n"),
+                          # a typo and a retired key, which no subcommand reads
+                          ("homog", "cfL=0.1\n"), ("homog", "threads=4\n"),
+                          ("steady2d", "threads=4\n"), ("sweep", "thread=4\n"),
+                          ("homog", "homog-trigply.J=17\n")):
         cfgfile.write_text(text)
         assert run_cli(*_BASE_ARGV[command], "--config", str(cfgfile)) == 2
         key = text.split("=")[0]

@@ -13,7 +13,9 @@ from neumannheat import (CflViolationError, DiscreteRHS, Field1D, Field2D,
                          ones, propagate, run_to, solve_steady_2d,
                          solve_steady_iterative, solve_steady_laplace,
                          steady_1d, step)
+from neumannheat import _kernels
 from neumannheat.scheme1d import _iterate_to_steady, laplace_shift_gap_bound
+from neumannheat.spectral import laplacian
 
 from oracles import dense_neumann_matrix, dense_power_apply, exact_steady_count
 
@@ -30,6 +32,24 @@ def test_step_kernel_mode():
     step(st)
     assert np.array_equal(st.values, np.ones(9))
     assert st.n == 1 and st.t == g.dx ** 2 / 2
+
+
+@pytest.mark.parametrize("spacings", [(0.1,), (0.25, 0.2), (0.5, 0.4, 0.3)])
+@pytest.mark.parametrize("forced", [False, True])
+def test_advance_matches_laplacian_steps_on_any_number_of_axes(spacings, forced):
+    # the one stepping loop against v <- v + dt*(A v + b) written with the
+    # out-of-place `laplacian`, on 1, 2 and 3 axes (x is the last array axis)
+    rng = np.random.default_rng(len(spacings))
+    shape = (11, 7, 5)[-len(spacings):]
+    v0 = rng.standard_normal(shape)
+    b = rng.standard_normal(shape) if forced else np.zeros(shape)
+    dt = 0.45 / sum(h ** -2 for h in spacings)
+    expected = v0
+    for _ in range(40):
+        expected = expected + dt * (laplacian(expected, spacings) + b)
+    got = _kernels.advance(v0.copy(), [dt / h ** 2 for h in spacings],
+                           dt * b if forced else None, 40)
+    assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
 
 
 def test_step_eigenmode():
@@ -265,7 +285,8 @@ def test_propagate_checkpoint_contract():
     (cp3,) = propagate(st, [10 * st.dt])  # k = 0 after a move leaves values as they are
     assert np.array_equal(cp3.field.values, cp2.field.values)
     for advance in (run_to, propagate):  # bad lists raise alike on both paths
-        for bad in ([], [0.5, 0.25], [5 * st.dt]):  # empty, decreasing, behind the run
+        # empty, decreasing, behind the run, not finite
+        for bad in ([], [0.5, 0.25], [5 * st.dt], [math.inf], [-math.inf]):
             with pytest.raises(ValueError):
                 advance(st, bad)
 

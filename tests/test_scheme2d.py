@@ -4,7 +4,7 @@ import pytest
 from neumannheat import (CflViolationError, Field1D, Field2D, Grid1D, Grid2D,
                          IncompatibleProblemError, NeumannLaplacian1D,
                          Problem2D, apply2d, build_rhs2d, cfl2d, gaussian_2d,
-                         inner2d, mean2d, new_run2d, norm2d, ones2d, run2d_to,
+                         inner2d, mean2d, new_run, norm2d, ones2d, run2d_to,
                          solve_steady_2d)
 from neumannheat.scheme2d import balance_residual_2d, grid_for
 from neumannheat.spectral import eigenvalue, eigenvector
@@ -106,12 +106,12 @@ def test_build_rhs2d_corner_accumulates_both_faces():
 def test_cfl2d_enforced():
     g = Grid2D(5, 5, 1.0, 1.0)
     with pytest.raises(CflViolationError):
-        new_run2d(g, g.dx ** 2 / 2, ones2d(g))
+        new_run(g, g.dx ** 2 / 2, ones2d(g))
 
 
 def test_run2d_checkpoint_rounding():
     g = Grid2D(2, 2, 1.0, 1.0)  # dx = dy = 1
-    st = new_run2d(g, 0.25, ones2d(g))
+    st = new_run(g, 0.25, ones2d(g))
     (cp,) = run2d_to(st, [1.0])
     assert cp.n == 4 and cp.t_realized == 1.0
     assert np.array_equal(cp.field.values, np.ones((2, 2)))
@@ -124,7 +124,7 @@ def test_homogeneous_norm_never_increases():
     for _ in range(100):
         vals = rng.standard_normal((9, 6))
         vals -= vals.mean()
-        st = new_run2d(g, dt, Field2D(g, vals))
+        st = new_run(g, dt, Field2D(g, vals))
         prev = norm2d(st.field)
         for n in range(1, 101):
             run2d_to(st, [n * dt])
@@ -199,4 +199,4 @@ def test_new_run2d_checks_rhs_grid():
     zero = lambda x, y: np.zeros(np.broadcast(x, y).shape)
     rhs = build_rhs2d(Problem2D(zero, zero, zero, 1.0, 1.0), other)
     with pytest.raises(ValueError):
-        new_run2d(g, g.dx ** 2 / 8, ones2d(g), rhs)
+        new_run(g, g.dx ** 2 / 8, ones2d(g), rhs)
