@@ -13,10 +13,9 @@ from .spectral import (NeumannLaplacian1D, amplification_bound_check, cfl_ok,
                        eta_geometric_sum, heat_kernel_spectrum_sum,
                        resolvent_power_sum)
 from .exact import (CosineSeries, Gaussian2DProblem, InitialDatum,
-                    SmoothFunction, SteadyState1D, companion_w,
-                    cosine_coefficients, cosine_mode, custom_datum,
-                    decay_envelope, gaussian_2d, hat_function, poly_bump,
-                    steady_1d, trig_poly)
+                    SmoothFunction, SteadyState1D, companion_w, cosine_mode,
+                    custom_datum, decay_envelope, gaussian_2d, hat_function,
+                    poly_bump, steady_1d, trig_poly)
 from .consistency import l1, l2, l_delta, split_defect
 from .scheme1d import (Checkpoint, DiscreteRHS, NonhomogProblem, RunState,
                        build_rhs, check_compatibility, new_run, propagate, run_to,

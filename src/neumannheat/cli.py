@@ -192,14 +192,13 @@ def cmd_spectra(args) -> int:
     g = Grid1D(int(_required_j(args)), args.L)
     dt = args.dt if args.dt is not None else args.cfl * g.dx ** 2
     # an unstable positive step is a fair diagnostic question; dt <= 0 is not
-    if not dt > 0:
-        raise ValueError(f"time step must be positive, got dt={dt}")
+    if not 0 < dt < math.inf:
+        raise ValueError(f"time step must be positive and finite, got dt={dt}")
+    lam = spectral.eigenvalues(g)
+    rows = zip(lam.tolist(), (1.0 + dt * lam).tolist(),
+               spectral.amplification_envelope(g, dt).tolist())
     lines = ["ell,lambda,amplification,envelope"]
-    for ell in range(g.J):
-        lam = spectral.eigenvalue(g, ell)
-        amp = 1.0 + dt * lam
-        env = math.exp(-(dt / g.dx ** 2) * math.sin(ell * math.pi / g.J) ** 2)
-        lines.append(f"{ell},{lam!r},{amp!r},{env!r}")
+    lines += [f"{ell},{lam_l!r},{amp!r},{env!r}" for ell, (lam_l, amp, env) in enumerate(rows)]
     _write_or_print("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 

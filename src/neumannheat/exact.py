@@ -7,7 +7,10 @@ scaled inner product (1/L) * integral:
 
     c_0(x) = 1,    c_p(x) = sqrt(2) cos(p pi x / L)   (p >= 1)
 
-so u(t, x) = sum_p alpha_p exp(-p^2 pi^2 t / L^2) c_p(x).
+so u(t, x) = sum_p alpha_p exp(-p^2 pi^2 t / L^2) c_p(x).  Each closed form
+has one home: the basis and its x-derivatives are evaluated only in
+`_mode_sum` (a single mode, `cosine_mode`, is a one-term `CosineSeries`), and a
+datum's coefficients live only in its `series.alpha`.
 """
 
 from __future__ import annotations
@@ -24,8 +27,7 @@ from .errors import QuadratureError, SeriesTruncationError
 __all__ = [
     "SmoothFunction", "cosine_mode", "polynomial_function",
     "CosineSeries", "InitialDatum",
-    "trig_poly", "poly_bump", "hat_function", "custom_datum",
-    "cosine_coefficients", "decay_envelope",
+    "trig_poly", "poly_bump", "hat_function", "custom_datum", "decay_envelope",
     "SteadyState1D", "steady_1d", "companion_w",
     "Gaussian2DProblem", "gaussian_2d",
 ]
@@ -58,27 +60,6 @@ class SmoothFunction:
         return len(self.derivs) - 1
 
 
-def cosine_mode(p: int, L: float, amplitude: Optional[float] = None,
-                order: int = 5) -> SmoothFunction:
-    """amplitude * cos(p pi x / L) with derivatives; default amplitude is the
-    orthonormal one (sqrt(2) for p >= 1, 1 for p = 0)."""
-    if p < 0:
-        raise ValueError("mode index must be nonnegative")
-    if amplitude is None:
-        amplitude = 1.0 if p == 0 else _SQRT2
-    k0 = p * math.pi / L
-
-    def make(k):
-        def dk(x):
-            x = np.asarray(x, dtype=float)
-            if p == 0:
-                return np.full_like(x, amplitude) if k == 0 else np.zeros_like(x)
-            return amplitude * k0 ** k * np.cos(k0 * x + k * math.pi / 2)
-        return dk
-
-    return SmoothFunction(tuple(make(k) for k in range(order + 1)))
-
-
 def polynomial_function(coeffs, order: int = 5) -> SmoothFunction:
     """Polynomial sum(coeffs[i] * x^i) with analytic derivatives."""
     p = np.polynomial.Polynomial(np.asarray(coeffs, dtype=float))
@@ -88,20 +69,26 @@ def polynomial_function(coeffs, order: int = 5) -> SmoothFunction:
     return SmoothFunction(tuple(ds))
 
 
-def _mode_sum(weights: np.ndarray, L: float, k: int, x) -> np.ndarray:
-    """k-th x-derivative of sum_p weights[p] * c_p(x), dropping dead modes."""
-    x_arr = np.asarray(x, dtype=float).ravel()
-    out = np.zeros_like(x_arr)
-    if k == 0 and len(weights) > 0:
-        out += weights[0]
-    live = np.nonzero(np.abs(weights[1:]) > 1e-300)[0] + 1
-    if live.size:
-        kp = live * math.pi / L
-        phases = np.cos(np.outer(kp, x_arr) + k * math.pi / 2)
-        out += (_SQRT2 * weights[live] * kp ** k) @ phases
-    if np.ndim(x) == 0:
-        return out[0]
-    return out.reshape(np.shape(x))
+def _mode_sum(weights: np.ndarray, L: float, order: int) -> tuple:
+    """The k-th x-derivatives, k = 0..order, of sum_p weights[p] * c_p(x) as
+    callables on float arrays, dead modes dropped once: the package's one
+    evaluation of the continuous cosine basis."""
+    live = np.flatnonzero(np.abs(weights[1:]) > 1e-300) + 1
+    kp = live * math.pi / L
+    kp_column = kp[:, None]
+
+    def derivative(k):
+        amplitudes = _SQRT2 * weights[live] * kp ** k
+        phase = k * math.pi / 2
+
+        def dk(x):
+            out = amplitudes @ np.cos(kp_column * x.ravel() + phase)
+            if k == 0:
+                out += weights[0]
+            return out.reshape(x.shape)[()]  # [()]: a 0-d result as a scalar
+        return dk
+
+    return tuple(derivative(k) for k in range(order + 1))
 
 
 @dataclass(frozen=True)
@@ -172,7 +159,7 @@ class CosineSeries:
         if self.tail_bound(t) > 1e-13:
             raise SeriesTruncationError(
                 f"stored {self.p_max + 1} modes leave tail {self.tail_bound(t):.2e} at t={t}")
-        return _mode_sum(self.weights(t), self.L, 0, x)
+        return _mode_sum(self.weights(t), self.L, 0)[0](xv)
 
     def solution(self, t: float, order: int = 5) -> SmoothFunction:
         """The time-t solution as a SmoothFunction with x-derivatives."""
@@ -180,25 +167,29 @@ class CosineSeries:
             if self.tail_bound(t, k) > 1e-12:
                 raise SeriesTruncationError(
                     f"derivative order {k} not resolved by {self.p_max + 1} modes at t={t}")
-        w = self.weights(t)
-        L = self.L
-        return SmoothFunction(tuple(
-            (lambda k: lambda x: _mode_sum(w, L, k, x))(k) for k in range(order + 1)))
-
-    def l2_norm(self, t: float = 0.0) -> float:
-        """Continuous L^2(0, L) norm (scaled by 1/L) via Parseval."""
-        w = self.weights(t)
-        return math.sqrt(math.fsum(w * w))
+        return SmoothFunction(_mode_sum(self.weights(t), self.L, order))
 
     @property
     def mean(self) -> float:
         return float(self.alpha[0])
 
 
+def cosine_mode(p: int, L: float, amplitude: Optional[float] = None,
+                order: int = 5) -> SmoothFunction:
+    """amplitude * cos(p pi x / L) with derivatives, as a one-mode series;
+    default amplitude is the orthonormal one (sqrt(2) for p >= 1, 1 for p = 0)."""
+    if p < 0:
+        raise ValueError("mode index must be nonnegative")
+    alpha = np.zeros(p + 1)
+    alpha[p] = 1.0 if amplitude is None else amplitude / (_SQRT2 if p else 1.0)
+    return CosineSeries(L, alpha).solution(0.0, order)
+
+
 @dataclass(frozen=True)
 class InitialDatum:
-    """A catalog initial datum: its cosine series, an exact coefficient rule,
-    and (when it exists) an analytically differentiable representative.
+    """A catalog initial datum: its cosine series, whose ``alpha`` is the one
+    copy of the datum's coefficients (a factory's ``p_max`` sets how many), and
+    (when it exists) an analytically differentiable representative.
 
     ``smooth_compatible`` records whether the datum has the boundary-compatible
     regularity (zero odd derivatives at both ends through fifth order) under
@@ -209,7 +200,6 @@ class InitialDatum:
     name: str
     L: float
     series: CosineSeries
-    coefficient_fn: Callable = field(repr=False)
     smooth: Optional[SmoothFunction] = field(default=None, repr=False)
     smooth_compatible: bool = True
 
@@ -226,12 +216,8 @@ def trig_poly(amplitudes=(1.0, 1.0, 5.0, -1.0, 2.0, 1.0), L: float = 1.0) -> Ini
     a = np.asarray(amplitudes, dtype=float)
     alpha = a.copy()
     alpha[1:] /= _SQRT2
-
-    def coefficient(p: int) -> float:
-        return float(alpha[p]) if p < alpha.size else 0.0
-
     series = CosineSeries(L, alpha)
-    return InitialDatum("trigpoly", L, series, coefficient,
+    return InitialDatum("trigpoly", L, series,
                         smooth=series.solution(0.0), smooth_compatible=True)
 
 
@@ -253,7 +239,7 @@ def poly_bump(L: float = 1.0, p_max: int = 400) -> InitialDatum:
         coef_bound=(24.0 * _SQRT2 * L ** 4 / math.pi ** 4, 4.0),
     )
     smooth = polynomial_function([0.0, 0.0, L ** 2, -2.0 * L, 1.0])
-    return InitialDatum("polybump", L, series, coefficient,
+    return InitialDatum("polybump", L, series,
                         smooth=smooth, smooth_compatible=False)
 
 
@@ -276,8 +262,7 @@ def hat_function(width: float = 0.02, L: float = 2.0, p_max: int = 600) -> Initi
         exact_at_zero=lambda x: np.maximum(1.0 - np.abs(L / 2.0 - x) / width, 0.0),
         coef_bound=(4.0 * _SQRT2 * L / (math.pi ** 2 * width), 2.0),
     )
-    return InitialDatum("hat", L, series, coefficient,
-                        smooth=None, smooth_compatible=False)
+    return InitialDatum("hat", L, series, smooth=None, smooth_compatible=False)
 
 
 def custom_datum(f: Callable, L: float, p_max: int = 128, tol: float = 1e-12,
@@ -300,20 +285,8 @@ def custom_datum(f: Callable, L: float, p_max: int = 128, tol: float = 1e-12,
 
     alpha = np.array([coefficient(p) for p in range(p_max + 1)])
     series = CosineSeries(L, alpha, exact_at_zero=lambda x: np.asarray(f(x), dtype=float))
-    return InitialDatum("custom", L, series, coefficient,
-                        smooth=smooth, smooth_compatible=smooth_compatible)
-
-
-def cosine_coefficients(u0: InitialDatum, p_max: int, tol: float = 1e-12) -> CosineSeries:
-    """Expansion coefficients alpha_p = (1/L) int u0 c_p, p = 0..p_max.
-
-    Catalog data use their closed-form rules; custom data integrate to ``tol``.
-    """
-    if p_max < 0:
-        raise ValueError("p_max must be nonnegative")
-    alpha = np.array([u0.coefficient_fn(p) for p in range(p_max + 1)])
-    return CosineSeries(u0.L, alpha, exact_at_zero=u0.series.exact_at_zero,
-                        coef_bound=u0.series.coef_bound)
+    return InitialDatum("custom", L, series, smooth=smooth,
+                        smooth_compatible=smooth_compatible)
 
 
 def decay_envelope(u0_norm: float, t: float, L: float) -> float:

@@ -33,8 +33,8 @@ class Grid1D:
     def __post_init__(self):
         if self.J < 2:
             raise ValueError(f"need at least 2 nodes, got J={self.J}")
-        if not self.L > 0:
-            raise ValueError(f"interval length must be positive, got L={self.L}")
+        if not 0 < self.L < math.inf:
+            raise ValueError(f"interval length must be positive and finite, got L={self.L}")
 
     @property
     def dx(self) -> float:
@@ -125,8 +125,8 @@ class Grid2D:
     def __post_init__(self):
         if self.Jx < 2 or self.Jy < 2:
             raise ValueError(f"need at least 2 nodes per direction, got {self.Jx}x{self.Jy}")
-        if not (self.Lx > 0 and self.Ly > 0):
-            raise ValueError("side lengths must be positive")
+        if not (0 < self.Lx < math.inf and 0 < self.Ly < math.inf):
+            raise ValueError("side lengths must be positive and finite")
 
     @property
     def dx(self) -> float:

@@ -35,17 +35,17 @@ import numpy as np
 from . import scheme1d, scheme2d, spectral
 from .consistency import l_delta
 from .errors import CflViolationError
-from .exact import (InitialDatum, companion_w, cosine_mode, gaussian_2d,
-                    hat_function, poly_bump, steady_1d, trig_poly)
+from .exact import (CosineSeries, InitialDatum, companion_w, cosine_mode,
+                    gaussian_2d, hat_function, poly_bump, steady_1d, trig_poly)
 from .grid import (Field1D, Field2D, Grid1D, mean, mean2d, norm2d, norm_l2,
                    project, project2d)
 
 __all__ = [
     "ExperimentConfig", "ErrorRecord", "SlopeFit", "EXPERIMENTS",
     "default_config", "run_convergence", "estimate_slope", "records_at",
-    "epsilon_diagnostics", "convolution_bound_check", "ConvolutionReport",
-    "quadrature_inequality_check", "QuadratureInequalityReport", "H1Function",
-    "h1_cosine_mode", "h1_linear", "h1_constant", "bound_sweep", "WorstCase",
+    "epsilon_diagnostics", "WorstCase", "convolution_bound_check",
+    "quadrature_inequality_check", "H1Function", "h1_cosine_mode", "h1_linear",
+    "h1_constant", "bound_sweep",
     "csv_text", "emit_csv",
 ]
 
@@ -60,6 +60,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
             raise ValueError(f"unknown experiment {self.experiment!r}")
+        if not math.isfinite(self.cfl):  # a usage error, not a stability violation
+            raise ValueError(f"cfl ratio must be finite, got {self.cfl}")
         if not 0 < self.cfl <= 0.5:
             raise CflViolationError(f"cfl ratio must lie in (0, 1/2], got {self.cfl}")
         if not self.J_list:
@@ -251,37 +253,33 @@ def epsilon_diagnostics(u0: InitialDatum, g: Grid1D, dt: float, n: int) -> tuple
 
     The first is dt times the stencil defect of the exact solution at time
     n*dt (carries the boundary inconsistency, scales like dt at fixed grid);
-    the second is the Taylor remainder of the Euler step, evaluated mode-wise
-    in closed form (scales like dt^2).
+    the second is the Taylor remainder of the Euler step, a cosine series
+    whose mode-wise coefficients are closed forms (scales like dt^2).
     """
     series = u0.series
     t = n * dt
     eps1 = dt * norm_l2(l_delta(series.solution(t), g))
-    w = series.weights(t)
-    p = np.arange(w.size)
-    mu = (p * math.pi / series.L) ** 2
-    coeff = w * mu ** 2 * np.array([_phi(m * dt) for m in mu]) * dt ** 2
-    field_vals = np.zeros(g.J)
-    x = g.nodes()
-    for pp in range(1, w.size):
-        if coeff[pp] != 0.0:
-            field_vals += coeff[pp] * math.sqrt(2.0) * np.cos(pp * math.pi * x / series.L)
-    eps2 = norm_l2(Field1D(g, field_vals))
+    mu = series.rates()
+    coeff = series.weights(t) * mu ** 2 * np.array([_phi(m * dt) for m in mu]) * dt ** 2
+    remainder = CosineSeries(series.L, coeff).solution(0.0, 0)
+    eps2 = norm_l2(Field1D(g, remainder(g.nodes())))
     return eps1, eps2
+
+
+@dataclass(frozen=True)
+class WorstCase:
+    """The figure of one bound that came closest to failing, where it
+    occurred, and whether the bound holds there."""
+
+    value: float
+    where: tuple
+    ok: bool
 
 
 # Cap on the weighted double-step sum below, calibrated by a brute-force sweep
 # over dt in [1e-4, 1), p in {1..8}, n up to 8000 (observed maxima: 0.71 for
 # L=1, 0.88 for L=2); valid for L <= 2.
 CONVOLUTION_CAP = 1.0
-
-
-@dataclass(frozen=True)
-class ConvolutionReport:
-    max_value: float
-    cap: float
-    ok: bool
-    worst: tuple
 
 
 def convolution_value(L: float, dt: float, p: int, n: int) -> float:
@@ -302,9 +300,9 @@ def convolution_value(L: float, dt: float, p: int, n: int) -> float:
 
 def convolution_bound_check(L: float, dt_samples: Sequence[float],
                             p_samples: Sequence[int],
-                            n_samples: Sequence[int]) -> ConvolutionReport:
-    """Evaluate the double-step sum over the sample set and compare against
-    the calibrated uniform cap."""
+                            n_samples: Sequence[int]) -> WorstCase:
+    """Evaluate the double-step sum over the sample set; the worst value, at
+    (dt, p, n), holds when it is within the calibrated uniform cap."""
     if L > 2.0:
         raise ValueError("cap calibrated for L <= 2 only")
     worst = (0.0, None)
@@ -316,8 +314,7 @@ def convolution_bound_check(L: float, dt_samples: Sequence[float],
                 v = convolution_value(L, dt, p, n)
                 if v > worst[0]:
                     worst = (v, (dt, p, n))
-    return ConvolutionReport(worst[0], CONVOLUTION_CAP,
-                             worst[0] <= CONVOLUTION_CAP, worst[1])
+    return WorstCase(worst[0], worst[1], worst[0] <= CONVOLUTION_CAP)
 
 
 @dataclass(frozen=True)
@@ -342,20 +339,14 @@ def h1_constant() -> H1Function:
     return H1Function(lambda x: np.ones_like(np.asarray(x, dtype=float)), 1.0, "1")
 
 
-@dataclass(frozen=True)
-class QuadratureInequalityReport:
-    max_ratio: float
-    ok: bool
-    worst_J: int
-
-
 def quadrature_inequality_check(v: H1Function, J_sweep: Sequence[int],
-                                L: float) -> QuadratureInequalityReport:
+                                L: float) -> WorstCase:
     """Check the sampling inequality
 
         ||sampled v||^2 <= ((J-1)/J) * 2 * (1 + dx) * ||v||_{H^1}^2
 
-    for every grid in the sweep."""
+    for every grid in the sweep; the worst lhs/rhs ratio, at (J, v.label),
+    holds when it is <= 1."""
     worst = (0.0, 0)
     for J in J_sweep:
         g = Grid1D(J, L)
@@ -364,17 +355,7 @@ def quadrature_inequality_check(v: H1Function, J_sweep: Sequence[int],
         ratio = lhs / rhs
         if ratio > worst[0]:
             worst = (ratio, J)
-    return QuadratureInequalityReport(worst[0], worst[0] <= 1.0, worst[1])
-
-
-@dataclass(frozen=True)
-class WorstCase:
-    """The figure of one bound that came closest to failing, where it
-    occurred, and whether the bound holds there."""
-
-    value: float
-    where: tuple
-    ok: bool
+    return WorstCase(worst[0], (worst[1], v.label), worst[0] <= 1.0)
 
 
 def bound_sweep(J_list: Sequence[int], cfls: Sequence[float] = (0.5, 0.25, 0.1),
@@ -408,7 +389,7 @@ def bound_sweep(J_list: Sequence[int], cfls: Sequence[float] = (0.5, 0.25, 0.1),
                 keep("kernel", value / bound, (J, c, m))
     for h1 in (h1_constant(), h1_linear(L), h1_cosine_mode(1, L)):
         rep = quadrature_inequality_check(h1, J_list, L)
-        keep("quadrature", rep.max_ratio, (rep.worst_J, h1.label))
+        keep("quadrature", rep.value, rep.where)
     return {name: WorstCase(v, where, v >= 0.0 if name == "amplification" else v <= 1.0)
             for name, (v, where) in worst.items()}
 

@@ -31,7 +31,7 @@ from .grid import Field1D, Grid1D, Grid2D, ones
 __all__ = [
     "NeumannLaplacian1D", "laplacian", "EigenPair", "eigenvalue", "eigenvalues",
     "eigenvector", "eigenpair", "eta", "cfl_ok", "cfl2d", "require_stable",
-    "amplification_bound_check", "AmplificationReport",
+    "amplification_envelope", "amplification_bound_check", "AmplificationReport",
     "geometric_sum", "eta_geometric_sum", "resolvent_power_sum",
     "heat_kernel_spectrum_sum",
 ]
@@ -174,12 +174,16 @@ class AmplificationReport:
         return int(self.margins.argmin())
 
 
+def amplification_envelope(g: Grid1D, dt: float) -> np.ndarray:
+    """exp(-(dt/dx^2) sin^2(l pi / J)) for l = 0..J-1: the per-mode bound on
+    |1 + dt*lambda_l| that holds under the stability restriction."""
+    return np.exp(-(dt / g.dx ** 2) * np.sin(np.arange(g.J) * np.pi / g.J) ** 2)
+
+
 def amplification_bound_check(g: Grid1D, dt: float) -> AmplificationReport:
-    """Check |1 + dt*lambda_l| <= exp(-(dt/dx^2) sin^2(l pi / J)) for all l."""
+    """Check |1 + dt*lambda_l| <= `amplification_envelope` for all l."""
     require_stable(g, dt)
-    lhs = np.abs(1.0 + dt * eigenvalues(g))
-    rhs = np.exp(-(dt / g.dx ** 2) * np.sin(np.arange(g.J) * np.pi / g.J) ** 2)
-    margins = rhs - lhs
+    margins = amplification_envelope(g, dt) - np.abs(1.0 + dt * eigenvalues(g))
     return AmplificationReport(g, dt, margins, bool(np.all(margins >= 0.0)))
 
 

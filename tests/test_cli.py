@@ -53,7 +53,7 @@ def test_homog_hat_two_rows(tmp_path):
     assert len(out.read_text().splitlines()) == 3
 
 
-def test_flag_errors_exit_2(capsys):
+def test_flag_errors_exit_2(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         run_cli("homog", "--datum", "nonsense", "--J", "17", "--t", "1")
     assert exc.value.code == 2
@@ -61,6 +61,17 @@ def test_flag_errors_exit_2(capsys):
     for t in ("inf", "-inf", "0.02,inf"):
         assert run_cli("homog", "--datum", "trigpoly", "--J", "17,33,65", f"--t={t}") == 2
         assert "checkpoints must be finite" in capsys.readouterr().err
+    # a ratio that is not a number is a usage error, not a CFL violation (exit 3)
+    cfgfile = tmp_path / "nan.cfg"
+    cfgfile.write_text(f"experiments=homog-trigpoly\nout_prefix={tmp_path / 'x'}\ncfl=nan\n")
+    for argv in (["homog", "--datum", "trigpoly", "--J", "17", "--t", "0.02", "--cfl=nan"],
+                 ["steady2d", "--case", "centered", "--J", "8", "--t", "0.1", "--cfl=nan"],
+                 ["homog", "--datum", "trigpoly", "--J", "17", "--t", "0.02", "--cfl=inf"],
+                 ["sweep", "--config", str(cfgfile)]):
+        assert run_cli(*argv) == 2
+        assert "cfl ratio must be finite" in capsys.readouterr().err
+    assert run_cli("bounds", "--J", "2..6", "--L=inf") == 2
+    assert "interval length must be positive and finite" in capsys.readouterr().err
 
 
 def test_cfl_violation_exit_3():
@@ -130,7 +141,8 @@ def test_spectra(capsys):
 
 
 def test_spectra_refuses_nonpositive_time_step(capsys):
-    for flag in (["--dt", "-1"], ["--dt", "0"], ["--cfl", "0"], ["--cfl", "-0.2"]):
+    for flag in (["--dt", "-1"], ["--dt", "0"], ["--cfl", "0"], ["--cfl", "-0.2"],
+                 ["--dt=inf"], ["--dt=nan"], ["--cfl=inf"]):
         assert run_cli("spectra", "--J", "4", *flag) == 2
         assert "time step must be positive" in capsys.readouterr().err
     # an unstable positive step is still reported, not refused

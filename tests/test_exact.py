@@ -6,9 +6,8 @@ import sympy as sp
 from scipy import integrate
 
 from neumannheat import (CosineSeries, SeriesTruncationError, companion_w,
-                         cosine_coefficients, cosine_mode, custom_datum,
-                         decay_envelope, gaussian_2d, hat_function, poly_bump,
-                         steady_1d, trig_poly)
+                         cosine_mode, custom_datum, decay_envelope, gaussian_2d,
+                         hat_function, poly_bump, steady_1d, trig_poly)
 
 from oracles import hat_solution_images, quad_cosine_coefficient
 
@@ -73,12 +72,12 @@ def test_trig_poly_plain_amplitudes():
 
 def test_poly_bump_coefficients():
     d = poly_bump()
-    assert d.coefficient_fn(0) == pytest.approx(1.0 / 30.0, rel=1e-15)
+    alpha = d.series.alpha
+    assert alpha[0] == pytest.approx(1.0 / 30.0, rel=1e-15)
     for p in range(1, 9):
         ref = quad_cosine_coefficient(lambda x: x ** 2 * (1 - x) ** 2, p, 1.0)
-        assert d.coefficient_fn(p) == pytest.approx(ref, abs=1e-13)
+        assert alpha[p] == pytest.approx(ref, abs=1e-13)
     # Parseval against the exact squared norm 1/630
-    alpha = d.series.alpha
     assert math.fsum(alpha * alpha) == pytest.approx(1.0 / 630.0, abs=1e-8)
     assert not d.smooth_compatible
 
@@ -90,12 +89,12 @@ def test_poly_bump_exact_at_zero():
 
 
 def test_hat_coefficients():
-    d = hat_function()  # width 1/50, L = 2
-    assert d.coefficient_fn(0) == pytest.approx(0.01, rel=1e-15)
+    alpha = hat_function().series.alpha  # width 1/50, L = 2
+    assert alpha[0] == pytest.approx(0.01, rel=1e-15)
     f = lambda x: max(1.0 - abs(1.0 - x) / 0.02, 0.0)
     for p in range(1, 9):
         ref = quad_cosine_coefficient(f, p, 2.0)
-        assert d.coefficient_fn(p) == pytest.approx(ref, abs=1e-12)
+        assert alpha[p] == pytest.approx(ref, abs=1e-12)
 
 
 def test_hat_series_vs_heat_kernel_images():
@@ -122,7 +121,7 @@ def test_custom_datum_quadrature():
                      L=1.0, p_max=6)
     for p in range(7):
         ref = quad_cosine_coefficient(math.exp, p, 1.0)
-        assert d.coefficient_fn(p) == pytest.approx(ref, abs=1e-11)
+        assert d.series.alpha[p] == pytest.approx(ref, abs=1e-11)
 
 
 def test_custom_datum_unreachable_tolerance():
@@ -132,13 +131,15 @@ def test_custom_datum_unreachable_tolerance():
 
 
 def test_cosine_coefficients_operation():
-    s = cosine_coefficients(poly_bump(), p_max=12)
+    # a factory's p_max sets the length of the one coefficient array
+    s = poly_bump(p_max=12).series
     assert s.p_max == 12
     assert s.alpha[0] == pytest.approx(1.0 / 30.0)
     assert s.alpha[3] == 0.0
-    # a finite series has exactly zero coefficients beyond its degree
-    s6 = cosine_coefficients(trig_poly(), p_max=40)
-    assert np.array_equal(s6.alpha[6:], np.zeros(35))
+    assert np.array_equal(poly_bump(p_max=40).series.alpha[:13], s.alpha)
+    # a finite series stores its degree and is exact: no tail beyond it
+    s5 = trig_poly().series
+    assert s5.p_max == 5 and s5.coef_bound is None and s5.tail_bound(0.0, 5) == 0.0
 
 
 def test_parseval_catalog():
@@ -150,8 +151,7 @@ def test_parseval_catalog():
     assert math.fsum(db.series.alpha ** 2) == pytest.approx(1.0 / 630.0, abs=1e-8)
     # hat: ||u0||^2 = (1/L) * 2 width / 3 = 1/150; slow 1/p^2 decay needs a
     # long coefficient tail
-    dh = hat_function()
-    alpha = np.array([dh.coefficient_fn(p) for p in range(6001)])
+    alpha = hat_function(p_max=6000).series.alpha
     assert math.fsum(alpha * alpha) == pytest.approx(1.0 / 150.0, abs=1e-8)
 
 

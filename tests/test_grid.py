@@ -26,6 +26,13 @@ def test_grid_degenerate_and_invalid():
         Grid1D(1, 1.0)
     with pytest.raises(ValueError):
         Grid1D(4, 0.0)
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="positive and finite"):
+            Grid1D(5, bad)
+        with pytest.raises(ValueError, match="positive and finite"):
+            Grid2D(5, 5, bad, 1.0)
+        with pytest.raises(ValueError, match="positive and finite"):
+            Grid2D(5, 5, 1.0, bad)
 
 
 def test_field_validation():

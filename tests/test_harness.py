@@ -133,7 +133,8 @@ def test_convolution_regrouping_matches_double_loop():
 def test_convolution_bound_sweep():
     rep = convolution_bound_check(1.0, (0.1, 0.01, 0.001), (1, 2, 4), (10, 100, 1000))
     assert rep.ok
-    assert rep.max_value <= CONVOLUTION_CAP
+    assert rep.value <= CONVOLUTION_CAP
+    assert rep.value == convolution_value(1.0, *rep.where)
     rep2 = convolution_bound_check(2.0, (0.1, 0.01, 0.5, 0.9), (1, 2), (2, 10, 500, 2000))
     assert rep2.ok
     with pytest.raises(ValueError):
@@ -148,6 +149,7 @@ def test_quadrature_inequality():
     assert quadrature_inequality_check(h1_linear(1.0), sweep, 1.0).ok
     rep = quadrature_inequality_check(h1_cosine_mode(1, 1.0), sweep, 1.0)
     assert rep.ok
+    assert rep.where[1] == "cos mode 1" and rep.where[0] in sweep
     # forged norm must fail: claim a much smaller H^1 norm than the truth
     fake = H1Function(h1_cosine_mode(1, 1.0).fn, 0.1, "forged")
     assert not quadrature_inequality_check(fake, sweep, 1.0).ok
@@ -219,7 +221,7 @@ def test_bound_sweep_reports_worst_case_and_location():
     assert worst["amplification"].value == first_min[0]
     assert worst["amplification"].where[:2] == first_min[1:]
     quad = quadrature_inequality_check(h1_linear(1.0), Js, 1.0)
-    assert worst["quadrature"].value >= quad.max_ratio
+    assert worst["quadrature"].value >= quad.value
 
 
 def test_csv_text_matches_emit_csv(tmp_path):
