@@ -1,16 +1,16 @@
 """Finite-difference laboratory for the heat equation with Neumann boundary
-conditions: explicit Euler schemes in 1D/2D, closed-form spectral analysis of
-the discrete Laplacian, steady-state solvers for the singular pure-Neumann
-problem, and a convergence-order harness."""
+conditions: explicit Euler schemes on grids of any number of axes, closed-form
+spectral analysis of the discrete Laplacian, steady-state solvers for the
+singular pure-Neumann problem, and a convergence-order harness."""
 
 from .errors import (CflViolationError, GridMismatchError,
                      IncompatibleProblemError, InstabilityError,
                      QuadratureError, SeriesTruncationError)
-from .grid import (Field1D, Field2D, Grid1D, Grid2D, inner, inner2d, mean,
-                   mean2d, norm2d, norm_l2, ones, ones2d, project, project2d)
-from .spectral import (NeumannLaplacian1D, amplification_bound_check, cfl_ok,
-                       eigenpair, eigenvalue, eigenvalues, eigenvector, eta,
-                       eta_geometric_sum, heat_kernel_spectrum_sum,
+from .grid import (Field, Field1D, Field2D, Grid, Grid1D, Grid2D, inner, mean,
+                   mean2d, norm2d, norm_l2, ones, project, project2d)
+from .spectral import (NeumannLaplacian1D, amplification_bound_check, cfl2d,
+                       cfl_ok, eigenpair, eigenvalue, eigenvalues, eigenvector,
+                       eta, eta_geometric_sum, heat_kernel_spectrum_sum,
                        resolvent_power_sum)
 from .exact import (CosineSeries, Gaussian2DProblem, InitialDatum,
                     SmoothFunction, SteadyState1D, companion_w, cosine_mode,
@@ -20,8 +20,7 @@ from .consistency import l1, l2, l_delta, split_defect
 from .scheme1d import (Checkpoint, DiscreteRHS, NonhomogProblem, RunState,
                        build_rhs, check_compatibility, new_run, propagate, run_to,
                        solve_steady_iterative, solve_steady_laplace, step)
-from .scheme2d import (Problem2D, apply2d, build_rhs2d, cfl2d, run2d_to,
-                       solve_steady_2d)
+from .scheme2d import Problem2D, build_rhs2d, run2d_to, solve_steady_2d
 from .harness import (ErrorRecord, ExperimentConfig, SlopeFit, bound_sweep,
                       convolution_bound_check, default_config, emit_csv,
                       epsilon_diagnostics, estimate_slope,

@@ -24,7 +24,7 @@ import numpy as np
 from . import harness, scheme1d, spectral
 from .errors import CflViolationError, IncompatibleProblemError
 from .exact import steady_1d
-from .grid import Field1D, Grid1D, mean, norm_l2, project
+from .grid import Field, Grid1D, mean, norm_l2, project
 
 EXIT_OK = 0
 EXIT_BOUND_FAIL = 1
@@ -165,7 +165,7 @@ def cmd_steady1d(args) -> int:
             v = scheme1d.solve_steady_laplace(problem, g, args.s)
             rhs = scheme1d.build_rhs(problem, g)
             op = spectral.NeumannLaplacian1D(g)
-            resid = norm_l2(Field1D(g, args.s * v.values
+            resid = norm_l2(Field(g, args.s * v.values
                                     - op.apply(v).values - rhs.b.values))
             line = (f"steady1d J={J} solver=laplace s={args.s:g} "
                     f"residual={resid:.3e} mean={mean(v):.12g}")
@@ -173,7 +173,7 @@ def cmd_steady1d(args) -> int:
         else:
             dt = args.cfl * g.dx ** 2
             target_mean = ss.mean_value if ss is not None else 0.0
-            v0 = Field1D(g, np.full(J, target_mean))
+            v0 = Field(g, np.full(J, target_mean))
             res = scheme1d.solve_steady_iterative(problem, g, dt, v0, tol=args.tol)
             line = (f"steady1d J={J} solver=iterate tol={args.tol:g} "
                     f"iterations={res.iterations} residual={res.residual:.3e} "
@@ -181,7 +181,7 @@ def cmd_steady1d(args) -> int:
             sol = res.field
         if ss is not None:
             exact = project(g, ss.solution)
-            err = norm_l2(Field1D(g, exact.values - (
+            err = norm_l2(Field(g, exact.values - (
                 sol.values + (mean(exact) - mean(sol)))))
             line += f" err_vs_exact={err:.6e}"
         print(line)

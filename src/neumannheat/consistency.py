@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from .exact import SmoothFunction
-from .grid import Field1D, Grid1D
+from .grid import Field, Grid
 from .spectral import laplacian
 
 __all__ = ["l_delta", "l1", "l2", "embed_boundary", "split_defect"]
@@ -32,14 +32,14 @@ _GX = 0.5 * (_GX + 1.0)
 _GW = 0.5 * _GW
 
 
-def l_delta(w: SmoothFunction, g: Grid1D) -> Field1D:
+def l_delta(w: SmoothFunction, g: Grid) -> Field:
     """Full defect: sampled second derivative minus the discrete Laplacian of
     the sampled function."""
     x = g.nodes()
-    return Field1D(g, w.deriv(2, x) - laplacian(w(x), g.spacings))
+    return Field(g, w.deriv(2, x) - laplacian(w(x), g.spacings))
 
 
-def l1(w: SmoothFunction, g: Grid1D) -> tuple[float, float]:
+def l1(w: SmoothFunction, g: Grid) -> tuple[float, float]:
     """The two boundary entries of the defect's order-one part."""
     dx = g.dx
     x_last = g.L
@@ -50,7 +50,7 @@ def l1(w: SmoothFunction, g: Grid1D) -> tuple[float, float]:
     return left, right
 
 
-def l2(w: SmoothFunction, g: Grid1D) -> Field1D:
+def l2(w: SmoothFunction, g: Grid) -> Field:
     """Interior part of the defect (zero at both end rows); the full defect at
     an interior node equals dx^2 times this entry."""
     dx = g.dx
@@ -62,17 +62,17 @@ def l2(w: SmoothFunction, g: Grid1D) -> Field1D:
         minus = w.deriv(4, xj[:, None] - _GX[None, :] * dx)
         weights = _GW * (1.0 - _GX) ** 3
         out[1:-1] = -(plus + minus) @ weights / 6.0
-    return Field1D(g, out)
+    return Field(g, out)
 
 
-def embed_boundary(pair: tuple[float, float], g: Grid1D) -> Field1D:
+def embed_boundary(pair: tuple[float, float], g: Grid) -> Field:
     """Place the two boundary defect values into a full-length field."""
     out = np.zeros(g.J)
     out[0], out[-1] = pair
-    return Field1D(g, out)
+    return Field(g, out)
 
 
-def split_defect(w: SmoothFunction, g: Grid1D) -> tuple[Field1D, Field1D]:
+def split_defect(w: SmoothFunction, g: Grid) -> tuple[Field, Field]:
     """(boundary part, interior part); their weighted sum reconstructs
     l_delta(w) when w has zero end slopes."""
     return embed_boundary(l1(w, g), g), l2(w, g)

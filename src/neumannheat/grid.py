@@ -1,13 +1,20 @@
-"""Uniform node-centered grids and the discrete geometry built on them.
+"""Uniform node-centered grids on a box of any number of axes, and the discrete
+geometry built on them.
 
-The 1D grid places J nodes x_j = j*dx, j = 0..J-1, with dx = L/(J-1), so the
-first and last nodes sit exactly on the interval ends.  All discrete norms use
-the scaled inner product <v, w> = (1/J) * sum_j v_j w_j; sums are accumulated
-with compensated (exact) summation so results are bit-stable across runs.
+Along each axis a grid places J nodes x_j = j*h, j = 0..J-1, with h = L/(J-1),
+so the first and last nodes sit exactly on the interval ends.  Shapes, lengths
+and spacings are listed in array-axis order with x last, so a field's
+values[..., iy, ix] is v(x_ix, y_iy, ...).  `Grid1D(J, L)` and
+`Grid2D(Jx, Jy, Lx, Ly)` build the one- and two-axis grids.
+
+All discrete norms use the scaled inner product <v, w> = (1/N) * sum v w over
+the N nodes; sums are accumulated with compensated (exact) summation so results
+are bit-stable across runs.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -17,39 +24,63 @@ import numpy as np
 from .errors import GridMismatchError
 
 __all__ = [
-    "Grid1D", "Field1D", "Grid2D", "Field2D",
+    "Grid", "Field", "Grid1D", "Field1D", "Grid2D", "Field2D", "check_grid",
     "inner", "mean", "norm_l2", "project", "ones",
-    "inner2d", "mean2d", "norm2d", "project2d", "ones2d",
+    "mean2d", "norm2d", "project2d",
 ]
 
 
 @dataclass(frozen=True)
-class Grid1D:
-    """J equispaced nodes on [0, L], endpoints included."""
+class Grid:
+    """Equispaced nodes on a box, endpoints included; ``shape``, ``lengths``
+    and the derived ``spacings`` are in array-axis order, x last."""
 
-    J: int
-    L: float
+    shape: tuple
+    lengths: tuple
+    spacings: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.J < 2:
-            raise ValueError(f"need at least 2 nodes, got J={self.J}")
-        if not 0 < self.L < math.inf:
-            raise ValueError(f"interval length must be positive and finite, got L={self.L}")
+        shape, lengths = tuple(self.shape), tuple(self.lengths)
+        if not shape or len(shape) != len(lengths):
+            raise ValueError(f"need one length per axis, got shape {shape}, lengths {lengths}")
+        if min(shape) < 2:
+            raise ValueError(f"need at least 2 nodes per axis, got shape {shape}")
+        if not all([0 < L < math.inf for L in lengths]):
+            raise ValueError(
+                f"every interval length must be positive and finite, got {lengths}")
+        object.__setattr__(self, "shape", shape)
+        object.__setattr__(self, "lengths", lengths)
+        object.__setattr__(self, "spacings",
+                           tuple([L / (J - 1) for J, L in zip(shape, lengths)]))
+
+    # the x axis is the last array axis, y the one before it
+    Jx = property(lambda g: g.shape[-1])
+    Lx = property(lambda g: g.lengths[-1])
+    dx = property(lambda g: g.spacings[-1])
+    Jy = property(lambda g: g.shape[-2])
+    Ly = property(lambda g: g.lengths[-2])
+    dy = property(lambda g: g.spacings[-2])
+
+    # J and L are the node count and length of a one-axis grid; the 1D
+    # spectral formulas read them, so other grids refuse them
+    @property
+    def J(self) -> int:
+        (J,) = self.shape
+        return J
 
     @property
-    def dx(self) -> float:
-        return self.L / (self.J - 1)
-
-    @property
-    def shape(self) -> tuple:
-        return (self.J,)
-
-    @property
-    def spacings(self) -> tuple:
-        return (self.dx,)
+    def L(self) -> float:
+        (L,) = self.lengths
+        return L
 
     def nodes(self) -> np.ndarray:
-        return np.arange(self.J) * self.dx
+        """The x coordinates of the nodes."""
+        return np.arange(self.Jx) * self.dx
+
+    nodes_x = nodes
+
+    def nodes_y(self) -> np.ndarray:
+        return np.arange(self.Jy) * self.dy
 
     def node(self, j: int) -> float:
         if not 0 <= j < self.J:
@@ -57,12 +88,22 @@ class Grid1D:
         return j * self.dx
 
 
-@dataclass(eq=False)
-class Field1D:
-    """Nodal values of a real function on a Grid1D (and, as `Field2D`, on a
-    Grid2D); the values array has the grid's shape."""
+def Grid1D(J: int, L: float) -> Grid:
+    """J nodes on [0, L]."""
+    return Grid((J,), (L,))
 
-    grid: Grid1D
+
+def Grid2D(Jx: int, Jy: int, Lx: float, Ly: float) -> Grid:
+    """Jx*Jy nodes on [0, Lx] x [0, Ly]; fields are stored as values[iy, ix]."""
+    return Grid((Jy, Jx), (Ly, Lx))
+
+
+@dataclass(eq=False)
+class Field:
+    """Nodal values of a real function on a grid; the values array has the
+    grid's shape."""
+
+    grid: Grid
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
@@ -73,113 +114,50 @@ class Field1D:
         if not np.all(np.isfinite(self.values)):
             raise ValueError("field contains non-finite entries")
 
-    def copy(self):
-        return type(self)(self.grid, self.values.copy())
+
+Field1D = Field2D = Field
 
 
-def _same_grid(v: Field1D, w: Field1D) -> None:
-    if v.grid != w.grid:
-        raise GridMismatchError(f"fields on different grids: {v.grid} vs {w.grid}")
+def check_grid(g: Grid, *fields: Field) -> None:
+    """Raise GridMismatchError unless every field lives on ``g``."""
+    for v in fields:
+        if v.grid != g:
+            raise GridMismatchError(f"field on {v.grid} does not live on {g}")
 
 
-def inner(v: Field1D, w: Field1D) -> float:
-    """Scaled inner product (1/J) sum_j v_j w_j, exactly rounded; J counts
-    all nodes, so it serves 2D fields as well."""
-    _same_grid(v, w)
+def inner(v: Field, w: Field) -> float:
+    """Scaled inner product (1/N) sum v w over the N nodes, exactly rounded."""
+    check_grid(v.grid, w)
     return math.fsum((v.values * w.values).ravel()) / v.values.size
 
 
-def mean(v: Field1D) -> float:
-    """Discrete mean value (1/J) sum_j v_j (same summation as `inner`, so it
-    serves 2D fields as well)."""
+def mean(v: Field) -> float:
+    """Discrete mean value (1/N) sum v (the summation of `inner`)."""
     return math.fsum(v.values.ravel()) / v.values.size
 
 
-def norm_l2(v: Field1D) -> float:
+def norm_l2(v: Field) -> float:
     return math.sqrt(inner(v, v))
 
 
-def ones(g: Grid1D) -> Field1D:
-    return Field1D(g, np.ones(g.J))
+def ones(g: Grid) -> Field:
+    return Field(g, np.ones(g.shape))
 
 
-def project(g: Grid1D, w: Callable) -> Field1D:
-    """Sample a function at the grid nodes: (project w)_j = w(x_j)."""
-    x = g.nodes()
-    vals = np.asarray(w(x), dtype=float)
-    if vals.shape != x.shape:
-        # scalar-only callable
-        vals = np.array([float(w(xj)) for xj in x])
-    return Field1D(g, vals)
+def project(g: Grid, f: Callable) -> Field:
+    """Sample f at the grid nodes, x first: (project f)[..., iy, ix] =
+    f(x_ix, y_iy, ...).  f gets one coordinate array per axis, each shaped to
+    broadcast against the others: the k-th axis from the end (x is the 0th)
+    has k trailing unit axes."""
+    coords = [(np.arange(J) * h).reshape((J,) + (1,) * k)
+              for k, (J, h) in enumerate(zip(g.shape[::-1], g.spacings[::-1]))]
+    vals = np.asarray(f(*coords), dtype=float)
+    if vals.shape != g.shape:
+        # a scalar-only callable, or one that ignores an axis: node by node
+        nodes = itertools.product(*[c.ravel() for c in reversed(coords)])
+        vals = np.array([float(f(*reversed(node))) for node in nodes])
+    return Field(g, vals.reshape(g.shape))
 
 
-@dataclass(frozen=True)
-class Grid2D:
-    """Tensor lattice of Jx*Jy nodes on [0, Lx] x [0, Ly]."""
-
-    Jx: int
-    Jy: int
-    Lx: float
-    Ly: float
-
-    def __post_init__(self):
-        if self.Jx < 2 or self.Jy < 2:
-            raise ValueError(f"need at least 2 nodes per direction, got {self.Jx}x{self.Jy}")
-        if not (0 < self.Lx < math.inf and 0 < self.Ly < math.inf):
-            raise ValueError("side lengths must be positive and finite")
-
-    @property
-    def dx(self) -> float:
-        return self.Lx / (self.Jx - 1)
-
-    @property
-    def dy(self) -> float:
-        return self.Ly / (self.Jy - 1)
-
-    @property
-    def shape(self) -> tuple:
-        """Array shape of a field, (Jy, Jx), matching values[iy, ix]."""
-        return (self.Jy, self.Jx)
-
-    @property
-    def spacings(self) -> tuple:
-        """Node spacing per array axis: (dy, dx)."""
-        return (self.dy, self.dx)
-
-    def nodes_x(self) -> np.ndarray:
-        return np.arange(self.Jx) * self.dx
-
-    def nodes_y(self) -> np.ndarray:
-        return np.arange(self.Jy) * self.dy
-
-    def mesh(self):
-        """(X, Y) arrays of shape (Jy, Jx); the x index varies fastest in memory."""
-        return np.meshgrid(self.nodes_x(), self.nodes_y())
-
-
-class Field2D(Field1D):
-    """Nodal values on a Grid2D, stored as values[iy, ix] = v(x_ix, y_iy)."""
-
-
-inner2d = inner
-
-
-def mean2d(v: Field2D) -> float:
-    return math.fsum(v.values.ravel()) / (v.grid.Jx * v.grid.Jy)
-
-
-def norm2d(v: Field2D) -> float:
-    return math.sqrt(inner2d(v, v))
-
-
-def ones2d(g: Grid2D) -> Field2D:
-    return Field2D(g, np.ones((g.Jy, g.Jx)))
-
-
-def project2d(g: Grid2D, f: Callable) -> Field2D:
-    """Sample f(x, y) at the tensor lattice."""
-    X, Y = g.mesh()
-    vals = np.asarray(f(X, Y), dtype=float)
-    if vals.shape != X.shape:
-        vals = np.array([[float(f(x, y)) for x in g.nodes_x()] for y in g.nodes_y()])
-    return Field2D(g, vals)
+# the two-axis names that bench/ reads; ROADMAP item 4 removes them
+mean2d, norm2d, project2d = mean, norm_l2, project

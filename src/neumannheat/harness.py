@@ -37,8 +37,7 @@ from .consistency import l_delta
 from .errors import CflViolationError
 from .exact import (CosineSeries, InitialDatum, companion_w, cosine_mode,
                     gaussian_2d, hat_function, poly_bump, steady_1d, trig_poly)
-from .grid import (Field1D, Field2D, Grid1D, mean, mean2d, norm2d, norm_l2,
-                   project, project2d)
+from .grid import Field, Grid, Grid1D, mean, norm_l2, project
 
 __all__ = [
     "ExperimentConfig", "ErrorRecord", "SlopeFit", "EXPERIMENTS",
@@ -111,7 +110,7 @@ class ErrorRecord:
 
 
 def _study(cfg: ExperimentConfig, J: int, st, error) -> list[ErrorRecord]:
-    """Carry the 1D or 2D run ``st`` to the configured checkpoints with
+    """Carry the run ``st`` to the configured checkpoints with
     `scheme1d.propagate` (the step counts and times of `run_to`, without
     stepping); ``error(cp)`` gives (abs_err, rel_err)."""
     t0 = time.perf_counter()
@@ -130,11 +129,11 @@ def _run_homog(cfg: ExperimentConfig, J: int,
         normalizer = norm_l2(v0)
     else:  # relative-to-initial-fluctuation
         m = mean(v0)
-        normalizer = norm_l2(Field1D(g, v0.values - m))
+        normalizer = norm_l2(Field(g, v0.values - m))
 
     def error(cp):
         exact = datum.series.evaluate(cp.t_realized, g.nodes())
-        err = norm_l2(Field1D(g, exact - cp.field.values))
+        err = norm_l2(Field(g, exact - cp.field.values))
         return err, err / normalizer
     return _study(cfg, J, scheme1d.new_run(g, dt, v0), error)
 
@@ -150,14 +149,14 @@ def _run_steady1d(cfg: ExperimentConfig, J: int, datum: str) -> list[ErrorRecord
     normalizer = norm_l2(target)
     if datum == "w":
         w = companion_w(ss.beta, ss.gamma, ss.L)
-        v0 = Field1D(g, ss.mean_value + w(g.nodes()))
+        v0 = Field(g, ss.mean_value + w(g.nodes()))
     else:
         # constant datum at the only mean the discrete dynamics can hold:
         # the discrete mean of the sampled steady state
-        v0 = Field1D(g, np.full(J, mean(target)))
+        v0 = Field(g, np.full(J, mean(target)))
 
     def error(cp):
-        err = norm_l2(Field1D(g, target.values - cp.field.values))
+        err = norm_l2(Field(g, target.values - cp.field.values))
         return err, err / normalizer
     return _study(cfg, J, scheme1d.new_run(g, dt, v0, rhs), error)
 
@@ -165,17 +164,17 @@ def _run_steady1d(cfg: ExperimentConfig, J: int, datum: str) -> list[ErrorRecord
 def _run_steady2d(cfg: ExperimentConfig, J: int, gaussian: dict) -> list[ErrorRecord]:
     case = gaussian_2d(**gaussian)
     g = scheme2d.grid_for(J, case.Lx, case.Ly)
-    dt = cfg.cfl / (1.0 / g.dx ** 2 + 1.0 / g.dy ** 2)
+    dt = cfg.cfl / sum(1.0 / h ** 2 for h in g.spacings)
     problem = scheme2d.Problem2D(case.f, case.g1, case.g2, case.Lx, case.Ly)
     rhs = scheme2d.build_rhs2d(problem, g)
-    target = project2d(g, case.u_inf)
-    target_mean = mean2d(target)
-    v0 = Field2D(g, np.zeros((g.Jy, g.Jx)))
+    target = project(g, case.u_inf)
+    target_mean = mean(target)
+    v0 = Field(g, np.zeros(g.shape))
 
     def error(cp):
         # match the free constant before comparing
-        shifted = cp.field.values + (target_mean - mean2d(cp.field))
-        err = norm2d(Field2D(g, target.values - shifted))
+        shifted = cp.field.values + (target_mean - mean(cp.field))
+        err = norm_l2(Field(g, target.values - shifted))
         return err, err
     return _study(cfg, J, scheme1d.new_run(g, dt, v0, rhs), error)
 
@@ -248,7 +247,7 @@ def _phi(a: float) -> float:
     return (a + math.expm1(-a)) / (a * a)
 
 
-def epsilon_diagnostics(u0: InitialDatum, g: Grid1D, dt: float, n: int) -> tuple[float, float]:
+def epsilon_diagnostics(u0: InitialDatum, g: Grid, dt: float, n: int) -> tuple[float, float]:
     """Norms of the two one-step defect terms at step n.
 
     The first is dt times the stencil defect of the exact solution at time
@@ -262,7 +261,7 @@ def epsilon_diagnostics(u0: InitialDatum, g: Grid1D, dt: float, n: int) -> tuple
     mu = series.rates()
     coeff = series.weights(t) * mu ** 2 * np.array([_phi(m * dt) for m in mu]) * dt ** 2
     remainder = CosineSeries(series.L, coeff).solution(0.0, 0)
-    eps2 = norm_l2(Field1D(g, remainder(g.nodes())))
+    eps2 = norm_l2(Field(g, remainder(g.nodes())))
     return eps1, eps2
 
 

@@ -9,8 +9,8 @@ the unique steady state with the initial datum's mean.  For an unbalanced b
 the mean drifts at exactly the rate mean(b).
 
 The run machinery (`RunState`, `run_to`, the residual and the steady loop) is
-shared with `scheme2d`: it works on 1D and 2D fields alike, and steps with the
-one numpy loop of `_kernels`, which takes arrays of any number of axes.
+shared with `scheme2d`: it works on grids of any number of axes, and steps with
+the one numpy loop of `_kernels`.
 `propagate` reaches the same checkpoints by one DCT-II transform pair; the
 steady loop jumps to its exact-arithmetic count and advances each checked block
 the same way.  `step` and `run_to` are the reference both are tested against.
@@ -30,7 +30,7 @@ from scipy.linalg.lapack import dptsv
 
 from . import _kernels
 from .errors import IncompatibleProblemError, InstabilityError, QuadratureError
-from .grid import Field1D, Field2D, Grid1D, Grid2D, mean, project
+from .grid import Field, Grid, check_grid, mean, project
 from .spectral import eigenvalues, geometric_sum, laplacian, require_stable
 
 __all__ = [
@@ -68,7 +68,7 @@ class NonhomogProblem:
 class DiscreteRHS:
     """Assembled forcing vector b and the uniform correction r folded into it."""
 
-    b: Field1D | Field2D
+    b: Field
     r: float
 
 
@@ -78,7 +78,7 @@ def check_compatibility(p: NonhomogProblem) -> float:
     return p.gamma - p.beta + p.source_integral()
 
 
-def build_rhs(p: NonhomogProblem, g: Grid1D) -> DiscreteRHS:
+def build_rhs(p: NonhomogProblem, g: Grid) -> DiscreteRHS:
     """b = sampled f + end-flux terms + r * 1, with r chosen so that the
     discrete mean of b vanishes exactly when the problem balances:
 
@@ -89,15 +89,15 @@ def build_rhs(p: NonhomogProblem, g: Grid1D) -> DiscreteRHS:
     b = fx + r
     b[0] -= p.beta / g.dx
     b[-1] += p.gamma / g.dx
-    return DiscreteRHS(Field1D(g, b), r)
+    return DiscreteRHS(Field(g, b), r)
 
 
 @dataclass
 class RunState:
-    """One explicit Euler trajectory on a 1D or 2D grid; mutated in place by
-    `step` and `run_to`."""
+    """One explicit Euler trajectory on a grid; mutated in place by `step` and
+    `run_to`."""
 
-    grid: Grid1D | Grid2D
+    grid: Grid
     dt: float
     n: int
     values: np.ndarray = field(repr=False)
@@ -109,17 +109,14 @@ class RunState:
         return self.n * self.dt
 
     @property
-    def field(self) -> Field1D | Field2D:
-        return (Field2D if self.values.ndim == 2 else Field1D)(self.grid, self.values.copy())
+    def field(self) -> Field:
+        return Field(self.grid, self.values.copy())
 
 
-def new_run(g: Grid1D | Grid2D, dt: float, v0, rhs: Optional[DiscreteRHS] = None) -> RunState:
-    """Start a trajectory at v0; the time step must satisfy the grid's
-    stability rule (`cfl_ok` in 1D, `cfl2d` in 2D)."""
-    if v0.grid != g:
-        raise ValueError("initial field lives on a different grid")
-    if rhs is not None and rhs.b.grid != g:
-        raise ValueError("right-hand side lives on a different grid")
+def new_run(g: Grid, dt: float, v0: Field, rhs: Optional[DiscreteRHS] = None) -> RunState:
+    """Start a trajectory at v0; the time step must satisfy the stability rule
+    `spectral.cfl_ok`, and v0 and the right-hand side must live on g."""
+    check_grid(g, v0, *(() if rhs is None else (rhs.b,)))
     require_stable(g, dt)
     vals = v0.values.copy()
     return RunState(g, dt, 0, vals, rhs, math.fsum(vals.ravel()) / vals.size)
@@ -169,7 +166,7 @@ class Checkpoint:
     t_target: float
     t_realized: float
     n: int
-    field: Field1D | Field2D
+    field: Field
 
 
 def _run_checkpoints(st: RunState, checkpoints, advance=_advance_to) -> list[Checkpoint]:
@@ -200,7 +197,7 @@ def run_to(st: RunState, checkpoints) -> list[Checkpoint]:
 
 def propagate(st: RunState, checkpoints) -> list[Checkpoint]:
     """`run_to` by exact propagation instead of stepping: the same checkpoint
-    rules, step counts and records, on 1D and 2D runs alike; the values agree
+    rules, step counts and records, on any grid; the values agree
     with stepping to rounding."""
     return _run_checkpoints(st, checkpoints, _propagate_to)
 
@@ -209,7 +206,7 @@ def propagate(st: RunState, checkpoints) -> list[Checkpoint]:
 class SteadySolve:
     """``jumped``: the steps the closed-form first block advanced, 0 if none."""
 
-    field: Field1D | Field2D
+    field: Field
     iterations: int
     residual: float
     stop_reason: Literal["converged", "stagnated", "max_steps"]
@@ -282,7 +279,7 @@ def _iterate_to_steady(st: RunState, tol: float, max_steps: int) -> SteadySolve:
     return SteadySolve(st.field, st.n, res, reason, min(jumped, st.n))
 
 
-def _balanced_rhs(p: NonhomogProblem, g: Grid1D, consequence: str = "") -> DiscreteRHS:
+def _balanced_rhs(p: NonhomogProblem, g: Grid, consequence: str = "") -> DiscreteRHS:
     """`build_rhs`, rejecting a right-hand side whose discrete mean does not
     vanish: the problem then has no steady state."""
     rhs = build_rhs(p, g)
@@ -292,7 +289,7 @@ def _balanced_rhs(p: NonhomogProblem, g: Grid1D, consequence: str = "") -> Discr
     return rhs
 
 
-def solve_steady_iterative(p: NonhomogProblem, g: Grid1D, dt: float, v0: Field1D,
+def solve_steady_iterative(p: NonhomogProblem, g: Grid, dt: float, v0: Field,
                            tol: float = 1e-10, max_steps: int = 50_000_000) -> SteadySolve:
     """Run the Euler iteration until the residual ||A v + b||, checked every
     `CHECK_EVERY` steps, drops below ``tol``: to the exact-arithmetic count
@@ -306,7 +303,7 @@ def solve_steady_iterative(p: NonhomogProblem, g: Grid1D, dt: float, v0: Field1D
     return _iterate_to_steady(new_run(g, dt, v0, rhs), tol, max_steps)
 
 
-def solve_steady_laplace(p: NonhomogProblem, g: Grid1D, s: float) -> Field1D:
+def solve_steady_laplace(p: NonhomogProblem, g: Grid, s: float) -> Field:
     """Direct solve of the shifted system (s*Id - A) v = b.
 
     The shift makes the singular Neumann system definite; the solution has
@@ -325,7 +322,7 @@ def solve_steady_laplace(p: NonhomogProblem, g: Grid1D, s: float) -> Field1D:
     # the kernel direction amplifies the float residue of mean(b) by 1/s;
     # re-anchor it (this perturbs the residual by only s * mean(v) = mean(b))
     v -= math.fsum(v) / g.J
-    return Field1D(g, v)
+    return Field(g, v)
 
 
 def laplace_shift_gap_bound(s: float, b_norm: float, L: float) -> float:

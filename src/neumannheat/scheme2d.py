@@ -1,14 +1,14 @@
-"""Five-point Neumann Laplacian on a rectangle and the 2D explicit Euler
-steady-state iteration.
+"""The forced Neumann problem on a rectangle: its data, the flux/source
+balance, the discrete right-hand side and the steady-state iteration.
 
-The operator is the additive (Kronecker-sum) combination of the 1D stencil in
-each direction, so the constant field spans its kernel and the flux pattern of
-the 1D right-hand side applies per boundary face; corner nodes accumulate both
-face contributions.  Stability requires dt * (1/dx^2 + 1/dy^2) <= 1/2, which
-reduces to the 1D rule when one spacing becomes infinite.
+The operator is `spectral.laplacian`, the Kronecker sum of the 1D stencil over
+the axes of any grid, so the constant field spans its kernel and the flux
+pattern of the 1D right-hand side applies per boundary face; corner nodes
+accumulate both face contributions.  The stability rule is the one of every
+grid, `spectral.cfl_ok`: dt * (1/dx^2 + 1/dy^2) <= 1/2 here.
 
 Runs, checkpoints and the steady iteration are those of `scheme1d`, which
-works on 2D fields as well.
+work on grids of any number of axes.
 """
 
 from __future__ import annotations
@@ -20,13 +20,12 @@ from typing import Callable
 import numpy as np
 
 from .errors import IncompatibleProblemError
-from .grid import Field2D, Grid2D
+from .grid import Field, Grid, Grid2D, project
 from .scheme1d import (Checkpoint, DiscreteRHS, RunState, SteadySolve,
                        _iterate_to_steady, _run_checkpoints, new_run)
-from .spectral import cfl2d, laplacian
 
 __all__ = [
-    "Problem2D", "apply2d", "cfl2d", "build_rhs2d", "run2d_to", "solve_steady_2d",
+    "Problem2D", "build_rhs2d", "run2d_to", "solve_steady_2d",
     "balance_residual_2d", "grid_for",
 ]
 
@@ -68,24 +67,16 @@ def balance_residual_2d(p: Problem2D) -> float:
     return float(fint + flux)
 
 
-def grid_for(Jx: int, Lx: float, Ly: float) -> Grid2D:
+def grid_for(Jx: int, Lx: float, Ly: float) -> Grid:
     """Choose Jy so that dy matches dx as closely as the lattice allows."""
     Jy = round((Ly / Lx) * (Jx - 1)) + 1
     return Grid2D(Jx, Jy, Lx, Ly)
 
 
-def apply2d(g: Grid2D, v: Field2D) -> Field2D:
-    """Additive application of the 1D Neumann stencil along x and along y."""
-    if v.grid != g:
-        raise ValueError("field does not live on this grid")
-    return Field2D(g, laplacian(v.values, g.spacings))
-
-
-def build_rhs2d(p: Problem2D, g: Grid2D) -> DiscreteRHS:
+def build_rhs2d(p: Problem2D, g: Grid) -> DiscreteRHS:
     """Sampled source plus per-face flux terms, then a uniform shift r so the
     discrete mean vanishes exactly."""
-    X, Y = g.mesh()
-    b = np.asarray(p.f(X, Y), dtype=float).copy()
+    b = project(g, p.f).values.copy()
     x = g.nodes_x()
     y = g.nodes_y()
     b[:, 0] -= np.asarray(p.g1(0.0, y), dtype=float) / g.dx
@@ -94,7 +85,7 @@ def build_rhs2d(p: Problem2D, g: Grid2D) -> DiscreteRHS:
     b[-1, :] += np.asarray(p.g2(x, p.Ly), dtype=float) / g.dy
     r = -math.fsum(b.ravel()) / (g.Jx * g.Jy)
     b += r
-    return DiscreteRHS(Field2D(g, b), r)
+    return DiscreteRHS(Field(g, b), r)
 
 
 def run2d_to(st: RunState, checkpoints) -> list[Checkpoint]:
@@ -104,7 +95,7 @@ def run2d_to(st: RunState, checkpoints) -> list[Checkpoint]:
     return _run_checkpoints(st, checkpoints)
 
 
-def solve_steady_2d(p: Problem2D, g: Grid2D, dt: float, v0: Field2D,
+def solve_steady_2d(p: Problem2D, g: Grid, dt: float, v0: Field,
                     tol: float = 1e-10, max_steps: int = 50_000_000) -> SteadySolve:
     """Euler iteration v <- v + dt*(A v + b) down to residual ``tol``, by the
     loop of `scheme1d.solve_steady_iterative` (residual checked every 64

@@ -8,14 +8,15 @@ The operator acts matrix-free in O(J):
     (A v)_{J-1} = (v_{J-2} - v_{J-1}) / dx^2
 
 written once, in `second_difference`; `laplacian` and the stepping loop of
-`_kernels` apply it along every axis of an array of any dimension (the 2D
-operator is the Kronecker sum of the 1D ones).
+`_kernels` apply it along every axis of an array of any dimension (the
+operator on a grid of several axes is the Kronecker sum of the 1D ones).
 
 Its eigenvalues are lambda_l = -(4/dx^2) sin^2(l pi / (2J)), l = 0..J-1, with
 eigenvectors W_0 = 1 and (W_l)_j = sqrt(2) cos(l (j + 1/2) pi / J), an
 orthonormal family for the scaled inner product.  Eigenpairs always come from
 these closed forms, never from a numerical eigensolver.  The eigenvectors are
-the orthonormal DCT-II basis, in 1D and (per axis) in 2D.
+the orthonormal DCT-II basis, per axis on any number of axes, and one stability
+rule, `cfl_ok`, serves every grid.
 """
 
 from __future__ import annotations
@@ -25,8 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CflViolationError, GridMismatchError
-from .grid import Field1D, Grid1D, Grid2D, ones
+from .errors import CflViolationError
+from .grid import Field, Grid, check_grid, ones
 
 __all__ = [
     "NeumannLaplacian1D", "laplacian", "EigenPair", "eigenvalue", "eigenvalues",
@@ -41,12 +42,11 @@ __all__ = [
 class NeumannLaplacian1D:
     """Matrix-free second-difference operator with zero-flux boundary rows."""
 
-    grid: Grid1D
+    grid: Grid
 
-    def apply(self, v: Field1D) -> Field1D:
-        if v.grid != self.grid:
-            raise GridMismatchError("field does not live on the operator's grid")
-        return Field1D(self.grid, laplacian(v.values, self.grid.spacings))
+    def apply(self, v: Field) -> Field:
+        check_grid(self.grid, v)
+        return Field(self.grid, laplacian(v.values, self.grid.spacings))
 
 
 def axis_slices(ndim: int, axis: int) -> tuple:
@@ -85,24 +85,24 @@ def laplacian(u: np.ndarray, spacings) -> np.ndarray:
 class EigenPair:
     index: int
     eigenvalue: float
-    eigenvector: Field1D
+    eigenvector: Field
 
 
-def _check_index(g: Grid1D, ell: int) -> None:
+def _check_index(g: Grid, ell: int) -> None:
     if not 0 <= ell <= g.J - 1:
         raise IndexError(f"mode index {ell} out of range for J={g.J}")
 
 
-def eigenvalue(g: Grid1D, ell: int) -> float:
+def eigenvalue(g: Grid, ell: int) -> float:
     """lambda_ell = -(4/dx^2) sin^2(ell pi / (2J)); zero for ell = 0."""
     _check_index(g, ell)
     return -4.0 / g.dx ** 2 * math.sin(ell * math.pi / (2 * g.J)) ** 2
 
 
-def eigenvalues(g: Grid1D | Grid2D) -> np.ndarray:
+def eigenvalues(g: Grid) -> np.ndarray:
     """All eigenvalues of `laplacian` on the grid in DCT-II mode order, shaped
     like a field: lambda_l at [l] in 1D, the Kronecker sum
-    lambda_ly + lambda_lx at [ly, lx] in 2D."""
+    lambda_ly + lambda_lx at [ly, lx] in 2D, and so on per axis."""
     out = np.zeros(g.shape)
     for axis, (J, h) in enumerate(zip(g.shape, g.spacings)):
         lam = -4.0 / h ** 2 * np.sin(np.arange(J) * np.pi / (2 * J)) ** 2
@@ -110,41 +110,38 @@ def eigenvalues(g: Grid1D | Grid2D) -> np.ndarray:
     return out
 
 
-def eigenvector(g: Grid1D, ell: int) -> Field1D:
+def eigenvector(g: Grid, ell: int) -> Field:
     """Unit-norm eigenvector; the constant vector for ell = 0."""
     _check_index(g, ell)
     if ell == 0:
         return ones(g)
     j = np.arange(g.J)
-    return Field1D(g, math.sqrt(2.0) * np.cos(ell * (j + 0.5) * math.pi / g.J))
+    return Field(g, math.sqrt(2.0) * np.cos(ell * (j + 0.5) * math.pi / g.J))
 
 
-def eigenpair(g: Grid1D, ell: int) -> EigenPair:
+def eigenpair(g: Grid, ell: int) -> EigenPair:
     return EigenPair(ell, eigenvalue(g, ell), eigenvector(g, ell))
 
 
-def cfl_ok(g: Grid1D, dt: float) -> bool:
-    """Exact comparison dt/dx^2 <= 1/2, no tolerance."""
+def cfl_ok(g: Grid, dt: float) -> bool:
+    """Exact comparison dt * sum over the axes of 1/h^2 <= 1/2, no tolerance:
+    dt/dx^2 <= 1/2 in 1D (up to the rounding of 1/dx^2), and the 1D rule again
+    when all spacings but one become infinite."""
     if not dt > 0:
         raise ValueError(f"time step must be positive, got dt={dt}")
-    return dt / g.dx ** 2 <= 0.5
+    return dt * sum(1.0 / h ** 2 for h in g.spacings) <= 0.5
 
 
-def cfl2d(g: Grid2D, dt: float) -> bool:
-    """Exact comparison dt * (1/dx^2 + 1/dy^2) <= 1/2; reduces to the 1D rule
-    when one spacing becomes infinite."""
-    if not dt > 0:
-        raise ValueError(f"time step must be positive, got dt={dt}")
-    return dt * (1.0 / g.dx ** 2 + 1.0 / g.dy ** 2) <= 0.5
+cfl2d = cfl_ok  # the two-axis name; ROADMAP item 4 removes it with the grid aliases
 
 
-def require_stable(g: Grid1D | Grid2D, dt: float) -> None:
-    """Raise CflViolationError unless dt passes the grid's stability rule."""
-    if not (cfl2d(g, dt) if isinstance(g, Grid2D) else cfl_ok(g, dt)):
+def require_stable(g: Grid, dt: float) -> None:
+    """Raise CflViolationError unless dt passes the stability rule `cfl_ok`."""
+    if not cfl_ok(g, dt):
         raise CflViolationError(f"dt = {dt:.6g} exceeds the stability limit of {g}")
 
 
-def eta(g: Grid1D, dt: float) -> float:
+def eta(g: Grid, dt: float) -> float:
     """Spectral radius of one Euler step restricted to the mean-free subspace.
 
     eta = max over 1 <= l <= J-1 of |1 + dt*lambda_l|.  Since l -> 1+dt*lambda_l
@@ -160,7 +157,7 @@ def eta(g: Grid1D, dt: float) -> float:
 class AmplificationReport:
     """Per-mode slack of |1 + dt*lambda_l| below its exponential envelope."""
 
-    grid: Grid1D
+    grid: Grid
     dt: float
     margins: np.ndarray
     ok: bool
@@ -174,13 +171,13 @@ class AmplificationReport:
         return int(self.margins.argmin())
 
 
-def amplification_envelope(g: Grid1D, dt: float) -> np.ndarray:
+def amplification_envelope(g: Grid, dt: float) -> np.ndarray:
     """exp(-(dt/dx^2) sin^2(l pi / J)) for l = 0..J-1: the per-mode bound on
     |1 + dt*lambda_l| that holds under the stability restriction."""
     return np.exp(-(dt / g.dx ** 2) * np.sin(np.arange(g.J) * np.pi / g.J) ** 2)
 
 
-def amplification_bound_check(g: Grid1D, dt: float) -> AmplificationReport:
+def amplification_bound_check(g: Grid, dt: float) -> AmplificationReport:
     """Check |1 + dt*lambda_l| <= `amplification_envelope` for all l."""
     require_stable(g, dt)
     margins = amplification_envelope(g, dt) - np.abs(1.0 + dt * eigenvalues(g))
@@ -198,7 +195,7 @@ def geometric_sum(lam, qk, k: int, dt: float):
     return np.divide(1.0 - qk, -lam, out=np.full(lam.shape, k * dt), where=~near)
 
 
-def eta_geometric_sum(g: Grid1D, dt: float, n: int) -> float:
+def eta_geometric_sum(g: Grid, dt: float, n: int) -> float:
     """dt * sum_{k=0}^{n-1} eta^k via the closed geometric form.
 
     Under the stability restriction the result is bounded by 2 L^2 uniformly
@@ -211,7 +208,7 @@ def eta_geometric_sum(g: Grid1D, dt: float, n: int) -> float:
     return geometric_sum((e - 1.0) / dt, e ** n, n, dt)
 
 
-def resolvent_power_sum(g: Grid1D, dt: float, n: int) -> float:
+def resolvent_power_sum(g: Grid, dt: float, n: int) -> float:
     """sum_l |dt * sum_{k<n} (1 + dt*lambda_l)^k|^2 over the nonzero modes.
 
     Each inner sum uses the closed geometric form (guarded near ratio 1), so
@@ -230,7 +227,7 @@ def resolvent_power_sum_bound(L: float) -> float:
     return 4.0 * math.pi ** 4 * L ** 4 / 90.0
 
 
-def heat_kernel_spectrum_sum(g: Grid1D, alpha: float, m: int) -> tuple[float, float]:
+def heat_kernel_spectrum_sum(g: Grid, alpha: float, m: int) -> tuple[float, float]:
     """Riemann-type sum dx * sum_l exp(-alpha*m*sin^2(l pi / J)) and its bound.
 
     Returns (value, bound) with bound = L*sqrt(pi)/sqrt(m*alpha); the value

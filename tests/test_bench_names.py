@@ -1,17 +1,21 @@
 """The names of the package that the benchmark in `bench/` reads.
 
 `bench/tracing.py` wraps each of its `ENTRY_POINTS` by name, and `bench/run.py`
-reads the kernel-backend flags and passes ``threads=1`` to `default_config`.
-Only `tracing.py` is imported here: it needs the standard library alone.
+reads ``prog.<module>.<name>`` for each module it loads, among them the
+kernel-backend flags, and passes ``threads=1`` to `default_config`.  Only
+`tracing.py` is imported here: it needs the standard library alone; `run.py`
+is read as text.
 """
 
 import importlib
 import importlib.util
+import re
 from pathlib import Path
 
 from neumannheat import _kernels, default_config
 
-TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+TRACING = BENCH / "tracing.py"
 
 
 def _resolves(module, attribute):
@@ -32,6 +36,14 @@ def test_bench_entry_points_resolve():
                if not _resolves(module, attribute)]
     assert not missing
     assert len(tracing.ENTRY_POINTS) > 20
+
+
+def test_bench_run_names_resolve():
+    refs = set(re.findall(r"\bprog\.(\w+)\.(\w+)", (BENCH / "run.py").read_text()))
+    missing = [f"{module}.{name}" for module, name in sorted(refs)
+               if not hasattr(importlib.import_module(f"neumannheat.{module}"), name)]
+    assert not missing
+    assert ("grid", "project2d") in refs and len(refs) > 20
 
 
 def test_bench_environment_names_exist():

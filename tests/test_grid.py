@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from neumannheat import (Field1D, Field2D, Grid1D, Grid2D, GridMismatchError,
-                         inner, inner2d, mean, mean2d, norm2d, norm_l2, ones,
-                         ones2d, project, project2d)
+from neumannheat import (Field, Field1D, Field2D, Grid, Grid1D, Grid2D,
+                         GridMismatchError, inner, mean, mean2d, norm2d,
+                         norm_l2, ones, project, project2d)
+from neumannheat.grid import check_grid
 from neumannheat.exact import cosine_mode
 from neumannheat.spectral import eigenvector
 
@@ -130,8 +131,8 @@ def test_project_linearity():
 def test_2d_basics():
     g = Grid2D(3, 5, 2.0, 4.0)
     assert g.dx == 1.0 and g.dy == 1.0
-    v = ones2d(g)
-    assert inner2d(v, v) == 1.0
+    v = ones(g)
+    assert inner(v, v) == 1.0
     assert mean2d(v) == 1.0
     assert norm2d(Field2D(g, 3.0 * np.ones((5, 3)))) == 3.0
     w = project2d(g, lambda x, y: x + 10 * y)
@@ -144,11 +145,46 @@ def test_mean_equals_mean2d_on_2d_fields():
     g = Grid2D(7, 4, 1.0, 3.0)
     for _ in range(5):
         v = Field2D(g, rng.standard_normal((4, 7)))
-        assert mean(v) == mean2d(v)
+        assert mean(v) == math.fsum(v.values.ravel()) / (g.Jx * g.Jy)
 
 
 def test_2d_mismatch_and_validation():
     with pytest.raises(GridMismatchError):
-        inner2d(ones2d(Grid2D(3, 4, 1, 1)), ones2d(Grid2D(3, 5, 1, 1)))
+        inner(ones(Grid2D(3, 4, 1, 1)), ones(Grid2D(3, 5, 1, 1)))
     with pytest.raises(ValueError):
         Field2D(Grid2D(3, 4, 1, 1), np.zeros((3, 4)))  # transposed shape
+
+
+def test_one_grid_for_any_number_of_axes():
+    g = Grid((3, 4, 5), (2.0, 3.0, 4.0))  # z, y, x in array-axis order
+    assert g.spacings == (1.0, 1.0, 1.0)
+    assert (g.Jx, g.Jy, g.Lx, g.Ly) == (5, 4, 4.0, 3.0)
+    assert Grid1D(5, 2.0) == Grid((5,), (2.0,))
+    assert Grid2D(3, 5, 2.0, 4.0) == Grid((5, 3), (4.0, 2.0))
+    assert Field1D is Field2D is Field
+    # J and L name the one axis of a 1D grid; the 1D formulas refuse other grids
+    with pytest.raises(ValueError):
+        g.J
+    with pytest.raises(ValueError):
+        Grid2D(3, 5, 2.0, 4.0).L
+    for shape, lengths in (((), ()), ((3, 4), (1.0,)), ((3, 1), (1.0, 1.0))):
+        with pytest.raises(ValueError):
+            Grid(shape, lengths)
+
+
+def test_project_3d_calls_x_first():
+    g = Grid((2, 3, 4), (1.0, 2.0, 3.0))
+    w = project(g, lambda x, y, z: x + 10 * y + 100 * z)
+    assert w.values.shape == (2, 3, 4)
+    assert w.values[1, 2, 3] == 3.0 + 10 * 2.0 + 100 * 1.0
+    # a callable that ignores an axis is sampled node by node
+    assert np.array_equal(project(g, lambda x, y, z: x).values,
+                          np.broadcast_to(g.nodes_x(), g.shape))
+
+
+def test_check_grid():
+    g = Grid2D(3, 4, 1.0, 1.0)
+    check_grid(g, ones(g), ones(Grid2D(3, 4, 1.0, 1.0)))
+    for other in (Grid2D(4, 3, 1.0, 1.0), Grid2D(3, 4, 1.0, 2.0), Grid1D(3, 1.0)):
+        with pytest.raises(GridMismatchError):
+            check_grid(g, ones(g), ones(other))

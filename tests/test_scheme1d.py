@@ -5,8 +5,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as hs
 
-from neumannheat import (CflViolationError, DiscreteRHS, Field1D, Field2D,
-                         Grid1D, Grid2D, IncompatibleProblemError,
+from neumannheat import (CflViolationError, DiscreteRHS, Field, Field1D, Field2D,
+                         Grid, Grid1D, Grid2D, GridMismatchError,
+                         IncompatibleProblemError,
                          InstabilityError, NeumannLaplacian1D, NonhomogProblem,
                          Problem2D, build_rhs, check_compatibility, eta,
                          eigenvalue, eigenvector, mean, new_run, norm_l2,
@@ -101,6 +102,15 @@ def test_run_to_checkpoints():
         run_to(new_run(g2, 0.25, ones(g2)), [0.5, 0.25])
 
 
+def test_new_run_checks_grids():
+    g = Grid1D(5, 1.0)
+    p = NonhomogProblem(lambda x: np.zeros_like(x), 0.0, 0.0, 1.3, f_integral=0.0)
+    with pytest.raises(GridMismatchError):
+        new_run(g, g.dx ** 2 / 2, ones(Grid1D(5, 1.3)))
+    with pytest.raises(GridMismatchError):
+        new_run(g, g.dx ** 2 / 2, ones(g), build_rhs(p, Grid1D(5, 1.3)))
+
+
 def test_run_to_equivalent_to_single_steps():
     g = Grid1D(17, 1.0)
     rng = np.random.default_rng(9)
@@ -158,20 +168,22 @@ def test_incompatible_rejected_by_steady_solvers_but_steppable():
 
 
 @settings(max_examples=12, deadline=None, derandomize=True)
-@given(dim=hs.sampled_from([1, 2]), J=hs.integers(2, 12), cfl=hs.floats(0.01, 0.5),
+@given(dim=hs.sampled_from([1, 2, 3]), J=hs.integers(2, 12), cfl=hs.floats(0.01, 0.5),
        n=hs.integers(0, 10_000), seed=hs.integers(0, 2 ** 32 - 1))
 @example(dim=1, J=9, cfl=0.5, n=5000, seed=0)
 @example(dim=2, J=5, cfl=0.5, n=4096, seed=1)
+@example(dim=3, J=6, cfl=0.5, n=2048, seed=2)
 def test_mean_evolves_at_rate_mean_b(dim, J, cfl, n, seed):
     # sum_j (A v)_j = 0, so each step adds exactly dt * mean(b) to the mean
     rng = np.random.default_rng(seed)
     if dim == 1:
-        g, make = Grid1D(J, 1.0 + rng.random()), Field1D
+        g = Grid1D(J, 1.0 + rng.random())
         dt = cfl * g.dx ** 2
     else:
-        g, make = Grid2D(J, J + 2, 1.0, 1.0 + rng.random()), Field2D
-        dt = cfl / (1.0 / g.dx ** 2 + 1.0 / g.dy ** 2)
-    v0, b = make(g, rng.standard_normal(g.shape)), make(g, rng.standard_normal(g.shape))
+        g = (Grid2D(J, J + 2, 1.0, 1.0 + rng.random()) if dim == 2
+             else Grid((3, min(J, 6), 4), (1.0 + rng.random(), 1.0, 0.5)))
+        dt = cfl / sum(1.0 / h ** 2 for h in g.spacings)
+    v0, b = Field(g, rng.standard_normal(g.shape)), Field(g, rng.standard_normal(g.shape))
     for advance in (run_to, propagate):
         run = new_run(g, dt, v0, DiscreteRHS(b, 0.0))
         (cp,) = advance(run, [n * dt])
@@ -183,17 +195,14 @@ def test_mean_evolves_at_rate_mean_b(dim, J, cfl, n, seed):
 
 def _random_run(dim, J, Jy, cfl, seed, forced):
     """A random datum, and a random right-hand side if ``forced``, on a random
-    1D or 2D grid, with dt/dx^2 = cfl in 1D and dt (1/dx^2 + 1/dy^2) = cfl
-    in 2D."""
+    grid of ``dim`` axes: J nodes along x, Jy along y and 3 along z, with J and
+    Jy capped at 6 in 3D.  dt/dx^2 = cfl in 1D, dt * sum(1/h^2) = cfl else."""
     rng = np.random.default_rng(seed)
-    if dim == 1:
-        g, make = Grid1D(J, 0.5 + rng.random()), Field1D
-        dt = cfl * g.dx ** 2
-    else:
-        g, make = Grid2D(J, Jy, 0.5 + rng.random(), 0.5 + rng.random()), Field2D
-        dt = cfl / (1.0 / g.dx ** 2 + 1.0 / g.dy ** 2)
-    rhs = DiscreteRHS(make(g, rng.standard_normal(g.shape)), 0.0) if forced else None
-    return g, dt, make(g, rng.standard_normal(g.shape)), rhs
+    shape = ((J,), (Jy, J), (3, min(Jy, 6), min(J, 6)))[dim - 1]
+    g = Grid(shape, [0.5 + rng.random() for _ in shape][::-1])
+    dt = cfl * g.dx ** 2 if dim == 1 else cfl / sum(1.0 / h ** 2 for h in g.spacings)
+    rhs = DiscreteRHS(Field(g, rng.standard_normal(g.shape)), 0.0) if forced else None
+    return g, dt, Field(g, rng.standard_normal(g.shape)), rhs
 
 
 def _rel_gap(a, ref):
@@ -201,12 +210,13 @@ def _rel_gap(a, ref):
 
 
 @settings(max_examples=16, deadline=None, derandomize=True)
-@given(dim=hs.sampled_from([1, 2]), J=hs.integers(2, 64), Jy=hs.integers(2, 16),
+@given(dim=hs.sampled_from([1, 2, 3]), J=hs.integers(2, 64), Jy=hs.integers(2, 16),
        cfl=hs.floats(0.01, 0.5), n=hs.integers(0, 10_000),
        seed=hs.integers(0, 2 ** 32 - 1), forced=hs.booleans())
 @example(dim=1, J=64, Jy=2, cfl=0.5, n=10_000, seed=3, forced=True)
 @example(dim=2, J=64, Jy=16, cfl=0.5, n=10_000, seed=4, forced=True)
 @example(dim=2, J=2, Jy=2, cfl=0.5, n=7, seed=5, forced=False)
+@example(dim=3, J=6, Jy=5, cfl=0.5, n=2000, seed=11, forced=True)
 def test_propagate_matches_stepping(dim, J, Jy, cfl, n, seed, forced):
     g, dt, v0, rhs = _random_run(dim, J, Jy, cfl, seed, forced)
     stepped = run_to(new_run(g, dt, v0, rhs), [n * dt / 3, n * dt])
@@ -239,6 +249,29 @@ def test_propagate_matches_dense_matrix_power():
                 propagate(st, [200 * dt])
                 ref = dense_power_apply(J, g.dx, dt, v0, 200, None if rhs is None else b)
                 assert np.abs(st.values - ref).max() < 1e-12
+
+
+def test_propagate_matches_dense_kronecker_sum_power_3d():
+    # A = A_z (x) I (x) I + I (x) A_y (x) I + I (x) I (x) A_x acts on the
+    # C-order ravel of a (z, y, x) field; the steps are dense matrix products
+    rng = np.random.default_rng(35)
+    g = Grid((3, 4, 5), (0.7, 1.1, 1.3))
+    A = 0.0
+    for axis in range(3):
+        factors = [dense_neumann_matrix(J, h) if a == axis else np.eye(J)
+                   for a, (J, h) in enumerate(zip(g.shape, g.spacings))]
+        A = A + np.kron(np.kron(factors[0], factors[1]), factors[2])
+    for cfl in (0.5, 0.23):
+        dt = cfl / sum(1.0 / h ** 2 for h in g.spacings)
+        M = np.eye(60) + dt * A
+        v0, b = rng.standard_normal(g.shape), rng.standard_normal(g.shape)
+        for forced in (False, True):
+            st = new_run(g, dt, Field(g, v0), DiscreteRHS(Field(g, b), 0.0) if forced else None)
+            propagate(st, [200 * dt])
+            ref = v0.ravel()
+            for _ in range(200):
+                ref = M @ ref + (dt * b.ravel() if forced else 0.0)
+            assert np.abs(st.values.ravel() - ref).max() < 1e-12 * max(1.0, np.abs(ref).max())
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
@@ -376,17 +409,18 @@ def test_stagnated_restart_at_floor_returns_start():
 
 
 @settings(max_examples=16, deadline=None, derandomize=True)
-@given(dim=hs.sampled_from([1, 2]), J=hs.integers(2, 64), Jy=hs.integers(2, 16),
+@given(dim=hs.sampled_from([1, 2, 3]), J=hs.integers(2, 64), Jy=hs.integers(2, 16),
        cfl=hs.floats(0.01, 0.5), max_steps=hs.integers(1, 5000).filter(lambda n: n % 64),
        seed=hs.integers(0, 2 ** 32 - 1))
 @example(dim=1, J=64, Jy=2, cfl=0.05, max_steps=4999, seed=6)
 @example(dim=2, J=64, Jy=16, cfl=0.05, max_steps=3001, seed=7)
+@example(dim=3, J=6, Jy=6, cfl=0.05, max_steps=1001, seed=12)
 def test_steady_loop_matches_stepping(dim, J, Jy, cfl, max_steps, seed):
     # tol 0 is out of reach: the loop runs to the cap (a short last block)
     # unless it stagnates first; either way it returns the stepped field
     g, dt, v0, rhs = _random_run(dim, J, Jy, cfl, seed, True)
     b = rhs.b.values - rhs.b.values.mean()
-    rhs = DiscreteRHS(type(v0)(g, b), 0.0)
+    rhs = DiscreteRHS(Field(g, b), 0.0)
     res = _iterate_to_steady(new_run(g, dt, v0, rhs), 0.0, max_steps)
     assert (res.iterations == max_steps) == (res.stop_reason == "max_steps")
     (cp,) = run_to(new_run(g, dt, v0, rhs), [res.iterations * dt])
@@ -419,11 +453,11 @@ def test_steady_jump_matches_exact_count_and_stepping(dim, J, Jy, cfl, digits, s
     # the exact-arithmetic count, and one checked block lands on it
     g, dt, v0, rhs = _random_run(dim, J, Jy, cfl, seed, True)
     b = rhs.b.values - rhs.b.values.mean()
-    rhs = DiscreteRHS(type(v0)(g, b), 0.0)
+    rhs = DiscreteRHS(Field(g, b), 0.0)
     tol = 10.0 ** -digits
     res = _iterate_to_steady(new_run(g, dt, v0, rhs), tol, 1_000_000)
     assert res.converged
-    axes = [(g.J, g.dx)] if dim == 1 else [(g.Jy, g.dy), (g.Jx, g.dx)]
+    axes = list(zip(g.shape, g.spacings))
     assert res.iterations == exact_steady_count(axes, v0.values, b, dt, tol)
     assert res.jumped == max(res.iterations - 64, 0)
     (cp,) = run_to(new_run(g, dt, v0, rhs), [res.iterations * dt])

@@ -5,9 +5,10 @@ import pytest
 
 from scipy.fft import dctn
 
-from neumannheat import (CflViolationError, Field1D, Grid1D, Grid2D,
-                         NeumannLaplacian1D, amplification_bound_check,
-                         cfl_ok, eigenvalue, eigenvector, eta,
+from neumannheat import (CflViolationError, Field1D, Grid, Grid1D, Grid2D,
+                         GridMismatchError, NeumannLaplacian1D,
+                         amplification_bound_check, cfl2d, cfl_ok,
+                         eigenvalue, eigenvector, eta,
                          eta_geometric_sum, heat_kernel_spectrum_sum, inner,
                          norm_l2, ones, resolvent_power_sum)
 from neumannheat.spectral import eigenvalues, laplacian, resolvent_power_sum_bound
@@ -149,6 +150,37 @@ def test_cfl_examples():
     assert cfl_ok(g, g.dx ** 2 / 2)
     assert not cfl_ok(g, 0.51 * g.dx ** 2)
     assert cfl_ok(g, g.dx ** 2 / 4)
+
+
+def test_stability_rule_at_its_limit():
+    # one rule, dt * sum over the axes of 1/h^2 <= 1/2, must accept every time
+    # step the harness and the CLI build: cfl * dx^2 on a 1D grid and
+    # cfl / sum(1/h^2) on more axes (the catalog boxes: x in (0, 2), y in
+    # (0, 4), z in (0, 2)); 0.51 times the limit is still refused
+    assert cfl2d is cfl_ok
+    for J in range(2, 513):
+        Jy = round(2.0 * (J - 1)) + 1  # dy = dx, as `scheme2d.grid_for` picks
+        multi = (Grid((Jy, J), (4.0, 2.0)), Grid((J, Jy, J), (2.0, 4.0, 2.0)),
+                 Grid((J, J), (1.0, 1.0)))
+        for g in (Grid1D(J, 1.0), Grid1D(J, 2.0)):
+            assert not cfl_ok(g, 0.51 * g.dx ** 2)
+            for cfl in (0.5, 0.25):
+                assert cfl_ok(g, cfl * g.dx ** 2)
+        for g in multi:
+            inv_h2 = sum(1.0 / h ** 2 for h in g.spacings)
+            assert not cfl_ok(g, 0.51 / inv_h2)
+            for cfl in (0.5, 0.25):
+                assert cfl_ok(g, cfl / inv_h2)
+
+
+def test_grid_mismatch_is_one_error():
+    op = NeumannLaplacian1D(Grid1D(5, 1.0))
+    for other in (Grid1D(5, 2.0), Grid1D(6, 1.0), Grid2D(5, 2, 1.0, 1.0)):
+        with pytest.raises(GridMismatchError):
+            op.apply(ones(other))
+    # the 1D spectral formulas read J and L, which a 2D grid refuses
+    with pytest.raises(ValueError):
+        eta(Grid2D(5, 4, 1.0, 1.0), 1e-3)
 
 
 def test_amplification_bound():
