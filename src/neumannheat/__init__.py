@@ -17,9 +17,9 @@ from .exact import (CosineSeries, Gaussian2DProblem, InitialDatum,
                     custom_datum, decay_envelope, gaussian_2d, hat_function,
                     poly_bump, steady_1d, trig_poly)
 from .consistency import l1, l2, l_delta, split_defect
-from .scheme1d import (Checkpoint, DiscreteRHS, NonhomogProblem, RunState,
-                       build_rhs, check_compatibility, new_run, propagate, run_to,
-                       solve_steady_iterative, solve_steady_laplace, step)
+from .scheme1d import (Checkpoint, DiscreteRHS, ForcedProblem, NonhomogProblem,
+                       RunState, build_rhs, check_compatibility, new_run, propagate,
+                       run_to, solve_steady_iterative, solve_steady_laplace, step)
 from .scheme2d import Problem2D, build_rhs2d, run2d_to, solve_steady_2d
 from .harness import (ErrorRecord, ExperimentConfig, SlopeFit, bound_sweep,
                       convolution_bound_check, default_config, emit_csv,

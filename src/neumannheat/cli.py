@@ -151,16 +151,14 @@ def _steady_problem(args):
     if args.f_const is None:
         raise ValueError("custom problems need --f-const, --beta, --gamma, --L")
     c, L = args.f_const, args.L
-    problem = scheme1d.NonhomogProblem(
-        lambda x: np.full_like(np.asarray(x, dtype=float), c),
-        args.beta or 0.0, args.gamma or 0.0, L, f_integral=c * L)
+    problem = scheme1d.NonhomogProblem(c, args.beta or 0.0, args.gamma or 0.0, L, f_integral=c * L)
     return problem, None
 
 
 def cmd_steady1d(args) -> int:
     problem, ss = _steady_problem(args)
     for J in parse_j_list(_required_j(args)):
-        g = Grid1D(J, problem.L)
+        g = Grid1D(J, *problem.lengths)
         if args.solver == "laplace":
             v = scheme1d.solve_steady_laplace(problem, g, args.s)
             rhs = scheme1d.build_rhs(problem, g)

@@ -381,6 +381,18 @@ class Gaussian2DProblem:
         y = np.asarray(y, dtype=float)
         return -2 * self.beta_g * (y - self.y0) * self.u_inf(x, y)
 
+    @property
+    def source_integral(self) -> float:
+        """int f over the rectangle in closed form: u_inf = X(x) Y(y) and
+        f = -(X''Y + XY''), so the integral is -(X'|_0^Lx int Y + Y'|_0^Ly int X)."""
+        def factor(a, c, L):  # int_0^L exp(-a(s - c)^2) ds, and -X'|_0^L
+            r, e = math.sqrt(a), lambda s: s * math.exp(-a * s * s)
+            return (math.sqrt(math.pi) / (2 * r) * (math.erf(r * (L - c)) + math.erf(r * c)),
+                    2 * a * (e(L - c) + e(c)))
+        (ix, jx), (iy, jy) = (factor(self.alpha, self.x0, self.Lx),
+                              factor(self.beta_g, self.y0, self.Ly))
+        return jx * iy + jy * ix
+
 
 def gaussian_2d(alpha: float, beta_g: float, x0: float, y0: float) -> Gaussian2DProblem:
     return Gaussian2DProblem(alpha, beta_g, x0, y0)

@@ -17,7 +17,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -25,7 +24,7 @@ from .errors import GridMismatchError
 
 __all__ = [
     "Grid", "Field", "Grid1D", "Field1D", "Grid2D", "Field2D", "check_grid",
-    "inner", "mean", "norm_l2", "project", "ones",
+    "inner", "mean", "norm_l2", "sample", "project", "ones",
     "mean2d", "norm2d", "project2d",
 ]
 
@@ -76,11 +75,6 @@ class Grid:
     def nodes(self) -> np.ndarray:
         """The x coordinates of the nodes."""
         return np.arange(self.Jx) * self.dx
-
-    nodes_x = nodes
-
-    def nodes_y(self) -> np.ndarray:
-        return np.arange(self.Jy) * self.dy
 
     def node(self, j: int) -> float:
         if not 0 <= j < self.J:
@@ -144,19 +138,27 @@ def ones(g: Grid) -> Field:
     return Field(g, np.ones(g.shape))
 
 
-def project(g: Grid, f: Callable) -> Field:
-    """Sample f at the grid nodes, x first: (project f)[..., iy, ix] =
-    f(x_ix, y_iy, ...).  f gets one coordinate array per axis, each shaped to
+def sample(f, points) -> np.ndarray:
+    """f on the tensor product of the per-axis ``points`` (array-axis order, x
+    last), called x first with one coordinate array per axis, each shaped to
     broadcast against the others: the k-th axis from the end (x is the 0th)
-    has k trailing unit axes."""
-    coords = [(np.arange(J) * h).reshape((J,) + (1,) * k)
-              for k, (J, h) in enumerate(zip(g.shape[::-1], g.spacings[::-1]))]
+    has k trailing unit axes.  A number f is constant."""
+    shape = tuple(map(len, points))
+    if not callable(f):
+        return np.full(shape, f, dtype=float)
+    coords = [np.asarray(x).reshape((-1,) + (1,) * k) for k, x in enumerate(points[::-1])]
     vals = np.asarray(f(*coords), dtype=float)
-    if vals.shape != g.shape:
+    if vals.shape != shape:
         # a scalar-only callable, or one that ignores an axis: node by node
         nodes = itertools.product(*[c.ravel() for c in reversed(coords)])
-        vals = np.array([float(f(*reversed(node))) for node in nodes])
-    return Field(g, vals.reshape(g.shape))
+        vals = np.array([float(f(*reversed(node))) for node in nodes]).reshape(shape)
+    return vals
+
+
+def project(g: Grid, f) -> Field:
+    """Sample f (a callable or a number) at the grid nodes by `sample`:
+    (project f)[..., iy, ix] = f(x_ix, y_iy, ...)."""
+    return Field(g, sample(f, [np.arange(J) * h for J, h in zip(g.shape, g.spacings)]))
 
 
 # the two-axis names that bench/ reads; ROADMAP item 4 removes them

@@ -165,8 +165,9 @@ def _run_steady2d(cfg: ExperimentConfig, J: int, gaussian: dict) -> list[ErrorRe
     case = gaussian_2d(**gaussian)
     g = scheme2d.grid_for(J, case.Lx, case.Ly)
     dt = cfg.cfl / sum(1.0 / h ** 2 for h in g.spacings)
-    problem = scheme2d.Problem2D(case.f, case.g1, case.g2, case.Lx, case.Ly)
-    rhs = scheme2d.build_rhs2d(problem, g)
+    problem = scheme1d.ForcedProblem(case.f, (case.g2, case.g1), (case.Ly, case.Lx),
+                                     case.source_integral)
+    rhs = scheme1d.build_rhs(problem, g)
     target = project(g, case.u_inf)
     target_mean = mean(target)
     v0 = Field(g, np.zeros(g.shape))

@@ -1,19 +1,17 @@
-"""Explicit Euler time stepping for the Neumann heat problem, the discrete
-right-hand side with its mean correction, and the two steady-state solvers
-(long-time iteration and shifted direct solve).
+"""Explicit Euler time stepping for the Neumann heat problem on grids of any
+number of axes, the forced problem with its right-hand side, and the steady
+solvers (long-time iteration; a shifted direct solve in 1D).
 
-The update is v <- v + dt * (A v + b), with A the matrix-free Neumann stencil
-and b assembled so that its discrete mean vanishes exactly for balanced
-problems; the constant mode is then conserved and the iteration converges to
-the unique steady state with the initial datum's mean.  For an unbalanced b
-the mean drifts at exactly the rate mean(b).
+The update is v <- v + dt * (A v + b), A the matrix-free Neumann stencil, b
+assembled so that N * dV * mean(b) is the continuous flux/source balance: a
+balanced run conserves its mean and converges to the steady state with that
+mean; an unbalanced one drifts at exactly mean(b), and the steady solvers
+refuse it.  `scheme2d` keeps two-axis names over this code for `bench/`.
 
-The run machinery (`RunState`, `run_to`, the residual and the steady loop) is
-shared with `scheme2d`: it works on grids of any number of axes, and steps with
-the one numpy loop of `_kernels`.
-`propagate` reaches the same checkpoints by one DCT-II transform pair; the
-steady loop jumps to its exact-arithmetic count and advances each checked block
-the same way.  `step` and `run_to` are the reference both are tested against.
+Runs step with the one numpy loop of `_kernels`.  `propagate` reaches the same
+checkpoints by one DCT-II transform pair; the steady loop jumps to its
+exact-arithmetic count and advances each checked block the same way.  `step`
+and `run_to` are the reference both are tested against.
 """
 
 from __future__ import annotations
@@ -24,17 +22,16 @@ from dataclasses import dataclass, field
 from typing import Callable, Literal, Optional
 
 import numpy as np
-from scipy import integrate
 from scipy.fft import dctn, idctn
 from scipy.linalg.lapack import dptsv
 
 from . import _kernels
-from .errors import IncompatibleProblemError, InstabilityError, QuadratureError
-from .grid import Field, Grid, check_grid, mean, project
+from .errors import GridMismatchError, IncompatibleProblemError, InstabilityError
+from .grid import Field, Grid, check_grid, mean, project, sample
 from .spectral import eigenvalues, geometric_sum, laplacian, require_stable
 
 __all__ = [
-    "NonhomogProblem", "DiscreteRHS", "RunState", "Checkpoint",
+    "ForcedProblem", "NonhomogProblem", "DiscreteRHS", "RunState", "Checkpoint",
     "new_run", "step", "run_to", "propagate", "build_rhs", "check_compatibility",
     "solve_steady_iterative", "solve_steady_laplace", "laplace_shift_gap_bound",
     "SteadySolve",
@@ -42,26 +39,24 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class NonhomogProblem:
-    """Source f with its exact integral over [0, L], plus end fluxes.
-
-    ``f_integral`` may be omitted for a quadrature fallback (tolerance 1e-12);
-    catalog problems pass the closed form.
-    """
+class ForcedProblem:
+    """Source f and flux data on the box [0, lengths] (array-axis order, x
+    last, as `Grid.lengths`).  ``fluxes[axis]`` is the derivative along that
+    axis on its two faces (u_x on the x faces: not outward-normal data), a
+    number or a callable sampled as `project` samples f, with that axis's
+    coordinate 0 or its length.  Without ``f_integral`` the source integral
+    comes from the Gauss rule of `_integrate`."""
 
     f: Callable
-    beta: float
-    gamma: float
-    L: float
+    fluxes: tuple
+    lengths: tuple
     f_integral: Optional[float] = None
 
-    def source_integral(self) -> float:
-        if self.f_integral is not None:
-            return self.f_integral
-        val, err = integrate.quad(self.f, 0.0, self.L, epsabs=1e-12, limit=200)
-        if err > 1e-10:
-            raise QuadratureError(f"source integral error estimate {err:.2e}")
-        return val
+
+def NonhomogProblem(f: Callable, beta: float, gamma: float, L: float,
+                    f_integral: Optional[float] = None) -> ForcedProblem:
+    """Source f on [0, L] with end fluxes u'(0) = beta and u'(L) = gamma."""
+    return ForcedProblem(f, (lambda x: np.where(x == 0.0, beta, gamma),), (L,), f_integral)
 
 
 @dataclass(frozen=True)
@@ -72,24 +67,81 @@ class DiscreteRHS:
     r: float
 
 
-def check_compatibility(p: NonhomogProblem) -> float:
-    """Flux/source balance residual gamma - beta + int_0^L f (zero iff a
-    steady state exists)."""
-    return p.gamma - p.beta + p.source_integral()
+# the balance quadrature on [0, 1], scaled to each axis: 16 composite
+# Gauss-Legendre panels of 24 points
+_GX, _GW = np.polynomial.legendre.leggauss(24)
+_UNIT_RULE = ((np.arange(16)[:, None] + 0.5 * (1.0 + _GX)) / 16).ravel(), np.tile(_GW / 32, 16)
 
 
-def build_rhs(p: NonhomogProblem, g: Grid) -> DiscreteRHS:
-    """b = sampled f + end-flux terms + r * 1, with r chosen so that the
-    discrete mean of b vanishes exactly when the problem balances:
+def _contract(vals: np.ndarray, rules) -> float:
+    """The weights of the per-axis (nodes, weights) ``rules`` applied to vals."""
+    for _, w in reversed(rules):
+        vals = vals @ w
+    return float(vals)
 
-        r = (int_0^L f - dx * sum_j f(x_j)) / (J * dx)
-    """
+
+def _integrate(fn, rules) -> float:
+    """The tensor product of ``rules`` applied to fn, beyond a 2-axis Gauss
+    tensor one slab of the leading axis at a time."""
+    if math.prod(len(w) for _, w in rules) > _UNIT_RULE[1].size ** 2:
+        (x0, w0), rest = rules[0], rules[1:]
+        return math.fsum(w * _integrate((lambda *c, x=x: fn(*c, x)) if callable(fn) else fn,
+                                        rest) for x, w in zip(x0, w0))
+    return _contract(sample(fn, [x for x, _ in rules]), rules)
+
+
+def _axes(p: ForcedProblem):
+    """(axis, flux, faces) per axis, ``faces`` the rule of its two faces
+    weighted by the outward sign; a problem without one flux per axis is
+    refused here."""
+    for axis, (flux, L) in enumerate(zip(p.fluxes, p.lengths, strict=True)):
+        yield axis, flux, ([0.0, L], [-1.0, 1.0])
+
+
+def _balance_terms(p: ForcedProblem) -> list:
+    """The source integral and each axis's net outward flux integral."""
+    rules = [(L * _UNIT_RULE[0], L * _UNIT_RULE[1]) for L in p.lengths]
+    source = p.f_integral if p.f_integral is not None else _integrate(p.f, rules)
+    return [source] + [_integrate(flux, rules[:axis] + [faces] + rules[axis + 1:])
+                       for axis, flux, faces in _axes(p)]
+
+
+def check_compatibility(p: ForcedProblem) -> float:
+    """Flux/source balance residual (gamma - beta + int_0^L f in 1D): zero
+    iff a steady state exists."""
+    return math.fsum(_balance_terms(p))
+
+
+def _build_rhs(p: ForcedProblem, g: Grid) -> DiscreteRHS:
+    if tuple(p.lengths) != g.lengths:
+        raise GridMismatchError(f"problem on the box {p.lengths} does not match {g}")
     fx = project(g, p.f).values
-    r = (p.source_integral() - g.dx * math.fsum(fx)) / (g.J * g.dx)
+    gap, fluxes = _balance_terms(p) + [-math.prod(g.spacings) * math.fsum(fx.ravel())], []
+    for axis, flux, faces in _axes(p):
+        # the faces' nodal sums as a rule: each node weighted by the spacings
+        rule = [faces if k == axis else (np.arange(J) * h, np.full(J, h))
+                for k, (J, h) in enumerate(zip(g.shape, g.spacings))]
+        vals = sample(flux, [x for x, _ in rule])
+        gap.append(-_contract(vals, rule))
+        fluxes.append(vals / g.spacings[axis])
+    r = math.fsum(gap) / (fx.size * math.prod(g.spacings))
     b = fx + r
-    b[0] -= p.beta / g.dx
-    b[-1] += p.gamma / g.dx
+    for axis, term in enumerate(fluxes):
+        low, high = [(slice(None),) * axis + (end,) for end in (0, -1)]
+        b[low] -= term[low]
+        b[high] += term[high]
     return DiscreteRHS(Field(g, b), r)
+
+
+def build_rhs(p: ForcedProblem, g: Grid) -> DiscreteRHS:
+    """b = sampled f -+ flux/h on the low/high face nodes of each axis + r,
+    with r the gap between the continuous balance and the nodal sums, so that
+    N * dV * mean(b) = `check_compatibility(p)` on any grid (cell volume dV,
+    face cell area dA):
+
+        r = (int f - dV sum f + sum_faces sign (int flux - dA sum flux)) / (N dV)
+    """
+    return _build_rhs(p, g)
 
 
 @dataclass
@@ -279,9 +331,9 @@ def _iterate_to_steady(st: RunState, tol: float, max_steps: int) -> SteadySolve:
     return SteadySolve(st.field, st.n, res, reason, min(jumped, st.n))
 
 
-def _balanced_rhs(p: NonhomogProblem, g: Grid, consequence: str = "") -> DiscreteRHS:
+def _balanced_rhs(p: ForcedProblem, g: Grid, consequence: str = "") -> DiscreteRHS:
     """`build_rhs`, rejecting a right-hand side whose discrete mean does not
-    vanish: the problem then has no steady state."""
+    vanish, on any grid: the problem then has no steady state."""
     rhs = build_rhs(p, g)
     m = mean(rhs.b)
     if abs(m) > 1e-10:
@@ -289,22 +341,27 @@ def _balanced_rhs(p: NonhomogProblem, g: Grid, consequence: str = "") -> Discret
     return rhs
 
 
-def solve_steady_iterative(p: NonhomogProblem, g: Grid, dt: float, v0: Field,
+def _solve_steady(p: ForcedProblem, g: Grid, dt: float, v0: Field,
+                  tol: float, max_steps: int) -> SteadySolve:
+    rhs = _balanced_rhs(p, g, "; steady iteration would drift")
+    return _iterate_to_steady(new_run(g, dt, v0, rhs), tol, max_steps)
+
+
+def solve_steady_iterative(p: ForcedProblem, g: Grid, dt: float, v0: Field,
                            tol: float = 1e-10, max_steps: int = 50_000_000) -> SteadySolve:
-    """Run the Euler iteration until the residual ||A v + b||, checked every
-    `CHECK_EVERY` steps, drops below ``tol``: to the exact-arithmetic count
-    when it is within ``max_steps``, then checked blocks (`_iterate_to_steady`).
+    """Run the Euler iteration on any grid until the residual ||A v + b||,
+    checked every `CHECK_EVERY` steps, drops below ``tol``: to the exact-arithmetic
+    count when it is within ``max_steps``, then checked blocks (`_iterate_to_steady`).
     The mean stays at v0's, and ``stop_reason`` says whether it converged,
     stagnated (the best checked iterate is returned) or hit ``max_steps``.
 
     An unbalanced right-hand side would drift forever, so it is rejected.
     """
-    rhs = _balanced_rhs(p, g, "; steady iteration would drift")
-    return _iterate_to_steady(new_run(g, dt, v0, rhs), tol, max_steps)
+    return _solve_steady(p, g, dt, v0, tol, max_steps)
 
 
-def solve_steady_laplace(p: NonhomogProblem, g: Grid, s: float) -> Field:
-    """Direct solve of the shifted system (s*Id - A) v = b.
+def solve_steady_laplace(p: ForcedProblem, g: Grid, s: float) -> Field:
+    """Direct solve of the shifted system (s*Id - A) v = b on a 1D grid.
 
     The shift makes the singular Neumann system definite; the solution has
     zero discrete mean and approaches the zero-mean steady state at rate O(s).

@@ -218,7 +218,7 @@ def resolvent_power_sum(g: Grid, dt: float, n: int) -> float:
     require_stable(g, dt)
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    lam = eigenvalues(g)[1:]
+    lam = eigenvalues(g)[1:g.J]  # g.J: a grid of several axes refuses this 1D sum
     s = geometric_sum(lam, (1.0 + dt * lam) ** n, n, dt)
     return math.fsum(s * s)
 

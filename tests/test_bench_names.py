@@ -38,6 +38,18 @@ def test_bench_entry_points_resolve():
     assert len(tracing.ENTRY_POINTS) > 20
 
 
+def test_bench_scheme_entry_points_are_distinct_functions():
+    # an alias would nest its spans under the other name's: 2D iterations
+    # would then be counted under scheme1d.steady_iter
+    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    functions = [getattr(importlib.import_module(f"neumannheat.{module}"), attribute)
+                 for _, module, attribute, _ in tracing.ENTRY_POINTS
+                 if module in ("scheme1d", "scheme2d")]
+    assert len(functions) == 7 and len(set(map(id, functions))) == 7
+
+
 def test_bench_run_names_resolve():
     refs = set(re.findall(r"\bprog\.(\w+)\.(\w+)", (BENCH / "run.py").read_text()))
     missing = [f"{module}.{name}" for module, name in sorted(refs)

@@ -248,13 +248,24 @@ def test_gaussian_2d_examples():
 
 
 def test_gaussian_2d_flux_balance():
-    from neumannheat.scheme2d import Problem2D, balance_residual_2d
+    from neumannheat.scheme1d import check_compatibility
+    from neumannheat.scheme2d import Problem2D
     case = gaussian_2d(15.0, 5.0, 1.0, 2.0)
     p = Problem2D(case.f, case.g1, case.g2, case.Lx, case.Ly)
-    assert abs(balance_residual_2d(p)) < 1e-8
+    assert abs(check_compatibility(p)) < 1e-8
     offset = gaussian_2d(1.0, 5.0, 0.0, 4.0)
     p2 = Problem2D(offset.f, offset.g1, offset.g2, offset.Lx, offset.Ly)
-    assert abs(balance_residual_2d(p2)) < 1e-8
+    assert abs(check_compatibility(p2)) < 1e-8
+
+
+def test_gaussian_2d_source_integral_matches_tensor_rule():
+    from neumannheat.scheme1d import ForcedProblem, check_compatibility
+    for case in (gaussian_2d(15.0, 5.0, 1.0, 2.0), gaussian_2d(1.0, 5.0, 0.0, 4.0)):
+        # the same problem with and without the closed form: only f's integral differs
+        fluxes, lengths = (case.g2, case.g1), (case.Ly, case.Lx)
+        gap = (check_compatibility(ForcedProblem(case.f, fluxes, lengths, case.source_integral))
+               - check_compatibility(ForcedProblem(case.f, fluxes, lengths)))
+        assert abs(gap) <= 1e-15
 
 
 def test_cosine_mode_derivatives_symbolic():

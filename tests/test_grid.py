@@ -179,7 +179,7 @@ def test_project_3d_calls_x_first():
     assert w.values[1, 2, 3] == 3.0 + 10 * 2.0 + 100 * 1.0
     # a callable that ignores an axis is sampled node by node
     assert np.array_equal(project(g, lambda x, y, z: x).values,
-                          np.broadcast_to(g.nodes_x(), g.shape))
+                          np.broadcast_to(g.nodes(), g.shape))
 
 
 def test_check_grid():

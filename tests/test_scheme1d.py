@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as hs
 
 from neumannheat import (CflViolationError, DiscreteRHS, Field, Field1D, Field2D,
-                         Grid, Grid1D, Grid2D, GridMismatchError,
+                         ForcedProblem, Grid, Grid1D, Grid2D, GridMismatchError,
                          IncompatibleProblemError,
                          InstabilityError, NeumannLaplacian1D, NonhomogProblem,
                          Problem2D, build_rhs, check_compatibility, eta,
@@ -64,8 +64,8 @@ def test_step_eigenmode():
 
 
 def test_step_preserves_mean_with_balanced_rhs():
-    p, _ = sec52_problem()
-    g = Grid1D(33, p.L)
+    p, ss = sec52_problem()
+    g = Grid1D(33, ss.L)
     rhs = build_rhs(p, g)
     rng = np.random.default_rng(4)
     st = new_run(g, g.dx ** 2 / 2, Field1D(g, rng.standard_normal(33)), rhs)
@@ -135,9 +135,9 @@ def test_build_rhs_examples():
     assert np.array_equal(rhs0.b.values, np.zeros(4))
     assert rhs0.r == 0.0
 
-    p52, _ = sec52_problem()
+    p52, ss = sec52_problem()
     for J in (16, 257):
-        assert abs(mean(build_rhs(p52, Grid1D(J, p52.L)).b)) < 1e-12
+        assert abs(mean(build_rhs(p52, Grid1D(J, ss.L)).b)) < 1e-12
 
 
 def test_check_compatibility():
@@ -147,6 +147,38 @@ def test_check_compatibility():
     assert check_compatibility(p_bad) == -1.0
     p_ok = NonhomogProblem(lambda x: np.ones_like(x), 0.0, -1.0, 1.0, f_integral=1.0)
     assert check_compatibility(p_ok) == 0.0
+
+
+@pytest.mark.parametrize("shape, lengths", [((9,), (1.0,)), ((5, 9), (2.0, 1.0)),
+                                            ((4, 5, 6), (1.5, 2.0, 1.0))])
+def test_rhs_carries_the_balance_on_any_number_of_axes(shape, lengths):
+    # f = 1: with zero flux it heats the box forever; the outflow u_x = -x
+    # of u = -x^2/2 through the high x face balances it.  No f_integral: the
+    # source integral comes from the tensor Gauss rule.
+    g = Grid(shape, lengths)
+    one = lambda *c: np.ones(np.broadcast(*c).shape)
+    zero_flux = (0.0,) * len(shape)
+    heating = ForcedProblem(one, zero_flux, lengths)
+    outflow = ForcedProblem(one, zero_flux[:-1] + (lambda x, *c: -x * one(x, *c),), lengths)
+    volume = math.prod(lengths)
+    n_dv = math.prod(shape) * math.prod(g.spacings)
+    for p, balance in ((heating, volume), (outflow, 0.0)):
+        residual = check_compatibility(p)
+        assert residual == pytest.approx(balance, abs=1e-14 * volume)
+        assert n_dv * mean(build_rhs(p, g).b) == pytest.approx(residual, abs=1e-13 * volume)
+    dt = 0.5 / sum(1.0 / h ** 2 for h in g.spacings)
+    with pytest.raises(IncompatibleProblemError):
+        solve_steady_iterative(heating, g, dt, ones(g))
+    res = solve_steady_iterative(outflow, g, dt, ones(g), tol=1e-8)
+    assert res.converged and mean(res.field) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_forced_problem_refuses_a_mismatched_box():
+    zero = lambda *c: np.zeros(np.broadcast(*c).shape)
+    with pytest.raises(ValueError):
+        check_compatibility(ForcedProblem(zero, (0.0,), (1.0, 2.0)))
+    with pytest.raises(GridMismatchError):
+        build_rhs(NonhomogProblem(zero, 0.0, 0.0, 1.0, f_integral=0.0), Grid1D(5, 2.0))
 
 
 def test_incompatible_rejected_by_steady_solvers_but_steppable():
@@ -228,7 +260,7 @@ def test_propagate_matches_stepping(dim, J, Jy, cfl, n, seed, forced):
 
 def test_propagate_matches_stepping_forced_j257():
     p52, ss = sec52_problem()
-    g = Grid1D(257, p52.L)
+    g = Grid1D(257, ss.L)
     dt = g.dx ** 2 / 2
     v0 = Field1D(g, np.full(257, ss.mean_value))
     (s,) = run_to(new_run(g, dt, v0, build_rhs(p52, g)), [1.0])
@@ -336,7 +368,7 @@ def test_steady_iterative_homogeneous_decays_to_mean():
 
 def test_steady_iterative_sec52_mean_anchor():
     p52, ss = sec52_problem()
-    g = Grid1D(129, p52.L)
+    g = Grid1D(129, ss.L)
     v0 = Field1D(g, np.full(129, ss.mean_value))
     res = solve_steady_iterative(p52, g, g.dx ** 2 / 2, v0, tol=1e-10)
     assert res.converged and res.stop_reason == "converged"
@@ -348,7 +380,7 @@ def test_steady_count_matches_exact_arithmetic(J):
     # block updates carry no per-step rounding, so the loop stops at the first
     # check where the exact residual (I + dt A)^n r0 is below tol
     p52, ss = sec52_problem()
-    g = Grid1D(J, p52.L)
+    g = Grid1D(J, ss.L)
     dt = g.dx ** 2 / 2
     v0 = np.full(J, ss.mean_value)
     res = solve_steady_iterative(p52, g, dt, Field1D(g, v0), tol=1e-10)
@@ -362,7 +394,7 @@ def test_steady_count_matches_exact_arithmetic(J):
 def test_steady_j257_reaches_tol_1e_11():
     # demo 04's setting: the residual floor must sit below tol
     p52, ss = sec52_problem()
-    g = Grid1D(257, p52.L)
+    g = Grid1D(257, ss.L)
     res = solve_steady_iterative(p52, g, g.dx ** 2 / 2,
                                  Field1D(g, np.full(257, ss.mean_value)), tol=1e-11)
     assert res.converged and res.residual <= 1e-11
@@ -370,7 +402,7 @@ def test_steady_j257_reaches_tol_1e_11():
 
 def test_steady_stagnates_below_rounding_floor():
     p52, ss = sec52_problem()
-    g = Grid1D(65, p52.L)
+    g = Grid1D(65, ss.L)
     res = solve_steady_iterative(p52, g, g.dx ** 2 / 2,
                                  Field1D(g, np.full(65, ss.mean_value)), tol=1e-16)
     assert res.stop_reason == "stagnated" and not res.converged
@@ -384,7 +416,7 @@ def test_stagnated_solve_returns_best_iterate(J, tol, monkeypatch):
     monkeypatch.setattr(scheme1d, "_residual",
                         lambda *args: seen.append(real(*args)) or seen[-1])
     p52, ss = sec52_problem()
-    g = Grid1D(J, p52.L)
+    g = Grid1D(J, ss.L)
     res = solve_steady_iterative(p52, g, g.dx ** 2 / 2,
                                  Field1D(g, np.full(J, ss.mean_value)), tol=tol)
     assert res.stop_reason == "stagnated"
@@ -398,7 +430,7 @@ def test_stagnated_restart_at_floor_returns_start():
     # 448 steps (the exact residual reaches tol) but no later check beats the
     # start, so the start comes back with no steps and no jump
     p52, ss = sec52_problem()
-    g = Grid1D(65, p52.L)
+    g = Grid1D(65, ss.L)
     dt = g.dx ** 2 / 2
     first = solve_steady_iterative(p52, g, dt, Field1D(g, np.full(65, ss.mean_value)),
                                    tol=1e-16)
@@ -490,7 +522,7 @@ def test_steady_jump_matches_dense_matrix_power():
                                  dict(tol=float("nan"))])
 def test_steady_solvers_refuse_bad_loop_arguments(bad):
     p52, ss = sec52_problem()
-    g = Grid1D(17, p52.L)
+    g = Grid1D(17, ss.L)
     zero = lambda *args: np.zeros(np.broadcast(*[np.asarray(a) for a in args]).shape)
     g2 = Grid2D(5, 4, 1.0, 1.0)
     with pytest.raises(ValueError):
@@ -534,7 +566,7 @@ def test_steady_iterative_matches_brute_force_series():
 
 def test_steady_iterative_max_steps_flagged():
     p52, ss = sec52_problem()
-    g = Grid1D(65, p52.L)
+    g = Grid1D(65, ss.L)
     v0 = Field1D(g, np.full(65, ss.mean_value))
     res = solve_steady_iterative(p52, g, g.dx ** 2 / 2, v0, tol=1e-12, max_steps=50)
     assert not res.converged and res.stop_reason == "max_steps"
@@ -545,7 +577,7 @@ def test_steady_iterative_max_steps_flagged():
 def test_steady_dt_independence():
     # two CFL-valid steps converge to the same steady state (to solver tol)
     p52, ss = sec52_problem()
-    g = Grid1D(65, p52.L)
+    g = Grid1D(65, ss.L)
     v0 = Field1D(g, np.full(65, ss.mean_value))
     r1 = solve_steady_iterative(p52, g, g.dx ** 2 / 2, v0, tol=1e-11)
     r2 = solve_steady_iterative(p52, g, g.dx ** 2 / 4, v0, tol=1e-11)
@@ -553,8 +585,8 @@ def test_steady_dt_independence():
 
 
 def test_laplace_solver_contract():
-    p52, _ = sec52_problem()
-    g = Grid1D(257, p52.L)
+    p52, ss = sec52_problem()
+    g = Grid1D(257, ss.L)
     rhs = build_rhs(p52, g)
     for s in (1e-2, 1e-6):
         v = solve_steady_laplace(p52, g, s)
@@ -567,9 +599,9 @@ def test_laplace_solver_contract():
 
 
 def test_laplace_matches_dense_solve():
-    p52, _ = sec52_problem()
+    p52, ss = sec52_problem()
     for J in (2, 5, 33):
-        g = Grid1D(J, p52.L)
+        g = Grid1D(J, ss.L)
         b = build_rhs(p52, g).b.values
         for s in (1e-3, 1.0):
             ref = np.linalg.solve(s * np.eye(J) - dense_neumann_matrix(J, g.dx), b)
@@ -585,7 +617,7 @@ def test_laplace_zero_rhs():
 
 def test_laplace_shift_bound_holds():
     p52, ss = sec52_problem()
-    g = Grid1D(65, p52.L)
+    g = Grid1D(65, ss.L)
     rhs = build_rhs(p52, g)
     ref = solve_steady_iterative(p52, g, g.dx ** 2 / 2,
                                  Field1D(g, np.zeros(65)), tol=1e-12).field
@@ -593,7 +625,7 @@ def test_laplace_shift_bound_holds():
     for s in (1e-2, 1e-4):
         v = solve_steady_laplace(p52, g, s)
         gap = norm_l2(Field1D(g, v.values - ref0))
-        assert gap <= laplace_shift_gap_bound(s, norm_l2(rhs.b), p52.L)
+        assert gap <= laplace_shift_gap_bound(s, norm_l2(rhs.b), ss.L)
 
 
 def test_stability_random_fields():

@@ -4,9 +4,10 @@ import pytest
 from neumannheat import (CflViolationError, Field1D, Field2D, Grid1D, Grid2D,
                          GridMismatchError, IncompatibleProblemError,
                          NeumannLaplacian1D, Problem2D, build_rhs2d, cfl2d,
-                         gaussian_2d, inner, mean2d, new_run, norm2d, ones,
-                         project, run2d_to, solve_steady_2d)
-from neumannheat.scheme2d import balance_residual_2d, grid_for
+                         check_compatibility, gaussian_2d, inner, mean2d,
+                         new_run, norm2d, ones, project, propagate, run2d_to,
+                         solve_steady_2d)
+from neumannheat.scheme2d import grid_for
 from neumannheat.spectral import eigenvalue, eigenvector, laplacian
 
 from oracles import exact_steady_count
@@ -176,23 +177,38 @@ def test_solve_steady_2d_rejects_unbalanced_problem():
     one = lambda x, y: np.ones(np.broadcast(x, y).shape)
     zero = lambda x, y: np.zeros(np.broadcast(x, y).shape)
     p = Problem2D(one, zero, zero, 1.0, 1.0)
-    assert balance_residual_2d(p) == pytest.approx(1.0, rel=1e-14)
+    assert check_compatibility(p) == pytest.approx(1.0, rel=1e-14)
     with pytest.raises(IncompatibleProblemError):
         solve_steady_2d(p, g, g.dx ** 2 / 8, ones(g))
     # the same source balanced by the outflow of u = -x^2/2 through x = Lx
     p_ok = Problem2D(one, lambda x, y: -np.asarray(x) * np.ones_like(y), zero, 2.0, 1.0)
-    assert abs(balance_residual_2d(p_ok)) < 1e-14
+    assert abs(check_compatibility(p_ok)) < 1e-14
     g_ok = grid_for(5, 2.0, 1.0)
     assert solve_steady_2d(p_ok, g_ok, 0.01, ones(g_ok), tol=1e-8).converged
 
 
-def test_balance_residual_2d_tensor_rule():
+def test_unbalanced_2d_mean_drifts_at_the_continuous_rate():
+    # f = 1, zero flux: the mean grows by int f / (N dx dy) = 64/81 per unit
+    # time on the 9x9 unit square, by stepping and by propagation alike
+    g = Grid2D(9, 9, 1.0, 1.0)
+    one = lambda x, y: np.ones(np.broadcast(x, y).shape)
+    zero = lambda x, y: np.zeros(np.broadcast(x, y).shape)
+    rhs = build_rhs2d(Problem2D(one, zero, zero, 1.0, 1.0), g)
+    dt = 0.5 / (1 / g.dx ** 2 + 1 / g.dy ** 2)
+    v0 = Field2D(g, np.zeros((9, 9)))
+    for run in (run2d_to, propagate):
+        (cp,) = run(new_run(g, dt, v0, rhs), [1.0])
+        assert cp.t_realized == 1.0
+        assert mean2d(cp.field) == pytest.approx(64.0 / 81.0, rel=1e-13)
+
+
+def test_check_compatibility_2d_tensor_rule():
     # polynomial data are integrated exactly by the 24-point panels:
     # int_0^2 int_0^3 x y^2 = 18; flux terms (g1 = x^2 y, g2 = x y):
     # int_0^3 (4 y - 0) dy + int_0^2 (3 x - 0) dx = 18 + 6
     p = Problem2D(lambda x, y: x * y ** 2, lambda x, y: x ** 2 * np.asarray(y),
                   lambda x, y: np.asarray(x) * y, 2.0, 3.0)
-    assert balance_residual_2d(p) == pytest.approx(18.0 + 24.0, rel=1e-14)
+    assert check_compatibility(p) == pytest.approx(18.0 + 24.0, rel=1e-14)
 
 
 def test_new_run2d_checks_rhs_grid():

@@ -181,6 +181,8 @@ def test_grid_mismatch_is_one_error():
     # the 1D spectral formulas read J and L, which a 2D grid refuses
     with pytest.raises(ValueError):
         eta(Grid2D(5, 4, 1.0, 1.0), 1e-3)
+    with pytest.raises(ValueError):
+        resolvent_power_sum(Grid2D(5, 4, 1.0, 1.0), 1e-3, 10)
 
 
 def test_amplification_bound():
