@@ -8,9 +8,9 @@ from .errors import (CflViolationError, GridMismatchError,
                      QuadratureError, SeriesTruncationError)
 from .grid import (Field, Field1D, Field2D, Grid, Grid1D, Grid2D, inner, mean,
                    mean2d, norm2d, norm_l2, ones, project, project2d)
-from .spectral import (NeumannLaplacian1D, amplification_bound_check, cfl2d,
-                       cfl_ok, eigenpair, eigenvalue, eigenvalues, eigenvector,
-                       eta, eta_geometric_sum, heat_kernel_spectrum_sum,
+from .spectral import (NeumannLaplacian1D, amplification_bound_check, cfl_ok,
+                       eigenvalue, eigenvalues, eigenvector, eta,
+                       eta_geometric_sum, heat_kernel_spectrum_sum,
                        resolvent_power_sum)
 from .exact import (CosineSeries, Gaussian2DProblem, InitialDatum,
                     SmoothFunction, SteadyState1D, companion_w, cosine_mode,

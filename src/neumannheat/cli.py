@@ -34,20 +34,24 @@ EXIT_IO = 4
 EXIT_INCOMPATIBLE = 5
 
 
+def _nonempty(values: list, text: str) -> list:
+    if not values:
+        raise ValueError(f"empty list {text!r}")
+    return values
+
+
 def parse_j_list(text: str) -> list[int]:
-    """Comma list ("17,33,65") or inclusive range ("2..512")."""
+    """Comma list ("17,33,65") or inclusive range ("2..512"), not empty."""
     text = text.strip()
     if ".." in text:
         lo, hi = text.split("..", 1)
-        lo, hi = int(lo), int(hi)
-        if hi < lo:
-            raise ValueError(f"empty range {text!r}")
-        return list(range(lo, hi + 1))
-    return [int(tok) for tok in text.split(",") if tok]
+        return _nonempty(list(range(int(lo), int(hi) + 1)), text)
+    return _nonempty([int(tok) for tok in text.split(",") if tok], text)
 
 
 def parse_t_list(text: str) -> list[float]:
-    return [float(tok) for tok in text.split(",") if tok]
+    """Comma list of numbers, not empty."""
+    return _nonempty([float(tok) for tok in text.split(",") if tok], text)
 
 
 def read_config(path: str) -> dict:
@@ -124,8 +128,8 @@ def cmd_study(args) -> int:
     homog-D, `steady2d --case C` runs steady2d-C."""
     cfg = harness.default_config(
         f"{args.command}-{args.variant}",
-        J_list=parse_j_list(args.J) if args.J else None,
-        checkpoints=parse_t_list(args.t) if args.t else None,
+        J_list=parse_j_list(args.J) if args.J is not None else None,
+        checkpoints=parse_t_list(args.t) if args.t is not None else None,
         cfl=args.cfl,
     )
     records = harness.run_convergence(cfg)
@@ -202,9 +206,9 @@ def cmd_spectra(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    J_list = parse_j_list(args.J) if args.J else list(range(2, 513))
-    cfls = parse_t_list(args.cfl_list) if args.cfl_list else [0.5, 0.25, 0.1]
-    ms = parse_t_list(args.m or "1,10,100,1000")
+    J_list = parse_j_list(args.J) if args.J is not None else list(range(2, 513))
+    cfls = parse_t_list(args.cfl_list) if args.cfl_list is not None else [0.5, 0.25, 0.1]
+    ms = parse_t_list(args.m if args.m is not None else "1,10,100,1000")
     if not all(m.is_integer() for m in ms):
         raise ValueError(f"--m takes whole step counts, got {args.m}")
     worst = harness.bound_sweep(J_list, cfls, ms=[int(m) for m in ms], L=args.L)
@@ -238,8 +242,8 @@ def cmd_sweep(args) -> int:
         J, t = pick("J"), pick("t")
         cfg = harness.default_config(
             exp,
-            J_list=parse_j_list(J) if J else None,
-            checkpoints=parse_t_list(t) if t else None,
+            J_list=parse_j_list(J) if J is not None else None,
+            checkpoints=parse_t_list(t) if t is not None else None,
             cfl=float(pick("cfl")),
         )
         records = harness.run_convergence(cfg)

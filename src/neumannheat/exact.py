@@ -125,7 +125,10 @@ class CosineSeries:
         return self.alpha * np.exp(-self.rates() * t)
 
     def tail_bound(self, t: float, deriv_order: int = 0) -> float:
-        """Bound on the dropped modes of the deriv_order-th derivative at time t."""
+        """Bound on the dropped modes of the deriv_order-th derivative at time t.
+        The one check of t: `evaluate` and `solution` reach it before any tail work."""
+        if not 0 <= t < math.inf:
+            raise ValueError(f"time must be nonnegative and finite, got t={t}")
         if self.coef_bound is None:
             return 0.0
         C, q = self.coef_bound
@@ -149,8 +152,6 @@ class CosineSeries:
 
     def evaluate(self, t: float, x):
         """u(t, x); exact for finite series, tail below 1e-13 otherwise."""
-        if t < 0:
-            raise ValueError(f"time must be nonnegative, got t={t}")
         xv = np.asarray(x, dtype=float)
         if np.any(xv < -1e-12) or np.any(xv > self.L + 1e-12):
             raise ValueError("evaluation point outside [0, L]")

@@ -2,8 +2,9 @@
 geometry built on them.
 
 Along each axis a grid places J nodes x_j = j*h, j = 0..J-1, with h = L/(J-1),
-so the first and last nodes sit exactly on the interval ends.  Shapes, lengths
-and spacings are listed in array-axis order with x last, so a field's
+so the first and last nodes sit exactly on the interval ends: `Grid.coordinates`,
+read by `project` and by the nodal sums of `scheme1d.build_rhs`.  Shapes,
+lengths and spacings are listed in array-axis order with x last, so a field's
 values[..., iy, ix] is v(x_ix, y_iy, ...).  `Grid1D(J, L)` and
 `Grid2D(Jx, Jy, Lx, Ly)` build the one- and two-axis grids.
 
@@ -14,7 +15,6 @@ are bit-stable across runs.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -72,14 +72,13 @@ class Grid:
         (L,) = self.lengths
         return L
 
+    def coordinates(self) -> list:
+        """Each axis's node coordinates j*h, in array-axis order."""
+        return [np.arange(J) * h for J, h in zip(self.shape, self.spacings)]
+
     def nodes(self) -> np.ndarray:
         """The x coordinates of the nodes."""
-        return np.arange(self.Jx) * self.dx
-
-    def node(self, j: int) -> float:
-        if not 0 <= j < self.J:
-            raise IndexError(f"node index {j} out of range for J={self.J}")
-        return j * self.dx
+        return self.coordinates()[-1]
 
 
 def Grid1D(J: int, L: float) -> Grid:
@@ -142,23 +141,20 @@ def sample(f, points) -> np.ndarray:
     """f on the tensor product of the per-axis ``points`` (array-axis order, x
     last), called x first with one coordinate array per axis, each shaped to
     broadcast against the others: the k-th axis from the end (x is the 0th)
-    has k trailing unit axes.  A number f is constant."""
+    has k trailing unit axes.  A number f is constant, and a result with fewer
+    axes (a callable that ignores an axis) is broadcast into a writable copy."""
     shape = tuple(map(len, points))
     if not callable(f):
         return np.full(shape, f, dtype=float)
     coords = [np.asarray(x).reshape((-1,) + (1,) * k) for k, x in enumerate(points[::-1])]
     vals = np.asarray(f(*coords), dtype=float)
-    if vals.shape != shape:
-        # a scalar-only callable, or one that ignores an axis: node by node
-        nodes = itertools.product(*[c.ravel() for c in reversed(coords)])
-        vals = np.array([float(f(*reversed(node))) for node in nodes]).reshape(shape)
-    return vals
+    return vals if vals.shape == shape else np.array(np.broadcast_to(vals, shape))
 
 
 def project(g: Grid, f) -> Field:
     """Sample f (a callable or a number) at the grid nodes by `sample`:
     (project f)[..., iy, ix] = f(x_ix, y_iy, ...)."""
-    return Field(g, sample(f, [np.arange(J) * h for J, h in zip(g.shape, g.spacings)]))
+    return Field(g, sample(f, g.coordinates()))
 
 
 # the two-axis names that bench/ reads; ROADMAP item 4 removes them

@@ -65,6 +65,8 @@ class ExperimentConfig:
             raise CflViolationError(f"cfl ratio must lie in (0, 1/2], got {self.cfl}")
         if not self.J_list:
             raise ValueError("need at least one grid resolution")
+        if not self.checkpoints:
+            raise ValueError("need at least one checkpoint")
         if min(self.J_list) < 2:
             raise ValueError("grid resolutions must be >= 2")
 
@@ -89,8 +91,8 @@ def default_config(experiment: str, J_list: Optional[Sequence[int]] = None,
     default_J, default_checkpoints = EXPERIMENTS[experiment][:2]
     return ExperimentConfig(
         experiment=experiment,
-        J_list=tuple(J_list) if J_list else default_J,
-        checkpoints=tuple(checkpoints) if checkpoints else default_checkpoints,
+        J_list=tuple(J_list) if J_list is not None else default_J,
+        checkpoints=tuple(checkpoints) if checkpoints is not None else default_checkpoints,
         cfl=cfl,
     )
 
@@ -366,7 +368,10 @@ def bound_sweep(J_list: Sequence[int], cfls: Sequence[float] = (0.5, 0.25, 0.1),
     (J, cfl) of the sweep, the sampling inequality over ``J_list``.  Keys:
     "amplification" (smallest envelope margin, at (J, cfl, mode); holds when
     >= 0), then "eta_sum", "resolvent", "kernel" and "quadrature" (value/bound
-    ratios, at (J, cfl, n or m) or (J, function); hold when <= 1)."""
+    ratios, at (J, cfl, n or m) or (J, function); hold when <= 1).  An empty
+    sweep list is refused: it would check nothing."""
+    if not all(map(len, (J_list, cfls, ns, ms))):
+        raise ValueError("bound_sweep needs nonempty J_list, cfls, ns and ms")
     worst = {}
 
     def keep(name, value, where, sign=1.0):  # sign -1 keeps the minimum

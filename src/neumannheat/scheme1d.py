@@ -3,10 +3,11 @@ number of axes, the forced problem with its right-hand side, and the steady
 solvers (long-time iteration; a shifted direct solve in 1D).
 
 The update is v <- v + dt * (A v + b), A the matrix-free Neumann stencil, b
-assembled so that N * dV * mean(b) is the continuous flux/source balance: a
-balanced run conserves its mean and converges to the steady state with that
-mean; an unbalanced one drifts at exactly mean(b), and the steady solvers
-refuse it.  `scheme2d` keeps two-axis names over this code for `bench/`.
+assembled so that N * dV * mean(b) is the continuous flux/source balance,
+which a `ForcedProblem` integrates once, when it is made: a balanced run
+conserves its mean and converges to the steady state with that mean; an
+unbalanced one drifts at exactly mean(b), and the steady solvers refuse it.
+`scheme2d` keeps two-axis names over this code for `bench/`.
 
 Runs step with the one numpy loop of `_kernels`.  `propagate` reaches the same
 checkpoints by one DCT-II transform pair; the steady loop jumps to its
@@ -27,7 +28,7 @@ from scipy.linalg.lapack import dptsv
 
 from . import _kernels
 from .errors import GridMismatchError, IncompatibleProblemError, InstabilityError
-from .grid import Field, Grid, check_grid, mean, project, sample
+from .grid import Field, Grid, check_grid, mean, sample
 from .spectral import eigenvalues, geometric_sum, laplacian, require_stable
 
 __all__ = [
@@ -45,12 +46,22 @@ class ForcedProblem:
     axis on its two faces (u_x on the x faces: not outward-normal data), a
     number or a callable sampled as `project` samples f, with that axis's
     coordinate 0 or its length.  Without ``f_integral`` the source integral
-    comes from the Gauss rule of `_integrate`."""
+    comes from the Gauss rule of `_integrate`.  ``balance``, computed once
+    when the problem is made, holds the source integral and then each axis's
+    net outward flux integral; a problem without one flux per axis is refused."""
 
     f: Callable
     fluxes: tuple
     lengths: tuple
     f_integral: Optional[float] = None
+    balance: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        rules = [(L * _UNIT_RULE[0], L * _UNIT_RULE[1]) for L in self.lengths]
+        source = self.f_integral if self.f_integral is not None else _integrate(self.f, rules)
+        object.__setattr__(self, "balance", (source,) + tuple(
+            _integrate(flux, rules[:axis] + [faces] + rules[axis + 1:])
+            for axis, flux, faces in _axes(self)))
 
 
 def NonhomogProblem(f: Callable, beta: float, gamma: float, L: float,
@@ -92,35 +103,27 @@ def _integrate(fn, rules) -> float:
 
 def _axes(p: ForcedProblem):
     """(axis, flux, faces) per axis, ``faces`` the rule of its two faces
-    weighted by the outward sign; a problem without one flux per axis is
-    refused here."""
+    weighted by the outward sign; refuses a problem without one flux per axis."""
     for axis, (flux, L) in enumerate(zip(p.fluxes, p.lengths, strict=True)):
         yield axis, flux, ([0.0, L], [-1.0, 1.0])
-
-
-def _balance_terms(p: ForcedProblem) -> list:
-    """The source integral and each axis's net outward flux integral."""
-    rules = [(L * _UNIT_RULE[0], L * _UNIT_RULE[1]) for L in p.lengths]
-    source = p.f_integral if p.f_integral is not None else _integrate(p.f, rules)
-    return [source] + [_integrate(flux, rules[:axis] + [faces] + rules[axis + 1:])
-                       for axis, flux, faces in _axes(p)]
 
 
 def check_compatibility(p: ForcedProblem) -> float:
     """Flux/source balance residual (gamma - beta + int_0^L f in 1D): zero
     iff a steady state exists."""
-    return math.fsum(_balance_terms(p))
+    return math.fsum(p.balance)
 
 
 def _build_rhs(p: ForcedProblem, g: Grid) -> DiscreteRHS:
     if tuple(p.lengths) != g.lengths:
         raise GridMismatchError(f"problem on the box {p.lengths} does not match {g}")
-    fx = project(g, p.f).values
-    gap, fluxes = _balance_terms(p) + [-math.prod(g.spacings) * math.fsum(fx.ravel())], []
+    coords = g.coordinates()
+    fx = Field(g, sample(p.f, coords)).values  # `project`, sharing the coordinates
+    gap, fluxes = [*p.balance, -math.prod(g.spacings) * math.fsum(fx.ravel())], []
     for axis, flux, faces in _axes(p):
         # the faces' nodal sums as a rule: each node weighted by the spacings
-        rule = [faces if k == axis else (np.arange(J) * h, np.full(J, h))
-                for k, (J, h) in enumerate(zip(g.shape, g.spacings))]
+        rule = [faces if k == axis else (x, np.full(x.size, h))
+                for k, (x, h) in enumerate(zip(coords, g.spacings))]
         vals = sample(flux, [x for x, _ in rule])
         gap.append(-_contract(vals, rule))
         fluxes.append(vals / g.spacings[axis])
@@ -154,7 +157,6 @@ class RunState:
     n: int
     values: np.ndarray = field(repr=False)
     rhs: Optional[DiscreteRHS] = None
-    mean0: float = 0.0
 
     @property
     def t(self) -> float:
@@ -170,8 +172,7 @@ def new_run(g: Grid, dt: float, v0: Field, rhs: Optional[DiscreteRHS] = None) ->
     `spectral.cfl_ok`, and v0 and the right-hand side must live on g."""
     check_grid(g, v0, *(() if rhs is None else (rhs.b,)))
     require_stable(g, dt)
-    vals = v0.values.copy()
-    return RunState(g, dt, 0, vals, rhs, math.fsum(vals.ravel()) / vals.size)
+    return RunState(g, dt, 0, v0.values.copy(), rhs)
 
 
 def _advance_to(st: RunState, n_target: int) -> None:

@@ -30,8 +30,8 @@ from .errors import CflViolationError
 from .grid import Field, Grid, check_grid, ones
 
 __all__ = [
-    "NeumannLaplacian1D", "laplacian", "EigenPair", "eigenvalue", "eigenvalues",
-    "eigenvector", "eigenpair", "eta", "cfl_ok", "cfl2d", "require_stable",
+    "NeumannLaplacian1D", "laplacian", "eigenvalue", "eigenvalues",
+    "eigenvector", "eta", "cfl_ok", "require_stable",
     "amplification_envelope", "amplification_bound_check", "AmplificationReport",
     "geometric_sum", "eta_geometric_sum", "resolvent_power_sum",
     "heat_kernel_spectrum_sum",
@@ -81,13 +81,6 @@ def laplacian(u: np.ndarray, spacings) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class EigenPair:
-    index: int
-    eigenvalue: float
-    eigenvector: Field
-
-
 def _check_index(g: Grid, ell: int) -> None:
     if not 0 <= ell <= g.J - 1:
         raise IndexError(f"mode index {ell} out of range for J={g.J}")
@@ -119,10 +112,6 @@ def eigenvector(g: Grid, ell: int) -> Field:
     return Field(g, math.sqrt(2.0) * np.cos(ell * (j + 0.5) * math.pi / g.J))
 
 
-def eigenpair(g: Grid, ell: int) -> EigenPair:
-    return EigenPair(ell, eigenvalue(g, ell), eigenvector(g, ell))
-
-
 def cfl_ok(g: Grid, dt: float) -> bool:
     """Exact comparison dt * sum over the axes of 1/h^2 <= 1/2, no tolerance:
     dt/dx^2 <= 1/2 in 1D (up to the rounding of 1/dx^2), and the 1D rule again
@@ -130,9 +119,6 @@ def cfl_ok(g: Grid, dt: float) -> bool:
     if not dt > 0:
         raise ValueError(f"time step must be positive, got dt={dt}")
     return dt * sum(1.0 / h ** 2 for h in g.spacings) <= 0.5
-
-
-cfl2d = cfl_ok  # the two-axis name; ROADMAP item 4 removes it with the grid aliases
 
 
 def require_stable(g: Grid, dt: float) -> None:

@@ -9,9 +9,12 @@ is read as text.
 
 import importlib
 import importlib.util
+import inspect
+import pkgutil
 import re
 from pathlib import Path
 
+import neumannheat
 from neumannheat import _kernels, default_config
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -63,3 +66,30 @@ def test_bench_environment_names_exist():
     cfg = default_config("homog-trigpoly", J_list=(17,), checkpoints=(0.02,),
                          cfl=0.5, threads=1)
     assert cfg.J_list == (17,) and cfg.checkpoints == (0.02,)
+
+
+def _aliases():
+    """(module, name) for each module-level name in the package bound to a
+    package function or class of a different ``__name__``."""
+    found = []
+    for info in pkgutil.iter_modules(neumannheat.__path__):
+        if info.name == "__main__":  # importing it runs the CLI
+            continue
+        module = importlib.import_module(f"neumannheat.{info.name}")
+        for name, obj in vars(module).items():
+            if ((inspect.isfunction(obj) or inspect.isclass(obj))
+                    and obj.__module__.startswith("neumannheat.") and obj.__name__ != name):
+                found.append((info.name, name))
+    return found
+
+
+def test_every_alias_is_read_by_bench():
+    # an alias that bench/ does not read is a second name for nothing
+    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    read = {(module, attribute) for _, module, attribute, _ in tracing.ENTRY_POINTS}
+    read |= set(re.findall(r"\bprog\.(\w+)\.(\w+)", (BENCH / "run.py").read_text()))
+    aliases = _aliases()
+    assert ("_kernels", "advance_1d") in aliases and ("grid", "Field1D") in aliases
+    assert [alias for alias in aliases if alias not in read] == []

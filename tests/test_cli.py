@@ -21,10 +21,28 @@ def test_parse_j_list():
         parse_j_list("7..3")
     with pytest.raises(ValueError):
         parse_j_list("a,b")
+    for text in (",", "", " , "):  # an empty list is refused, not read as the default
+        with pytest.raises(ValueError, match="empty list"):
+            parse_j_list(text)
 
 
 def test_parse_t_list():
     assert parse_t_list("0.02,1") == [0.02, 1.0]
+    for text in (",", ""):
+        with pytest.raises(ValueError, match="empty list"):
+            parse_t_list(text)
+
+
+def test_empty_lists_exit_2(capsys):
+    # each used to fall back to the defaults, and bounds then printed "all
+    # bounds hold" after checking less or nothing
+    for argv in (("homog", "--datum", "trigpoly", "--J", ","),
+                 ("homog", "--datum", "trigpoly", "--J", "17", "--t", ","),
+                 ("steady2d", "--case", "centered", "--J", ""),
+                 ("bounds", "--J", ","), ("bounds", "--J", "2..4", "--cfl-list", ","),
+                 ("bounds", "--J", "2..4", "--m", ",")):
+        assert run_cli(*argv) == 2, argv
+        assert "empty list" in capsys.readouterr().err
 
 
 def test_homog_csv_row_count(tmp_path, capsys):

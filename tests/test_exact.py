@@ -43,6 +43,17 @@ def test_series_domain_checks():
         s.evaluate(0.1, 1.5)
 
 
+def test_series_refuses_non_finite_times():
+    # a nan time used to give nan values (inf: 0 * inf in the constant mode);
+    # with a coefficient bound it first summed 200,000 tail terms
+    for s in (trig_poly().series, hat_function(p_max=30).series):
+        for t in (math.nan, math.inf, -math.inf, -0.1):
+            for call in (lambda: s.evaluate(t, np.array([0.5])), lambda: s.solution(t),
+                         lambda: s.tail_bound(t)):
+                with pytest.raises(ValueError, match="nonnegative and finite"):
+                    call()
+
+
 def test_series_time_derivative_matches_spatial_difference():
     # the flow solves u_t = u_xx: check d/dt against the centered second
     # difference quotient on a smooth mode

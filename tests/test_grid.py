@@ -14,11 +14,14 @@ from neumannheat.spectral import eigenvector
 def test_grid_geometry():
     g = Grid1D(5, 2.0)
     assert g.dx * (g.J - 1) == pytest.approx(g.L, abs=1e-15)
-    assert g.node(0) == 0.0
-    assert g.node(4) == pytest.approx(2.0, abs=1e-15)
+    (x,) = g.coordinates()
+    assert x[0] == 0.0
+    assert x[4] == pytest.approx(2.0, abs=1e-15)
     assert np.allclose(g.nodes(), [0.0, 0.5, 1.0, 1.5, 2.0])
-    with pytest.raises(IndexError):
-        g.node(5)
+    g3 = Grid((2, 3, 4), (1.0, 2.0, 3.0))
+    assert [c.tolist() for c in g3.coordinates()] == [[0.0, 1.0], [0.0, 1.0, 2.0],
+                                                        [0.0, 1.0, 2.0, 3.0]]
+    assert np.array_equal(g3.nodes(), g3.coordinates()[-1])
 
 
 def test_grid_degenerate_and_invalid():
@@ -110,11 +113,23 @@ def test_project_examples():
     assert np.allclose(project(g2, c1).values, [math.sqrt(2), -math.sqrt(2)], atol=1e-15)
 
 
-def test_project_scalar_only_callable():
-    g = Grid1D(4, 1.0)
-    v = project(g, lambda x: float(np.sin(x)) if np.isscalar(x) or x.ndim == 0 else 3.5)
-    # the vectorized call returns the wrong shape, so sampling falls back per node
-    assert np.allclose(v.values, np.sin(g.nodes()))
+def test_project_refuses_a_result_that_does_not_broadcast():
+    for g, f in ((Grid1D(4, 1.0), lambda x: np.ones(3)),
+                 (Grid2D(4, 3, 1.0, 1.0), lambda x, y: np.ones((2, 4))),
+                 (Grid((2, 3, 4), (1.0, 1.0, 1.0)), lambda x, y, z: np.ones(5))):
+        with pytest.raises(ValueError):
+            project(g, f)
+
+
+@pytest.mark.parametrize("g", [Grid2D(4, 3, 1.0, 2.0), Grid((2, 3, 4), (1.0, 2.0, 3.0))])
+def test_project_broadcasts_a_callable_that_ignores_an_axis(g):
+    for f, expected in ((lambda x, *rest: np.cos(x), np.cos(g.nodes())),
+                        (lambda x, *rest: 3.5, 3.5)):
+        calls = []
+        v = project(g, lambda *c: calls.append(c) or f(*c))
+        assert len(calls) == 1
+        assert np.array_equal(v.values, np.broadcast_to(expected, g.shape))
+        v.values[(0,) * len(g.shape)] = -1.0  # a writable copy, not a broadcast view
 
 
 def test_project_linearity():
@@ -177,7 +192,7 @@ def test_project_3d_calls_x_first():
     w = project(g, lambda x, y, z: x + 10 * y + 100 * z)
     assert w.values.shape == (2, 3, 4)
     assert w.values[1, 2, 3] == 3.0 + 10 * 2.0 + 100 * 1.0
-    # a callable that ignores an axis is sampled node by node
+    # a callable that ignores an axis is broadcast
     assert np.array_equal(project(g, lambda x, y, z: x).values,
                           np.broadcast_to(g.nodes(), g.shape))
 

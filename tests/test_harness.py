@@ -8,7 +8,7 @@ from neumannheat import (Grid1D, bound_sweep, convolution_bound_check,
                          default_config, emit_csv, epsilon_diagnostics, estimate_slope,
                          quadrature_inequality_check, run_convergence,
                          trig_poly)
-from neumannheat.harness import (CONVOLUTION_CAP, ErrorRecord, H1Function,
+from neumannheat.harness import (CONVOLUTION_CAP, EXPERIMENTS, ErrorRecord, H1Function,
                                  convolution_value, csv_text, h1_constant,
                                  h1_cosine_mode, h1_linear, records_at)
 from neumannheat.spectral import (amplification_bound_check, eta_geometric_sum,
@@ -74,6 +74,15 @@ def test_default_config_runs_on_one_thread_only():
     assert default_config("homog-trigpoly", threads=1) == default_config("homog-trigpoly")
     with pytest.raises(ValueError):
         default_config("homog-trigpoly", threads=2)
+
+
+def test_default_config_refuses_empty_lists():
+    # an empty list is not a request for the catalog's defaults
+    with pytest.raises(ValueError, match="grid resolution"):
+        default_config("homog-trigpoly", J_list=())
+    with pytest.raises(ValueError, match="checkpoint"):
+        default_config("homog-trigpoly", checkpoints=[])
+    assert default_config("homog-trigpoly", J_list=None).J_list == EXPERIMENTS["homog-trigpoly"][0]
 
 
 def test_epsilon_diagnostics_constant_datum():
@@ -222,6 +231,15 @@ def test_bound_sweep_reports_worst_case_and_location():
     assert worst["amplification"].where[:2] == first_min[1:]
     quad = quadrature_inequality_check(h1_linear(1.0), Js, 1.0)
     assert worst["quadrature"].value >= quad.value
+
+
+def test_bound_sweep_refuses_empty_lists():
+    # an empty list would skip whole bounds, and the sweep would still pass
+    full = dict(J_list=(2, 3), cfls=(0.5,), ns=(1,), ms=(1,))
+    assert all(w.ok for w in bound_sweep(**full).values())
+    for name in full:
+        with pytest.raises(ValueError, match="nonempty"):
+            bound_sweep(**{**full, name: ()})
 
 
 def test_csv_text_matches_emit_csv(tmp_path):

@@ -10,12 +10,13 @@ from neumannheat import (CflViolationError, DiscreteRHS, Field, Field1D, Field2D
                          IncompatibleProblemError,
                          InstabilityError, NeumannLaplacian1D, NonhomogProblem,
                          Problem2D, build_rhs, check_compatibility, eta,
-                         eigenvalue, eigenvector, mean, new_run, norm_l2,
+                         eigenvalue, eigenvector, gaussian_2d, mean, new_run, norm_l2,
                          ones, propagate, run_to, solve_steady_2d,
                          solve_steady_iterative, solve_steady_laplace,
                          steady_1d, step)
 from neumannheat import _kernels
 from neumannheat.scheme1d import _iterate_to_steady, laplace_shift_gap_bound
+from neumannheat.scheme2d import grid_for
 from neumannheat.spectral import laplacian
 
 from oracles import dense_neumann_matrix, dense_power_apply, exact_steady_count
@@ -173,6 +174,27 @@ def test_rhs_carries_the_balance_on_any_number_of_axes(shape, lengths):
     assert res.converged and mean(res.field) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_balance_is_integrated_once_when_the_problem_is_made():
+    # the 2D Gaussian's fluxes: integrated on the 384-point Gauss rule of the
+    # other axis when the problem is made, then sampled only on face nodes
+    case = gaussian_2d(alpha=15.0, beta_g=5.0, x0=1.0, y0=2.0)
+    sizes = []
+
+    def counting(flux):
+        return lambda x, y: sizes.append(np.broadcast(x, y).size) or flux(x, y)
+    p = ForcedProblem(case.f, (counting(case.g2), counting(case.g1)), (case.Ly, case.Lx),
+                      case.source_integral)
+    assert 2 * 384 in sizes
+    assert check_compatibility(p) == math.fsum(p.balance)
+    assert p.balance[0] == case.source_integral and len(p.balance) == 3
+    sizes.clear()
+    for Jx in (8, 16, 33):
+        g = grid_for(Jx, case.Lx, case.Ly)
+        build_rhs(p, g)
+        assert sizes[-2:] == [2 * g.Jx, 2 * g.Jy]
+    assert len(sizes) == 6
+
+
 def test_forced_problem_refuses_a_mismatched_box():
     zero = lambda *c: np.zeros(np.broadcast(*c).shape)
     with pytest.raises(ValueError):
@@ -220,7 +242,7 @@ def test_mean_evolves_at_rate_mean_b(dim, J, cfl, n, seed):
         run = new_run(g, dt, v0, DiscreteRHS(b, 0.0))
         (cp,) = advance(run, [n * dt])
         assert cp.n == n
-        expected = run.mean0 + n * dt * b.values.mean()
+        expected = mean(v0) + n * dt * b.values.mean()
         scale = max(1.0, np.abs(cp.field.values).max(), n * dt * np.abs(b.values).max())
         assert abs(cp.field.values.mean() - expected) <= 1e-13 * (n + 1) * scale
 
@@ -661,10 +683,10 @@ def test_mean_drift_over_many_steps():
     g = Grid1D(17, 1.0)
     dt = g.dx ** 2 / 2
     rng = np.random.default_rng(21)
-    st = new_run(g, dt, Field1D(g, rng.standard_normal(17)))
-    (cp,) = run_to(st, [1_000_000 * dt])
+    v0 = Field1D(g, rng.standard_normal(17))
+    (cp,) = run_to(new_run(g, dt, v0), [1_000_000 * dt])
     assert cp.n == 1_000_000
-    assert abs(mean(cp.field) - st.mean0) <= 1e-8
+    assert abs(mean(cp.field) - mean(v0)) <= 1e-8
 
 
 def test_overflow_raises_instability_error():

@@ -3,7 +3,7 @@ import pytest
 
 from neumannheat import (CflViolationError, Field1D, Field2D, Grid1D, Grid2D,
                          GridMismatchError, IncompatibleProblemError,
-                         NeumannLaplacian1D, Problem2D, build_rhs2d, cfl2d,
+                         NeumannLaplacian1D, Problem2D, build_rhs2d, cfl_ok,
                          check_compatibility, gaussian_2d, inner, mean2d,
                          new_run, norm2d, ones, project, propagate, run2d_to,
                          solve_steady_2d)
@@ -59,11 +59,11 @@ def test_apply2d_embeds_1d():
 def test_cfl2d():
     g = Grid2D(5, 5, 1.0, 1.0)  # dx = dy = 1/4
     h2 = g.dx ** 2
-    assert cfl2d(g, h2 / 4)
-    assert not cfl2d(g, h2 / 2)
+    assert cfl_ok(g, h2 / 4)
+    assert not cfl_ok(g, h2 / 2)
     # a very coarse y-direction recovers the 1D rule
     g_wide = Grid2D(5, 2, 1.0, 1e6)
-    assert cfl2d(g_wide, 0.499 * g_wide.dx ** 2)
+    assert cfl_ok(g_wide, 0.499 * g_wide.dx ** 2)
 
 
 def test_grid_for_matches_spacings():

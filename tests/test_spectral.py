@@ -7,7 +7,7 @@ from scipy.fft import dctn
 
 from neumannheat import (CflViolationError, Field1D, Grid, Grid1D, Grid2D,
                          GridMismatchError, NeumannLaplacian1D,
-                         amplification_bound_check, cfl2d, cfl_ok,
+                         amplification_bound_check, cfl_ok,
                          eigenvalue, eigenvector, eta,
                          eta_geometric_sum, heat_kernel_spectrum_sum, inner,
                          norm_l2, ones, resolvent_power_sum)
@@ -104,15 +104,6 @@ def test_eigenvector_examples():
     assert np.allclose(eigenvector(g2, 1).values, [1.0, -1.0], atol=1e-15)
 
 
-def test_eigenpair_bundle():
-    from neumannheat import eigenpair
-    g = Grid1D(9, 1.0)
-    pair = eigenpair(g, 3)
-    assert pair.index == 3
-    assert pair.eigenvalue == eigenvalue(g, 3)
-    assert np.array_equal(pair.eigenvector.values, eigenvector(g, 3).values)
-
-
 def test_eigenbasis_completeness():
     rng = np.random.default_rng(11)
     for J in (2, 3, 17, 64, 257):
@@ -157,7 +148,6 @@ def test_stability_rule_at_its_limit():
     # step the harness and the CLI build: cfl * dx^2 on a 1D grid and
     # cfl / sum(1/h^2) on more axes (the catalog boxes: x in (0, 2), y in
     # (0, 4), z in (0, 2)); 0.51 times the limit is still refused
-    assert cfl2d is cfl_ok
     for J in range(2, 513):
         Jy = round(2.0 * (J - 1)) + 1  # dy = dx, as `scheme2d.grid_for` picks
         multi = (Grid((Jy, J), (4.0, 2.0)), Grid((J, Jy, J), (2.0, 4.0, 2.0)),
