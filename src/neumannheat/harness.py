@@ -368,29 +368,34 @@ def bound_sweep(J_list: Sequence[int], cfls: Sequence[float] = (0.5, 0.25, 0.1),
     (J, cfl) of the sweep, the sampling inequality over ``J_list``.  Keys:
     "amplification" (smallest envelope margin, at (J, cfl, mode); holds when
     >= 0), then "eta_sum", "resolvent", "kernel" and "quadrature" (value/bound
-    ratios, at (J, cfl, n or m) or (J, function); hold when <= 1).  An empty
-    sweep list is refused: it would check nothing."""
+    ratios, at (J, cfl, n or m) or (J, function); hold when <= 1).  One
+    spectrum per grid: the exactly rounded sums of all (cfl, n) and (cfl, m)
+    come from one broadcast array each, eta once per cfl.  Refused: an empty
+    sweep list, a non-finite cfl, an L outside [1e-60, 1e60] (sums scale as L^4)."""
     if not all(map(len, (J_list, cfls, ns, ms))):
         raise ValueError("bound_sweep needs nonempty J_list, cfls, ns and ms")
+    if not all(map(math.isfinite, cfls)):  # a usage error, not a stability violation
+        raise ValueError(f"cfl ratio must be finite, got {cfls}")
+    grids = [Grid1D(J, L) for J in J_list]  # refuses J < 2 and L <= 0, inf or nan
+    if not 1e-60 <= L <= 1e60:  # the sums scale as L^4, the squared terms as L^4/J^4
+        raise ValueError(f"L must lie in [1e-60, 1e60] for the bound sweep, got {L}")
     worst = {}
 
     def keep(name, value, where, sign=1.0):  # sign -1 keeps the minimum
         if name not in worst or sign * value > sign * worst[name][0]:
             worst[name] = (value, where)
 
-    for J in J_list:
-        g = Grid1D(J, L)
-        for c in cfls:
-            dt = c * g.dx ** 2
+    for J, g in zip(J_list, grids):
+        dts = [c * g.dx ** 2 for c in cfls]
+        resolvent = spectral.resolvent_power_sums(g, dts, ns)
+        kernel, kernel_bound = spectral.heat_kernel_spectrum_sums(g, cfls, ms)
+        for i, (c, dt) in enumerate(zip(cfls, dts)):
             rep = spectral.amplification_bound_check(g, dt)
             keep("amplification", rep.worst_margin, (J, c, rep.worst_index), -1.0)
-            for n in ns:
-                keep("eta_sum", spectral.eta_geometric_sum(g, dt, n) / (2.0 * L ** 2),
-                     (J, c, n))
-                keep("resolvent", spectral.resolvent_power_sum(g, dt, n)
-                     / spectral.resolvent_power_sum_bound(L), (J, c, n))
-            for m in ms:
-                value, bound = spectral.heat_kernel_spectrum_sum(g, c, m)
+            for n, e, r in zip(ns, spectral.eta_geometric_sums(g, dt, ns), resolvent[i]):
+                keep("eta_sum", e / (2.0 * L ** 2), (J, c, n))
+                keep("resolvent", r / spectral.resolvent_power_sum_bound(L), (J, c, n))
+            for m, value, bound in zip(ms, kernel[i], kernel_bound[i]):
                 keep("kernel", value / bound, (J, c, m))
     for h1 in (h1_constant(), h1_linear(L), h1_cosine_mode(1, L)):
         rep = quadrature_inequality_check(h1, J_list, L)

@@ -30,11 +30,11 @@ from .errors import CflViolationError
 from .grid import Field, Grid, check_grid, ones
 
 __all__ = [
-    "NeumannLaplacian1D", "laplacian", "eigenvalue", "eigenvalues",
-    "eigenvector", "eta", "cfl_ok", "require_stable",
-    "amplification_envelope", "amplification_bound_check", "AmplificationReport",
-    "geometric_sum", "eta_geometric_sum", "resolvent_power_sum",
-    "heat_kernel_spectrum_sum",
+    "NeumannLaplacian1D", "laplacian", "eigenvalue", "eigenvalues", "eigenvector", "eta",
+    "cfl_ok", "require_stable", "amplification_envelope", "amplification_bound_check",
+    "AmplificationReport", "geometric_sum", "eta_geometric_sum", "eta_geometric_sums",
+    "resolvent_power_sum", "resolvent_power_sums", "heat_kernel_spectrum_sum",
+    "heat_kernel_spectrum_sums",
 ]
 
 
@@ -170,60 +170,75 @@ def amplification_bound_check(g: Grid, dt: float) -> AmplificationReport:
     return AmplificationReport(g, dt, margins, bool(np.all(margins >= 0.0)))
 
 
-def geometric_sum(lam, qk, k: int, dt: float):
+def geometric_sum(lam, qk, k, dt):
     """dt * sum_{i<k} q^i per entry of ``lam`` (a float or an array), given
     qk = q^k for the ratio q = 1 + dt*lam: (1 - q^k)/(-lam), or k*dt where
     |1 - q| < 1e-14 (the constant mode, lambda = 0, and ratios the closed
-    form cannot resolve)."""
+    form cannot resolve); ``k`` and ``dt`` may be arrays that broadcast to qk."""
     if isinstance(lam, float):  # one ratio (eta): float arithmetic, a few times faster
         return k * dt if abs(dt * lam) < 1e-14 else (1.0 - qk) / -lam
     near = np.abs(dt * lam) < 1e-14
-    return np.divide(1.0 - qk, -lam, out=np.full(lam.shape, k * dt), where=~near)
+    return np.divide(1.0 - qk, -lam, out=np.full(qk.shape, k * dt), where=~near)
+
+
+def eta_geometric_sums(g: Grid, dt: float, ns) -> list:
+    """dt * sum_{k<n} eta^k for each n of ``ns``, from one eta, via the closed
+    geometric form; under the stability restriction each is bounded by 2 L^2
+    uniformly in n, J and dt."""
+    require_stable(g, dt)
+    if min(ns) < 1:
+        raise ValueError(f"need n >= 1, got {min(ns)}")
+    e = eta(g, dt)
+    return [geometric_sum((e - 1.0) / dt, e ** n, n, dt) for n in ns]
 
 
 def eta_geometric_sum(g: Grid, dt: float, n: int) -> float:
-    """dt * sum_{k=0}^{n-1} eta^k via the closed geometric form.
+    """The one-n case of `eta_geometric_sums`."""
+    return eta_geometric_sums(g, dt, (n,))[0]
 
-    Under the stability restriction the result is bounded by 2 L^2 uniformly
-    in n, J and dt.
-    """
-    require_stable(g, dt)
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    e = eta(g, dt)
-    return geometric_sum((e - 1.0) / dt, e ** n, n, dt)
+
+def resolvent_power_sums(g: Grid, dts, ns) -> list:
+    """sum_l |dt * sum_{k<n} (1 + dt*lambda_l)^k|^2 over the nonzero modes, at
+    [i][j] for dt = dts[i] and n = ns[j], from one spectrum.
+
+    Each inner sum uses the closed geometric form (guarded near ratio 1), so
+    the cost is O(J) per (dt, n) regardless of n.  Each sum is exactly rounded
+    and bounded by 4 * pi^4 * L^4 / 90 uniformly in n and dt under the CFL rule."""
+    for dt in dts:
+        require_stable(g, dt)
+    if min(ns) < 1:
+        raise ValueError(f"need n >= 1, got {min(ns)}")
+    lam, dt = eigenvalues(g)[1:g.J], np.array(dts, float)[:, None, None]  # g.J: 1D grids only
+    # one power per n, with n a Python number as one pair has it (numpy squares n = 2)
+    qk = np.concatenate([(1.0 + dt * lam) ** n for n in ns], axis=1)
+    s = geometric_sum(lam, qk, np.array(ns, float)[:, None], dt)
+    return [[math.fsum(row.tolist()) for row in block] for block in s * s]
 
 
 def resolvent_power_sum(g: Grid, dt: float, n: int) -> float:
-    """sum_l |dt * sum_{k<n} (1 + dt*lambda_l)^k|^2 over the nonzero modes.
-
-    Each inner sum uses the closed geometric form (guarded near ratio 1), so
-    the cost is O(J) regardless of n.  The result is bounded by
-    4 * pi^4 * L^4 / 90 uniformly in n and dt under the CFL restriction.
-    """
-    require_stable(g, dt)
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    lam = eigenvalues(g)[1:g.J]  # g.J: a grid of several axes refuses this 1D sum
-    s = geometric_sum(lam, (1.0 + dt * lam) ** n, n, dt)
-    return math.fsum(s * s)
+    """The one-(dt, n) case of `resolvent_power_sums`."""
+    return resolvent_power_sums(g, (dt,), (n,))[0][0]
 
 
 def resolvent_power_sum_bound(L: float) -> float:
     return 4.0 * math.pi ** 4 * L ** 4 / 90.0
 
 
-def heat_kernel_spectrum_sum(g: Grid, alpha: float, m: int) -> tuple[float, float]:
-    """Riemann-type sum dx * sum_l exp(-alpha*m*sin^2(l pi / J)) and its bound.
+def heat_kernel_spectrum_sums(g: Grid, alphas, ms) -> tuple[list, list]:
+    """Riemann-type sums dx * sum_l exp(-alpha*m*sin^2(l pi / J)), exactly
+    rounded, and their bounds L*sqrt(pi)/sqrt(m*alpha), at [i][j] for
+    alpha = alphas[i] and m = ms[j]; no sum exceeds its bound, uniformly in J."""
+    if not all(a > 0 for a in alphas):
+        raise ValueError(f"need alpha > 0, got {alphas}")
+    if min(ms) < 1:
+        raise ValueError(f"need m >= 1, got {min(ms)}")
+    am = np.array(alphas, float)[:, None] * np.array(ms, float)
+    terms = np.exp(-am[..., None] * np.sin(np.arange(1, g.J) * np.pi / g.J) ** 2)
+    values = [[g.dx * math.fsum(row.tolist()) for row in block] for block in terms]
+    return values, (g.L * math.sqrt(math.pi) / np.sqrt(am)).tolist()
 
-    Returns (value, bound) with bound = L*sqrt(pi)/sqrt(m*alpha); the value
-    never exceeds the bound, uniformly in J.
-    """
-    if not alpha > 0:
-        raise ValueError(f"need alpha > 0, got {alpha}")
-    if m < 1:
-        raise ValueError(f"need m >= 1, got {m}")
-    ell = np.arange(1, g.J)
-    value = g.dx * math.fsum(np.exp(-alpha * m * np.sin(ell * np.pi / g.J) ** 2))
-    bound = g.L * math.sqrt(math.pi) / math.sqrt(m * alpha)
-    return value, bound
+
+def heat_kernel_spectrum_sum(g: Grid, alpha: float, m: int) -> tuple[float, float]:
+    """The one-(alpha, m) case of `heat_kernel_spectrum_sums`: (value, bound)."""
+    values, bounds = heat_kernel_spectrum_sums(g, (alpha,), (m,))
+    return values[0][0], bounds[0][0]

@@ -192,6 +192,18 @@ def test_bounds_refuses_fractional_step_counts(capsys):
     assert "kernel" in capsys.readouterr().out
 
 
+def test_bounds_refuses_lengths_whose_sums_overflow(capsys):
+    # --L 1e200 used to end in an OverflowError traceback from dx**2
+    assert run_cli("bounds", "--J", "2..4", "--L", "1e200") == 2
+    assert "invalid arguments: L must lie in" in capsys.readouterr().err
+
+
+def test_bounds_refuses_non_finite_cfl(capsys):
+    # inf used to exit 3, a stability violation; homog --cfl inf exits 2
+    assert run_cli("bounds", "--J", "2..4", "--cfl-list", "inf") == 2
+    assert "cfl ratio must be finite" in capsys.readouterr().err
+
+
 def test_bounds_perturbed_fails(capsys, monkeypatch):
     failing = {"amplification": harness.WorstCase(-1e-3, (2, 0.5, 1), False),
                "kernel": harness.WorstCase(0.5, (4, 0.1, 10), True)}

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from neumannheat import (Grid1D, bound_sweep, convolution_bound_check,
+from neumannheat import (CflViolationError, Grid1D, bound_sweep, convolution_bound_check,
                          default_config, emit_csv, epsilon_diagnostics, estimate_slope,
                          quadrature_inequality_check, run_convergence,
                          trig_poly)
@@ -12,7 +12,8 @@ from neumannheat.harness import (CONVOLUTION_CAP, EXPERIMENTS, ErrorRecord, H1Fu
                                  convolution_value, csv_text, h1_constant,
                                  h1_cosine_mode, h1_linear, records_at)
 from neumannheat.spectral import (amplification_bound_check, eta_geometric_sum,
-                                  resolvent_power_sum, resolvent_power_sum_bound)
+                                  heat_kernel_spectrum_sum, resolvent_power_sum,
+                                  resolvent_power_sum_bound)
 
 from oracles import brute_convolution
 
@@ -240,6 +241,56 @@ def test_bound_sweep_refuses_empty_lists():
     for name in full:
         with pytest.raises(ValueError, match="nonempty"):
             bound_sweep(**{**full, name: ()})
+
+
+def _scalar_sweep(J_list, cfls, ns, ms, L):
+    """The worst cases of `bound_sweep` from one scalar call per (J, cfl, n)
+    and (J, cfl, m), as criterion 08 sweeps; ties keep the first in sweep order."""
+    worst = {}
+
+    def keep(name, value, where, sign=1.0):
+        if name not in worst or sign * value > sign * worst[name][0]:
+            worst[name] = (value, where)
+
+    for J in J_list:
+        g = Grid1D(J, L)
+        for c in cfls:
+            dt = c * g.dx ** 2
+            rep = amplification_bound_check(g, dt)
+            keep("amplification", rep.worst_margin, (J, c, rep.worst_index), -1.0)
+            for n in ns:
+                keep("eta_sum", eta_geometric_sum(g, dt, n) / (2.0 * L ** 2), (J, c, n))
+                keep("resolvent", resolvent_power_sum(g, dt, n)
+                     / resolvent_power_sum_bound(L), (J, c, n))
+            for m in ms:
+                value, bound = heat_kernel_spectrum_sum(g, c, m)
+                keep("kernel", value / bound, (J, c, m))
+    return worst
+
+
+def test_bound_sweep_is_bit_identical_to_scalar_calls():
+    # the batched sums must give the same bits, so the same ties win
+    cfls, ns, ms, L = (0.5, 0.37, 0.1), (1, 2, 7, 10, 1000, 10 ** 6), (1, 7, 1000), 3.0
+    for J_list in (range(2, 65), [2]):  # at J = 2 eta_sum and resolvent tie across n
+        worst = bound_sweep(J_list, cfls, ns=ns, ms=ms, L=L)
+        for name, (value, where) in _scalar_sweep(J_list, cfls, ns, ms, L).items():
+            assert (worst[name].value, worst[name].where) == (value, where), name
+
+
+def test_bound_sweep_refusals():
+    full = dict(J_list=(2, 3), cfls=(0.5,), ns=(1,), ms=(1,))
+    for bad, error in (({"ns": (1, 0)}, ValueError), ({"ms": (0,)}, ValueError),
+                       ({"cfls": (0.5, 0.6)}, CflViolationError),
+                       ({"cfls": (0.5, math.inf)}, ValueError),
+                       ({"cfls": (math.nan,)}, ValueError),
+                       # 1e200 overflowed dx**2, 1e77 the resolvent bound (its
+                       # ratio read 0), and 1e-100 underflowed it to 0
+                       ({"L": 1e200}, ValueError), ({"L": 1e77}, ValueError),
+                       ({"L": 1e-100}, ValueError)):
+        with pytest.raises(error) as info:
+            bound_sweep(**{**full, **bad})
+        assert info.type is error, bad  # a non-finite cfl is no stability violation
+    assert all(w.ok for w in bound_sweep(**{**full, "L": 1e60}).values())
 
 
 def test_csv_text_matches_emit_csv(tmp_path):

@@ -11,7 +11,9 @@ from neumannheat import (CflViolationError, Field1D, Grid, Grid1D, Grid2D,
                          eigenvalue, eigenvector, eta,
                          eta_geometric_sum, heat_kernel_spectrum_sum, inner,
                          norm_l2, ones, resolvent_power_sum)
-from neumannheat.spectral import eigenvalues, laplacian, resolvent_power_sum_bound
+from neumannheat.spectral import (eigenvalues, geometric_sum, heat_kernel_spectrum_sums,
+                                  laplacian, resolvent_power_sum_bound,
+                                  resolvent_power_sums)
 
 from oracles import brute_eta_sum, brute_resolvent_power_sum, dense_neumann_matrix
 
@@ -228,3 +230,39 @@ def test_heat_kernel_spectrum_sum():
     assert val <= bound
     vals = [heat_kernel_spectrum_sum(g, 0.5, m)[0] for m in (1, 2, 5, 20, 100)]
     assert all(b < a for a, b in zip(vals, vals[1:]))  # decreasing in m
+
+
+def test_batched_sums_match_per_call_sums():
+    # every (dt, n) and (alpha, m) of one broadcast array gives the bits of
+    # its own per-call sum over a fresh spectrum; dt = 1e-18 puts every ratio
+    # of J <= 9 and some of J = 65 within 1e-14 of 1 (the k*dt fallback),
+    # numpy squares for a Python n = 2, and counts beyond int64 still work
+    cfls, ns, ms = (0.5, 0.37, 0.1), (1, 2, 7, 1000, 10 ** 6, 10 ** 20), (1, 3, 7, 10 ** 30)
+    for J in (2, 3, 9, 65):
+        g = Grid1D(J, 1.0)
+        dts = [c * g.dx ** 2 for c in cfls] + [1e-18]
+        lam = eigenvalues(g)[1:]
+        per_call = [[math.fsum(s * s) for s in
+                     (geometric_sum(lam, (1.0 + dt * lam) ** n, n, dt) for n in ns)]
+                    for dt in dts]
+        assert resolvent_power_sums(g, dts, ns) == per_call
+        assert [[resolvent_power_sum(g, dt, n) for n in ns] for dt in dts] == per_call
+        sin2 = np.sin(np.arange(1, J) * np.pi / J) ** 2
+        values, bounds = heat_kernel_spectrum_sums(g, cfls, ms)
+        assert values == [[g.dx * math.fsum(np.exp(-c * m * sin2)) for m in ms] for c in cfls]
+        assert bounds == [[math.sqrt(math.pi) / math.sqrt(m * c) for m in ms] for c in cfls]
+        assert [[heat_kernel_spectrum_sum(g, c, m) for m in ms] for c in cfls] == \
+            [list(zip(v, b)) for v, b in zip(values, bounds)]
+
+
+def test_batched_sums_refuse_what_the_per_call_sums_refuse():
+    g = Grid1D(9, 1.0)
+    with pytest.raises(ValueError, match="n >= 1"):
+        resolvent_power_sums(g, [g.dx ** 2 / 4], (1, 0))
+    with pytest.raises(CflViolationError):
+        resolvent_power_sums(g, [g.dx ** 2 / 4, 0.6 * g.dx ** 2], (1,))
+    with pytest.raises(ValueError, match="m >= 1"):
+        heat_kernel_spectrum_sums(g, (0.5,), (1, 0))
+    for alpha in (0.0, math.nan):
+        with pytest.raises(ValueError, match="alpha > 0"):
+            heat_kernel_spectrum_sums(g, (0.5, alpha), (1,))
