@@ -115,12 +115,12 @@ def _write_or_print(text: str, out_path) -> None:
 def _print_slope_table(records, checkpoints) -> None:
     print("slope summary (error ~ J^-slope):")
     for t in checkpoints:
-        recs = harness.records_at(records, t)
-        if len(recs) >= 3:
-            fit = harness.estimate_slope(recs)
-            print(f"  t={t:g}: slope={fit.slope:.3f} over J={fit.J_used}")
+        try:
+            fit = harness.estimate_slope(harness.records_at(records, t))
+        except ValueError as exc:  # fewer than 3 grids, or a zero error
+            print(f"  t={t:g}: no fit: {exc}")
         else:
-            print(f"  t={t:g}: <3 grids, no fit")
+            print(f"  t={t:g}: slope={fit.slope:.3f} over J={fit.J_used}")
 
 
 def cmd_study(args) -> int:

@@ -3,7 +3,7 @@ geometry built on them.
 
 Along each axis a grid places J nodes x_j = j*h, j = 0..J-1, with h = L/(J-1),
 so the first and last nodes sit exactly on the interval ends: `Grid.coordinates`,
-read by `project` and by the nodal sums of `scheme1d.build_rhs`.  Shapes,
+read by `project` and by `scheme1d.build_rhs`.  Shapes,
 lengths and spacings are listed in array-axis order with x last, so a field's
 values[..., iy, ix] is v(x_ix, y_iy, ...).  `Grid1D(J, L)` and
 `Grid2D(Jx, Jy, Lx, Ly)` build the one- and two-axis grids.
@@ -47,10 +47,14 @@ class Grid:
         if not all([0 < L < math.inf for L in lengths]):
             raise ValueError(
                 f"every interval length must be positive and finite, got {lengths}")
+        spacings = tuple([L / (J - 1) for J, L in zip(shape, lengths)])
+        # the stencil and the stability rule divide by h^2
+        if not all([0 < h * h < math.inf and 1 / (h * h) < math.inf for h in spacings]):
+            raise ValueError(f"every spacing's square and its reciprocal must be "
+                             f"positive and finite, got spacings {spacings}")
         object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "lengths", lengths)
-        object.__setattr__(self, "spacings",
-                           tuple([L / (J - 1) for J, L in zip(shape, lengths)]))
+        object.__setattr__(self, "spacings", spacings)
 
     # the x axis is the last array axis, y the one before it
     Jx = property(lambda g: g.shape[-1])

@@ -234,6 +234,9 @@ def estimate_slope(records: Sequence[ErrorRecord],
         recs = [r for r in recs if r.J in wanted]
     if len(recs) < 3:
         raise ValueError(f"need at least 3 records for a slope fit, got {len(recs)}")
+    zero = [r.J for r in recs if not r.rel_err > 0]
+    if zero:
+        raise ValueError(f"a log-log fit needs positive errors; not positive at J={zero}")
     lgJ = np.log([r.J for r in recs])
     lge = np.log([r.rel_err for r in recs])
     A = np.vstack([lgJ, np.ones_like(lgJ)]).T
@@ -376,9 +379,11 @@ def bound_sweep(J_list: Sequence[int], cfls: Sequence[float] = (0.5, 0.25, 0.1),
         raise ValueError("bound_sweep needs nonempty J_list, cfls, ns and ms")
     if not all(map(math.isfinite, cfls)):  # a usage error, not a stability violation
         raise ValueError(f"cfl ratio must be finite, got {cfls}")
-    grids = [Grid1D(J, L) for J in J_list]  # refuses J < 2 and L <= 0, inf or nan
-    if not 1e-60 <= L <= 1e60:  # the sums scale as L^4, the squared terms as L^4/J^4
+    # the sums scale as L^4, the squared terms as L^4/J^4; the grids refuse
+    # J < 2 and L <= 0, inf or nan
+    if 0 < L < math.inf and not 1e-60 <= L <= 1e60:
         raise ValueError(f"L must lie in [1e-60, 1e60] for the bound sweep, got {L}")
+    grids = [Grid1D(J, L) for J in J_list]
     worst = {}
 
     def keep(name, value, where, sign=1.0):  # sign -1 keeps the minimum

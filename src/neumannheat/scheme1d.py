@@ -3,8 +3,8 @@ number of axes, the forced problem with its right-hand side, and the steady
 solvers (long-time iteration; a shifted direct solve in 1D).
 
 The update is v <- v + dt * (A v + b), A the matrix-free Neumann stencil, b
-assembled so that N * dV * mean(b) is the continuous flux/source balance,
-which a `ForcedProblem` integrates once, when it is made: a balanced run
+shifted so that N * dV * mean(b) is the flux/source balance that a
+`ForcedProblem` integrates once, when it is made: a balanced run
 conserves its mean and converges to the steady state with that mean; an
 unbalanced one drifts at exactly mean(b), and the steady solvers refuse it.
 `scheme2d` keeps two-axis names over this code for `bench/`.
@@ -48,7 +48,8 @@ class ForcedProblem:
     coordinate 0 or its length.  Without ``f_integral`` the source integral
     comes from the Gauss rule of `_integrate`.  ``balance``, computed once
     when the problem is made, holds the source integral and then each axis's
-    net outward flux integral; a problem without one flux per axis is refused."""
+    net outward flux integral; a problem without one flux per axis, or with a
+    balance term that is not finite, is refused."""
 
     f: Callable
     fluxes: tuple
@@ -58,10 +59,14 @@ class ForcedProblem:
 
     def __post_init__(self):
         rules = [(L * _UNIT_RULE[0], L * _UNIT_RULE[1]) for L in self.lengths]
-        source = self.f_integral if self.f_integral is not None else _integrate(self.f, rules)
-        object.__setattr__(self, "balance", (source,) + tuple(
-            _integrate(flux, rules[:axis] + [faces] + rules[axis + 1:])
-            for axis, flux, faces in _axes(self)))
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below instead
+            source = self.f_integral if self.f_integral is not None else _integrate(self.f, rules)
+            balance = (source,) + tuple(
+                _integrate(flux, rules[:axis] + [faces] + rules[axis + 1:])
+                for axis, flux, faces in _axes(self))
+        if not all(map(math.isfinite, balance)):
+            raise ValueError(f"the balance terms must be finite, got {balance}")
+        object.__setattr__(self, "balance", balance)
 
 
 def NonhomogProblem(f: Callable, beta: float, gamma: float, L: float,
@@ -114,35 +119,34 @@ def check_compatibility(p: ForcedProblem) -> float:
     return math.fsum(p.balance)
 
 
+def _balance_per_volume(p: ForcedProblem, g: Grid) -> float:
+    """check_compatibility(p) / (N dV) on g: the mean of `build_rhs`'s b."""
+    return check_compatibility(p) / (math.prod(g.shape) * math.prod(g.spacings))
+
+
 def _build_rhs(p: ForcedProblem, g: Grid) -> DiscreteRHS:
     if tuple(p.lengths) != g.lengths:
         raise GridMismatchError(f"problem on the box {p.lengths} does not match {g}")
     coords = g.coordinates()
-    fx = Field(g, sample(p.f, coords)).values  # `project`, sharing the coordinates
-    gap, fluxes = [*p.balance, -math.prod(g.spacings) * math.fsum(fx.ravel())], []
-    for axis, flux, faces in _axes(p):
-        # the faces' nodal sums as a rule: each node weighted by the spacings
-        rule = [faces if k == axis else (x, np.full(x.size, h))
-                for k, (x, h) in enumerate(zip(coords, g.spacings))]
-        vals = sample(flux, [x for x, _ in rule])
-        gap.append(-_contract(vals, rule))
-        fluxes.append(vals / g.spacings[axis])
-    r = math.fsum(gap) / (fx.size * math.prod(g.spacings))
-    b = fx + r
-    for axis, term in enumerate(fluxes):
+    b = np.array(sample(p.f, coords))  # a fresh array: f may return one it keeps
+    for axis, flux, (ends, _) in _axes(p):
+        term = sample(flux, coords[:axis] + [ends] + coords[axis + 1:]) / g.spacings[axis]
         low, high = [(slice(None),) * axis + (end,) for end in (0, -1)]
         b[low] -= term[low]
         b[high] += term[high]
+    # `Field` refuses a source or face flux that is not finite at a node
+    r = _balance_per_volume(p, g) - mean(Field(g, b))
+    b += r
     return DiscreteRHS(Field(g, b), r)
 
 
 def build_rhs(p: ForcedProblem, g: Grid) -> DiscreteRHS:
-    """b = sampled f -+ flux/h on the low/high face nodes of each axis + r,
-    with r the gap between the continuous balance and the nodal sums, so that
-    N * dV * mean(b) = `check_compatibility(p)` on any grid (cell volume dV,
-    face cell area dA):
+    """b = b0 + r, b0 the sampled f -+ flux/h on the low/high face nodes of
+    each axis and r the uniform shift that puts the continuous balance,
+    read once from `check_compatibility(p)`, into b's mean: N * dV * mean(b)
+    = `check_compatibility(p)` on any grid (N nodes, cell volume dV):
 
-        r = (int f - dV sum f + sum_faces sign (int flux - dA sum flux)) / (N dV)
+        r = check_compatibility(p) / (N dV) - sum b0 / N
     """
     return _build_rhs(p, g)
 
@@ -333,13 +337,12 @@ def _iterate_to_steady(st: RunState, tol: float, max_steps: int) -> SteadySolve:
 
 
 def _balanced_rhs(p: ForcedProblem, g: Grid, consequence: str = "") -> DiscreteRHS:
-    """`build_rhs`, rejecting a right-hand side whose discrete mean does not
-    vanish, on any grid: the problem then has no steady state."""
-    rhs = build_rhs(p, g)
-    m = mean(rhs.b)
+    """`build_rhs`, refused before it is assembled when the balance per unit
+    volume, which is mean(b), does not vanish: the problem has no steady state."""
+    m = _balance_per_volume(p, g)
     if abs(m) > 1e-10:
-        raise IncompatibleProblemError(f"discrete mean of b is {m:.3e}{consequence}")
-    return rhs
+        raise IncompatibleProblemError(f"balance per volume, mean(b), is {m:.3e}{consequence}")
+    return build_rhs(p, g)
 
 
 def _solve_steady(p: ForcedProblem, g: Grid, dt: float, v0: Field,
@@ -368,8 +371,8 @@ def solve_steady_laplace(p: ForcedProblem, g: Grid, s: float) -> Field:
     zero discrete mean and approaches the zero-mean steady state at rate O(s).
     The matrix is symmetric positive definite and tridiagonal: LAPACK dptsv.
     """
-    if not s > 0:
-        raise ValueError(f"shift must be positive, got s={s}")
+    if not 0 < s < math.inf:
+        raise ValueError(f"shift must be positive and finite, got s={s}")
     rhs = _balanced_rhs(p, g)
     inv_dx2 = 1.0 / g.dx ** 2
     diag = np.full(g.J, s + 2.0 * inv_dx2)

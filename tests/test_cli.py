@@ -198,6 +198,27 @@ def test_bounds_refuses_lengths_whose_sums_overflow(capsys):
     assert "invalid arguments: L must lie in" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ("spectra", "--J", "3", "--L", "1e200"),
+    ("steady1d", "--problem", "custom", "--f-const", "0", "--J", "9", "--L", "1e200"),
+    ("steady1d", "--problem", "custom", "--f-const", "0", "--J", "3", "--L", "1e-170",
+     "--solver", "laplace"),
+])
+def test_lengths_whose_spacing_squares_overflow_exit_2(argv, capsys):
+    # these ended in OverflowError (1e200) and ZeroDivisionError (1e-170) tracebacks
+    assert run_cli(*argv) == 2
+    assert "spacing's square and its reciprocal must be positive and finite" in \
+        capsys.readouterr().err
+
+
+def test_slope_table_reports_no_fit_on_zero_errors(capsys):
+    # at t = 0 every error is 0: the fit used to take log(0) and print slope=nan
+    assert run_cli("homog", "--datum", "trigpoly", "--J", "17,33,65", "--t", "0,0.01") == 0
+    out = capsys.readouterr().out
+    assert "t=0: no fit: a log-log fit needs positive errors" in out
+    assert "t=0.01: slope=" in out and "nan" not in out
+
+
 def test_bounds_refuses_non_finite_cfl(capsys):
     # inf used to exit 3, a stability violation; homog --cfl inf exits 2
     assert run_cli("bounds", "--J", "2..4", "--cfl-list", "inf") == 2

@@ -37,6 +37,13 @@ def test_grid_degenerate_and_invalid():
             Grid2D(5, 5, bad, 1.0)
         with pytest.raises(ValueError, match="positive and finite"):
             Grid2D(5, 5, 1.0, bad)
+    # 1e200 overflowed h**2 in the stability rule (OverflowError), 1e-170
+    # underflowed it to 0 (ZeroDivisionError in the shifted solve)
+    for shape, lengths in (((3,), (1e200,)), ((9,), (1e200,)), ((3,), (1e-170,)),
+                           ((3, 5), (1.0, 1e-160)), ((5, 5, 5), (1e160, 1.0, 1.0))):
+        with pytest.raises(ValueError, match="spacing's square"):
+            Grid(shape, lengths)
+    Grid1D(3, 1e150), Grid1D(3, 1e-150)  # squares and reciprocals in range
 
 
 def test_field_validation():

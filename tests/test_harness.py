@@ -35,6 +35,12 @@ def test_slope_fit_requires_three_points():
         estimate_slope(_mk_records({10: 1.0, 20: 0.5}))
 
 
+def test_slope_fit_refuses_errors_that_are_not_positive():
+    for bad in (0.0, -1e-3, math.nan):
+        with pytest.raises(ValueError, match="positive errors; not positive at J=\\[20\\]"):
+            estimate_slope(_mk_records({10: 1.0, 20: bad, 40: 0.25}))
+
+
 def test_slope_fit_on_published_convergence_data():
     # frozen first-order data points: errors 0.013019139, 0.006570036,
     # 0.003300383 at J = 129, 257, 513

@@ -203,6 +203,60 @@ def test_forced_problem_refuses_a_mismatched_box():
         build_rhs(NonhomogProblem(zero, 0.0, 0.0, 1.0, f_integral=0.0), Grid1D(5, 2.0))
 
 
+def test_steady_solvers_refuse_by_the_balance_without_summing_b(monkeypatch):
+    from neumannheat import grid, scheme1d
+
+    def unread(*args):
+        raise AssertionError("the refusal must not assemble or sum b")
+    for name in ("build_rhs", "_build_rhs", "mean"):
+        monkeypatch.setattr(scheme1d, name, unread)
+    monkeypatch.setattr(grid, "mean", unread)
+    g = Grid1D(9, 1.0)
+    p_bad = NonhomogProblem(lambda x: np.zeros_like(x), 1.0, 0.0, 1.0, f_integral=0.0)
+    # the balance -1 over N dV = 9/8
+    with pytest.raises(IncompatibleProblemError, match=r"mean\(b\), is -8\.889e-01"):
+        solve_steady_iterative(p_bad, g, g.dx ** 2 / 2, ones(g))
+    with pytest.raises(IncompatibleProblemError):
+        solve_steady_laplace(p_bad, g, 1e-3)
+    g2 = Grid2D(5, 5, 1.0, 1.0)
+    one = lambda x, y: np.ones(np.broadcast(x, y).shape)
+    zero = lambda x, y: np.zeros(np.broadcast(x, y).shape)
+    with pytest.raises(IncompatibleProblemError):
+        solve_steady_2d(Problem2D(one, zero, zero, 1.0, 1.0), g2, g2.dx ** 2 / 8, ones(g2))
+
+
+def test_balanced_problem_on_a_mismatched_box_is_refused_by_the_solvers():
+    p = NonhomogProblem(lambda x: np.zeros_like(x), 0.0, 0.0, 1.0, f_integral=0.0)
+    g = Grid1D(5, 2.0)
+    with pytest.raises(GridMismatchError):
+        solve_steady_iterative(p, g, g.dx ** 2 / 2, ones(g))
+    with pytest.raises(GridMismatchError):
+        solve_steady_laplace(p, g, 1e-3)
+    with pytest.raises(GridMismatchError):
+        solve_steady_2d(Problem2D(lambda x, y: 0.0 * x * y, 0.0, 0.0, 1.0, 1.0),
+                        Grid2D(5, 5, 2.0, 1.0), 1e-3, ones(Grid2D(5, 5, 2.0, 1.0)))
+
+
+def test_forced_problem_refuses_non_finite_balance_terms():
+    zero = lambda *c: np.zeros(np.broadcast(*c).shape)
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="balance terms must be finite"):
+            NonhomogProblem(zero, bad, 0.0, 1.0, f_integral=0.0)
+        with pytest.raises(ValueError, match="balance terms must be finite"):
+            NonhomogProblem(zero, 0.0, 0.0, 1.0, f_integral=bad)
+        with pytest.raises(ValueError, match="balance terms must be finite"):
+            ForcedProblem(zero, (0.0, lambda x, y: bad + 0.0 * x * y), (1.0, 2.0))
+
+
+def test_build_rhs_leaves_the_source_array_alone():
+    g = Grid1D(9, 1.0)
+    kept = np.linspace(0.0, 1.0, 9)
+    p = NonhomogProblem(lambda x: kept, 0.5, 1.0, 1.0, f_integral=0.0)
+    rhs = build_rhs(p, g)
+    assert np.array_equal(kept, np.linspace(0.0, 1.0, 9))
+    assert not np.shares_memory(rhs.b.values, kept)
+
+
 def test_incompatible_rejected_by_steady_solvers_but_steppable():
     g = Grid1D(9, 1.0)
     p_bad = NonhomogProblem(lambda x: np.zeros_like(x), 1.0, 0.0, 1.0, f_integral=0.0)
@@ -616,8 +670,9 @@ def test_laplace_solver_contract():
         op = NeumannLaplacian1D(g)
         resid = s * v.values - op.apply(v).values - rhs.b.values
         assert norm_l2(Field1D(g, resid)) <= 1e-11 * norm_l2(rhs.b)
-    with pytest.raises(ValueError):
-        solve_steady_laplace(p52, g, 0.0)
+    for s in (0.0, math.inf, math.nan):  # s = inf used to return an all-zero field
+        with pytest.raises(ValueError, match="shift must be positive and finite"):
+            solve_steady_laplace(p52, g, s)
 
 
 def test_laplace_matches_dense_solve():
