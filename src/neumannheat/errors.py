@@ -19,7 +19,3 @@ class InstabilityError(RuntimeError):
 
 class SeriesTruncationError(RuntimeError):
     """A cosine series cannot be evaluated to the requested accuracy."""
-
-
-class QuadratureError(RuntimeError):
-    """Adaptive quadrature failed to reach the requested tolerance."""

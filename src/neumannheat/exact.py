@@ -20,14 +20,13 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import integrate
 
-from .errors import QuadratureError, SeriesTruncationError
+from .errors import SeriesTruncationError
 
 __all__ = [
     "SmoothFunction", "cosine_mode", "polynomial_function",
     "CosineSeries", "InitialDatum",
-    "trig_poly", "poly_bump", "hat_function", "custom_datum", "decay_envelope",
+    "trig_poly", "poly_bump", "hat_function",
     "SteadyState1D", "steady_1d", "companion_w",
     "Gaussian2DProblem", "gaussian_2d",
 ]
@@ -264,38 +263,6 @@ def hat_function(width: float = 0.02, L: float = 2.0, p_max: int = 600) -> Initi
         coef_bound=(4.0 * _SQRT2 * L / (math.pi ** 2 * width), 2.0),
     )
     return InitialDatum("hat", L, series, smooth=None, smooth_compatible=False)
-
-
-def custom_datum(f: Callable, L: float, p_max: int = 128, tol: float = 1e-12,
-                 smooth: Optional[SmoothFunction] = None,
-                 smooth_compatible: bool = False) -> InitialDatum:
-    """Arbitrary datum; coefficients via adaptive quadrature to ``tol``."""
-
-    def coefficient(p: int) -> float:
-        if p == 0:
-            val, err = integrate.quad(f, 0.0, L, epsabs=tol, limit=200)
-            scale = 1.0 / L
-        else:
-            val, err = integrate.quad(f, 0.0, L, weight="cos", wvar=p * math.pi / L,
-                                      epsabs=tol, limit=200)
-            scale = _SQRT2 / L
-        if err > 10 * tol + 1e-15:
-            raise QuadratureError(
-                f"coefficient p={p}: estimated error {err:.2e} above tol {tol:.2e}")
-        return scale * val
-
-    alpha = np.array([coefficient(p) for p in range(p_max + 1)])
-    series = CosineSeries(L, alpha, exact_at_zero=lambda x: np.asarray(f(x), dtype=float))
-    return InitialDatum("custom", L, series, smooth=smooth,
-                        smooth_compatible=smooth_compatible)
-
-
-def decay_envelope(u0_norm: float, t: float, L: float) -> float:
-    """Upper bound exp(-pi^2 t / L^2) * u0_norm on the distance of the
-    solution from its conserved mean."""
-    if t < 0:
-        raise ValueError("time must be nonnegative")
-    return math.exp(-math.pi ** 2 * t / L ** 2) * u0_norm
 
 
 class SteadyState1D:

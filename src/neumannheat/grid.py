@@ -48,10 +48,14 @@ class Grid:
             raise ValueError(
                 f"every interval length must be positive and finite, got {lengths}")
         spacings = tuple([L / (J - 1) for J, L in zip(shape, lengths)])
-        # the stencil and the stability rule divide by h^2
-        if not all([0 < h * h < math.inf and 1 / (h * h) < math.inf for h in spacings]):
+        # the stencil and the stability rule divide by h^2, the spectrum reaches
+        # -4 sum 1/h^2, and the balance is divided by N times the cell volume
+        if not (all([0 < h * h < math.inf for h in spacings])
+                and 4 * sum([1 / (h * h) for h in spacings]) < math.inf
+                and 0 < math.prod(shape) * math.prod(spacings) < math.inf):
             raise ValueError(f"every spacing's square and its reciprocal must be "
-                             f"positive and finite, got spacings {spacings}")
+                             f"positive and finite, and so must 4 * sum(1/h^2) and "
+                             f"N * cell volume, got spacings {spacings}")
         object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "lengths", lengths)
         object.__setattr__(self, "spacings", spacings)

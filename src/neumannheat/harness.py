@@ -42,7 +42,7 @@ from .grid import Field, Grid, Grid1D, mean, norm_l2, project
 __all__ = [
     "ExperimentConfig", "ErrorRecord", "SlopeFit", "EXPERIMENTS",
     "default_config", "run_convergence", "estimate_slope", "records_at",
-    "epsilon_diagnostics", "WorstCase", "convolution_bound_check",
+    "epsilon_diagnostics", "WorstCase",
     "quadrature_inequality_check", "H1Function", "h1_cosine_mode", "h1_linear",
     "h1_constant", "bound_sweep",
     "csv_text", "emit_csv",
@@ -59,9 +59,9 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
             raise ValueError(f"unknown experiment {self.experiment!r}")
-        if not math.isfinite(self.cfl):  # a usage error, not a stability violation
-            raise ValueError(f"cfl ratio must be finite, got {self.cfl}")
-        if not 0 < self.cfl <= 0.5:
+        if not 0 < self.cfl < math.inf:  # a usage error, not a stability violation
+            raise ValueError(f"cfl ratio must be finite and positive, got {self.cfl}")
+        if self.cfl > 0.5:
             raise CflViolationError(f"cfl ratio must lie in (0, 1/2], got {self.cfl}")
         if not self.J_list:
             raise ValueError("need at least one grid resolution")
@@ -279,47 +279,6 @@ class WorstCase:
     value: float
     where: tuple
     ok: bool
-
-
-# Cap on the weighted double-step sum below, calibrated by a brute-force sweep
-# over dt in [1e-4, 1), p in {1..8}, n up to 8000 (observed maxima: 0.71 for
-# L=1, 0.88 for L=2); valid for L <= 2.
-CONVOLUTION_CAP = 1.0
-
-
-def convolution_value(L: float, dt: float, p: int, n: int) -> float:
-    """dt^2 * sum over k1, k2 < n with 2n-2-k1-k2 >= 1 of
-    exp(-p^2 pi^2 (k1+k2) dt / L^2) / sqrt((2n-2-k1-k2) dt),
-    computed exactly by grouping the pairs on k1+k2."""
-    if n < 1:
-        raise ValueError("need n >= 1")
-    if n == 1:
-        return 0.0
-    m = np.arange(0, 2 * n - 2)
-    cnt = np.where(m <= n - 1, m + 1.0, 2.0 * n - 1.0 - m)
-    val = dt * dt * math.fsum(
-        cnt * np.exp(-p * p * math.pi ** 2 * m * dt / L ** 2)
-        / np.sqrt((2.0 * n - 2.0 - m) * dt))
-    return val
-
-
-def convolution_bound_check(L: float, dt_samples: Sequence[float],
-                            p_samples: Sequence[int],
-                            n_samples: Sequence[int]) -> WorstCase:
-    """Evaluate the double-step sum over the sample set; the worst value, at
-    (dt, p, n), holds when it is within the calibrated uniform cap."""
-    if L > 2.0:
-        raise ValueError("cap calibrated for L <= 2 only")
-    worst = (0.0, None)
-    for dt in dt_samples:
-        for p in p_samples:
-            for n in n_samples:
-                if n > 2000:
-                    raise ValueError("n capped at 2000 for this check")
-                v = convolution_value(L, dt, p, n)
-                if v > worst[0]:
-                    worst = (v, (dt, p, n))
-    return WorstCase(worst[0], worst[1], worst[0] <= CONVOLUTION_CAP)
 
 
 @dataclass(frozen=True)

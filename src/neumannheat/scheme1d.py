@@ -34,7 +34,7 @@ from .spectral import eigenvalues, geometric_sum, laplacian, require_stable
 __all__ = [
     "ForcedProblem", "NonhomogProblem", "DiscreteRHS", "RunState", "Checkpoint",
     "new_run", "step", "run_to", "propagate", "build_rhs", "check_compatibility",
-    "solve_steady_iterative", "solve_steady_laplace", "laplace_shift_gap_bound",
+    "solve_steady_iterative", "solve_steady_laplace",
     "SteadySolve",
 ]
 
@@ -384,9 +384,3 @@ def solve_steady_laplace(p: ForcedProblem, g: Grid, s: float) -> Field:
     # re-anchor it (this perturbs the residual by only s * mean(v) = mean(b))
     v -= math.fsum(v) / g.J
     return Field(g, v)
-
-
-def laplace_shift_gap_bound(s: float, b_norm: float, L: float) -> float:
-    """Uniform-in-J bound s * L^4 / pi^4 * ||b|| on the distance between the
-    shifted solve and the zero-mean steady state."""
-    return s * L ** 4 / math.pi ** 4 * b_norm

@@ -104,18 +104,6 @@ def brute_eta_sum(J: int, L: float, dt: float, n: int) -> float:
     return dt * math.fsum(eta ** k for k in range(n))
 
 
-def brute_convolution(L: float, dt: float, p: int, n: int) -> float:
-    """Literal double loop over step-index pairs."""
-    total = 0.0
-    for k1 in range(n):
-        for k2 in range(n):
-            r = 2 * n - 2 - k1 - k2
-            if r >= 1:
-                total += (math.exp(-p * p * math.pi ** 2 * (k1 + k2) * dt / L ** 2)
-                          / math.sqrt(r * dt))
-    return dt * dt * total
-
-
 def exact_steady_count(axes, v0: np.ndarray, b: np.ndarray, dt: float, tol: float,
                        check_every: int = 64) -> int:
     """First multiple of ``check_every`` at which the Euler iteration's

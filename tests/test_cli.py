@@ -92,6 +92,28 @@ def test_flag_errors_exit_2(tmp_path, capsys):
     assert "interval length must be positive and finite" in capsys.readouterr().err
 
 
+def test_spectra_refuses_a_spacing_whose_spectrum_overflows(capsys):
+    # 1/h^2 was finite but -4/h^2 was not: lambda printed as nan and -inf, exit 0
+    assert run_cli("spectra", "--J", "3", "--L", "2.4e-154") == 2
+    captured = capsys.readouterr()
+    assert "spacing's square and its reciprocal must be positive and finite" in captured.err
+    assert "nan" not in captured.out and "inf" not in captured.out
+
+
+def test_non_positive_cfl_is_a_usage_error_on_every_subcommand(tmp_path, capsys):
+    # homog, steady2d and sweep exited 3 (a CFL violation); the others exit 2
+    cfgfile = tmp_path / "zero.cfg"
+    cfgfile.write_text(f"experiments=homog-trigpoly\nout_prefix={tmp_path / 'x'}\ncfl=0\n")
+    for cfl in ("0", "-0.2"):
+        for argv in (["homog", "--datum", "trigpoly", "--J", "17", "--t", "0.02"],
+                     ["steady2d", "--case", "centered", "--J", "8", "--t", "0.1"],
+                     ["spectra", "--J", "5"], ["steady1d", "--J", "9"]):
+            assert run_cli(*argv, f"--cfl={cfl}") == 2
+        assert run_cli("bounds", "--J", "2..4", f"--cfl-list={cfl}") == 2
+    assert run_cli("sweep", "--config", str(cfgfile)) == 2
+    assert "CFL violation" not in capsys.readouterr().err
+
+
 def test_cfl_violation_exit_3():
     assert run_cli("homog", "--datum", "trigpoly", "--J", "17", "--t", "1",
                    "--cfl", "0.7") == 3

@@ -6,8 +6,8 @@ import sympy as sp
 from scipy import integrate
 
 from neumannheat import (CosineSeries, SeriesTruncationError, companion_w,
-                         cosine_mode, custom_datum, decay_envelope, gaussian_2d,
-                         hat_function, poly_bump, steady_1d, trig_poly)
+                         cosine_mode, gaussian_2d, hat_function, poly_bump,
+                         steady_1d, trig_poly)
 
 from oracles import hat_solution_images, quad_cosine_coefficient
 
@@ -127,20 +127,6 @@ def test_hat_truncation_guard():
     assert d.series.evaluate(0.0, np.array([1.0]))[0] == 1.0
 
 
-def test_custom_datum_quadrature():
-    d = custom_datum(lambda x: np.exp(np.asarray(x)) if not np.isscalar(x) else math.exp(x),
-                     L=1.0, p_max=6)
-    for p in range(7):
-        ref = quad_cosine_coefficient(math.exp, p, 1.0)
-        assert d.series.alpha[p] == pytest.approx(ref, abs=1e-11)
-
-
-def test_custom_datum_unreachable_tolerance():
-    from neumannheat import QuadratureError
-    with pytest.raises(QuadratureError):
-        custom_datum(math.exp, L=1.0, p_max=2, tol=1e-30)
-
-
 def test_cosine_coefficients_operation():
     # a factory's p_max sets the length of the one coefficient array
     s = poly_bump(p_max=12).series
@@ -164,14 +150,6 @@ def test_parseval_catalog():
     # long coefficient tail
     alpha = hat_function(p_max=6000).series.alpha
     assert math.fsum(alpha * alpha) == pytest.approx(1.0 / 150.0, abs=1e-8)
-
-
-def test_decay_envelope():
-    assert decay_envelope(2.5, 0.0, 1.0) == 2.5
-    assert decay_envelope(1.0, 1.0, 1.0) == pytest.approx(math.exp(-math.pi ** 2), rel=1e-14)
-    ts = np.linspace(0, 3, 20)
-    vals = [decay_envelope(1.0, t, 2.0) for t in ts]
-    assert all(b < a for a, b in zip(vals, vals[1:]))
 
 
 def test_single_mode_derivative_decay_is_sharp():

@@ -8,7 +8,7 @@ from neumannheat import (Field, Field1D, Field2D, Grid, Grid1D, Grid2D,
                          norm_l2, ones, project, project2d)
 from neumannheat.grid import check_grid
 from neumannheat.exact import cosine_mode
-from neumannheat.spectral import eigenvector
+from neumannheat.spectral import eigenvalues, eigenvector
 
 
 def test_grid_geometry():
@@ -44,6 +44,15 @@ def test_grid_degenerate_and_invalid():
         with pytest.raises(ValueError, match="spacing's square"):
             Grid(shape, lengths)
     Grid1D(3, 1e150), Grid1D(3, 1e-150)  # squares and reciprocals in range
+
+
+def test_grid_refuses_spacings_whose_spectrum_sum_overflows():
+    # 4/h^2 is finite on each axis, but the Kronecker sum's lowest eigenvalue
+    # -4 (1/hx^2 + 1/hy^2) is not
+    L = 2 / math.sqrt(3e307)
+    assert np.all(np.isfinite(eigenvalues(Grid1D(3, L))))
+    with pytest.raises(ValueError, match="spacing's square"):
+        Grid((3, 3), (L, L))
 
 
 def test_field_validation():

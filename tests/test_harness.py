@@ -4,18 +4,16 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from neumannheat import (CflViolationError, Grid1D, bound_sweep, convolution_bound_check,
+from neumannheat import (CflViolationError, Grid1D, bound_sweep,
                          default_config, emit_csv, epsilon_diagnostics, estimate_slope,
                          quadrature_inequality_check, run_convergence,
                          trig_poly)
-from neumannheat.harness import (CONVOLUTION_CAP, EXPERIMENTS, ErrorRecord, H1Function,
-                                 convolution_value, csv_text, h1_constant,
+from neumannheat.harness import (EXPERIMENTS, ErrorRecord, H1Function,
+                                 csv_text, h1_constant,
                                  h1_cosine_mode, h1_linear, records_at)
 from neumannheat.spectral import (amplification_bound_check, eta_geometric_sum,
                                   heat_kernel_spectrum_sum, resolvent_power_sum,
                                   resolvent_power_sum_bound)
-
-from oracles import brute_convolution
 
 
 def _mk_records(errs_by_J, t=1.0):
@@ -126,37 +124,6 @@ def test_epsilon_scalings_in_dt():
     # eps1 carries the boundary inconsistency: it does not vanish with dx
     e1_fine, _ = epsilon_diagnostics(d, Grid1D(129, 1.0), dt, 0)
     assert e1_fine / dt > 0.1
-
-
-def test_convolution_empty_and_monotone_in_p():
-    assert convolution_value(1.0, 0.1, 1, 1) == 0.0
-    vals = [convolution_value(1.0, 0.05, p, 50) for p in (1, 2, 4, 8)]
-    assert all(b < a for a, b in zip(vals, vals[1:]))
-    # large p leaves essentially the k1 = k2 = 0 term
-    v = convolution_value(1.0, 0.05, 200, 50)
-    k00 = 0.05 ** 2 / math.sqrt((2 * 50 - 2) * 0.05)
-    assert v == pytest.approx(k00, rel=1e-6)
-
-
-def test_convolution_regrouping_matches_double_loop():
-    for (dt, p, n) in ((0.037, 1, 41), (0.2, 2, 17), (0.004, 3, 50)):
-        assert convolution_value(1.0, dt, p, n) == pytest.approx(
-            brute_convolution(1.0, dt, p, n), rel=1e-13)
-        assert convolution_value(2.0, dt, p, n) == pytest.approx(
-            brute_convolution(2.0, dt, p, n), rel=1e-13)
-
-
-def test_convolution_bound_sweep():
-    rep = convolution_bound_check(1.0, (0.1, 0.01, 0.001), (1, 2, 4), (10, 100, 1000))
-    assert rep.ok
-    assert rep.value <= CONVOLUTION_CAP
-    assert rep.value == convolution_value(1.0, *rep.where)
-    rep2 = convolution_bound_check(2.0, (0.1, 0.01, 0.5, 0.9), (1, 2), (2, 10, 500, 2000))
-    assert rep2.ok
-    with pytest.raises(ValueError):
-        convolution_bound_check(3.0, (0.1,), (1,), (10,))
-    with pytest.raises(ValueError):
-        convolution_bound_check(1.0, (0.1,), (1,), (4000,))
 
 
 def test_quadrature_inequality():

@@ -15,7 +15,7 @@ from neumannheat import (CflViolationError, DiscreteRHS, Field, Field1D, Field2D
                          solve_steady_iterative, solve_steady_laplace,
                          steady_1d, step)
 from neumannheat import _kernels
-from neumannheat.scheme1d import _iterate_to_steady, laplace_shift_gap_bound
+from neumannheat.scheme1d import _iterate_to_steady
 from neumannheat.scheme2d import grid_for
 from neumannheat.spectral import laplacian
 
@@ -702,7 +702,27 @@ def test_laplace_shift_bound_holds():
     for s in (1e-2, 1e-4):
         v = solve_steady_laplace(p52, g, s)
         gap = norm_l2(Field1D(g, v.values - ref0))
-        assert gap <= laplace_shift_gap_bound(s, norm_l2(rhs.b), ss.L)
+        assert gap <= s * ss.L ** 4 / math.pi ** 4 * norm_l2(rhs.b)
+
+
+def _steady_3d_solve(L, f):
+    g = Grid((3, 3, 3), (L,) * 3)
+    dt = 0.25 / sum(1 / (h * h) for h in g.spacings)
+    return solve_steady_iterative(ForcedProblem(f, (0.0,) * 3, g.lengths), g, dt,
+                                  Field(g, np.zeros(g.shape)))
+
+
+def test_cell_volume_that_underflows_is_refused():
+    # the volume 1.25e-361 read 0: ZeroDivisionError in the balance per volume
+    with pytest.raises(ValueError, match="cell volume"):
+        _steady_3d_solve(1e-120, 0.0)
+
+
+def test_cell_volume_that_overflows_is_refused():
+    # the volume 1.25e359 read inf, so the balance 1e60 read 0 per volume and
+    # the unbalanced problem was reported converged after 0 iterations
+    with pytest.raises(ValueError, match="cell volume"):
+        _steady_3d_solve(1e120, 1e-300)
 
 
 def test_stability_random_fields():
