@@ -12,13 +12,13 @@ from .spectral import (NeumannLaplacian1D, amplification_bound_check, cfl_ok,
                        eigenvalue, eigenvalues, eigenvector, eta,
                        eta_geometric_sum, heat_kernel_spectrum_sum,
                        resolvent_power_sum)
-from .exact import (CosineSeries, Gaussian2DProblem, InitialDatum,
-                    SmoothFunction, SteadyState1D, companion_w, cosine_mode,
-                    gaussian_2d, hat_function, poly_bump, steady_1d, trig_poly)
+from .exact import (CosineSeries, Gaussian2DProblem, SmoothFunction,
+                    SteadyState1D, companion_w, cosine_mode, gaussian_2d,
+                    hat_function, poly_bump, steady_1d, trig_poly)
 from .consistency import l1, l2, l_delta, split_defect
 from .scheme1d import (Checkpoint, DiscreteRHS, ForcedProblem, NonhomogProblem,
                        RunState, build_rhs, check_compatibility, new_run, propagate,
-                       run_to, solve_steady_iterative, solve_steady_laplace, step)
+                       run_to, solve_steady_iterative, solve_steady_laplace)
 from .scheme2d import Problem2D, build_rhs2d, run2d_to, solve_steady_2d
 from .harness import (ErrorRecord, ExperimentConfig, SlopeFit, bound_sweep,
                       default_config, emit_csv, epsilon_diagnostics,

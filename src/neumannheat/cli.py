@@ -193,9 +193,10 @@ def cmd_steady1d(args) -> int:
 def cmd_spectra(args) -> int:
     g = Grid1D(int(_required_j(args)), args.L)
     dt = args.dt if args.dt is not None else args.cfl * g.dx ** 2
-    # an unstable positive step is a fair diagnostic question; dt <= 0 is not
-    if not 0 < dt < math.inf:
-        raise ValueError(f"time step must be positive and finite, got dt={dt}")
+    # an unstable positive step is a fair diagnostic question; dt <= 0 is not,
+    # nor a step whose product with the spectrum's reach 4/dx^2 overflows
+    if not (0 < dt < math.inf and dt * (4.0 / g.dx ** 2) < math.inf):
+        raise ValueError(f"time step must be positive and keep 4*dt/dx^2 finite, got dt={dt}")
     lam = spectral.eigenvalues(g)
     rows = zip(lam.tolist(), (1.0 + dt * lam).tolist(),
                spectral.amplification_envelope(g, dt).tolist())

@@ -10,7 +10,8 @@ scaled inner product (1/L) * integral:
 so u(t, x) = sum_p alpha_p exp(-p^2 pi^2 t / L^2) c_p(x).  Each closed form
 has one home: the basis and its x-derivatives are evaluated only in
 `_mode_sum` (a single mode, `cosine_mode`, is a one-term `CosineSeries`), and a
-datum's coefficients live only in its `series.alpha`.
+catalog datum is its `CosineSeries`, whose `alpha` is the one copy of its
+coefficients.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .errors import SeriesTruncationError
 
 __all__ = [
     "SmoothFunction", "cosine_mode", "polynomial_function",
-    "CosineSeries", "InitialDatum",
+    "CosineSeries",
     "trig_poly", "poly_bump", "hat_function",
     "SteadyState1D", "steady_1d", "companion_w",
     "Gaussian2DProblem", "gaussian_2d",
@@ -59,11 +60,11 @@ class SmoothFunction:
         return len(self.derivs) - 1
 
 
-def polynomial_function(coeffs, order: int = 5) -> SmoothFunction:
-    """Polynomial sum(coeffs[i] * x^i) with analytic derivatives."""
+def polynomial_function(coeffs) -> SmoothFunction:
+    """Polynomial sum(coeffs[i] * x^i) with its first five analytic derivatives."""
     p = np.polynomial.Polynomial(np.asarray(coeffs, dtype=float))
     ds = [p]
-    for _ in range(order):
+    for _ in range(5):
         ds.append(ds[-1].deriv())
     return SmoothFunction(tuple(ds))
 
@@ -97,7 +98,8 @@ class CosineSeries:
     ``coef_bound = (C, q)`` certifies |alpha_p| <= C / p^q for p beyond the
     stored range and enables tail estimates; without it the series is exact
     (all discarded coefficients are zero).  ``exact_at_zero`` evaluates the
-    generating datum pointwise, bypassing truncation at t = 0.
+    generating datum pointwise, bypassing truncation at t = 0.  Called on x,
+    the series is the datum: u(0, x).
     """
 
     L: float
@@ -111,6 +113,9 @@ class CosineSeries:
             raise ValueError("need a nonempty 1D coefficient array")
         if not self.L > 0:
             raise ValueError("L must be positive")
+
+    def __call__(self, x):
+        return self.evaluate(0.0, x)
 
     @property
     def p_max(self) -> int:
@@ -169,85 +174,50 @@ class CosineSeries:
                     f"derivative order {k} not resolved by {self.p_max + 1} modes at t={t}")
         return SmoothFunction(_mode_sum(self.weights(t), self.L, order))
 
-    @property
-    def mean(self) -> float:
-        return float(self.alpha[0])
 
-
-def cosine_mode(p: int, L: float, amplitude: Optional[float] = None,
-                order: int = 5) -> SmoothFunction:
-    """amplitude * cos(p pi x / L) with derivatives, as a one-mode series;
-    default amplitude is the orthonormal one (sqrt(2) for p >= 1, 1 for p = 0)."""
+def cosine_mode(p: int, L: float) -> SmoothFunction:
+    """The orthonormal mode c_p(x) (sqrt(2) cos(p pi x / L), 1 for p = 0) with
+    five derivatives, as a one-mode series."""
     if p < 0:
         raise ValueError("mode index must be nonnegative")
     alpha = np.zeros(p + 1)
-    alpha[p] = 1.0 if amplitude is None else amplitude / (_SQRT2 if p else 1.0)
-    return CosineSeries(L, alpha).solution(0.0, order)
+    alpha[p] = 1.0
+    return CosineSeries(L, alpha).solution(0.0)
 
 
-@dataclass(frozen=True)
-class InitialDatum:
-    """A catalog initial datum: its cosine series, whose ``alpha`` is the one
-    copy of the datum's coefficients (a factory's ``p_max`` sets how many), and
-    (when it exists) an analytically differentiable representative.
-
-    ``smooth_compatible`` records whether the datum has the boundary-compatible
-    regularity (zero odd derivatives at both ends through fifth order) under
-    which the uniform-in-time first-order error bound is proved; the schemes
-    run fine either way.
-    """
-
-    name: str
-    L: float
-    series: CosineSeries
-    smooth: Optional[SmoothFunction] = field(default=None, repr=False)
-    smooth_compatible: bool = True
-
-    def __call__(self, x):
-        return self.series.evaluate(0.0, x)
-
-
-def trig_poly(amplitudes=(1.0, 1.0, 5.0, -1.0, 2.0, 1.0), L: float = 1.0) -> InitialDatum:
-    """Finite combination a_0 + sum_{p>=1} a_p cos(p pi x / L).
+def trig_poly() -> CosineSeries:
+    """The finite combination 1 + cos(pi x) + 5 cos(2 pi x) - cos(3 pi x)
+    + 2 cos(4 pi x) + cos(5 pi x) on [0, 1].
 
     The amplitudes multiply plain cosines, so the orthonormal-basis
     coefficients are alpha_0 = a_0 and alpha_p = a_p / sqrt(2).
     """
-    a = np.asarray(amplitudes, dtype=float)
-    alpha = a.copy()
+    alpha = np.array([1.0, 1.0, 5.0, -1.0, 2.0, 1.0])
     alpha[1:] /= _SQRT2
-    series = CosineSeries(L, alpha)
-    return InitialDatum("trigpoly", L, series,
-                        smooth=series.solution(0.0), smooth_compatible=True)
+    return CosineSeries(1.0, alpha)
 
 
-def poly_bump(L: float = 1.0, p_max: int = 400) -> InitialDatum:
-    """The quartic bump x^2 (L - x)^2: smooth, but its Laplacian is not
-    flux-free at the ends, so the uniform-bound hypotheses fail."""
+def poly_bump(p_max: int = 400) -> CosineSeries:
+    """The quartic bump x^2 (1 - x)^2 on [0, 1]: smooth, but its Laplacian is
+    not flux-free at the ends, so the uniform-bound hypotheses fail."""
 
     def coefficient(p: int) -> float:
         if p == 0:
-            return L ** 4 / 30.0
+            return 1.0 / 30.0
         if p % 2 == 1:
             return 0.0
-        return -24.0 * _SQRT2 * L ** 4 / (p * math.pi) ** 4
+        return -24.0 * _SQRT2 / (p * math.pi) ** 4
 
     alpha = np.array([coefficient(p) for p in range(p_max + 1)])
-    series = CosineSeries(
-        L, alpha,
-        exact_at_zero=lambda x: x ** 2 * (L - x) ** 2,
-        coef_bound=(24.0 * _SQRT2 * L ** 4 / math.pi ** 4, 4.0),
-    )
-    smooth = polynomial_function([0.0, 0.0, L ** 2, -2.0 * L, 1.0])
-    return InitialDatum("polybump", L, series,
-                        smooth=smooth, smooth_compatible=False)
+    return CosineSeries(1.0, alpha,
+                        exact_at_zero=lambda x: x ** 2 * (1.0 - x) ** 2,
+                        coef_bound=(24.0 * _SQRT2 / math.pi ** 4, 4.0))
 
 
-def hat_function(width: float = 0.02, L: float = 2.0, p_max: int = 600) -> InitialDatum:
-    """Compactly supported triangular bump of half-width ``width`` centered at
-    L/2; continuous but not differentiable, hypotheses fail."""
-    if not 0 < width <= L / 2:
-        raise ValueError("hat half-width must lie in (0, L/2]")
+def hat_function(p_max: int = 600) -> CosineSeries:
+    """Triangular bump of half-width 1/50 centered at x = 1 on [0, 2];
+    continuous but not differentiable, hypotheses fail."""
+    L, width = 2.0, 0.02
 
     def coefficient(p: int) -> float:
         if p == 0:
@@ -257,12 +227,11 @@ def hat_function(width: float = 0.02, L: float = 2.0, p_max: int = 600) -> Initi
         return (_SQRT2 / L) * math.cos(p * math.pi / 2.0) * width * (math.sin(z) / z) ** 2
 
     alpha = np.array([coefficient(p) for p in range(p_max + 1)])
-    series = CosineSeries(
+    return CosineSeries(
         L, alpha,
         exact_at_zero=lambda x: np.maximum(1.0 - np.abs(L / 2.0 - x) / width, 0.0),
         coef_bound=(4.0 * _SQRT2 * L / (math.pi ** 2 * width), 2.0),
     )
-    return InitialDatum("hat", L, series, smooth=None, smooth_compatible=False)
 
 
 class SteadyState1D:
@@ -291,10 +260,6 @@ class SteadyState1D:
         return np.where(x <= self.breakpoint,
                         -((x - 0.5) ** 2) / 2.0,
                         -x ** 3 / 3.0 + x / 4.0 - 1.0 / 12.0)
-
-    def solution_deriv(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.where(x <= self.breakpoint, 0.5 - x, 0.25 - x ** 2)
 
 
 def steady_1d() -> SteadyState1D:

@@ -16,6 +16,7 @@ are bit-stable across runs.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,6 +43,10 @@ class Grid:
         shape, lengths = tuple(self.shape), tuple(self.lengths)
         if not shape or len(shape) != len(lengths):
             raise ValueError(f"need one length per axis, got shape {shape}, lengths {lengths}")
+        try:  # a count such as 3.5 would place nodes past the interval end
+            shape = tuple([operator.index(J) for J in shape])
+        except TypeError:
+            raise ValueError(f"node counts must be integers, got shape {shape}") from None
         if min(shape) < 2:
             raise ValueError(f"need at least 2 nodes per axis, got shape {shape}")
         if not all([0 < L < math.inf for L in lengths]):

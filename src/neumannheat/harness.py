@@ -35,8 +35,8 @@ import numpy as np
 from . import scheme1d, scheme2d, spectral
 from .consistency import l_delta
 from .errors import CflViolationError
-from .exact import (CosineSeries, InitialDatum, companion_w, cosine_mode,
-                    gaussian_2d, hat_function, poly_bump, steady_1d, trig_poly)
+from .exact import (CosineSeries, companion_w, cosine_mode, gaussian_2d,
+                    hat_function, poly_bump, steady_1d, trig_poly)
 from .grid import Field, Grid, Grid1D, mean, norm_l2, project
 
 __all__ = [
@@ -122,7 +122,7 @@ def _study(cfg: ExperimentConfig, J: int, st, error) -> list[ErrorRecord]:
 
 
 def _run_homog(cfg: ExperimentConfig, J: int,
-               make_datum: Callable[[], InitialDatum]) -> list[ErrorRecord]:
+               make_datum: Callable[[], CosineSeries]) -> list[ErrorRecord]:
     datum = make_datum()
     g = Grid1D(J, datum.L)
     dt = cfg.cfl * g.dx ** 2
@@ -134,7 +134,7 @@ def _run_homog(cfg: ExperimentConfig, J: int,
         normalizer = norm_l2(Field(g, v0.values - m))
 
     def error(cp):
-        exact = datum.series.evaluate(cp.t_realized, g.nodes())
+        exact = datum.evaluate(cp.t_realized, g.nodes())
         err = norm_l2(Field(g, exact - cp.field.values))
         return err, err / normalizer
     return _study(cfg, J, scheme1d.new_run(g, dt, v0), error)
@@ -253,7 +253,7 @@ def _phi(a: float) -> float:
     return (a + math.expm1(-a)) / (a * a)
 
 
-def epsilon_diagnostics(u0: InitialDatum, g: Grid, dt: float, n: int) -> tuple[float, float]:
+def epsilon_diagnostics(series: CosineSeries, g: Grid, dt: float, n: int) -> tuple[float, float]:
     """Norms of the two one-step defect terms at step n.
 
     The first is dt times the stencil defect of the exact solution at time
@@ -261,7 +261,6 @@ def epsilon_diagnostics(u0: InitialDatum, g: Grid, dt: float, n: int) -> tuple[f
     the second is the Taylor remainder of the Euler step, a cosine series
     whose mode-wise coefficients are closed forms (scales like dt^2).
     """
-    series = u0.series
     t = n * dt
     eps1 = dt * norm_l2(l_delta(series.solution(t), g))
     mu = series.rates()

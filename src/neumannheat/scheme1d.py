@@ -11,8 +11,8 @@ unbalanced one drifts at exactly mean(b), and the steady solvers refuse it.
 
 Runs step with the one numpy loop of `_kernels`.  `propagate` reaches the same
 checkpoints by one DCT-II transform pair; the steady loop jumps to its
-exact-arithmetic count and advances each checked block the same way.  `step`
-and `run_to` are the reference both are tested against.
+exact-arithmetic count and advances each checked block the same way.  `run_to`
+is the reference both are tested against.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from .spectral import eigenvalues, geometric_sum, laplacian, require_stable
 
 __all__ = [
     "ForcedProblem", "NonhomogProblem", "DiscreteRHS", "RunState", "Checkpoint",
-    "new_run", "step", "run_to", "propagate", "build_rhs", "check_compatibility",
+    "new_run", "run_to", "propagate", "build_rhs", "check_compatibility",
     "solve_steady_iterative", "solve_steady_laplace",
     "SteadySolve",
 ]
@@ -153,8 +153,8 @@ def build_rhs(p: ForcedProblem, g: Grid) -> DiscreteRHS:
 
 @dataclass
 class RunState:
-    """One explicit Euler trajectory on a grid; mutated in place by `step` and
-    `run_to`."""
+    """One explicit Euler trajectory on a grid; mutated in place by `run_to`
+    and `propagate`."""
 
     grid: Grid
     dt: float
@@ -210,12 +210,6 @@ def _propagate_to(st: RunState, n_target: int) -> None:
 def _check_finite(st: RunState) -> None:
     if not np.all(np.isfinite(st.values)):
         raise InstabilityError(f"non-finite values at step {st.n}")
-
-
-def step(st: RunState) -> RunState:
-    """One update v <- v + dt*(A v [+ b])."""
-    _advance_to(st, st.n + 1)
-    return st
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -189,6 +190,17 @@ def test_spectra_refuses_nonpositive_time_step(capsys):
     assert run_cli("spectra", "--J", "4", "--cfl", "2") == 0
     rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
     assert max(abs(float(row[2])) for row in rows) > 1.0
+
+
+def test_spectra_refuses_a_step_whose_spectrum_product_overflows(capsys):
+    # dt * 4/dx^2 overflowed, and the rows read amplification -inf, envelope nan
+    for flags in (["--dt", "1e308"], ["--L", "1e-150", "--dt", "1e300"]):
+        assert run_cli("spectra", "--J", "3", *flags) == 2
+        assert "time step must be positive" in capsys.readouterr().err
+    # a huge step whose product stays finite still prints finite rows
+    assert run_cli("spectra", "--J", "3", "--dt", "1e307") == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+    assert all(math.isfinite(float(v)) for row in rows for v in row)
 
 
 def test_steady1d_and_spectra_need_j(tmp_path, capsys):

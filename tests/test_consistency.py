@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from neumannheat import (Grid1D, cosine_mode, l1, l2, l_delta, norm_l2, poly_bump,
-                         trig_poly)
+from neumannheat import Grid1D, cosine_mode, l1, l2, l_delta, norm_l2, trig_poly
 from neumannheat.consistency import embed_boundary, split_defect
 from neumannheat.exact import polynomial_function
 
@@ -20,12 +19,9 @@ def test_defect_of_constant_vanishes():
 
 
 def test_defect_row0_hand_value():
-    # plain cosine: w = cos(pi x), J=3, L=1 (dx = 1/2)
+    # the orthonormal mode sqrt(2) cos(pi x), J=3, L=1 (dx = 1/2): the plain
+    # cosine's row -pi^2 + 4, scaled by sqrt(2)
     g = Grid1D(3, 1.0)
-    w = cosine_mode(1, 1.0, amplitude=1.0)
-    row0 = l_delta(w, g).values[0]
-    assert row0 == pytest.approx(-PI ** 2 + 4.0, rel=1e-12)
-    # the orthonormal mode scales the same row by sqrt(2)
     row0n = l_delta(cosine_mode(1, 1.0), g).values[0]
     assert row0n == pytest.approx(SQ2 * (-PI ** 2 + 4.0), rel=1e-12)
 
@@ -80,7 +76,7 @@ def test_l1_matches_full_defect_at_end_rows():
 
 def test_l1_quadrature_against_adaptive_oracle():
     # 16-node Gauss on the left remainder integral vs adaptive quadrature
-    w = poly_bump().smooth
+    w = polynomial_function([0, 0, 1, -2, 1])
     g = Grid1D(9, 1.0)
     left, _ = l1(w, g)
     ref_int, _ = integrate.quad(
@@ -133,7 +129,7 @@ def test_split_defect_of_series_backed_functions():
     # l2 evaluates the fourth derivative on a (nodes x quadrature points)
     # array, which series-backed functions must accept
     datum = trig_poly()
-    for w in (datum.smooth, datum.series.solution(0.01)):
+    for w in (datum.solution(0.0), datum.solution(0.01)):
         for J in (17, 65):
             g = Grid1D(J, 1.0)
             bnd, interior = split_defect(w, g)

@@ -46,7 +46,7 @@ def test_series_domain_checks():
 def test_series_refuses_non_finite_times():
     # a nan time used to give nan values (inf: 0 * inf in the constant mode);
     # with a coefficient bound it first summed 200,000 tail terms
-    for s in (trig_poly().series, hat_function(p_max=30).series):
+    for s in (trig_poly(), hat_function(p_max=30)):
         for t in (math.nan, math.inf, -math.inf, -0.1):
             for call in (lambda: s.evaluate(t, np.array([0.5])), lambda: s.solution(t),
                          lambda: s.tail_bound(t)):
@@ -72,25 +72,32 @@ def test_trig_poly_plain_amplitudes():
     direct = (1.0 + np.cos(np.pi * x) + 5 * np.cos(2 * np.pi * x)
               - np.cos(3 * np.pi * x) + 2 * np.cos(4 * np.pi * x) + np.cos(5 * np.pi * x))
     assert np.abs(d(x) - direct).max() < 1e-13
-    assert d.smooth_compatible
     # its smooth representative agrees, including derivatives
-    assert np.abs(d.smooth(x) - direct).max() < 1e-13
+    assert np.abs(d.solution(0.0)(x) - direct).max() < 1e-13
     d2 = -(np.pi ** 2) * (np.cos(np.pi * x) + 20 * np.cos(2 * np.pi * x)
                           - 9 * np.cos(3 * np.pi * x) + 32 * np.cos(4 * np.pi * x)
                           + 25 * np.cos(5 * np.pi * x))
-    assert np.abs(d.smooth.deriv(2, x) - d2).max() < 1e-10
+    assert np.abs(d.solution(0.0).deriv(2, x) - d2).max() < 1e-10
+
+
+def test_datum_call_is_evaluate_at_zero_bitwise():
+    # the closed-form path (poly_bump, hat_function) and the mode sum (trig_poly)
+    for d in (poly_bump(), hat_function(), trig_poly()):
+        x = np.linspace(0.0, d.L, 37)
+        assert np.array_equal(d(x), d.evaluate(0.0, x))
+        assert d(0.3) == d.evaluate(0.0, 0.3)
+    assert trig_poly().exact_at_zero is None
 
 
 def test_poly_bump_coefficients():
     d = poly_bump()
-    alpha = d.series.alpha
+    alpha = d.alpha
     assert alpha[0] == pytest.approx(1.0 / 30.0, rel=1e-15)
     for p in range(1, 9):
         ref = quad_cosine_coefficient(lambda x: x ** 2 * (1 - x) ** 2, p, 1.0)
         assert alpha[p] == pytest.approx(ref, abs=1e-13)
     # Parseval against the exact squared norm 1/630
     assert math.fsum(alpha * alpha) == pytest.approx(1.0 / 630.0, abs=1e-8)
-    assert not d.smooth_compatible
 
 
 def test_poly_bump_exact_at_zero():
@@ -100,7 +107,7 @@ def test_poly_bump_exact_at_zero():
 
 
 def test_hat_coefficients():
-    alpha = hat_function().series.alpha  # width 1/50, L = 2
+    alpha = hat_function().alpha  # width 1/50, L = 2
     assert alpha[0] == pytest.approx(0.01, rel=1e-15)
     f = lambda x: max(1.0 - abs(1.0 - x) / 0.02, 0.0)
     for p in range(1, 9):
@@ -112,7 +119,7 @@ def test_hat_series_vs_heat_kernel_images():
     d = hat_function()
     x = np.linspace(0, 2, 201)
     for t in (0.005, 0.02, 0.05, 1.0):
-        mine = d.series.evaluate(t, x)
+        mine = d.evaluate(t, x)
         ref = hat_solution_images(t, x, 2.0, 0.02)
         assert np.abs(mine - ref).max() < 1e-12
 
@@ -120,35 +127,35 @@ def test_hat_series_vs_heat_kernel_images():
 def test_hat_truncation_guard():
     d = hat_function(p_max=30)
     with pytest.raises(SeriesTruncationError):
-        d.series.solution(0.0)  # derivatives of the kink do not exist
+        d.solution(0.0)  # derivatives of the kink do not exist
     with pytest.raises(SeriesTruncationError):
-        d.series.evaluate(1e-7, np.array([1.0]))  # 30 modes cannot resolve this
+        d.evaluate(1e-7, np.array([1.0]))  # 30 modes cannot resolve this
     # but t = 0 works through the closed-form evaluator
-    assert d.series.evaluate(0.0, np.array([1.0]))[0] == 1.0
+    assert d.evaluate(0.0, np.array([1.0]))[0] == 1.0
 
 
 def test_cosine_coefficients_operation():
     # a factory's p_max sets the length of the one coefficient array
-    s = poly_bump(p_max=12).series
+    s = poly_bump(p_max=12)
     assert s.p_max == 12
     assert s.alpha[0] == pytest.approx(1.0 / 30.0)
     assert s.alpha[3] == 0.0
-    assert np.array_equal(poly_bump(p_max=40).series.alpha[:13], s.alpha)
+    assert np.array_equal(poly_bump(p_max=40).alpha[:13], s.alpha)
     # a finite series stores its degree and is exact: no tail beyond it
-    s5 = trig_poly().series
+    s5 = trig_poly()
     assert s5.p_max == 5 and s5.coef_bound is None and s5.tail_bound(0.0, 5) == 0.0
 
 
 def test_parseval_catalog():
     # trig poly: ||u0||^2 = a0^2 + sum_{p>=1} a_p^2 / 2 = 1 + 32/2 = 17
     d = trig_poly()
-    assert math.fsum(d.series.alpha ** 2) == pytest.approx(17.0, abs=1e-12)
+    assert math.fsum(d.alpha ** 2) == pytest.approx(17.0, abs=1e-12)
     # quartic bump: 1/630 (exact Beta-integral norm)
     db = poly_bump()
-    assert math.fsum(db.series.alpha ** 2) == pytest.approx(1.0 / 630.0, abs=1e-8)
+    assert math.fsum(db.alpha ** 2) == pytest.approx(1.0 / 630.0, abs=1e-8)
     # hat: ||u0||^2 = (1/L) * 2 width / 3 = 1/150; slow 1/p^2 decay needs a
     # long coefficient tail
-    alpha = hat_function(p_max=6000).series.alpha
+    alpha = hat_function(p_max=6000).alpha
     assert math.fsum(alpha * alpha) == pytest.approx(1.0 / 150.0, abs=1e-8)
 
 
@@ -196,9 +203,8 @@ def test_steady_problem_balance_and_solution():
         h = 1e-4
         upp = (ss.solution(xi - h) - 2 * ss.solution(xi) + ss.solution(xi + h)) / h ** 2
         assert -upp == pytest.approx(float(ss.source(xi)), abs=1e-7)
-    # end fluxes of the numeric derivative
-    assert ss.solution_deriv(0.0) == pytest.approx(ss.beta, abs=1e-12)
-    assert ss.solution_deriv(2.0) == pytest.approx(ss.gamma, abs=1e-12)
+    # the end fluxes the solvers read are the ones checked symbolically above
+    assert (ss.beta, ss.gamma) == (0.5, -15 / 4)
 
 
 def test_companion_quadratic():

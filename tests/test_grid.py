@@ -5,7 +5,8 @@ import pytest
 
 from neumannheat import (Field, Field1D, Field2D, Grid, Grid1D, Grid2D,
                          GridMismatchError, inner, mean, mean2d, norm2d,
-                         norm_l2, ones, project, project2d)
+                         default_config, norm_l2, ones, project, project2d,
+                         run_convergence)
 from neumannheat.grid import check_grid
 from neumannheat.exact import cosine_mode
 from neumannheat.spectral import eigenvalues, eigenvector
@@ -44,6 +45,19 @@ def test_grid_degenerate_and_invalid():
         with pytest.raises(ValueError, match="spacing's square"):
             Grid(shape, lengths)
     Grid1D(3, 1e150), Grid1D(3, 1e-150)  # squares and reciprocals in range
+
+
+def test_grid_refuses_node_counts_that_are_not_integers():
+    # Grid1D(3.5, 1.0) had dx = 0.4 and nodes running to 1.2, past L; a float
+    # count in J_list reached a TypeError deep inside the run
+    for shape in ((3.5,), (17.0,), (5, 4.0), ("5",)):
+        with pytest.raises(ValueError, match="node counts must be integers"):
+            Grid(shape, (1.0,) * len(shape))
+    with pytest.raises(ValueError, match="node counts must be integers"):
+        run_convergence(default_config("homog-trigpoly", J_list=(17.0,)))
+    # integer types other than int are accepted and stored as Python ints
+    g = Grid((np.int64(5), np.int32(3)), (1.0, 2.0))
+    assert g.shape == (5, 3) and all(type(J) is int for J in g.shape)
 
 
 def test_grid_refuses_spacings_whose_spectrum_sum_overflows():

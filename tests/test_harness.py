@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from neumannheat import (CflViolationError, Grid1D, bound_sweep,
+from neumannheat import (CflViolationError, CosineSeries, Grid1D, bound_sweep,
                          default_config, emit_csv, epsilon_diagnostics, estimate_slope,
                          quadrature_inequality_check, run_convergence,
                          trig_poly)
@@ -92,7 +92,7 @@ def test_default_config_refuses_empty_lists():
 
 def test_epsilon_diagnostics_constant_datum():
     g = Grid1D(17, 1.0)
-    d = trig_poly(amplitudes=(2.0,))
+    d = CosineSeries(1.0, [2.0])
     e1, e2 = epsilon_diagnostics(d, g, g.dx ** 2 / 2, 5)
     assert e1 == 0.0 and e2 == 0.0
 
@@ -100,7 +100,7 @@ def test_epsilon_diagnostics_constant_datum():
 def test_epsilon_diagnostics_single_mode_closed_form():
     g = Grid1D(33, 1.0)
     dt = g.dx ** 2 / 2
-    d = trig_poly(amplitudes=(0.0, 1.0))  # single cosine mode
+    d = CosineSeries(1.0, [0.0, 1 / math.sqrt(2)])  # single cosine mode
     n = 7
     _, e2 = epsilon_diagnostics(d, g, dt, n)
     # independent evaluation: quadrature of the Taylor-remainder integral

@@ -13,7 +13,7 @@ from neumannheat import (CflViolationError, DiscreteRHS, Field, Field1D, Field2D
                          eigenvalue, eigenvector, gaussian_2d, mean, new_run, norm_l2,
                          ones, propagate, run_to, solve_steady_2d,
                          solve_steady_iterative, solve_steady_laplace,
-                         steady_1d, step)
+                         steady_1d)
 from neumannheat import _kernels
 from neumannheat.scheme1d import _iterate_to_steady
 from neumannheat.scheme2d import grid_for
@@ -31,7 +31,7 @@ def sec52_problem():
 def test_step_kernel_mode():
     g = Grid1D(9, 1.0)
     st = new_run(g, g.dx ** 2 / 2, ones(g))
-    step(st)
+    run_to(st, [(st.n + 1) * st.dt])
     assert np.array_equal(st.values, np.ones(9))
     assert st.n == 1 and st.t == g.dx ** 2 / 2
 
@@ -59,7 +59,7 @@ def test_step_eigenmode():
     dt = g.dx ** 2 / 4
     for ell in (1, 5, 11):
         st = new_run(g, dt, eigenvector(g, ell))
-        step(st)
+        run_to(st, [(st.n + 1) * st.dt])
         expected = (1.0 + dt * eigenvalue(g, ell)) * eigenvector(g, ell).values
         assert np.abs(st.values - expected).max() < 1e-12
 
@@ -71,7 +71,7 @@ def test_step_preserves_mean_with_balanced_rhs():
     rng = np.random.default_rng(4)
     st = new_run(g, g.dx ** 2 / 2, Field1D(g, rng.standard_normal(33)), rhs)
     m0 = mean(st.field)
-    step(st)
+    run_to(st, [(st.n + 1) * st.dt])
     assert mean(st.field) == pytest.approx(m0, abs=1e-13)
 
 
@@ -121,7 +121,7 @@ def test_run_to_equivalent_to_single_steps():
     (cp,) = run_to(st_bulk, [100 * dt])
     st_manual = new_run(g, dt, v0)
     for _ in range(100):
-        step(st_manual)
+        run_to(st_manual, [(st_manual.n + 1) * st_manual.dt])
     assert np.array_equal(cp.field.values, st_manual.values)
 
 
@@ -732,7 +732,7 @@ def test_stability_random_fields():
     for _ in range(1000):
         v = Field1D(g, rng.standard_normal(33))
         st = new_run(g, dt, v)
-        step(st)
+        run_to(st, [(st.n + 1) * st.dt])
         assert norm_l2(st.field) <= norm_l2(v) * (1 + 1e-14)
 
 
@@ -774,7 +774,8 @@ def test_overflow_raises_instability_error():
     checker = 1e308 * (-1.0) ** np.add.outer(np.arange(4), np.arange(5))
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(InstabilityError):
-            step(new_run(g, g.dx ** 2 / 2, v0))
+            st = new_run(g, g.dx ** 2 / 2, v0)
+            run_to(st, [(st.n + 1) * st.dt])
         with pytest.raises(InstabilityError):
             propagate(new_run(g, g.dx ** 2 / 2, v0), [10 * g.dx ** 2 / 2])
         with pytest.raises(InstabilityError):
