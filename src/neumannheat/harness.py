@@ -352,8 +352,8 @@ def bound_sweep(J_list: Sequence[int], cfls: Sequence[float] = (0.5, 0.25, 0.1),
         dts = [c * g.dx ** 2 for c in cfls]
         resolvent = spectral.resolvent_power_sums(g, dts, ns)
         kernel, kernel_bound = spectral.heat_kernel_spectrum_sums(g, cfls, ms)
-        for i, (c, dt) in enumerate(zip(cfls, dts)):
-            rep = spectral.amplification_bound_check(g, dt)
+        amplification = spectral.amplification_bound_checks(g, dts)
+        for i, (c, dt, rep) in enumerate(zip(cfls, dts, amplification)):
             keep("amplification", rep.worst_margin, (J, c, rep.worst_index), -1.0)
             for n, e, r in zip(ns, spectral.eta_geometric_sums(g, dt, ns), resolvent[i]):
                 keep("eta_sum", e / (2.0 * L ** 2), (J, c, n))

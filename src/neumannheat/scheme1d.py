@@ -9,10 +9,10 @@ conserves its mean and converges to the steady state with that mean; an
 unbalanced one drifts at exactly mean(b), and the steady solvers refuse it.
 `scheme2d` keeps two-axis names over this code for `bench/`.
 
-Runs step with the one numpy loop of `_kernels`.  `propagate` reaches the same
-checkpoints by one DCT-II transform pair; the steady loop jumps to its
-exact-arithmetic count and advances each checked block the same way.  `run_to`
-is the reference both are tested against.
+Runs step with the one numpy loop of `_kernels`: the reference for `propagate`, one
+DCT-II pair per checkpoint, and for the steady loop, a jump to its exact-arithmetic
+count, then one pair per checked block.  These import `scipy.fft` when they run and
+`solve_steady_laplace` `scipy.linalg`: loading scipy outlasts the numpy-only bounds.
 """
 
 from __future__ import annotations
@@ -23,8 +23,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Literal, Optional
 
 import numpy as np
-from scipy.fft import dctn, idctn
-from scipy.linalg.lapack import dptsv
 
 from . import _kernels
 from .errors import GridMismatchError, IncompatibleProblemError, InstabilityError
@@ -195,6 +193,7 @@ def _propagate_to(st: RunState, n_target: int) -> None:
     """Advance to step n_target in the DCT-II basis, where k steps multiply
     mode l by q_l^k and add `geometric_sum` times the forcing mode; the constant
     mode's gain k*dt makes the mean drift at exactly mean(b)."""
+    from scipy.fft import dctn, idctn
     k = n_target - st.n
     if k > 0:
         lam = eigenvalues(st.grid)
@@ -298,6 +297,7 @@ def _iterate_to_steady(st: RunState, tol: float, max_steps: int) -> SteadySolve:
     """
     if not (max_steps >= 0 and tol >= 0):
         raise ValueError(f"invalid steady loop {max_steps=}, {tol=}")
+    from scipy.fft import dctn, idctn
     b = st.rhs.b.values
     lam = eigenvalues(st.grid)
     q = 1.0 + st.dt * lam
@@ -367,6 +367,7 @@ def solve_steady_laplace(p: ForcedProblem, g: Grid, s: float) -> Field:
     """
     if not 0 < s < math.inf:
         raise ValueError(f"shift must be positive and finite, got s={s}")
+    from scipy.linalg.lapack import dptsv
     rhs = _balanced_rhs(p, g)
     inv_dx2 = 1.0 / g.dx ** 2
     diag = np.full(g.J, s + 2.0 * inv_dx2)

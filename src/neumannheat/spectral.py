@@ -32,9 +32,9 @@ from .grid import Field, Grid, check_grid, ones
 __all__ = [
     "NeumannLaplacian1D", "laplacian", "eigenvalue", "eigenvalues", "eigenvector", "eta",
     "cfl_ok", "require_stable", "amplification_envelope", "amplification_bound_check",
-    "AmplificationReport", "geometric_sum", "eta_geometric_sum", "eta_geometric_sums",
-    "resolvent_power_sum", "resolvent_power_sums", "heat_kernel_spectrum_sum",
-    "heat_kernel_spectrum_sums",
+    "amplification_bound_checks", "AmplificationReport", "geometric_sum", "eta_geometric_sum",
+    "eta_geometric_sums", "resolvent_power_sum", "resolvent_power_sums",
+    "heat_kernel_spectrum_sum", "heat_kernel_spectrum_sums",
 ]
 
 
@@ -121,10 +121,11 @@ def cfl_ok(g: Grid, dt: float) -> bool:
     return dt * sum(1.0 / h ** 2 for h in g.spacings) <= 0.5
 
 
-def require_stable(g: Grid, dt: float) -> None:
-    """Raise CflViolationError unless dt passes the stability rule `cfl_ok`."""
-    if not cfl_ok(g, dt):
-        raise CflViolationError(f"dt = {dt:.6g} exceeds the stability limit of {g}")
+def require_stable(g: Grid, *dts: float) -> None:
+    """Raise CflViolationError unless each dt passes the stability rule `cfl_ok`."""
+    for dt in dts:
+        if not cfl_ok(g, dt):
+            raise CflViolationError(f"dt = {dt:.6g} exceeds the stability limit of {g}")
 
 
 def eta(g: Grid, dt: float) -> float:
@@ -157,17 +158,23 @@ class AmplificationReport:
         return int(self.margins.argmin())
 
 
-def amplification_envelope(g: Grid, dt: float) -> np.ndarray:
+def amplification_envelope(g: Grid, dt) -> np.ndarray:
     """exp(-(dt/dx^2) sin^2(l pi / J)) for l = 0..J-1: the per-mode bound on
-    |1 + dt*lambda_l| that holds under the stability restriction."""
+    |1 + dt*lambda_l| under the stability restriction; a column of dts gives a row each."""
     return np.exp(-(dt / g.dx ** 2) * np.sin(np.arange(g.J) * np.pi / g.J) ** 2)
 
 
-def amplification_bound_check(g: Grid, dt: float) -> AmplificationReport:
-    """Check |1 + dt*lambda_l| <= `amplification_envelope` for all l."""
-    require_stable(g, dt)
+def amplification_bound_checks(g: Grid, dts) -> list[AmplificationReport]:
+    """Check |1 + dt*lambda_l| <= `amplification_envelope` for all l and each dt of ``dts``."""
+    require_stable(g, *dts)
+    dt = np.array(dts, float)[:, None]
     margins = amplification_envelope(g, dt) - np.abs(1.0 + dt * eigenvalues(g))
-    return AmplificationReport(g, dt, margins, bool(np.all(margins >= 0.0)))
+    return [AmplificationReport(g, d, m, bool(np.all(m >= 0.0))) for d, m in zip(dts, margins)]
+
+
+def amplification_bound_check(g: Grid, dt: float) -> AmplificationReport:
+    """The one-dt case of `amplification_bound_checks`."""
+    return amplification_bound_checks(g, (dt,))[0]
 
 
 def geometric_sum(lam, qk, k, dt):
@@ -204,8 +211,7 @@ def resolvent_power_sums(g: Grid, dts, ns) -> list:
     Each inner sum uses the closed geometric form (guarded near ratio 1), so
     the cost is O(J) per (dt, n) regardless of n.  Each sum is exactly rounded
     and bounded by 4 * pi^4 * L^4 / 90 uniformly in n and dt under the CFL rule."""
-    for dt in dts:
-        require_stable(g, dt)
+    require_stable(g, *dts)
     if min(ns) < 1:
         raise ValueError(f"need n >= 1, got {min(ns)}")
     lam, dt = eigenvalues(g)[1:g.J], np.array(dts, float)[:, None, None]  # g.J: 1D grids only

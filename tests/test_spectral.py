@@ -11,8 +11,8 @@ from neumannheat import (CflViolationError, Field1D, Grid, Grid1D, Grid2D,
                          eigenvalue, eigenvector, eta,
                          eta_geometric_sum, heat_kernel_spectrum_sum, inner,
                          norm_l2, ones, resolvent_power_sum)
-from neumannheat.spectral import (eigenvalues, geometric_sum, heat_kernel_spectrum_sums,
-                                  laplacian, resolvent_power_sum_bound,
+from neumannheat.spectral import (amplification_bound_checks, eigenvalues, geometric_sum,
+                                  heat_kernel_spectrum_sums, laplacian, resolvent_power_sum_bound,
                                   resolvent_power_sums)
 
 from oracles import brute_eta_sum, brute_resolvent_power_sum, dense_neumann_matrix
@@ -186,6 +186,27 @@ def test_amplification_bound():
         assert rep.margins.min() >= 0.0
     with pytest.raises(CflViolationError):
         amplification_bound_check(Grid1D(9, 1.0), Grid1D(9, 1.0).dx ** 2)
+
+
+def test_batched_amplification_check_matches_the_one_dt_check():
+    # every row of the batch gives the bits of its own one-dt check, and of
+    # the envelope minus |1 + dt*lambda_l| written out for that one dt
+    cfls = (0.5, 0.25, 0.1)
+    for J in range(2, 65):
+        g = Grid1D(J, 1.0)
+        dts = [c * g.dx ** 2 for c in cfls]
+        reps = amplification_bound_checks(g, dts)
+        assert [rep.dt for rep in reps] == dts
+        for rep, dt in zip(reps, dts):
+            one = amplification_bound_check(g, dt)
+            closed = (np.exp(-(dt / g.dx ** 2) * np.sin(np.arange(J) * np.pi / J) ** 2)
+                      - np.abs(1.0 + dt * eigenvalues(g)))
+            assert np.array_equal(rep.margins, one.margins)
+            assert np.array_equal(rep.margins, closed)
+            assert rep.ok and one.ok
+    g = Grid1D(9, 1.0)
+    with pytest.raises(CflViolationError):
+        amplification_bound_checks(g, [0.25 * g.dx ** 2, g.dx ** 2, 0.1 * g.dx ** 2])
 
 
 def test_eta_geometric_sum():
