@@ -129,30 +129,28 @@ class CosineSeries:
         return self.alpha * np.exp(-self.rates() * t)
 
     def tail_bound(self, t: float, deriv_order: int = 0) -> float:
-        """Bound on the dropped modes of the deriv_order-th derivative at time t.
-        The one check of t: `evaluate` and `solution` reach it before any tail work."""
+        """Bound on the dropped modes of the deriv_order-th derivative at time t,
+        in closed form.  With (C, q) = coef_bound, k = deriv_order, m = k - q,
+        P = p_max + 1 and a = (pi/L)^2 t it is sqrt(2) C (pi/L)^k S, where
+        S >= sum_{p >= P} p^m exp(-a p^2) is the smaller of the integral-test
+        bound P^m + P^(m+1)/(-m-1) (any t, when m < -1) and the geometric bound
+        P^m exp(-a P^2)/(1 - rho) (when the ratio bound of consecutive terms,
+        rho = (1 + 1/P)^max(m, 0) exp(-a (2P + 1)), is below 1); inf when
+        neither holds.  The one check of t: `evaluate` and `solution` reach it
+        before any tail work."""
         if not 0 <= t < math.inf:
             raise ValueError(f"time must be nonnegative and finite, got t={t}")
         if self.coef_bound is None:
             return 0.0
         C, q = self.coef_bound
         k = deriv_order
-        P = self.p_max + 1
-        scale = _SQRT2 * C * (math.pi / self.L) ** k
-        if t == 0.0:
-            if k >= q - 1:
-                return math.inf
-            # sum_{p >= P} p^(k-q) <= P^(k-q) + P^(k-q+1)/(q-k-1)
-            return scale * (float(P) ** (k - q) + float(P) ** (k - q + 1) / (q - k - 1))
-        # explicit summation of the dominating terms; they decay like exp(-p^2)
+        m, P = k - q, float(self.p_max + 1)
         a = (math.pi / self.L) ** 2 * t
-        total = 0.0
-        for p in range(P, P + 200000):
-            term = float(p) ** (k - q) * math.exp(-a * p * p)
-            total += term
-            if term < 1e-30:
-                return scale * total
-        return math.inf
+        S = P ** m + P ** (m + 1) / (-m - 1) if m < -1 else math.inf
+        rho = (1.0 + 1.0 / P) ** max(m, 0) * math.exp(-a * (2.0 * P + 1.0))
+        if rho < 1.0:
+            S = min(S, P ** m * math.exp(-a * P * P) / (1.0 - rho))
+        return _SQRT2 * C * (math.pi / self.L) ** k * S
 
     def evaluate(self, t: float, x):
         """u(t, x); exact for finite series, tail below 1e-13 otherwise."""

@@ -83,7 +83,7 @@ class ExperimentConfig:
 def default_config(experiment: str, J_list: Optional[Sequence[int]] = None,
                    checkpoints: Optional[Sequence[float]] = None,
                    cfl: float = 0.5, threads: int = 1) -> ExperimentConfig:
-    # bench/run.py passes threads=1; ROADMAP item 4 removes the keyword
+    # bench/run.py passes threads=1; ROADMAP item 6 removes the keyword
     if threads != 1:
         raise ValueError(f"experiments run on one thread, got threads={threads}")
     if experiment not in EXPERIMENTS:
@@ -111,56 +111,49 @@ class ErrorRecord:
     wall_ms: float
 
 
-def _study(cfg: ExperimentConfig, J: int, st, error) -> list[ErrorRecord]:
-    """Carry the run ``st`` to the configured checkpoints with
-    `scheme1d.propagate` (the step counts and times of `run_to`, without
-    stepping); ``error(cp)`` gives (abs_err, rel_err)."""
-    t0 = time.perf_counter()
-    return [ErrorRecord(cfg.experiment, J, st.grid.dx, st.dt, cp.t_target, cp.t_realized,
-                        cp.n, *error(cp), (time.perf_counter() - t0) * 1e3)
-            for cp in scheme1d.propagate(st, cfg.checkpoints)]
+def _study(cfg: ExperimentConfig, st, reference: Callable, normalizer: float,
+           reference_mean: Optional[float] = None) -> list[ErrorRecord]:
+    """Carry the run ``st`` to the configured checkpoints with `scheme1d.propagate`
+    and measure each error, the one place that does: the norm of ``reference(t)``,
+    the exact state on the run's grid at the realized time, minus the run (its
+    mean first moved onto ``reference_mean`` if given: in 2D the continuous state
+    is fixed up to a constant); rel_err is abs_err divided by ``normalizer``."""
+    g, t0, records = st.grid, time.perf_counter(), []
+    for cp in scheme1d.propagate(st, cfg.checkpoints):
+        run = cp.field.values
+        if reference_mean is not None:
+            run = run + (reference_mean - mean(cp.field))
+        err = norm_l2(Field(g, reference(cp.t_realized) - run))
+        records.append(ErrorRecord(cfg.experiment, g.Jx, g.dx, st.dt, cp.t_target, cp.t_realized,
+                                   cp.n, err, err / normalizer, (time.perf_counter() - t0) * 1e3))
+    return records
 
 
 def _run_homog(cfg: ExperimentConfig, J: int,
                make_datum: Callable[[], CosineSeries]) -> list[ErrorRecord]:
     datum = make_datum()
     g = Grid1D(J, datum.L)
-    dt = cfg.cfl * g.dx ** 2
     v0 = project(g, datum)
-    if EXPERIMENTS[cfg.experiment][2] == "relative-to-initial":
-        normalizer = norm_l2(v0)
-    else:  # relative-to-initial-fluctuation
-        m = mean(v0)
-        normalizer = norm_l2(Field(g, v0.values - m))
-
-    def error(cp):
-        exact = datum.evaluate(cp.t_realized, g.nodes())
-        err = norm_l2(Field(g, exact - cp.field.values))
-        return err, err / normalizer
-    return _study(cfg, J, scheme1d.new_run(g, dt, v0), error)
+    fluctuation = EXPERIMENTS[cfg.experiment][2] == "relative-to-initial-fluctuation"
+    normalizer = norm_l2(Field(g, v0.values - mean(v0)) if fluctuation else v0)
+    return _study(cfg, scheme1d.new_run(g, cfg.cfl * g.dx ** 2, v0),
+                  lambda t: datum.evaluate(t, g.nodes()), normalizer)
 
 
 def _run_steady1d(cfg: ExperimentConfig, J: int, datum: str) -> list[ErrorRecord]:
     ss = steady_1d()
     g = Grid1D(J, ss.L)
-    dt = cfg.cfl * g.dx ** 2
     problem = scheme1d.NonhomogProblem(ss.source, ss.beta, ss.gamma, ss.L,
                                        f_integral=ss.source_integral)
-    rhs = scheme1d.build_rhs(problem, g)
     target = project(g, ss.solution)
-    normalizer = norm_l2(target)
     if datum == "w":
-        w = companion_w(ss.beta, ss.gamma, ss.L)
-        v0 = Field(g, ss.mean_value + w(g.nodes()))
+        v0 = ss.mean_value + companion_w(ss.beta, ss.gamma, ss.L)(g.nodes())
     else:
         # constant datum at the only mean the discrete dynamics can hold:
         # the discrete mean of the sampled steady state
-        v0 = Field(g, np.full(J, mean(target)))
-
-    def error(cp):
-        err = norm_l2(Field(g, target.values - cp.field.values))
-        return err, err / normalizer
-    return _study(cfg, J, scheme1d.new_run(g, dt, v0, rhs), error)
+        v0 = np.full(J, mean(target))
+    st = scheme1d.new_run(g, cfg.cfl * g.dx ** 2, Field(g, v0), scheme1d.build_rhs(problem, g))
+    return _study(cfg, st, lambda t: target.values, norm_l2(target))
 
 
 def _run_steady2d(cfg: ExperimentConfig, J: int, gaussian: dict) -> list[ErrorRecord]:
@@ -169,17 +162,9 @@ def _run_steady2d(cfg: ExperimentConfig, J: int, gaussian: dict) -> list[ErrorRe
     dt = cfg.cfl / sum(1.0 / h ** 2 for h in g.spacings)
     problem = scheme1d.ForcedProblem(case.f, (case.g2, case.g1), (case.Ly, case.Lx),
                                      case.source_integral)
-    rhs = scheme1d.build_rhs(problem, g)
     target = project(g, case.u_inf)
-    target_mean = mean(target)
-    v0 = Field(g, np.zeros(g.shape))
-
-    def error(cp):
-        # match the free constant before comparing
-        shifted = cp.field.values + (target_mean - mean(cp.field))
-        err = norm_l2(Field(g, target.values - shifted))
-        return err, err
-    return _study(cfg, J, scheme1d.new_run(g, dt, v0, rhs), error)
+    st = scheme1d.new_run(g, dt, Field(g, np.zeros(g.shape)), scheme1d.build_rhs(problem, g))
+    return _study(cfg, st, lambda t: target.values, 1.0, mean(target))  # absolute errors
 
 
 _HOMOG_J = (17, 33, 65, 129, 257, 513)
@@ -228,12 +213,13 @@ class SlopeFit:
 
 def estimate_slope(records: Sequence[ErrorRecord],
                    J_subset: Optional[Sequence[int]] = None) -> SlopeFit:
-    recs = list(records)
-    if J_subset is not None:
-        wanted = set(J_subset)
-        recs = [r for r in recs if r.J in wanted]
-    if len(recs) < 3:
-        raise ValueError(f"need at least 3 records for a slope fit, got {len(recs)}")
+    """`SlopeFit` of the records (those at a J in ``J_subset`` if given); refused
+    over fewer than 3 distinct grids (records that repeat one J make the fit
+    rank-deficient) and for errors that are not positive."""
+    recs = [r for r in records if J_subset is None or r.J in J_subset]
+    grids = sorted({r.J for r in recs})
+    if len(grids) < 3:
+        raise ValueError(f"need at least 3 distinct grids for a slope fit, got J={grids}")
     zero = [r.J for r in recs if not r.rel_err > 0]
     if zero:
         raise ValueError(f"a log-log fit needs positive errors; not positive at J={zero}")
@@ -309,7 +295,9 @@ def quadrature_inequality_check(v: H1Function, J_sweep: Sequence[int],
         ||sampled v||^2 <= ((J-1)/J) * 2 * (1 + dx) * ||v||_{H^1}^2
 
     for every grid in the sweep; the worst lhs/rhs ratio, at (J, v.label),
-    holds when it is <= 1."""
+    holds when it is <= 1.  An empty sweep is refused."""
+    if not J_sweep:
+        raise ValueError("the sampling inequality needs a nonempty J_sweep")
     worst = (0.0, 0)
     for J in J_sweep:
         g = Grid1D(J, L)

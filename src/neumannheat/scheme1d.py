@@ -223,8 +223,9 @@ def _run_checkpoints(st: RunState, checkpoints, advance=_advance_to) -> list[Che
     targets = list(checkpoints)
     if not targets:
         raise ValueError("need at least one checkpoint")
-    if not all(map(math.isfinite, targets)) or any(b < a for a, b in zip(targets, targets[1:])):
-        raise ValueError("checkpoints must be finite and nondecreasing")
+    if (not all(0 <= t < math.inf for t in targets)
+            or any(b < a for a, b in zip(targets, targets[1:]))):
+        raise ValueError("checkpoints must be finite, nonnegative and nondecreasing")
     out = []
     for t in targets:
         n_rec = round(t / st.dt)

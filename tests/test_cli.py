@@ -253,6 +253,33 @@ def test_slope_table_reports_no_fit_on_zero_errors(capsys):
     assert "t=0.01: slope=" in out and "nan" not in out
 
 
+def test_slope_fit_needs_three_distinct_grids(capsys):
+    # three records at one J passed the old "at least 3 records" rule, and the
+    # rank-deficient fit printed slope=0.797
+    recs = harness.run_convergence(harness.default_config(
+        "homog-trigpoly", J_list=(33, 33, 33), checkpoints=(0.1,)))
+    assert len(recs) == 3
+    with pytest.raises(ValueError, match="3 distinct grids"):
+        harness.estimate_slope(recs)
+    assert run_cli("homog", "--datum", "trigpoly", "--J", "33,33,33", "--t", "0.1,1") == 0
+    out = capsys.readouterr().out
+    assert "t=0.1: no fit: need at least 3 distinct grids" in out and "slope=" not in out
+
+
+def test_checkpoints_before_time_zero_exit_2(tmp_path, capsys):
+    # -1e-6 rounds to step 0 at these grids: rows with t_realized 0 were written
+    g = neumannheat.Grid1D(17, 1.0)
+    for run in (neumannheat.run_to, neumannheat.propagate):
+        st = neumannheat.new_run(g, 0.5 * g.dx ** 2, neumannheat.ones(g))
+        with pytest.raises(ValueError, match="nonnegative"):
+            run(st, [-1e-6, 0.1])
+    out = tmp_path / "neg.csv"
+    assert run_cli("homog", "--datum", "trigpoly", "--J", "17,33,65", "--t=-0.000001,0.1",
+                   "--out", str(out)) == 2
+    assert "checkpoints must be finite, nonnegative" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_bounds_refuses_non_finite_cfl(capsys):
     # inf used to exit 3, a stability violation; homog --cfl inf exits 2
     assert run_cli("bounds", "--J", "2..4", "--cfl-list", "inf") == 2

@@ -54,6 +54,22 @@ def test_series_refuses_non_finite_times():
                     call()
 
 
+def test_tail_bound_is_nonincreasing_in_time_and_bounds_the_dropped_tail():
+    # the bound used to sum up to 200,000 terms and give inf at t = 1e-12,
+    # above its own t = 0 value; the dropped tail here is summed to p = 20,000
+    times = (0.0, 1e-12, 1e-9, 1e-6, 1e-4, 1e-2)
+    for factory in (poly_bump, hat_function):
+        s, full = factory(), factory(p_max=20_000)
+        p = np.arange(s.p_max + 1, full.p_max + 1)
+        kp = p * math.pi / s.L
+        for k in range(6):
+            bounds = [s.tail_bound(t, k) for t in times]
+            assert all(b >= c for b, c in zip(bounds, bounds[1:])), (factory, k, bounds)
+            for t, bound in zip(times, bounds):
+                tail = math.fsum(np.abs(full.alpha[p]) * SQ2 * kp ** k * np.exp(-kp ** 2 * t))
+                assert bound >= tail, (factory, k, t, bound, tail)
+
+
 def test_series_time_derivative_matches_spatial_difference():
     # the flow solves u_t = u_xx: check d/dt against the centered second
     # difference quotient on a smooth mode

@@ -126,6 +126,12 @@ def test_epsilon_scalings_in_dt():
     assert e1_fine / dt > 0.1
 
 
+def test_quadrature_inequality_refuses_an_empty_sweep():
+    # it used to report WorstCase(0.0, (0, 'x'), ok=True), a check of nothing
+    with pytest.raises(ValueError, match="nonempty"):
+        quadrature_inequality_check(h1_linear(1.0), [], 1.0)
+
+
 def test_quadrature_inequality():
     sweep = range(2, 130)
     assert quadrature_inequality_check(h1_constant(), sweep, 1.0).ok
