@@ -67,8 +67,8 @@ class ExperimentConfig:
             raise ValueError("need at least one grid resolution")
         if not self.checkpoints:
             raise ValueError("need at least one checkpoint")
-        if min(self.J_list) < 2:
-            raise ValueError("grid resolutions must be >= 2")
+        if min(self.J_list) < 2 or len(set(self.J_list)) < len(self.J_list):
+            raise ValueError(f"grid resolutions must be distinct and >= 2, got {list(self.J_list)}")
 
     def as_meta(self) -> dict:
         return {

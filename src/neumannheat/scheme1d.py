@@ -10,9 +10,8 @@ unbalanced one drifts at exactly mean(b), and the steady solvers refuse it.
 `scheme2d` keeps two-axis names over this code for `bench/`.
 
 Runs step with the one numpy loop of `_kernels`: the reference for `propagate`, one
-DCT-II pair per checkpoint, and for the steady loop, a jump to its exact-arithmetic
-count, then one pair per checked block.  These import `scipy.fft` when they run and
-`solve_steady_laplace` `scipy.linalg`: loading scipy outlasts the numpy-only bounds.
+`spectral.dctn`/`idctn` pair per checkpoint, and for the steady loop, a jump to its
+exact-arithmetic count, then one pair per checked block.  Only the shifted solve uses scipy.
 """
 
 from __future__ import annotations
@@ -26,8 +25,8 @@ import numpy as np
 
 from . import _kernels
 from .errors import GridMismatchError, IncompatibleProblemError, InstabilityError
-from .grid import Field, Grid, check_grid, mean, sample
-from .spectral import eigenvalues, geometric_sum, laplacian, require_stable
+from .grid import Field, Grid, check_grid, exact_sum, mean, sample
+from .spectral import dctn, eigenvalues, geometric_sum, idctn, laplacian, require_stable
 
 __all__ = [
     "ForcedProblem", "NonhomogProblem", "DiscreteRHS", "RunState", "Checkpoint",
@@ -193,15 +192,14 @@ def _propagate_to(st: RunState, n_target: int) -> None:
     """Advance to step n_target in the DCT-II basis, where k steps multiply
     mode l by q_l^k and add `geometric_sum` times the forcing mode; the constant
     mode's gain k*dt makes the mean drift at exactly mean(b)."""
-    from scipy.fft import dctn, idctn
     k = n_target - st.n
     if k > 0:
         lam = eigenvalues(st.grid)
         qk = (1.0 + st.dt * lam) ** k
-        vhat = qk * dctn(st.values, type=2, norm="ortho")
+        vhat = qk * dctn(st.values)
         if st.rhs is not None:
-            vhat += geometric_sum(lam, qk, k, st.dt) * dctn(st.rhs.b.values, type=2, norm="ortho")
-        st.values = idctn(vhat, type=2, norm="ortho")
+            vhat += geometric_sum(lam, qk, k, st.dt) * dctn(st.rhs.b.values)
+        st.values = idctn(vhat)
         st.n = n_target
     _check_finite(st)
 
@@ -276,7 +274,7 @@ CHECK_EVERY = 64
 def _residual(g, values: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
     """A v + b and its root-mean-square."""
     resid = laplacian(values, g.spacings) + b
-    return resid, math.sqrt(math.fsum((resid * resid).ravel()) / resid.size)
+    return resid, math.sqrt(exact_sum(resid * resid) / resid.size)
 
 
 def _iterate_to_steady(st: RunState, tol: float, max_steps: int) -> SteadySolve:
@@ -298,12 +296,11 @@ def _iterate_to_steady(st: RunState, tol: float, max_steps: int) -> SteadySolve:
     """
     if not (max_steps >= 0 and tol >= 0):
         raise ValueError(f"invalid steady loop {max_steps=}, {tol=}")
-    from scipy.fft import dctn, idctn
     b = st.rhs.b.values
     lam = eigenvalues(st.grid)
     q = 1.0 + st.dt * lam
     r, res = _residual(st.grid, st.values, b)
-    rhat = dctn(r, type=2, norm="ortho")
+    rhat = dctn(r)
     cap = max_steps // CHECK_EVERY  # n* = cap + 1: out of reach, no jump
     n_star = bisect.bisect_left(range(cap + 1), True, key=lambda checks: np.linalg.norm(
         q ** (checks * CHECK_EVERY) * rhat) <= tol * math.sqrt(q.size))
@@ -313,7 +310,7 @@ def _iterate_to_steady(st: RunState, tol: float, max_steps: int) -> SteadySolve:
     while not res <= tol and st.n < max_steps and stagnant < 10:
         k, first = first or min(CHECK_EVERY, max_steps - st.n), 0
         gk = geometric_sum(lam, q ** k, k, st.dt)
-        st.values = st.values + idctn(gk * dctn(r, type=2, norm="ortho"), type=2, norm="ortho")
+        st.values = st.values + idctn(gk * dctn(r))
         st.n += k
         _check_finite(st)
         r, res = _residual(st.grid, st.values, b)
@@ -378,5 +375,5 @@ def solve_steady_laplace(p: ForcedProblem, g: Grid, s: float) -> Field:
         raise np.linalg.LinAlgError(f"dptsv failed with info={info}")
     # the kernel direction amplifies the float residue of mean(b) by 1/s;
     # re-anchor it (this perturbs the residual by only s * mean(v) = mean(b))
-    v -= math.fsum(v) / g.J
+    v -= exact_sum(v) / g.J
     return Field(g, v)

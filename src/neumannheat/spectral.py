@@ -15,12 +15,13 @@ Its eigenvalues are lambda_l = -(4/dx^2) sin^2(l pi / (2J)), l = 0..J-1, with
 eigenvectors W_0 = 1 and (W_l)_j = sqrt(2) cos(l (j + 1/2) pi / J), an
 orthonormal family for the scaled inner product.  Eigenpairs always come from
 these closed forms, never from a numerical eigensolver.  The eigenvectors are
-the orthonormal DCT-II basis, per axis on any number of axes, and one stability
-rule, `cfl_ok`, serves every grid.
+the orthonormal DCT-II basis (`dctn`, `idctn`), per axis on any number of axes,
+and one stability rule, `cfl_ok`, serves every grid.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -30,8 +31,8 @@ from .errors import CflViolationError
 from .grid import Field, Grid, check_grid, ones
 
 __all__ = [
-    "NeumannLaplacian1D", "laplacian", "eigenvalue", "eigenvalues", "eigenvector", "eta",
-    "cfl_ok", "require_stable", "amplification_envelope", "amplification_bound_check",
+    "NeumannLaplacian1D", "laplacian", "eigenvalue", "eigenvalues", "dctn", "idctn", "eigenvector",
+    "eta", "cfl_ok", "require_stable", "amplification_envelope", "amplification_bound_check",
     "amplification_bound_checks", "AmplificationReport", "geometric_sum", "eta_geometric_sum",
     "eta_geometric_sums", "resolvent_power_sum", "resolvent_power_sums",
     "heat_kernel_spectrum_sum", "heat_kernel_spectrum_sums",
@@ -101,6 +102,35 @@ def eigenvalues(g: Grid) -> np.ndarray:
         lam = -4.0 / h ** 2 * np.sin(np.arange(J) * np.pi / (2 * J)) ** 2
         out += lam.reshape([J if a == axis else 1 for a in range(out.ndim)])
     return out
+
+
+@functools.lru_cache(maxsize=64)
+def _dct_twiddles(n: int) -> np.ndarray:
+    """s_k exp(-i pi k / (2n)) for k < n: the scaling of `dctn` and Makhoul's twiddle."""
+    t = np.exp(-0.5j * np.pi / n * np.arange(n)) * math.sqrt(2.0 / n)
+    t[0] = math.sqrt(1.0 / n)
+    t.flags.writeable = False
+    return t
+
+
+def dctn(a: np.ndarray) -> np.ndarray:
+    """Orthonormal DCT-II over every axis: the coefficients in the eigenvectors of
+    `laplacian`, ordered as `eigenvalues`; c_k = s_k sum_n a_n cos(pi k (2n+1) / (2N)),
+    s_0 = sqrt(1/N), else sqrt(2/N): per axis, one FFT of length N after Makhoul's reordering."""
+    for _ in range(a.ndim):  # transform the last axis, then roll the next one last
+        v = np.concatenate((a[..., ::2], a[..., 1::2][..., ::-1]), axis=-1)  # evens, odds reversed
+        a = (_dct_twiddles(a.shape[-1]) * np.fft.fft(v)).real.transpose(-1, *range(a.ndim - 1))
+    return np.ascontiguousarray(a)
+
+
+def idctn(c: np.ndarray) -> np.ndarray:
+    """The inverse of `dctn` (its transpose, the orthonormal DCT-III)."""
+    for _ in range(c.ndim):  # Re(FFT(twiddles * c)) is the last axis in Makhoul's order
+        v, h = np.fft.fft(_dct_twiddles(c.shape[-1]) * c).real, (c.shape[-1] + 1) // 2
+        c = np.empty(c.shape)
+        c[..., ::2], c[..., 1::2] = v[..., :h], v[..., :h - 1:-1]
+        c = c.transpose(-1, *range(c.ndim - 1))
+    return np.ascontiguousarray(c)
 
 
 def eigenvector(g: Grid, ell: int) -> Field:

@@ -257,13 +257,14 @@ def test_slope_fit_needs_three_distinct_grids(capsys):
     # three records at one J passed the old "at least 3 records" rule, and the
     # rank-deficient fit printed slope=0.797
     recs = harness.run_convergence(harness.default_config(
-        "homog-trigpoly", J_list=(33, 33, 33), checkpoints=(0.1,)))
+        "homog-trigpoly", J_list=(33,), checkpoints=(0.1,))) * 3
     assert len(recs) == 3
     with pytest.raises(ValueError, match="3 distinct grids"):
         harness.estimate_slope(recs)
-    assert run_cli("homog", "--datum", "trigpoly", "--J", "33,33,33", "--t", "0.1,1") == 0
-    out = capsys.readouterr().out
-    assert "t=0.1: no fit: need at least 3 distinct grids" in out and "slope=" not in out
+    # the CLI refuses the repeated grid before it runs
+    assert run_cli("homog", "--datum", "trigpoly", "--J", "33,33,33", "--t", "0.1,1") == 2
+    captured = capsys.readouterr()
+    assert "grid resolutions must be distinct" in captured.err and captured.out == ""
 
 
 def test_checkpoints_before_time_zero_exit_2(tmp_path, capsys):

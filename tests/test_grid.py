@@ -7,7 +7,8 @@ from neumannheat import (Field, Field1D, Field2D, Grid, Grid1D, Grid2D,
                          GridMismatchError, inner, mean, mean2d, norm2d,
                          default_config, norm_l2, ones, project, project2d,
                          run_convergence)
-from neumannheat.grid import check_grid
+from neumannheat import grid
+from neumannheat.grid import check_grid, exact_sum
 from neumannheat.exact import cosine_mode
 from neumannheat.spectral import eigenvalues, eigenvector
 
@@ -115,6 +116,19 @@ def test_mean_is_inner_with_ones_bitwise():
     for _ in range(20):
         v = Field1D(g, rng.standard_normal(33))
         assert mean(v) == inner(v, ones(g))
+
+
+def test_exact_sum_equals_fsum_bit_for_bit():
+    rng = np.random.default_rng(20)
+    C = grid._SUM_BLOCK
+    for n in (1, 7, C - 1, C, C + 1, 3 * C + 5):
+        # magnitudes over +-20 decades, and each large value cancelled by its
+        # negative elsewhere, so that only an exactly rounded sum gets it right
+        x = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-20, 20, n)
+        x[n // 2:] = -x[:n - n // 2][::-1] * (1.0 + 1e-16 * rng.standard_normal(n - n // 2))
+        for a in (x, x.reshape(1, n), x[:n - n % 2].reshape(2, -1).T):
+            assert exact_sum(a) == math.fsum(a.ravel()), (n, a.shape)
+    assert exact_sum(np.zeros((0, 3))) == 0.0
 
 
 def test_norm_examples():

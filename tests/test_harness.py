@@ -90,6 +90,13 @@ def test_default_config_refuses_empty_lists():
     assert default_config("homog-trigpoly", J_list=None).J_list == EXPERIMENTS["homog-trigpoly"][0]
 
 
+def test_config_refuses_a_repeated_grid_resolution():
+    # each copy of J ran the same study again, and the CSV repeated its rows
+    for J_list in ((33, 33, 33), (65, 33, 65)):
+        with pytest.raises(ValueError, match="grid resolutions must be distinct"):
+            default_config("homog-trigpoly", J_list=J_list)
+
+
 def test_epsilon_diagnostics_constant_datum():
     g = Grid1D(17, 1.0)
     d = CosineSeries(1.0, [2.0])

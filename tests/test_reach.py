@@ -2,10 +2,10 @@
 
 Every public name of a module must be read by the package itself, by a demo,
 or by the benchmark in `bench/`; its tests alone do not count, and neither do
-comments.  scipy loads only where it runs: importing the package and running
-the `bounds` and `spectra` subcommands load no scipy module, exact propagation
-loads `scipy.fft` and not `scipy.linalg`, and the shifted direct solve loads
-`scipy.linalg`.
+comments.  scipy loads only where it runs: importing the package, the `bounds`
+and `spectra` subcommands, exact propagation and the iterative steady solvers
+in 1D and 2D load no scipy module, and the shifted direct solve loads
+`scipy.linalg` and neither `scipy.fft` nor `scipy.special`.
 """
 
 import ast
@@ -65,8 +65,9 @@ def test_every_public_name_is_read():
 
 _SCIPY_PROBE = """
 import contextlib, io, sys
+import numpy as np
 import neumannheat
-from neumannheat import Grid1D, cli, exact, new_run, ones, propagate, scheme1d
+from neumannheat import Grid1D, cli, exact, new_run, ones, propagate, scheme1d, scheme2d
 
 def loaded():
     return [m for m in sorted(sys.modules) if m == "scipy" or m.startswith("scipy.")]
@@ -77,11 +78,17 @@ with contextlib.redirect_stdout(io.StringIO()):
 print(loaded())
 g = Grid1D(9, 1.0)
 propagate(new_run(g, 0.5 * g.dx ** 2, ones(g)), [0.01, 0.02])
-print(["scipy.fft" in sys.modules, "scipy.linalg" in sys.modules])
 ss = exact.steady_1d()
 problem = scheme1d.NonhomogProblem(ss.source, ss.beta, ss.gamma, ss.L, ss.source_integral)
-scheme1d.solve_steady_laplace(problem, Grid1D(9, ss.L), 1e-3)
-print("scipy.linalg" in sys.modules)
+g = Grid1D(9, ss.L)
+scheme1d.solve_steady_iterative(problem, g, 0.5 * g.dx ** 2, ones(g), tol=1e-8)
+case = exact.gaussian_2d(alpha=15.0, beta_g=5.0, x0=1.0, y0=2.0)
+g2 = scheme2d.grid_for(8, case.Lx, case.Ly)
+scheme2d.solve_steady_2d(scheme2d.Problem2D(case.f, case.g1, case.g2, case.Lx, case.Ly), g2,
+                         0.25 * g2.dx ** 2, neumannheat.Field(g2, np.zeros(g2.shape)), tol=1e-8)
+print(loaded())
+scheme1d.solve_steady_laplace(problem, g, 1e-3)
+print([m in sys.modules for m in ("scipy.linalg", "scipy.fft", "scipy.special")])
 """
 
 
@@ -90,4 +97,4 @@ def test_import_loads_no_unused_scipy_module():
         filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-c", _SCIPY_PROBE], capture_output=True,
                           text=True, env=env, check=True)
-    assert proc.stdout.splitlines() == ["[]", "[True, False]", "True"]
+    assert proc.stdout.splitlines() == ["[]", "[]", "[True, False, False]"]

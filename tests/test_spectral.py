@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import scipy.fft
 from scipy.fft import dctn
 
 from neumannheat import (CflViolationError, Field1D, Grid, Grid1D, Grid2D,
@@ -11,6 +12,7 @@ from neumannheat import (CflViolationError, Field1D, Grid, Grid1D, Grid2D,
                          eigenvalue, eigenvector, eta,
                          eta_geometric_sum, heat_kernel_spectrum_sum, inner,
                          norm_l2, ones, resolvent_power_sum)
+from neumannheat import spectral
 from neumannheat.spectral import (amplification_bound_checks, eigenvalues, geometric_sum,
                                   heat_kernel_spectrum_sums, laplacian, resolvent_power_sum_bound,
                                   resolvent_power_sums)
@@ -97,6 +99,45 @@ def test_eigenvalues_diagonalised_by_dct():
         lhs = dctn(laplacian(u, g.spacings), type=2, norm="ortho")
         rhs = lam * dctn(u, type=2, norm="ortho")
         assert np.abs(lhs - rhs).max() <= 1e-12 * np.abs(lam).max()
+
+
+def _cosine_matrix(N):
+    """The orthonormal DCT-II matrix s_k cos(pi k (2n+1) / (2N)), entry by entry."""
+    C = np.array([[math.cos(math.pi * k * (2 * n + 1) / (2 * N)) for n in range(N)]
+                  for k in range(N)])
+    C[0] *= math.sqrt(1.0 / N)
+    C[1:] *= math.sqrt(2.0 / N)
+    return C
+
+
+def _along_each_axis(matrices, a):
+    for axis, M in enumerate(matrices):
+        a = np.moveaxis(np.tensordot(M, a, axes=([1], [axis])), 0, axis)
+    return a
+
+
+def test_dct_pair_matches_the_dense_cosine_matrix():
+    # every length 2..33 on every axis, odd and even lengths side by side
+    rng = np.random.default_rng(20)
+    shapes = [(N,) for N in range(2, 34)]
+    shapes += [(N, 35 - N) for N in range(2, 34)]
+    shapes += [(N, 35 - N, (N + 15) % 32 + 2) for N in range(2, 34)]
+    for shape in shapes:
+        a = rng.standard_normal(shape)
+        C = [_cosine_matrix(N) for N in shape]
+        tol = 1e-14 * np.linalg.norm(a)
+        assert np.linalg.norm(spectral.dctn(a) - _along_each_axis(C, a)) <= tol, shape
+        assert np.linalg.norm(spectral.idctn(a) - _along_each_axis([M.T for M in C], a)) <= tol
+        assert np.linalg.norm(spectral.idctn(spectral.dctn(a)) - a) <= tol
+
+
+def test_dct_pair_agrees_with_scipy():
+    rng = np.random.default_rng(21)
+    for shape in [(2,), (65,), (257,), (1000,), (31, 16), (127, 64), (4, 9, 6), (3, 2, 5, 4)]:
+        a = rng.standard_normal(shape)
+        tol = 1e-14 * np.linalg.norm(a)
+        for mine, theirs in ((spectral.dctn, scipy.fft.dctn), (spectral.idctn, scipy.fft.idctn)):
+            assert np.linalg.norm(mine(a) - theirs(a, type=2, norm="ortho")) <= tol, shape
 
 
 def test_eigenvector_examples():
