@@ -7,7 +7,7 @@ import numpy as np
 
 from .spectral import axis_slices, second_difference
 
-# bench/run.py reads these two names; ROADMAP item 6 removes them
+# bench/run.py reads these two names; ROADMAP item 8 removes them
 HAVE_NUMBA = False
 FORCE_NUMPY = True
 
@@ -35,5 +35,5 @@ def advance(v, coeffs, dtb, nsteps):
     return v
 
 
-# bench/tracing.py wraps these names; ROADMAP item 6 removes them
+# bench/tracing.py wraps these names; ROADMAP item 8 removes them
 advance_1d = advance_1d_rhs = advance_2d = advance_2d_rhs = advance

@@ -297,19 +297,15 @@ class Gaussian2DProblem:
 
     def f(self, x, y):
         a, b = self.alpha, self.beta_g
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
         return (2 * a * (1 - 2 * a * (x - self.x0) ** 2)
                 + 2 * b * (1 - 2 * b * (y - self.y0) ** 2)) * self.u_inf(x, y)
 
     def g1(self, x, y):
         """x-derivative of the steady state (flux data on the vertical sides)."""
-        x = np.asarray(x, dtype=float)
         return -2 * self.alpha * (x - self.x0) * self.u_inf(x, y)
 
     def g2(self, x, y):
         """y-derivative of the steady state (flux data on the horizontal sides)."""
-        y = np.asarray(y, dtype=float)
         return -2 * self.beta_g * (y - self.y0) * self.u_inf(x, y)
 
     @property

@@ -183,5 +183,5 @@ def project(g: Grid, f) -> Field:
     return Field(g, sample(f, g.coordinates()))
 
 
-# the two-axis names that bench/ reads; ROADMAP item 6 removes them
+# the two-axis names that bench/ reads; ROADMAP item 8 removes them
 mean2d, norm2d, project2d = mean, norm_l2, project

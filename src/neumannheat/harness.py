@@ -18,9 +18,10 @@ grid, at the realized time of the nearest step.  Normalization is per
 experiment: the homogeneous errors divide by the sampled initial datum's norm
 (the bump uses the norm of its mean-free part, whose decay the error actually
 tracks), the 1D steady errors divide by the sampled steady state's norm, and
-the 2D errors are absolute with the numerical mean matched to the sampled
-steady state's mean before comparing (the continuous problem fixes the state
-only up to a constant).
+the 2D errors are absolute.  The continuous steady problem fixes its state
+only up to a constant, so `steady1d-const` and the 2D runs start at the
+discrete mean of the sampled steady state, the only mean the discrete
+dynamics can hold.
 """
 
 from __future__ import annotations
@@ -67,6 +68,10 @@ class ExperimentConfig:
             raise ValueError("need at least one grid resolution")
         if not self.checkpoints:
             raise ValueError("need at least one checkpoint")
+        cps = self.checkpoints
+        if not (all(0 <= t < math.inf for t in cps) and all(a < b for a, b in zip(cps, cps[1:]))):
+            raise ValueError("checkpoints must be finite, nonnegative and strictly increasing, "
+                             f"got {list(cps)}")
         if min(self.J_list) < 2 or len(set(self.J_list)) < len(self.J_list):
             raise ValueError(f"grid resolutions must be distinct and >= 2, got {list(self.J_list)}")
 
@@ -83,12 +88,11 @@ class ExperimentConfig:
 def default_config(experiment: str, J_list: Optional[Sequence[int]] = None,
                    checkpoints: Optional[Sequence[float]] = None,
                    cfl: float = 0.5, threads: int = 1) -> ExperimentConfig:
-    # bench/run.py passes threads=1; ROADMAP item 6 removes the keyword
+    # bench/run.py passes threads=1; ROADMAP item 8 removes the keyword
     if threads != 1:
         raise ValueError(f"experiments run on one thread, got threads={threads}")
-    if experiment not in EXPERIMENTS:
-        raise ValueError(f"unknown experiment {experiment!r}")
-    default_J, default_checkpoints = EXPERIMENTS[experiment][:2]
+    # ExperimentConfig refuses an unknown experiment
+    default_J, default_checkpoints = EXPERIMENTS.get(experiment, (None, None))[:2]
     return ExperimentConfig(
         experiment=experiment,
         J_list=tuple(J_list) if J_list is not None else default_J,
@@ -111,19 +115,14 @@ class ErrorRecord:
     wall_ms: float
 
 
-def _study(cfg: ExperimentConfig, st, reference: Callable, normalizer: float,
-           reference_mean: Optional[float] = None) -> list[ErrorRecord]:
+def _study(cfg: ExperimentConfig, st, reference: Callable, normalizer: float) -> list[ErrorRecord]:
     """Carry the run ``st`` to the configured checkpoints with `scheme1d.propagate`
     and measure each error, the one place that does: the norm of ``reference(t)``,
-    the exact state on the run's grid at the realized time, minus the run (its
-    mean first moved onto ``reference_mean`` if given: in 2D the continuous state
-    is fixed up to a constant); rel_err is abs_err divided by ``normalizer``."""
+    the exact state on the run's grid at the realized time, minus the run;
+    rel_err is abs_err divided by ``normalizer``."""
     g, t0, records = st.grid, time.perf_counter(), []
     for cp in scheme1d.propagate(st, cfg.checkpoints):
-        run = cp.field.values
-        if reference_mean is not None:
-            run = run + (reference_mean - mean(cp.field))
-        err = norm_l2(Field(g, reference(cp.t_realized) - run))
+        err = norm_l2(Field(g, reference(cp.t_realized) - cp.field.values))
         records.append(ErrorRecord(cfg.experiment, g.Jx, g.dx, st.dt, cp.t_target, cp.t_realized,
                                    cp.n, err, err / normalizer, (time.perf_counter() - t0) * 1e3))
     return records
@@ -163,8 +162,9 @@ def _run_steady2d(cfg: ExperimentConfig, J: int, gaussian: dict) -> list[ErrorRe
     problem = scheme1d.ForcedProblem(case.f, (case.g2, case.g1), (case.Ly, case.Lx),
                                      case.source_integral)
     target = project(g, case.u_inf)
-    st = scheme1d.new_run(g, dt, Field(g, np.zeros(g.shape)), scheme1d.build_rhs(problem, g))
-    return _study(cfg, st, lambda t: target.values, 1.0, mean(target))  # absolute errors
+    v0 = Field(g, np.full(g.shape, mean(target)))  # as in steady1d-const
+    st = scheme1d.new_run(g, dt, v0, scheme1d.build_rhs(problem, g))
+    return _study(cfg, st, lambda t: target.values, 1.0)  # absolute errors
 
 
 _HOMOG_J = (17, 33, 65, 129, 257, 513)
@@ -211,25 +211,23 @@ class SlopeFit:
     J_used: tuple
 
 
-def estimate_slope(records: Sequence[ErrorRecord],
-                   J_subset: Optional[Sequence[int]] = None) -> SlopeFit:
-    """`SlopeFit` of the records (those at a J in ``J_subset`` if given); refused
-    over fewer than 3 distinct grids (records that repeat one J make the fit
-    rank-deficient) and for errors that are not positive."""
-    recs = [r for r in records if J_subset is None or r.J in J_subset]
-    grids = sorted({r.J for r in recs})
+def estimate_slope(records: Sequence[ErrorRecord]) -> SlopeFit:
+    """`SlopeFit` of the records; refused over fewer than 3 distinct grids
+    (records that repeat one J make the fit rank-deficient) and for errors
+    that are not positive."""
+    grids = sorted({r.J for r in records})
     if len(grids) < 3:
         raise ValueError(f"need at least 3 distinct grids for a slope fit, got J={grids}")
-    zero = [r.J for r in recs if not r.rel_err > 0]
+    zero = [r.J for r in records if not r.rel_err > 0]
     if zero:
         raise ValueError(f"a log-log fit needs positive errors; not positive at J={zero}")
-    lgJ = np.log([r.J for r in recs])
-    lge = np.log([r.rel_err for r in recs])
+    lgJ = np.log([r.J for r in records])
+    lge = np.log([r.rel_err for r in records])
     A = np.vstack([lgJ, np.ones_like(lgJ)]).T
     coef, res, _, _ = np.linalg.lstsq(A, lge, rcond=None)
     residual = float(res[0]) if res.size else 0.0
     return SlopeFit(-float(coef[0]), float(coef[1]), residual,
-                    tuple(sorted(r.J for r in recs)))
+                    tuple(sorted(r.J for r in records)))
 
 
 def _phi(a: float) -> float:

@@ -267,6 +267,13 @@ def test_slope_fit_needs_three_distinct_grids(capsys):
     assert "grid resolutions must be distinct" in captured.err and captured.out == ""
 
 
+def test_repeated_checkpoint_exit_2(capsys):
+    # exited 0, wrote each row twice and fit "over J=(17, 17, 33, 33, 65, 65)"
+    assert run_cli("homog", "--datum", "trigpoly", "--J", "17,33,65", "--t", "0.1,0.1") == 2
+    captured = capsys.readouterr()
+    assert "strictly increasing" in captured.err and captured.out == ""
+
+
 def test_checkpoints_before_time_zero_exit_2(tmp_path, capsys):
     # -1e-6 rounds to step 0 at these grids: rows with t_realized 0 were written
     g = neumannheat.Grid1D(17, 1.0)

@@ -1,11 +1,14 @@
 """Each demo script, and each Python block of the README, runs to completion,
-in process, with its output captured."""
+in process, with its output captured; each demo's stdout matches its golden
+fixture (`test_golden.py`)."""
 
 import re
 import runpy
 from pathlib import Path
 
 import pytest
+
+from test_golden import assert_golden, demo_name
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -25,6 +28,7 @@ def test_demo_runs(path, capsys):
     out = capsys.readouterr().out
     assert out.strip()
     assert "FAILS" not in out
+    assert_golden(out, demo_name(path))
 
 
 def test_readme_python_blocks_run(capsys):

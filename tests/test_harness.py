@@ -51,13 +51,6 @@ def test_slope_fit_on_published_convergence_data():
     assert estimate_slope(recs2).slope == pytest.approx(1.98, abs=0.02)
 
 
-def test_slope_fit_subset_filter():
-    recs = _mk_records({10: 1.0, 20: 0.5, 40: 0.25, 80: 0.125, 160: 999.0})
-    fit = estimate_slope(recs, J_subset=(10, 20, 40, 80))
-    assert fit.slope == pytest.approx(1.0, abs=1e-12)
-    assert fit.J_used == (10, 20, 40, 80)
-
-
 def test_run_convergence_basic():
     cfg = default_config("homog-trigpoly", J_list=(17, 33), checkpoints=(0.0, 0.02))
     recs = run_convergence(cfg)
@@ -95,6 +88,19 @@ def test_config_refuses_a_repeated_grid_resolution():
     for J_list in ((33, 33, 33), (65, 33, 65)):
         with pytest.raises(ValueError, match="grid resolutions must be distinct"):
             default_config("homog-trigpoly", J_list=J_list)
+
+
+def test_config_refuses_checkpoints_that_do_not_increase():
+    # a repeated checkpoint wrote each CSV row twice and repeated every J in the fit
+    for checkpoints in ((0.1, 0.1), (0.2, 0.1), (-0.1, 0.1), (0.1, math.inf), (math.nan,)):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            default_config("homog-trigpoly", checkpoints=checkpoints)
+    assert default_config("homog-trigpoly", checkpoints=(0.0, 0.1)).checkpoints == (0.0, 0.1)
+
+
+def test_default_config_refuses_an_unknown_experiment():
+    with pytest.raises(ValueError, match="unknown experiment"):
+        default_config("homog-nonsense")
 
 
 def test_epsilon_diagnostics_constant_datum():
