@@ -9,8 +9,9 @@ Subcommands:
     bounds    run the full spectral/quadrature bound sweep
     sweep     run experiments batch-listed in a config file
 
-Exit codes: 0 success, 1 failed bound check, 2 bad flags, 3 CFL violation,
-4 I/O failure, 5 incompatible steady problem.
+Exit codes (`main` maps each refusal): 0 success, 1 failed bound check, 2 bad
+flags or refused data (a checkpoint the series cannot resolve, a zero error
+normalizer, an overflow), 3 CFL violation, 4 I/O failure, 5 incompatible problem.
 """
 
 from __future__ import annotations
@@ -123,16 +124,18 @@ def _print_slope_table(records, checkpoints) -> None:
             print(f"  t={t:g}: slope={fit.slope:.3f} over J={fit.J_used}")
 
 
+def _run_study(experiment: str, J, t, cfl):
+    """(config, records) of one catalog experiment; J and t are flag text, None
+    for the catalog's own, and cfl is a number or its text."""
+    cfg = harness.default_config(experiment, None if J is None else parse_j_list(J),
+                                 None if t is None else parse_t_list(t), float(cfl))
+    return cfg, harness.run_convergence(cfg)
+
+
 def cmd_study(args) -> int:
     """Convergence study of one catalog experiment: `homog --datum D` runs
     homog-D, `steady2d --case C` runs steady2d-C."""
-    cfg = harness.default_config(
-        f"{args.command}-{args.variant}",
-        J_list=parse_j_list(args.J) if args.J is not None else None,
-        checkpoints=parse_t_list(args.t) if args.t is not None else None,
-        cfl=args.cfl,
-    )
-    records = harness.run_convergence(cfg)
+    cfg, records = _run_study(f"{args.command}-{args.variant}", args.J, args.t, args.cfl)
     if args.out:
         harness.emit_csv(records, args.out, cfg)
     else:
@@ -164,14 +167,12 @@ def cmd_steady1d(args) -> int:
     for J in parse_j_list(_required_j(args)):
         g = Grid1D(J, *problem.lengths)
         if args.solver == "laplace":
-            v = scheme1d.solve_steady_laplace(problem, g, args.s)
-            rhs = scheme1d.build_rhs(problem, g)
-            op = spectral.NeumannLaplacian1D(g)
-            resid = norm_l2(Field(g, args.s * v.values
-                                    - op.apply(v).values - rhs.b.values))
+            sol = scheme1d.solve_steady_laplace(problem, g, args.s)
+            b = scheme1d.build_rhs(problem, g).b.values
+            resid = norm_l2(Field(g, args.s * sol.values
+                                    - spectral.laplacian(sol.values, g.spacings) - b))
             line = (f"steady1d J={J} solver=laplace s={args.s:g} "
-                    f"residual={resid:.3e} mean={mean(v):.12g}")
-            sol = v
+                    f"residual={resid:.3e} mean={mean(sol):.12g}")
         else:
             dt = args.cfl * g.dx ** 2
             target_mean = ss.mean_value if ss is not None else 0.0
@@ -206,13 +207,19 @@ def cmd_spectra(args) -> int:
     return EXIT_OK
 
 
-def cmd_bounds(args) -> int:
-    J_list = parse_j_list(args.J) if args.J is not None else list(range(2, 513))
-    cfls = parse_t_list(args.cfl_list) if args.cfl_list is not None else [0.5, 0.25, 0.1]
-    ms = parse_t_list(args.m if args.m is not None else "1,10,100,1000")
+def _step_counts(text: str) -> list[int]:
+    ms = parse_t_list(text)
     if not all(m.is_integer() for m in ms):
-        raise ValueError(f"--m takes whole step counts, got {args.m}")
-    worst = harness.bound_sweep(J_list, cfls, ms=[int(m) for m in ms], L=args.L)
+        raise ValueError(f"--m takes whole step counts, got {text}")
+    return [int(m) for m in ms]
+
+
+def cmd_bounds(args) -> int:
+    """`harness.bound_sweep`, whose defaults are the default sweep, over the flags given."""
+    given = {key: parse(text) for key, parse, text in (
+        ("J_list", parse_j_list, args.J), ("cfls", parse_t_list, args.cfl_list),
+        ("ms", _step_counts, args.m)) if text is not None}
+    worst = harness.bound_sweep(**given, L=args.L)
     print("bound suite worst figures (amplification: min margin; others: max value/bound):")
     for name, w in worst.items():
         print(f"  {name}: {w.value:.6g} at {w.where}")
@@ -226,13 +233,11 @@ def cmd_bounds(args) -> int:
 
 def cmd_sweep(args) -> int:
     if not args.config:
-        print("sweep requires --config", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("sweep requires --config")
     config = args.settings
     experiments = [e.strip() for e in config.get("experiments", "").split(",") if e.strip()]
     if not experiments:
-        print("config must list experiments=<id,id,...>", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("config must list experiments=<id,id,...>")
     out_prefix = config.get("out_prefix", "sweep")
     for exp in experiments:
         def pick(key):
@@ -240,14 +245,7 @@ def cmd_sweep(args) -> int:
             if key in args.explicit or f"{exp}.{key}" not in config:
                 return getattr(args, key)
             return config[f"{exp}.{key}"]
-        J, t = pick("J"), pick("t")
-        cfg = harness.default_config(
-            exp,
-            J_list=parse_j_list(J) if J is not None else None,
-            checkpoints=parse_t_list(t) if t is not None else None,
-            cfl=float(pick("cfl")),
-        )
-        records = harness.run_convergence(cfg)
+        cfg, records = _run_study(exp, pick("J"), pick("t"), pick("cfl"))
         path = f"{out_prefix}-{exp}.csv"
         harness.emit_csv(records, path, cfg)
         print(f"{exp}: {len(records)} records -> {path}")
@@ -307,19 +305,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
-    args.settings = {}
-    if args.config:
-        try:
-            args.settings = read_config(args.config)
-        except OSError as exc:
-            print(f"cannot read config: {exc}", file=sys.stderr)
-            return EXIT_IO
-        except ValueError as exc:
-            print(str(exc), file=sys.stderr)
-            return EXIT_USAGE
+    args = build_parser().parse_args(argv)
     try:
+        args.settings = read_config(args.config) if args.config else {}
         _apply_config_defaults(args, args.settings)
         return args.fn(args)
     except CflViolationError as exc:

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, each a `ValueError` (a refusal)."""
 
 
 class GridMismatchError(ValueError):
@@ -13,9 +13,9 @@ class IncompatibleProblemError(ValueError):
     """A pure-Neumann steady problem whose flux/source balance is violated."""
 
 
-class InstabilityError(RuntimeError):
-    """Non-finite values appeared during time stepping."""
+class InstabilityError(ValueError):
+    """Non-finite values appeared during time stepping or in a steady residual."""
 
 
-class SeriesTruncationError(RuntimeError):
+class SeriesTruncationError(ValueError):
     """A cosine series cannot be evaluated to the requested accuracy."""

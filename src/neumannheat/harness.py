@@ -119,8 +119,11 @@ def _study(cfg: ExperimentConfig, st, reference: Callable, normalizer: float) ->
     """Carry the run ``st`` to the configured checkpoints with `scheme1d.propagate`
     and measure each error, the one place that does: the norm of ``reference(t)``,
     the exact state on the run's grid at the realized time, minus the run;
-    rel_err is abs_err divided by ``normalizer``."""
+    rel_err is abs_err divided by ``normalizer``, which must be positive."""
     g, t0, records = st.grid, time.perf_counter(), []
+    if not normalizer > 0:
+        raise ValueError(f"{cfg.experiment} at J={g.Jx}: the {EXPERIMENTS[cfg.experiment][2]} "
+                         f"normalizer is {normalizer}, so rel_err is undefined")
     for cp in scheme1d.propagate(st, cfg.checkpoints):
         err = norm_l2(Field(g, reference(cp.t_realized) - cp.field.values))
         records.append(ErrorRecord(cfg.experiment, g.Jx, g.dx, st.dt, cp.t_target, cp.t_realized,
@@ -307,7 +310,8 @@ def quadrature_inequality_check(v: H1Function, J_sweep: Sequence[int],
     return WorstCase(worst[0], (worst[1], v.label), worst[0] <= 1.0)
 
 
-def bound_sweep(J_list: Sequence[int], cfls: Sequence[float] = (0.5, 0.25, 0.1),
+def bound_sweep(J_list: Sequence[int] = range(2, 513),
+                cfls: Sequence[float] = (0.5, 0.25, 0.1),
                 ns: Sequence[int] = (1, 10, 1000, 1_000_000),
                 ms: Sequence[int] = (1, 10, 100, 1000),
                 L: float = 1.0) -> dict[str, WorstCase]:

@@ -272,9 +272,17 @@ CHECK_EVERY = 64
 
 
 def _residual(g, values: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
-    """A v + b and its root-mean-square."""
-    resid = laplacian(values, g.spacings) + b
-    return resid, math.sqrt(exact_sum(resid * resid) / resid.size)
+    """A v + b and its root-mean-square; a non-finite rms, as from a non-finite v, is refused."""
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below, not warned
+        resid = laplacian(values, g.spacings) + b
+        squares = resid * resid
+    try:
+        rms = math.sqrt(exact_sum(squares) / resid.size)
+    except OverflowError:  # math.fsum's intermediate overflow
+        rms = math.inf
+    if not math.isfinite(rms):
+        raise InstabilityError(f"steady residual rms is {rms}")
+    return resid, rms
 
 
 def _iterate_to_steady(st: RunState, tol: float, max_steps: int) -> SteadySolve:
@@ -306,14 +314,12 @@ def _iterate_to_steady(st: RunState, tol: float, max_steps: int) -> SteadySolve:
         q ** (checks * CHECK_EVERY) * rhat) <= tol * math.sqrt(q.size))
     jumped = first = (n_star - 1) * CHECK_EVERY if 0 < n_star <= cap else 0
     best, stagnant = (res, st.values, st.n), 0
-    # `not res <= tol` lets a nan residual through to the finiteness check
-    while not res <= tol and st.n < max_steps and stagnant < 10:
+    while res > tol and st.n < max_steps and stagnant < 10:
         k, first = first or min(CHECK_EVERY, max_steps - st.n), 0
         gk = geometric_sum(lam, q ** k, k, st.dt)
         st.values = st.values + idctn(gk * dctn(r))
         st.n += k
-        _check_finite(st)
-        r, res = _residual(st.grid, st.values, b)
+        r, res = _residual(st.grid, st.values, b)  # refuses non-finite values too
         # the residual decays geometrically down to the rounding floor, where
         # it scatters from check to check; ten checks without a new best mean
         # the requested tol is unreachable
@@ -351,7 +357,8 @@ def solve_steady_iterative(p: ForcedProblem, g: Grid, dt: float, v0: Field,
     The mean stays at v0's, and ``stop_reason`` says whether it converged,
     stagnated (the best checked iterate is returned) or hit ``max_steps``.
 
-    An unbalanced right-hand side would drift forever, so it is rejected.
+    An unbalanced right-hand side would drift forever, so it is rejected; a
+    residual whose rms is not finite raises `InstabilityError`.
     """
     return _solve_steady(p, g, dt, v0, tol, max_steps)
 

@@ -439,13 +439,46 @@ def test_sweep_requires_config(capsys):
     assert run_cli("sweep") == 2
 
 
-def test_console_entry_point():
-    # the child imports the package from where this process found it, so the
-    # test needs no installed package and no PYTHONPATH
+def run_module(*argv, timeout=None):
+    """`python -m neumannheat` in a child, which imports the package from where
+    this process found it, so it needs no installed package and no PYTHONPATH."""
     src = str(Path(neumannheat.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-m", "neumannheat", "spectra", "--J", "3"],
-                          capture_output=True, text=True, env=env)
+    return subprocess.run([sys.executable, "-m", "neumannheat", *argv],
+                          capture_output=True, text=True, env=env, timeout=timeout)
+
+
+def test_console_entry_point():
+    proc = run_module("spectra", "--J", "3")
     assert proc.returncode == 0
     assert proc.stdout.startswith("ell,lambda")
+
+
+@pytest.mark.parametrize("argv,code,prefix", [
+    # the sampled datum (hat) or its mean-free part (polybump) is all zeros at
+    # J=2, and _study's rel_err divided by zero: ZeroDivisionError, exit 1
+    pytest.param(("homog", "--datum", "polybump", "--J", "2,3,5", "--t", "0.1"), 2,
+                 "invalid arguments: ", id="zero-fluctuation-normalizer"),
+    pytest.param(("homog", "--datum", "hat", "--J", "2,4,6", "--t", "0.1"), 2,
+                 "invalid arguments: ", id="zero-normalizer"),
+    # the series cannot resolve the realized time: SeriesTruncationError, exit 1
+    pytest.param(("homog", "--datum", "polybump", "--J", "513", "--t", "0.000001"), 2,
+                 "invalid arguments: ", id="series-truncation"),
+    # the residual's squares overflowed (a numpy warning), then 50,000,000
+    # steps ran for about a minute and exited 0 with residual=inf
+    pytest.param(("steady1d", "--problem", "custom", "--f-const", "1e300", "--gamma=-1e300",
+                  "--J", "9", "--L", "1"), 2, "invalid arguments: ", id="residual-overflow"),
+    # an unreadable or malformed config printed a message of its own
+    pytest.param(("sweep", "--config", "{missing}"), 4, "I/O failure: ", id="missing-config"),
+    pytest.param(("sweep", "--config", "{malformed}"), 2,
+                 "invalid arguments: malformed config line", id="malformed-config"),
+])
+def test_every_refusal_is_one_stderr_line(argv, code, prefix, tmp_path):
+    (tmp_path / "malformed.cfg").write_text("J\n")
+    argv = [a.format(missing=tmp_path / "missing.cfg", malformed=tmp_path / "malformed.cfg")
+            for a in argv]
+    proc = run_module(*argv, timeout=20)
+    assert proc.returncode == code
+    assert proc.stderr.startswith(prefix) and proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -783,6 +784,20 @@ def test_overflow_raises_instability_error():
         with pytest.raises(InstabilityError):
             solve_steady_2d(Problem2D(zero, zero, zero, 1.0, 1.0), g2,
                             0.5 / (1 / g2.dx ** 2 + 1 / g2.dy ** 2), Field2D(g2, checker))
+
+
+@pytest.mark.parametrize("c", [1e300, 1.5e154])
+def test_steady_residual_overflow_raises_instability_error(c):
+    # balanced problems near the float range, whose values stay finite: at
+    # 1e300 the residual's squares overflowed to an rms of inf with a numpy
+    # RuntimeWarning, and the loop ran all 50,000,000 steps to stop=max_steps;
+    # at 1.5e154 the squares are finite but math.fsum raised OverflowError
+    p = NonhomogProblem(c, 0.0, -c, 1.0, f_integral=c)
+    g = Grid1D(9, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InstabilityError, match="residual rms is inf"):
+            solve_steady_iterative(p, g, g.dx ** 2 / 2, Field1D(g, np.zeros(9)))
 
 
 def test_small_instance_matches_dense_matrix_power():

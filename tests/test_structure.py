@@ -1,0 +1,57 @@
+"""Guards on where the package decides how a refusal ends, read by AST.
+
+Every exception class of `errors.py` is a `ValueError`, so every refusal the
+package raises reaches the CLI's one exit-code mapping.  In `cli.py` only
+`main` maps an exception or a refusal to an exit code, and nothing but `main`
+and the `FAILED:` line of `cmd_bounds` writes to stderr: a subcommand refuses
+by raising, never by printing a message and returning a code of its own.
+"""
+
+import ast
+from pathlib import Path
+
+import neumannheat
+
+PACKAGE = Path(neumannheat.__file__).resolve().parent
+
+# the codes of a refusal; 0 and the failed bound check are results
+_REFUSAL_CODES = {"EXIT_USAGE", "EXIT_CFL", "EXIT_IO", "EXIT_INCOMPATIBLE"}
+
+
+def _functions(path):
+    """(name, node) of each top-level function of a module."""
+    return [(node.name, node) for node in ast.parse(path.read_text()).body
+            if isinstance(node, ast.FunctionDef)]
+
+
+def test_every_package_error_is_a_value_error():
+    classes = [node for node in ast.parse((PACKAGE / "errors.py").read_text()).body
+               if isinstance(node, ast.ClassDef)]
+    assert len(classes) >= 5
+    refusals = {"ValueError"}
+    for cls in classes:  # in file order, so a base is seen before its subclasses
+        bases = {base.id for base in cls.bases if isinstance(base, ast.Name)}
+        assert bases and bases <= refusals and len(bases) == len(cls.bases), cls.name
+        refusals.add(cls.name)
+
+
+def test_only_main_maps_a_refusal_to_an_exit_code():
+    mapped, handled, stderr = set(), set(), []
+    for name, fn in _functions(PACKAGE / "cli.py"):
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Name) and node.id in _REFUSAL_CODES:
+                mapped.add(name)
+            elif isinstance(node, ast.ExceptHandler) and any(
+                    isinstance(inner, ast.Return) for inner in ast.walk(node)):
+                handled.add(name)
+            elif (isinstance(node, ast.Call) and any(
+                    isinstance(inner, ast.Attribute) and inner.attr == "stderr"
+                    for inner in ast.walk(node))):
+                stderr.append((name, node))
+    assert mapped == {"main"}
+    assert handled == {"main"}
+    assert {name for name, _ in stderr} == {"main", "cmd_bounds"}
+    (bounds_call,) = [call for name, call in stderr if name == "cmd_bounds"]
+    message = bounds_call.args[0]
+    assert isinstance(message, ast.JoinedStr)
+    assert message.values[0].value.startswith("FAILED:")
