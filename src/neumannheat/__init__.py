@@ -6,7 +6,7 @@ singular pure-Neumann problem, and a convergence-order harness."""
 from .errors import (CflViolationError, GridMismatchError,
                      IncompatibleProblemError, InstabilityError,
                      SeriesTruncationError)
-from .grid import (Field, Field1D, Field2D, Grid, Grid1D, Grid2D, inner, mean,
+from .grid import (Field, Field1D, Field2D, Grid, Grid1D, grid_for, inner, mean,
                    mean2d, norm2d, norm_l2, ones, project, project2d)
 from .spectral import (NeumannLaplacian1D, amplification_bound_check, cfl_ok,
                        eigenvalue, eigenvalues, eigenvector, eta,

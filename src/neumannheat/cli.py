@@ -75,7 +75,7 @@ def read_config(path: str) -> dict:
 _FLAGS = {
     "J": (dict(help="comma list (17,33,65) or range (2..512)"), str, None),
     "L": (dict(type=float, help="interval length (default 1)"), None, 1.0),
-    "cfl": (dict(type=float, help="dt = cfl * dx^2 (default 0.5)"), float, 0.5),
+    "cfl": (dict(type=float, help="dt = cfl/sum(1/h^2), cfl*dx^2 in 1D (default 0.5)"), float, 0.5),
     "t": (dict(help="comma list of checkpoint times"), str, None),
     "out": (dict(help="CSV output path (default: stdout)"), str, None),
 }
@@ -168,9 +168,8 @@ def cmd_steady1d(args) -> int:
         g = Grid1D(J, *problem.lengths)
         if args.solver == "laplace":
             sol = scheme1d.solve_steady_laplace(problem, g, args.s)
-            b = scheme1d.build_rhs(problem, g).b.values
-            resid = norm_l2(Field(g, args.s * sol.values
-                                    - spectral.laplacian(sol.values, g.spacings) - b))
+            _, resid = scheme1d._residual(g, sol.values, scheme1d.build_rhs(problem, g).b.values,
+                                          args.s)
             line = (f"steady1d J={J} solver=laplace s={args.s:g} "
                     f"residual={resid:.3e} mean={mean(sol):.12g}")
         else:

@@ -5,8 +5,8 @@ Along each axis a grid places J nodes x_j = j*h, j = 0..J-1, with h = L/(J-1),
 so the first and last nodes sit exactly on the interval ends: `Grid.coordinates`,
 read by `project` and by `scheme1d.build_rhs`.  Shapes,
 lengths and spacings are listed in array-axis order with x last, so a field's
-values[..., iy, ix] is v(x_ix, y_iy, ...).  `Grid1D(J, L)` and
-`Grid2D(Jx, Jy, Lx, Ly)` build the one- and two-axis grids.
+values[..., iy, ix] is v(x_ix, y_iy, ...).  `Grid1D(J, L)` builds a one-axis
+grid, and `grid_for(Jx, Lx, Ly, ...)` a grid whose further axes match dx.
 
 All discrete norms use the scaled inner product <v, w> = (1/N) * sum v w over
 the N nodes; sums are accumulated with compensated (exact) summation so results
@@ -25,7 +25,7 @@ import numpy as np
 from .errors import GridMismatchError
 
 __all__ = [
-    "Grid", "Field", "Grid1D", "Field1D", "Grid2D", "Field2D", "check_grid",
+    "Grid", "Field", "Grid1D", "Field1D", "Field2D", "grid_for", "check_grid",
     "exact_sum", "inner", "mean", "norm_l2", "sample", "project", "ones",
     "mean2d", "norm2d", "project2d",
 ]
@@ -102,9 +102,11 @@ def Grid1D(J: int, L: float) -> Grid:
     return Grid((J,), (L,))
 
 
-def Grid2D(Jx: int, Jy: int, Lx: float, Ly: float) -> Grid:
-    """Jx*Jy nodes on [0, Lx] x [0, Ly]; fields are stored as values[iy, ix]."""
-    return Grid((Jy, Jx), (Ly, Lx))
+def grid_for(Jx: int, Lx: float, *lengths: float) -> Grid:
+    """Jx nodes on [0, Lx] and, on each further axis of ``lengths`` (y, z, ...),
+    the J whose spacing best matches dx: round((L / Lx) * (Jx - 1)) + 1."""
+    shape = [round((L / Lx) * (Jx - 1)) + 1 for L in lengths]
+    return Grid((*shape[::-1], Jx), (*lengths[::-1], Lx))
 
 
 @dataclass(eq=False)

@@ -2,7 +2,8 @@
 defect diagnostics, and the spectral-sum / quadrature inequality sweeps
 (`bound_sweep`).
 
-Experiment catalog (`EXPERIMENTS`; grid resolution J is the x-resolution in 2D):
+Experiment catalog (`EXPERIMENTS`; J is the x-resolution, and `grid.grid_for`
+matches each further axis's spacing to dx):
 
     homog-trigpoly    1D homogeneous, finite cosine datum, L=1
     homog-polybump    1D homogeneous, quartic bump datum, L=1
@@ -12,16 +13,17 @@ Experiment catalog (`EXPERIMENTS`; grid resolution J is the x-resolution in 2D):
     steady2d-centered 2D forced, Gaussian steady state away from the boundary
     steady2d-offset   2D forced, Gaussian steady state centered on a corner
 
-Runs reach their checkpoints by exact propagation (`scheme1d.propagate`), not
-by stepping.  Errors compare the run against the exact solution sampled on the
-grid, at the realized time of the nearest step.  Normalization is per
+`_study` starts every run, at the one time step dt = cfl / sum 1/h^2 (cfl*dx^2
+in 1D), and reaches its checkpoints by exact propagation (`scheme1d.propagate`),
+not by stepping.  Errors compare the run against the exact solution sampled on
+the grid, at the realized time of the nearest step.  Normalization is per
 experiment: the homogeneous errors divide by the sampled initial datum's norm
 (the bump uses the norm of its mean-free part, whose decay the error actually
 tracks), the 1D steady errors divide by the sampled steady state's norm, and
 the 2D errors are absolute.  The continuous steady problem fixes its state
-only up to a constant, so `steady1d-const` and the 2D runs start at the
-discrete mean of the sampled steady state, the only mean the discrete
-dynamics can hold.
+only up to a constant, so the forced runs of `_run_steady` start at the
+discrete mean of the sampled steady state, the only mean the discrete dynamics
+can hold; `steady1d-w` starts at its datum.
 """
 
 from __future__ import annotations
@@ -33,12 +35,12 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from . import scheme1d, scheme2d, spectral
+from . import scheme1d, spectral
 from .consistency import l_delta
 from .errors import CflViolationError
 from .exact import (CosineSeries, companion_w, cosine_mode, gaussian_2d,
                     hat_function, poly_bump, steady_1d, trig_poly)
-from .grid import Field, Grid, Grid1D, mean, norm_l2, project
+from .grid import Field, Grid, Grid1D, grid_for, mean, norm_l2, project
 
 __all__ = [
     "ExperimentConfig", "ErrorRecord", "SlopeFit", "EXPERIMENTS",
@@ -115,15 +117,18 @@ class ErrorRecord:
     wall_ms: float
 
 
-def _study(cfg: ExperimentConfig, st, reference: Callable, normalizer: float) -> list[ErrorRecord]:
-    """Carry the run ``st`` to the configured checkpoints with `scheme1d.propagate`
-    and measure each error, the one place that does: the norm of ``reference(t)``,
-    the exact state on the run's grid at the realized time, minus the run;
-    rel_err is abs_err divided by ``normalizer``, which must be positive."""
-    g, t0, records = st.grid, time.perf_counter(), []
+def _study(cfg: ExperimentConfig, v0: Field, reference: Callable, normalizer: float,
+           rhs: Optional[scheme1d.DiscreteRHS] = None) -> list[ErrorRecord]:
+    """Run from v0, forced by ``rhs`` if given, at dt = cfl / sum 1/h^2 to the
+    configured checkpoints, and measure each error, the one place that does:
+    the norm of ``reference(t)`` (the exact state on v0's grid at the realized
+    time) minus the run, over ``normalizer`` (positive) for rel_err."""
+    g = v0.grid
     if not normalizer > 0:
         raise ValueError(f"{cfg.experiment} at J={g.Jx}: the {EXPERIMENTS[cfg.experiment][2]} "
                          f"normalizer is {normalizer}, so rel_err is undefined")
+    st = scheme1d.new_run(g, cfg.cfl / sum(1.0 / h ** 2 for h in g.spacings), v0, rhs)
+    t0, records = time.perf_counter(), []
     for cp in scheme1d.propagate(st, cfg.checkpoints):
         err = norm_l2(Field(g, reference(cp.t_realized) - cp.field.values))
         records.append(ErrorRecord(cfg.experiment, g.Jx, g.dx, st.dt, cp.t_target, cp.t_realized,
@@ -138,36 +143,33 @@ def _run_homog(cfg: ExperimentConfig, J: int,
     v0 = project(g, datum)
     fluctuation = EXPERIMENTS[cfg.experiment][2] == "relative-to-initial-fluctuation"
     normalizer = norm_l2(Field(g, v0.values - mean(v0)) if fluctuation else v0)
-    return _study(cfg, scheme1d.new_run(g, cfg.cfl * g.dx ** 2, v0),
-                  lambda t: datum.evaluate(t, g.nodes()), normalizer)
+    return _study(cfg, v0, lambda t: datum.evaluate(t, g.nodes()), normalizer)
 
 
-def _run_steady1d(cfg: ExperimentConfig, J: int, datum: str) -> list[ErrorRecord]:
+def _run_steady(cfg: ExperimentConfig, J: int, make_case: Callable) -> list[ErrorRecord]:
+    """``make_case()`` gives the `ForcedProblem`, its exact steady state and the
+    start, None for the discrete mean of the sampled state."""
+    problem, exact, start = make_case()
+    g = grid_for(J, *problem.lengths[::-1])
+    target = project(g, exact)
+    v0 = project(g, mean(target) if start is None else start)
+    relative = EXPERIMENTS[cfg.experiment][2] == "relative-to-steady"
+    return _study(cfg, v0, lambda t: target.values, norm_l2(target) if relative else 1.0,
+                  scheme1d.build_rhs(problem, g))
+
+
+def _sec52(datum: bool) -> tuple:
+    """Section 5.2's problem; with ``datum``, steady1d-w's start: target mean + w."""
     ss = steady_1d()
-    g = Grid1D(J, ss.L)
-    problem = scheme1d.NonhomogProblem(ss.source, ss.beta, ss.gamma, ss.L,
-                                       f_integral=ss.source_integral)
-    target = project(g, ss.solution)
-    if datum == "w":
-        v0 = ss.mean_value + companion_w(ss.beta, ss.gamma, ss.L)(g.nodes())
-    else:
-        # constant datum at the only mean the discrete dynamics can hold:
-        # the discrete mean of the sampled steady state
-        v0 = np.full(J, mean(target))
-    st = scheme1d.new_run(g, cfg.cfl * g.dx ** 2, Field(g, v0), scheme1d.build_rhs(problem, g))
-    return _study(cfg, st, lambda t: target.values, norm_l2(target))
+    problem = scheme1d.NonhomogProblem(ss.source, ss.beta, ss.gamma, ss.L, ss.source_integral)
+    start = (lambda x: ss.mean_value + companion_w(ss.beta, ss.gamma, ss.L)(x)) if datum else None
+    return problem, ss.solution, start
 
 
-def _run_steady2d(cfg: ExperimentConfig, J: int, gaussian: dict) -> list[ErrorRecord]:
+def _gaussian(**gaussian) -> tuple:
     case = gaussian_2d(**gaussian)
-    g = scheme2d.grid_for(J, case.Lx, case.Ly)
-    dt = cfg.cfl / sum(1.0 / h ** 2 for h in g.spacings)
-    problem = scheme1d.ForcedProblem(case.f, (case.g2, case.g1), (case.Ly, case.Lx),
-                                     case.source_integral)
-    target = project(g, case.u_inf)
-    v0 = Field(g, np.full(g.shape, mean(target)))  # as in steady1d-const
-    st = scheme1d.new_run(g, dt, v0, scheme1d.build_rhs(problem, g))
-    return _study(cfg, st, lambda t: target.values, 1.0)  # absolute errors
+    return (scheme1d.ForcedProblem(case.f, (case.g2, case.g1), (case.Ly, case.Lx),
+                                   case.source_integral), case.u_inf, None)
 
 
 _HOMOG_J = (17, 33, 65, 129, 257, 513)
@@ -176,20 +178,20 @@ _HAT_T = (0.005, 0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 1.0, 2.0)
 _STEADY_T = tuple(0.625 * k for k in range(1, 9))
 
 # The experiment catalog: id -> (default J list, default checkpoint times,
-# error normalization, runner, the runner's case argument).
+# error normalization, runner, the runner's case: a callable of no arguments).
 EXPERIMENTS = {
     "homog-trigpoly": (_HOMOG_J, _HOMOG_T, "relative-to-initial", _run_homog, trig_poly),
     "homog-polybump": (_HOMOG_J, _HOMOG_T, "relative-to-initial-fluctuation",
                        _run_homog, poly_bump),
     "homog-hat": ((201, 401, 801), _HAT_T, "relative-to-initial", _run_homog, hat_function),
     "steady1d-w": ((16, 32, 64, 128, 256, 512), _STEADY_T, "relative-to-steady",
-                   _run_steady1d, "w"),
+                   _run_steady, lambda: _sec52(True)),
     "steady1d-const": ((16, 32, 64, 128, 256, 512), _STEADY_T, "relative-to-steady",
-                       _run_steady1d, "const"),
-    "steady2d-centered": ((8, 16, 32, 64), _STEADY_T, "absolute", _run_steady2d,
-                          dict(alpha=15.0, beta_g=5.0, x0=1.0, y0=2.0)),
-    "steady2d-offset": ((8, 16, 32, 64), _STEADY_T, "absolute", _run_steady2d,
-                        dict(alpha=1.0, beta_g=5.0, x0=0.0, y0=4.0)),
+                       _run_steady, lambda: _sec52(False)),
+    "steady2d-centered": ((8, 16, 32, 64), _STEADY_T, "absolute", _run_steady,
+                          lambda: _gaussian(alpha=15.0, beta_g=5.0, x0=1.0, y0=2.0)),
+    "steady2d-offset": ((8, 16, 32, 64), _STEADY_T, "absolute", _run_steady,
+                        lambda: _gaussian(alpha=1.0, beta_g=5.0, x0=0.0, y0=4.0)),
 }
 
 
@@ -252,8 +254,7 @@ def epsilon_diagnostics(series: CosineSeries, g: Grid, dt: float, n: int) -> tup
     eps1 = dt * norm_l2(l_delta(series.solution(t), g))
     mu = series.rates()
     coeff = series.weights(t) * mu ** 2 * np.array([_phi(m * dt) for m in mu]) * dt ** 2
-    remainder = CosineSeries(series.L, coeff).solution(0.0, 0)
-    eps2 = norm_l2(Field(g, remainder(g.nodes())))
+    eps2 = norm_l2(Field(g, CosineSeries(series.L, coeff)(g.nodes())))
     return eps1, eps2
 
 

@@ -271,10 +271,10 @@ class SteadySolve:
 CHECK_EVERY = 64
 
 
-def _residual(g, values: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
-    """A v + b and its root-mean-square; a non-finite rms, as from a non-finite v, is refused."""
+def _residual(g, values: np.ndarray, b: np.ndarray, s: float = 0.0) -> tuple[np.ndarray, float]:
+    """s v - A v - b and its rms; a non-finite rms, as from a non-finite v, is refused."""
     with np.errstate(over="ignore", invalid="ignore"):  # refused below, not warned
-        resid = laplacian(values, g.spacings) + b
+        resid = s * values - laplacian(values, g.spacings) - b
         squares = resid * resid
     try:
         rms = math.sqrt(exact_sum(squares) / resid.size)
@@ -286,13 +286,13 @@ def _residual(g, values: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
 
 
 def _iterate_to_steady(st: RunState, tol: float, max_steps: int) -> SteadySolve:
-    """Iterate a forced run until the residual r = A v + b drops below
+    """Iterate a forced run until the residual r = -(A v + b) drops below
     ``tol``, stagnates at the rounding floor, or ``max_steps`` is reached;
     the residual is checked every `CHECK_EVERY` steps.
 
     k Euler steps map r to (I + dt A)^k r, so a block of k steps between
-    checks adds dt * sum_{i<k} (I + dt A)^i r to v: one DCT-II pair on the
-    residual the check has just computed.  Adding that small correction to v,
+    checks subtracts dt * sum_{i<k} (I + dt A)^i r from v: one DCT-II pair on the
+    residual the check has just computed.  Applying that small correction to v,
     rather than carrying v itself in the DCT basis, keeps the residual floor
     at stepping's level or below.
 
@@ -317,7 +317,7 @@ def _iterate_to_steady(st: RunState, tol: float, max_steps: int) -> SteadySolve:
     while res > tol and st.n < max_steps and stagnant < 10:
         k, first = first or min(CHECK_EVERY, max_steps - st.n), 0
         gk = geometric_sum(lam, q ** k, k, st.dt)
-        st.values = st.values + idctn(gk * dctn(r))
+        st.values = st.values - idctn(gk * dctn(r))
         st.n += k
         r, res = _residual(st.grid, st.values, b)  # refuses non-finite values too
         # the residual decays geometrically down to the rounding floor, where

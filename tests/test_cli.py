@@ -469,6 +469,10 @@ def test_console_entry_point():
     # steps ran for about a minute and exited 0 with residual=inf
     pytest.param(("steady1d", "--problem", "custom", "--f-const", "1e300", "--gamma=-1e300",
                   "--J", "9", "--L", "1"), 2, "invalid arguments: ", id="residual-overflow"),
+    # the shifted solve's residual line printed a numpy warning and residual=inf, exit 0
+    pytest.param(("steady1d", "--problem", "custom", "--f-const", "1e200", "--gamma=-1e200",
+                  "--J", "9", "--L", "1", "--solver", "laplace"), 2, "invalid arguments: ",
+                 id="shifted-residual-overflow"),
     # an unreadable or malformed config printed a message of its own
     pytest.param(("sweep", "--config", "{missing}"), 4, "I/O failure: ", id="missing-config"),
     pytest.param(("sweep", "--config", "{malformed}"), 2,

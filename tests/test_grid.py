@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from neumannheat import (Field, Field1D, Field2D, Grid, Grid1D, Grid2D,
+from neumannheat import (Field, Field1D, Field2D, Grid, Grid1D,
                          GridMismatchError, inner, mean, mean2d, norm2d,
                          default_config, norm_l2, ones, project, project2d,
                          run_convergence)
@@ -36,9 +36,9 @@ def test_grid_degenerate_and_invalid():
         with pytest.raises(ValueError, match="positive and finite"):
             Grid1D(5, bad)
         with pytest.raises(ValueError, match="positive and finite"):
-            Grid2D(5, 5, bad, 1.0)
+            Grid((5, 5), (1.0, bad))
         with pytest.raises(ValueError, match="positive and finite"):
-            Grid2D(5, 5, 1.0, bad)
+            Grid((5, 5), (bad, 1.0))
     # 1e200 overflowed h**2 in the stability rule (OverflowError), 1e-170
     # underflowed it to 0 (ZeroDivisionError in the shifted solve)
     for shape, lengths in (((3,), (1e200,)), ((9,), (1e200,)), ((3,), (1e-170,)),
@@ -159,13 +159,13 @@ def test_project_examples():
 
 def test_project_refuses_a_result_that_does_not_broadcast():
     for g, f in ((Grid1D(4, 1.0), lambda x: np.ones(3)),
-                 (Grid2D(4, 3, 1.0, 1.0), lambda x, y: np.ones((2, 4))),
+                 (Grid((3, 4), (1.0, 1.0)), lambda x, y: np.ones((2, 4))),
                  (Grid((2, 3, 4), (1.0, 1.0, 1.0)), lambda x, y, z: np.ones(5))):
         with pytest.raises(ValueError):
             project(g, f)
 
 
-@pytest.mark.parametrize("g", [Grid2D(4, 3, 1.0, 2.0), Grid((2, 3, 4), (1.0, 2.0, 3.0))])
+@pytest.mark.parametrize("g", [Grid((3, 4), (2.0, 1.0)), Grid((2, 3, 4), (1.0, 2.0, 3.0))])
 def test_project_broadcasts_a_callable_that_ignores_an_axis(g):
     for f, expected in ((lambda x, *rest: np.cos(x), np.cos(g.nodes())),
                         (lambda x, *rest: 3.5, 3.5)):
@@ -188,7 +188,7 @@ def test_project_linearity():
 
 
 def test_2d_basics():
-    g = Grid2D(3, 5, 2.0, 4.0)
+    g = Grid((5, 3), (4.0, 2.0))
     assert g.dx == 1.0 and g.dy == 1.0
     v = ones(g)
     assert inner(v, v) == 1.0
@@ -201,7 +201,7 @@ def test_2d_basics():
 
 def test_mean_equals_mean2d_on_2d_fields():
     rng = np.random.default_rng(9)
-    g = Grid2D(7, 4, 1.0, 3.0)
+    g = Grid((4, 7), (3.0, 1.0))
     for _ in range(5):
         v = Field2D(g, rng.standard_normal((4, 7)))
         assert mean(v) == math.fsum(v.values.ravel()) / (g.Jx * g.Jy)
@@ -209,9 +209,9 @@ def test_mean_equals_mean2d_on_2d_fields():
 
 def test_2d_mismatch_and_validation():
     with pytest.raises(GridMismatchError):
-        inner(ones(Grid2D(3, 4, 1, 1)), ones(Grid2D(3, 5, 1, 1)))
+        inner(ones(Grid((4, 3), (1, 1))), ones(Grid((5, 3), (1, 1))))
     with pytest.raises(ValueError):
-        Field2D(Grid2D(3, 4, 1, 1), np.zeros((3, 4)))  # transposed shape
+        Field2D(Grid((4, 3), (1, 1)), np.zeros((3, 4)))  # transposed shape
 
 
 def test_one_grid_for_any_number_of_axes():
@@ -219,16 +219,30 @@ def test_one_grid_for_any_number_of_axes():
     assert g.spacings == (1.0, 1.0, 1.0)
     assert (g.Jx, g.Jy, g.Lx, g.Ly) == (5, 4, 4.0, 3.0)
     assert Grid1D(5, 2.0) == Grid((5,), (2.0,))
-    assert Grid2D(3, 5, 2.0, 4.0) == Grid((5, 3), (4.0, 2.0))
     assert Field1D is Field2D is Field
     # J and L name the one axis of a 1D grid; the 1D formulas refuse other grids
     with pytest.raises(ValueError):
         g.J
     with pytest.raises(ValueError):
-        Grid2D(3, 5, 2.0, 4.0).L
+        Grid((5, 3), (4.0, 2.0)).L
     for shape, lengths in (((), ()), ((3, 4), (1.0,)), ((3, 1), (1.0, 1.0))):
         with pytest.raises(ValueError):
             Grid(shape, lengths)
+
+
+def test_grid_for_matches_dx_on_every_axis():
+    assert grid.grid_for(17, 2.0) == Grid1D(17, 2.0)
+    # on (0,2) x (0,4) dy = dx, as in the 2D studies (bench/ takes Jx = 48)
+    for Jx in range(8, 65):
+        assert grid.grid_for(Jx, 2.0, 4.0) == Grid((2 * Jx - 1, Jx), (4.0, 2.0))
+    # x first, array-axis order z, y, x: each further axis takes J - 1 nearest L / dx
+    assert grid.grid_for(5, 2.0, 4.0, 2.0) == Grid((5, 9, 5), (2.0, 4.0, 2.0))
+    for Jx in range(2, 65):
+        for lengths in ((2.0, 4.0, 2.0), (2.0, 4.0, 3.0)):
+            g = grid.grid_for(Jx, *lengths)
+            assert g.lengths == lengths[::-1] and g.Jx == Jx
+            for J, L in zip(g.shape, g.lengths):
+                assert abs(J - 1 - L / g.dx) <= 0.5 + 1e-9
 
 
 def test_project_3d_calls_x_first():
@@ -242,8 +256,8 @@ def test_project_3d_calls_x_first():
 
 
 def test_check_grid():
-    g = Grid2D(3, 4, 1.0, 1.0)
-    check_grid(g, ones(g), ones(Grid2D(3, 4, 1.0, 1.0)))
-    for other in (Grid2D(4, 3, 1.0, 1.0), Grid2D(3, 4, 1.0, 2.0), Grid1D(3, 1.0)):
+    g = Grid((4, 3), (1.0, 1.0))
+    check_grid(g, ones(g), ones(Grid((4, 3), (1.0, 1.0))))
+    for other in (Grid((3, 4), (1.0, 1.0)), Grid((4, 3), (2.0, 1.0)), Grid1D(3, 1.0)):
         with pytest.raises(GridMismatchError):
             check_grid(g, ones(g), ones(other))

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as hs
 
 from neumannheat import (CflViolationError, DiscreteRHS, Field, Field1D, Field2D,
-                         ForcedProblem, Grid, Grid1D, Grid2D, GridMismatchError,
+                         ForcedProblem, Grid, Grid1D, GridMismatchError,
                          IncompatibleProblemError,
                          InstabilityError, NeumannLaplacian1D, NonhomogProblem,
                          Problem2D, build_rhs, check_compatibility, eta,
@@ -219,7 +219,7 @@ def test_steady_solvers_refuse_by_the_balance_without_summing_b(monkeypatch):
         solve_steady_iterative(p_bad, g, g.dx ** 2 / 2, ones(g))
     with pytest.raises(IncompatibleProblemError):
         solve_steady_laplace(p_bad, g, 1e-3)
-    g2 = Grid2D(5, 5, 1.0, 1.0)
+    g2 = Grid((5, 5), (1.0, 1.0))
     one = lambda x, y: np.ones(np.broadcast(x, y).shape)
     zero = lambda x, y: np.zeros(np.broadcast(x, y).shape)
     with pytest.raises(IncompatibleProblemError):
@@ -235,7 +235,7 @@ def test_balanced_problem_on_a_mismatched_box_is_refused_by_the_solvers():
         solve_steady_laplace(p, g, 1e-3)
     with pytest.raises(GridMismatchError):
         solve_steady_2d(Problem2D(lambda x, y: 0.0 * x * y, 0.0, 0.0, 1.0, 1.0),
-                        Grid2D(5, 5, 2.0, 1.0), 1e-3, ones(Grid2D(5, 5, 2.0, 1.0)))
+                        Grid((5, 5), (1.0, 2.0)), 1e-3, ones(Grid((5, 5), (1.0, 2.0))))
 
 
 def test_forced_problem_refuses_non_finite_balance_terms():
@@ -289,7 +289,7 @@ def test_mean_evolves_at_rate_mean_b(dim, J, cfl, n, seed):
         g = Grid1D(J, 1.0 + rng.random())
         dt = cfl * g.dx ** 2
     else:
-        g = (Grid2D(J, J + 2, 1.0, 1.0 + rng.random()) if dim == 2
+        g = (Grid((J + 2, J), (1.0 + rng.random(), 1.0)) if dim == 2
              else Grid((3, min(J, 6), 4), (1.0 + rng.random(), 1.0, 0.5)))
         dt = cfl / sum(1.0 / h ** 2 for h in g.spacings)
     v0, b = Field(g, rng.standard_normal(g.shape)), Field(g, rng.standard_normal(g.shape))
@@ -601,7 +601,7 @@ def test_steady_solvers_refuse_bad_loop_arguments(bad):
     p52, ss = sec52_problem()
     g = Grid1D(17, ss.L)
     zero = lambda *args: np.zeros(np.broadcast(*[np.asarray(a) for a in args]).shape)
-    g2 = Grid2D(5, 4, 1.0, 1.0)
+    g2 = Grid((4, 5), (1.0, 1.0))
     with pytest.raises(ValueError):
         solve_steady_iterative(p52, g, g.dx ** 2 / 2, Field1D(g, np.zeros(17)), **bad)
     with pytest.raises(ValueError):
@@ -771,7 +771,7 @@ def test_overflow_raises_instability_error():
     v0 = Field1D(g, 1e308 * (-1.0) ** np.arange(9))
     zero = lambda *args: np.zeros(np.broadcast(*[np.asarray(a) for a in args]).shape)
     p = NonhomogProblem(zero, 0.0, 0.0, 1.0, f_integral=0.0)
-    g2 = Grid2D(5, 4, 1.0, 1.0)
+    g2 = Grid((4, 5), (1.0, 1.0))
     checker = 1e308 * (-1.0) ** np.add.outer(np.arange(4), np.arange(5))
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(InstabilityError):

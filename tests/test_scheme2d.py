@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from neumannheat import (CflViolationError, Field1D, Field2D, Grid1D, Grid2D,
+from neumannheat import (CflViolationError, Field1D, Field2D, Grid, Grid1D,
                          GridMismatchError, IncompatibleProblemError,
                          NeumannLaplacian1D, Problem2D, build_rhs2d, cfl_ok,
                          check_compatibility, gaussian_2d, inner, mean2d,
@@ -15,13 +15,13 @@ from oracles import exact_steady_count
 
 # the four test_apply2d_* tests check `laplacian` on two-axis grids
 def test_apply2d_constant_kernel():
-    g = Grid2D(4, 6, 2.0, 3.0)
+    g = Grid((6, 4), (3.0, 2.0))
     out = laplacian(2.5 * np.ones((6, 4)), g.spacings)
     assert np.array_equal(out, np.zeros((6, 4)))
 
 
 def test_apply2d_tensor_eigenvector():
-    g = Grid2D(5, 7, 1.0, 2.0)
+    g = Grid((7, 5), (2.0, 1.0))
     gx, gy = Grid1D(5, 1.0), Grid1D(7, 2.0)
     for lx in (0, 1, 4):
         for ly in (0, 2, 6):
@@ -36,7 +36,7 @@ def test_apply2d_tensor_eigenvector():
 
 def test_apply2d_symmetry():
     rng = np.random.default_rng(6)
-    g = Grid2D(5, 7, 1.0, 2.0)
+    g = Grid((7, 5), (2.0, 1.0))
     for _ in range(30):
         v = Field2D(g, rng.standard_normal((7, 5)))
         w = Field2D(g, rng.standard_normal((7, 5)))
@@ -47,7 +47,7 @@ def test_apply2d_symmetry():
 
 def test_apply2d_embeds_1d():
     rng = np.random.default_rng(13)
-    g = Grid2D(9, 5, 1.0, 7.0)
+    g = Grid((5, 9), (7.0, 1.0))
     g1 = Grid1D(9, 1.0)
     row = rng.standard_normal(9)
     out = laplacian(np.tile(row, (5, 1)), g.spacings)
@@ -57,12 +57,12 @@ def test_apply2d_embeds_1d():
 
 
 def test_cfl2d():
-    g = Grid2D(5, 5, 1.0, 1.0)  # dx = dy = 1/4
+    g = Grid((5, 5), (1.0, 1.0))  # dx = dy = 1/4
     h2 = g.dx ** 2
     assert cfl_ok(g, h2 / 4)
     assert not cfl_ok(g, h2 / 2)
     # a very coarse y-direction recovers the 1D rule
-    g_wide = Grid2D(5, 2, 1.0, 1e6)
+    g_wide = Grid((2, 5), (1e6, 1.0))
     assert cfl_ok(g_wide, 0.499 * g_wide.dx ** 2)
 
 
@@ -73,7 +73,7 @@ def test_grid_for_matches_spacings():
 
 
 def test_build_rhs2d_zero():
-    g = Grid2D(4, 5, 1.0, 1.0)
+    g = Grid((5, 4), (1.0, 1.0))
     zero = lambda *args: np.zeros(np.broadcast(*[np.asarray(a) for a in args]).shape)
     p = Problem2D(zero, zero, zero, 1.0, 1.0)
     rhs = build_rhs2d(p, g)
@@ -92,7 +92,7 @@ def test_build_rhs2d_mean_and_correction_size():
 
 
 def test_build_rhs2d_corner_accumulates_both_faces():
-    g = Grid2D(3, 3, 2.0, 2.0)
+    g = Grid((3, 3), (2.0, 2.0))
     one = lambda *args: np.ones(np.broadcast(*[np.asarray(a) for a in args]).shape)
     zero = lambda *args: np.zeros(np.broadcast(*[np.asarray(a) for a in args]).shape)
     p = Problem2D(zero, one, zero, 2.0, 2.0)  # g1 = 1 on the vertical sides
@@ -106,13 +106,13 @@ def test_build_rhs2d_corner_accumulates_both_faces():
 
 
 def test_cfl2d_enforced():
-    g = Grid2D(5, 5, 1.0, 1.0)
+    g = Grid((5, 5), (1.0, 1.0))
     with pytest.raises(CflViolationError):
         new_run(g, g.dx ** 2 / 2, ones(g))
 
 
 def test_run2d_checkpoint_rounding():
-    g = Grid2D(2, 2, 1.0, 1.0)  # dx = dy = 1
+    g = Grid((2, 2), (1.0, 1.0))  # dx = dy = 1
     st = new_run(g, 0.25, ones(g))
     (cp,) = run2d_to(st, [1.0])
     assert cp.n == 4 and cp.t_realized == 1.0
@@ -121,7 +121,7 @@ def test_run2d_checkpoint_rounding():
 
 def test_homogeneous_norm_never_increases():
     rng = np.random.default_rng(17)
-    g = Grid2D(6, 9, 1.0, 2.0)
+    g = Grid((9, 6), (2.0, 1.0))
     dt = 0.5 / (1 / g.dx ** 2 + 1 / g.dy ** 2)
     for _ in range(100):
         vals = rng.standard_normal((9, 6))
@@ -136,7 +136,7 @@ def test_homogeneous_norm_never_increases():
 
 
 def test_solve_steady_2d_trivial_fixed_point():
-    g = Grid2D(4, 4, 1.0, 1.0)
+    g = Grid((4, 4), (1.0, 1.0))
     zero = lambda *args: np.zeros(np.broadcast(*[np.asarray(a) for a in args]).shape)
     p = Problem2D(zero, zero, zero, 1.0, 1.0)
     res = solve_steady_2d(p, g, g.dx ** 2 / 8, Field2D(g, 0.7 * np.ones((4, 4))), tol=1e-12)
@@ -173,7 +173,7 @@ def test_solve_steady_2d_count_matches_exact_arithmetic():
 
 def test_solve_steady_2d_rejects_unbalanced_problem():
     # f = 1 with zero flux heats the rectangle forever: no steady state
-    g = Grid2D(5, 5, 1.0, 1.0)
+    g = Grid((5, 5), (1.0, 1.0))
     one = lambda x, y: np.ones(np.broadcast(x, y).shape)
     zero = lambda x, y: np.zeros(np.broadcast(x, y).shape)
     p = Problem2D(one, zero, zero, 1.0, 1.0)
@@ -190,7 +190,7 @@ def test_solve_steady_2d_rejects_unbalanced_problem():
 def test_unbalanced_2d_mean_drifts_at_the_continuous_rate():
     # f = 1, zero flux: the mean grows by int f / (N dx dy) = 64/81 per unit
     # time on the 9x9 unit square, by stepping and by propagation alike
-    g = Grid2D(9, 9, 1.0, 1.0)
+    g = Grid((9, 9), (1.0, 1.0))
     one = lambda x, y: np.ones(np.broadcast(x, y).shape)
     zero = lambda x, y: np.zeros(np.broadcast(x, y).shape)
     rhs = build_rhs2d(Problem2D(one, zero, zero, 1.0, 1.0), g)
@@ -212,7 +212,7 @@ def test_check_compatibility_2d_tensor_rule():
 
 
 def test_new_run2d_checks_rhs_grid():
-    g, other = Grid2D(4, 4, 1.0, 1.0), Grid2D(4, 5, 1.0, 1.0)
+    g, other = Grid((4, 4), (1.0, 1.0)), Grid((5, 4), (1.0, 1.0))
     zero = lambda x, y: np.zeros(np.broadcast(x, y).shape)
     rhs = build_rhs2d(Problem2D(zero, zero, zero, 1.0, 1.0), other)
     with pytest.raises(GridMismatchError):

@@ -6,7 +6,7 @@ import pytest
 import scipy.fft
 from scipy.fft import dctn
 
-from neumannheat import (CflViolationError, Field1D, Grid, Grid1D, Grid2D,
+from neumannheat import (CflViolationError, Field1D, Grid, Grid1D,
                          GridMismatchError, NeumannLaplacian1D,
                          amplification_bound_check, cfl_ok,
                          eigenvalue, eigenvector, eta,
@@ -84,7 +84,7 @@ def test_min_nonzero_eigenvalue_identity():
 def test_eigenvalues_diagonalised_by_dct():
     rng = np.random.default_rng(17)
     g1 = Grid1D(7, 1.3)
-    g2 = Grid2D(5, 8, 1.0, 2.5)
+    g2 = Grid((8, 5), (2.5, 1.0))
     lam1, lam2 = eigenvalues(g1), eigenvalues(g2)
     assert lam1.shape == (7,) and lam2.shape == (8, 5)
     assert lam1 == pytest.approx([eigenvalue(g1, ell) for ell in range(7)], rel=1e-14)
@@ -208,14 +208,14 @@ def test_stability_rule_at_its_limit():
 
 def test_grid_mismatch_is_one_error():
     op = NeumannLaplacian1D(Grid1D(5, 1.0))
-    for other in (Grid1D(5, 2.0), Grid1D(6, 1.0), Grid2D(5, 2, 1.0, 1.0)):
+    for other in (Grid1D(5, 2.0), Grid1D(6, 1.0), Grid((2, 5), (1.0, 1.0))):
         with pytest.raises(GridMismatchError):
             op.apply(ones(other))
     # the 1D spectral formulas read J and L, which a 2D grid refuses
     with pytest.raises(ValueError):
-        eta(Grid2D(5, 4, 1.0, 1.0), 1e-3)
+        eta(Grid((4, 5), (1.0, 1.0)), 1e-3)
     with pytest.raises(ValueError):
-        resolvent_power_sum(Grid2D(5, 4, 1.0, 1.0), 1e-3, 10)
+        resolvent_power_sum(Grid((4, 5), (1.0, 1.0)), 1e-3, 10)
 
 
 def test_amplification_bound():

@@ -1,13 +1,17 @@
-"""Guards on where the package decides how a refusal ends, read by AST.
+"""Guards on where the package decides how a refusal ends and how a study
+runs, read by AST.
 
 Every exception class of `errors.py` is a `ValueError`, so every refusal the
 package raises reaches the CLI's one exit-code mapping.  In `cli.py` only
 `main` maps an exception or a refusal to an exit code, and nothing but `main`
 and the `FAILED:` line of `cmd_bounds` writes to stderr: a subcommand refuses
 by raising, never by printing a message and returning a code of its own.
+In `harness.py` only `_study` starts or carries a run, so every study takes
+its one time step, and no function is named for a number of axes.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import neumannheat
@@ -55,3 +59,21 @@ def test_only_main_maps_a_refusal_to_an_exit_code():
     message = bounds_call.args[0]
     assert isinstance(message, ast.JoinedStr)
     assert message.values[0].value.startswith("FAILED:")
+
+
+def test_only_study_runs_a_study():
+    callers = set()
+    for name, fn in _functions(PACKAGE / "harness.py"):
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Call):
+                called = getattr(node.func, "attr", getattr(node.func, "id", None))
+                if called in ("new_run", "propagate"):
+                    callers.add(name)
+    assert callers == {"_study"}
+
+
+def test_no_harness_function_is_named_for_a_dimension():
+    names = [node.name for node in ast.walk(ast.parse((PACKAGE / "harness.py").read_text()))
+             if isinstance(node, ast.FunctionDef)]
+    assert "_study" in names
+    assert [name for name in names if re.search(r"\dd(_|$)", name)] == []
