@@ -14,17 +14,21 @@ dx^2 times an interior part (bounded), via Taylor remainders in integral form:
 The boundary rows do not vanish as dx -> 0: the scheme is inconsistent at the
 two end nodes, which is precisely what the uniform-in-time analysis has to
 absorb.  The s-integrals use fixed 16-node Gauss-Legendre quadrature.
+
+w is a `CosineSeries` (a cosine mode, a catalog datum or a time-t solution)
+and its derivatives are its own closed forms, `w.deriv(k, x)`: there is no
+finite-difference fallback, since these operators are finite differences.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .exact import SmoothFunction
+from .exact import CosineSeries
 from .grid import Field, Grid
 from .spectral import laplacian
 
-__all__ = ["l_delta", "l1", "l2", "embed_boundary", "split_defect"]
+__all__ = ["l_delta", "l1", "l2", "split_defect"]
 
 # 16-node Gauss-Legendre rule mapped to [0, 1]
 _GX, _GW = np.polynomial.legendre.leggauss(16)
@@ -32,14 +36,14 @@ _GX = 0.5 * (_GX + 1.0)
 _GW = 0.5 * _GW
 
 
-def l_delta(w: SmoothFunction, g: Grid) -> Field:
+def l_delta(w: CosineSeries, g: Grid) -> Field:
     """Full defect: sampled second derivative minus the discrete Laplacian of
     the sampled function."""
     x = g.nodes()
     return Field(g, w.deriv(2, x) - laplacian(w(x), g.spacings))
 
 
-def l1(w: SmoothFunction, g: Grid) -> tuple[float, float]:
+def l1(w: CosineSeries, g: Grid) -> tuple[float, float]:
     """The two boundary entries of the defect's order-one part."""
     dx = g.dx
     x_last = g.L
@@ -50,7 +54,7 @@ def l1(w: SmoothFunction, g: Grid) -> tuple[float, float]:
     return left, right
 
 
-def l2(w: SmoothFunction, g: Grid) -> Field:
+def l2(w: CosineSeries, g: Grid) -> Field:
     """Interior part of the defect (zero at both end rows); the full defect at
     an interior node equals dx^2 times this entry."""
     dx = g.dx
@@ -65,14 +69,9 @@ def l2(w: SmoothFunction, g: Grid) -> Field:
     return Field(g, out)
 
 
-def embed_boundary(pair: tuple[float, float], g: Grid) -> Field:
-    """Place the two boundary defect values into a full-length field."""
-    out = np.zeros(g.J)
-    out[0], out[-1] = pair
-    return Field(g, out)
-
-
-def split_defect(w: SmoothFunction, g: Grid) -> tuple[Field, Field]:
+def split_defect(w: CosineSeries, g: Grid) -> tuple[Field, Field]:
     """(boundary part, interior part); their weighted sum reconstructs
     l_delta(w) when w has zero end slopes."""
-    return embed_boundary(l1(w, g), g), l2(w, g)
+    boundary = np.zeros(g.J)
+    boundary[0], boundary[-1] = l1(w, g)
+    return Field(g, boundary), l2(w, g)

@@ -9,9 +9,11 @@ scaled inner product (1/L) * integral:
 
 so u(t, x) = sum_p alpha_p exp(-p^2 pi^2 t / L^2) c_p(x).  Each closed form
 has one home: the basis and its x-derivatives are evaluated only in
-`_mode_sum` (a single mode, `cosine_mode`, is a one-term `CosineSeries`), and a
-catalog datum is its `CosineSeries`, whose `alpha` is the one copy of its
-coefficients.
+`_mode_sum`, and `CosineSeries` is the one exact-function type.  A single mode,
+`cosine_mode`, is a one-term series; a catalog datum is its series, whose
+`alpha` is the one copy of its coefficients; `solution(t)` is the time-t
+series; `deriv(k, x)` gives any of them the x-derivatives that the defect
+operators of `consistency` read.
 """
 
 from __future__ import annotations
@@ -25,8 +27,7 @@ import numpy as np
 from .errors import SeriesTruncationError
 
 __all__ = [
-    "SmoothFunction", "cosine_mode", "polynomial_function",
-    "CosineSeries",
+    "cosine_mode", "CosineSeries",
     "trig_poly", "poly_bump", "hat_function",
     "SteadyState1D", "steady_1d", "companion_w",
     "Gaussian2DProblem", "gaussian_2d",
@@ -35,60 +36,16 @@ __all__ = [
 _SQRT2 = math.sqrt(2.0)
 
 
-@dataclass(frozen=True)
-class SmoothFunction:
-    """A real function on [0, L] bundled with analytic derivatives.
-
-    ``derivs[k]`` evaluates the k-th derivative; all callables are vectorized
-    over numpy arrays.  Finite-difference fallbacks are deliberately not
-    provided: consumers that need derivatives (the consistency-defect
-    operators) must receive them analytically.
-    """
-
-    derivs: tuple = field(repr=False)
-
-    def __call__(self, x):
-        return self.derivs[0](np.asarray(x, dtype=float))
-
-    def deriv(self, k: int, x):
-        if not 0 <= k <= self.order:
-            raise ValueError(f"derivative order {k} not available (max {self.order})")
-        return self.derivs[k](np.asarray(x, dtype=float))
-
-    @property
-    def order(self) -> int:
-        return len(self.derivs) - 1
-
-
-def polynomial_function(coeffs) -> SmoothFunction:
-    """Polynomial sum(coeffs[i] * x^i) with its first five analytic derivatives."""
-    p = np.polynomial.Polynomial(np.asarray(coeffs, dtype=float))
-    ds = [p]
-    for _ in range(5):
-        ds.append(ds[-1].deriv())
-    return SmoothFunction(tuple(ds))
-
-
-def _mode_sum(weights: np.ndarray, L: float, order: int) -> tuple:
-    """The k-th x-derivatives, k = 0..order, of sum_p weights[p] * c_p(x) as
-    callables on float arrays, dead modes dropped once: the package's one
-    evaluation of the continuous cosine basis."""
-    live = np.flatnonzero(np.abs(weights[1:]) > 1e-300) + 1
+def _mode_sum(weights: np.ndarray, L: float, x: np.ndarray, k: int = 0):
+    """The k-th x-derivative of sum_p weights[p] * c_p(x) on a float array x,
+    dead modes dropped: the package's one evaluation of the continuous cosine
+    basis."""
+    live = (np.abs(weights[1:]) > 1e-300).nonzero()[0] + 1
     kp = live * math.pi / L
-    kp_column = kp[:, None]
-
-    def derivative(k):
-        amplitudes = _SQRT2 * weights[live] * kp ** k
-        phase = k * math.pi / 2
-
-        def dk(x):
-            out = amplitudes @ np.cos(kp_column * x.ravel() + phase)
-            if k == 0:
-                out += weights[0]
-            return out.reshape(x.shape)[()]  # [()]: a 0-d result as a scalar
-        return dk
-
-    return tuple(derivative(k) for k in range(order + 1))
+    out = (_SQRT2 * weights[live] * kp ** k) @ np.cos(kp[:, None] * x.ravel() + k * math.pi / 2)
+    if k == 0:
+        out += weights[0]
+    return out.reshape(x.shape)[()]  # [()]: a 0-d result as a scalar
 
 
 @dataclass(frozen=True)
@@ -99,7 +56,7 @@ class CosineSeries:
     stored range and enables tail estimates; without it the series is exact
     (all discarded coefficients are zero).  ``exact_at_zero`` evaluates the
     generating datum pointwise, bypassing truncation at t = 0.  Called on x,
-    the series is the datum: u(0, x).
+    the series is the datum: u(0, x); `deriv` gives its x-derivatives.
     """
 
     L: float
@@ -111,8 +68,10 @@ class CosineSeries:
         object.__setattr__(self, "alpha", np.asarray(self.alpha, dtype=float))
         if self.alpha.ndim != 1 or self.alpha.size == 0:
             raise ValueError("need a nonempty 1D coefficient array")
-        if not self.L > 0:
-            raise ValueError("L must be positive")
+        if not np.isfinite(self.alpha).all():
+            raise ValueError("coefficients must be finite")
+        if not 0 < self.L < math.inf:
+            raise ValueError("L must be positive and finite")
 
     def __call__(self, x):
         return self.evaluate(0.0, x)
@@ -152,35 +111,55 @@ class CosineSeries:
             S = min(S, P ** m * math.exp(-a * P * P) / (1.0 - rho))
         return _SQRT2 * C * (math.pi / self.L) ** k * S
 
+    def _points(self, x) -> np.ndarray:
+        """x as a float array, refused unless every point lies in [0, L] up to
+        a relative 1e-12 (a grid's last node may exceed L by rounding); the
+        comparisons are false for a NaN point, so it is refused too."""
+        xv = np.asarray(x, dtype=float)
+        if not (-1e-12 * self.L <= xv.min() and xv.max() <= self.L * (1.0 + 1e-12)):
+            raise ValueError("evaluation point outside [0, L]")
+        return xv
+
+    def _check_tail(self, t: float, k: int) -> None:
+        """Refuse derivative order k at time t unless the stored modes resolve it."""
+        if self.tail_bound(t, k) > 1e-12:
+            raise SeriesTruncationError(
+                f"derivative order {k} not resolved by {self.p_max + 1} modes at t={t}")
+
     def evaluate(self, t: float, x):
         """u(t, x); exact for finite series, tail below 1e-13 otherwise."""
-        xv = np.asarray(x, dtype=float)
-        if np.any(xv < -1e-12) or np.any(xv > self.L + 1e-12):
-            raise ValueError("evaluation point outside [0, L]")
+        xv = self._points(x)
         if t == 0.0 and self.exact_at_zero is not None:
             return self.exact_at_zero(xv)
         if self.tail_bound(t) > 1e-13:
             raise SeriesTruncationError(
                 f"stored {self.p_max + 1} modes leave tail {self.tail_bound(t):.2e} at t={t}")
-        return _mode_sum(self.weights(t), self.L, 0)[0](xv)
+        return _mode_sum(self.alpha if t == 0.0 else self.weights(t), self.L, xv)
 
-    def solution(self, t: float, order: int = 5) -> SmoothFunction:
-        """The time-t solution as a SmoothFunction with x-derivatives."""
-        for k in range(order + 1):
-            if self.tail_bound(t, k) > 1e-12:
-                raise SeriesTruncationError(
-                    f"derivative order {k} not resolved by {self.p_max + 1} modes at t={t}")
-        return SmoothFunction(_mode_sum(self.weights(t), self.L, order))
+    def deriv(self, k: int, x):
+        """The k-th x-derivative of the datum at x, from the stored modes;
+        refused when their tail does not resolve order k."""
+        if k < 0:
+            raise ValueError(f"derivative order must be nonnegative, got {k}")
+        self._check_tail(0.0, k)
+        return _mode_sum(self.alpha, self.L, self._points(x), k)
+
+    def solution(self, t: float) -> CosineSeries:
+        """The time-t solution as a finite series, refused unless the stored
+        modes resolve its x-derivatives of orders 0 to 5."""
+        for k in range(6):
+            self._check_tail(t, k)
+        return CosineSeries(self.L, self.weights(t))
 
 
-def cosine_mode(p: int, L: float) -> SmoothFunction:
-    """The orthonormal mode c_p(x) (sqrt(2) cos(p pi x / L), 1 for p = 0) with
-    five derivatives, as a one-mode series."""
+def cosine_mode(p: int, L: float) -> CosineSeries:
+    """The orthonormal mode c_p(x) (sqrt(2) cos(p pi x / L), 1 for p = 0) as a
+    one-mode series."""
     if p < 0:
         raise ValueError("mode index must be nonnegative")
     alpha = np.zeros(p + 1)
     alpha[p] = 1.0
-    return CosineSeries(L, alpha).solution(0.0)
+    return CosineSeries(L, alpha)
 
 
 def trig_poly() -> CosineSeries:
@@ -264,14 +243,14 @@ def steady_1d() -> SteadyState1D:
     return SteadyState1D()
 
 
-def companion_w(beta: float, gamma: float, L: float) -> SmoothFunction:
+def companion_w(beta: float, gamma: float, L: float) -> np.polynomial.Polynomial:
     """The zero-mean quadratic with prescribed end fluxes:
 
         w(x) = ((gamma - beta)/(2L)) x^2 + beta x - ((gamma - beta)/6) L - (beta/2) L
     """
     c2 = (gamma - beta) / (2.0 * L)
     c0 = -(gamma - beta) * L / 6.0 - beta * L / 2.0
-    return polynomial_function([c0, beta, c2])
+    return np.polynomial.Polynomial([c0, beta, c2])
 
 
 @dataclass(frozen=True)

@@ -74,6 +74,20 @@ def hat_solution_images(t: float, x: np.ndarray, L: float, width: float,
     return acc
 
 
+class PolynomialFunction:
+    """sum(coeffs[i] * x^i) with its x-derivatives by numpy's `Polynomial`,
+    called as the defect operators call a `CosineSeries`: w(x), w.deriv(k, x)."""
+
+    def __init__(self, coeffs):
+        self.p = np.polynomial.Polynomial(np.asarray(coeffs, dtype=float))
+
+    def __call__(self, x):
+        return self.p(np.asarray(x, dtype=float))
+
+    def deriv(self, k: int, x):
+        return self.p.deriv(k)(np.asarray(x, dtype=float))
+
+
 def quad_cosine_coefficient(f, p: int, L: float) -> float:
     """alpha_p = (1/L) integral of f * c_p by adaptive quadrature."""
     if p == 0:

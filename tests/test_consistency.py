@@ -5,8 +5,9 @@ import pytest
 from scipy import integrate
 
 from neumannheat import Grid1D, cosine_mode, l1, l2, l_delta, norm_l2, trig_poly
-from neumannheat.consistency import embed_boundary, split_defect
-from neumannheat.exact import polynomial_function
+from neumannheat.consistency import split_defect
+
+from oracles import PolynomialFunction
 
 SQ2 = math.sqrt(2.0)
 PI = math.pi
@@ -65,7 +66,7 @@ def test_l1_matches_full_defect_at_end_rows():
     # for zero-slope data the interior split contributes nothing at the ends,
     # so each boundary value of l1 must equal the corresponding l_delta row
     for w in (cosine_mode(1, 1.0), cosine_mode(5, 1.0),
-              polynomial_function([0.0, 0.0, 1.0, -2.0, 1.0])):  # x^2 (1-x)^2
+              PolynomialFunction([0.0, 0.0, 1.0, -2.0, 1.0])):  # x^2 (1-x)^2
         for J in (3, 9, 33):
             g = Grid1D(J, 1.0)
             full = l_delta(w, g).values
@@ -76,7 +77,7 @@ def test_l1_matches_full_defect_at_end_rows():
 
 def test_l1_quadrature_against_adaptive_oracle():
     # 16-node Gauss on the left remainder integral vs adaptive quadrature
-    w = polynomial_function([0, 0, 1, -2, 1])
+    w = PolynomialFunction([0, 0, 1, -2, 1])
     g = Grid1D(9, 1.0)
     left, _ = l1(w, g)
     ref_int, _ = integrate.quad(
@@ -100,7 +101,7 @@ def test_l1_mode_growth_is_cubic():
 
 def test_l2_of_cubic_vanishes():
     g = Grid1D(11, 1.0)
-    cubic = polynomial_function([0.3, -1.0, 2.0, 0.7])
+    cubic = PolynomialFunction([0.3, -1.0, 2.0, 0.7])
     assert np.abs(l2(cubic, g).values).max() < 1e-14
 
 
@@ -116,7 +117,7 @@ def test_l2_endpoints_zero_and_mode_growth():
 def test_splitting_identity():
     # l_delta = boundary part + dx^2 * interior part for zero-slope data
     for w in (cosine_mode(1, 1.0), cosine_mode(2, 1.0), cosine_mode(5, 1.0),
-              polynomial_function([0.0, 0.0, 1.0, -2.0, 1.0])):
+              PolynomialFunction([0.0, 0.0, 1.0, -2.0, 1.0])):
         for J in (3, 17, 33):
             g = Grid1D(J, 1.0)
             full = l_delta(w, g).values
@@ -136,9 +137,3 @@ def test_split_defect_of_series_backed_functions():
             full = l_delta(w, g).values
             recon = bnd.values + g.dx ** 2 * interior.values
             assert np.abs(full - recon)[1:-1].max() < 1e-8 * np.abs(full).max()
-
-
-def test_embed_boundary():
-    g = Grid1D(5, 1.0)
-    f = embed_boundary((2.5, -1.0), g)
-    assert np.array_equal(f.values, [2.5, 0.0, 0.0, 0.0, -1.0])

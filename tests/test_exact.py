@@ -41,6 +41,23 @@ def test_series_domain_checks():
         s.evaluate(-0.1, 0.5)
     with pytest.raises(ValueError):
         s.evaluate(0.1, 1.5)
+    # a NaN point used to give a NaN value
+    for call in (lambda x: trig_poly().evaluate(0.1, x), lambda x: trig_poly().deriv(1, x),
+                 lambda x: s.deriv(0, x), trig_poly()):
+        for x in ([0.5, math.nan], math.nan, 1.5, [-0.1, 0.5]):
+            with pytest.raises(ValueError, match="outside"):
+                call(x)
+
+
+def test_series_refuses_non_finite_data():
+    # a NaN coefficient used to be dropped as a dead mode (the series read 1.0
+    # at x = 0.3), and an infinite L gave 1 + sqrt(2) = 2.414
+    for bad in (lambda: CosineSeries(1.0, [1.0, math.nan]),
+                lambda: CosineSeries(1.0, [math.inf, 1.0]),
+                lambda: CosineSeries(math.inf, [1.0, 1.0]),
+                lambda: CosineSeries(math.nan, [1.0, 1.0])):
+        with pytest.raises(ValueError):
+            bad()
 
 
 def test_series_refuses_non_finite_times():
@@ -103,6 +120,9 @@ def test_datum_call_is_evaluate_at_zero_bitwise():
         assert np.array_equal(d(x), d.evaluate(0.0, x))
         assert d(0.3) == d.evaluate(0.0, 0.3)
     assert trig_poly().exact_at_zero is None
+    # the time-t solution is a series whose values are evaluate(t, .)
+    x = np.linspace(0.0, 1.0, 37)
+    assert np.array_equal(trig_poly().solution(0.2)(x), trig_poly().evaluate(0.2, x))
 
 
 def test_poly_bump_coefficients():
@@ -120,6 +140,11 @@ def test_poly_bump_exact_at_zero():
     d = poly_bump()
     x = np.linspace(0, 1, 23)
     assert np.array_equal(d(x), x ** 2 * (1 - x) ** 2)
+    # derivatives come from the stored modes, whose tail cannot give the second
+    with pytest.raises(SeriesTruncationError):
+        d.deriv(2, x)
+    with pytest.raises(ValueError, match="nonnegative"):
+        d.deriv(-1, x)
 
 
 def test_hat_coefficients():
@@ -228,8 +253,8 @@ def test_companion_quadratic():
     xs = np.linspace(0, 2, 9)
     assert np.abs(w0(xs)).max() == 0.0
     w = companion_w(0.5, -15.0 / 4.0, 2.0)
-    assert w.deriv(1, 0.0) == pytest.approx(0.5, abs=1e-12)
-    assert w.deriv(1, 2.0) == pytest.approx(-15.0 / 4.0, abs=1e-12)
+    assert w.deriv(1)(0.0) == pytest.approx(0.5, abs=1e-12)
+    assert w.deriv(1)(2.0) == pytest.approx(-15.0 / 4.0, abs=1e-12)
     val, _ = integrate.quad(lambda t: float(w(t)), 0.0, 2.0, epsabs=1e-12)
     assert abs(val) < 1e-12
 
@@ -282,12 +307,14 @@ def test_gaussian_2d_source_integral_matches_tensor_rule():
 def test_cosine_mode_derivatives_symbolic():
     x = sp.symbols("x")
     L = 1.5
-    for p in (0, 1, 4):
-        c = cosine_mode(p, L)
-        amp = 1 if p == 0 else sp.sqrt(2)
-        expr = amp * sp.cos(p * sp.pi * x / L)
-        xs = np.linspace(0, L, 9)
+    cases = [(cosine_mode(p, L), (1 if p == 0 else sp.sqrt(2)) * sp.cos(p * sp.pi * x / L), p)
+             for p in (0, 1, 4)]
+    trig = 1 + sum(a * sp.cos(p * sp.pi * x) for p, a in enumerate((1, 5, -1, 2, 1), 1))
+    cases.append((trig_poly(), trig, 5))
+    for c, expr, p_top in cases:
+        xs = np.linspace(0, c.L, 9)
         for k in range(6):
             ref = sp.lambdify(x, sp.diff(expr, x, k), "numpy")(xs)
             ref = np.broadcast_to(np.asarray(ref, dtype=float), xs.shape)
-            assert np.abs(c.deriv(k, xs) - ref).max() < 1e-10 * max(1.0, (p * math.pi / L) ** k)
+            tol = 1e-10 * max(1.0, (p_top * math.pi / c.L) ** k)
+            assert np.abs(c.deriv(k, xs) - ref).max() < tol

@@ -282,7 +282,9 @@ def test_bound_sweep_refusals():
         with pytest.raises(error) as info:
             bound_sweep(**{**full, **bad})
         assert info.type is error, bad  # a non-finite cfl is no stability violation
-    assert all(w.ok for w in bound_sweep(**{**full, "L": 1e60}).values())
+    # at J = 282 the last node, 281 * (L / 281), exceeds L = 1e60 by rounding;
+    # the sampling check still evaluates the cosine mode there
+    assert all(w.ok for w in bound_sweep(**{**full, "J_list": (2, 3, 282), "L": 1e60}).values())
 
 
 def test_csv_text_matches_emit_csv(tmp_path):

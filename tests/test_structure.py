@@ -8,6 +8,8 @@ and the `FAILED:` line of `cmd_bounds` writes to stderr: a subcommand refuses
 by raising, never by printing a message and returning a code of its own.
 In `harness.py` only `_study` starts or carries a run, so every study takes
 its one time step, and no function is named for a number of axes.
+`exact.CosineSeries` is the one exact-function type: no other class of the
+package gives analytic x-derivatives.
 """
 
 import ast
@@ -77,3 +79,12 @@ def test_no_harness_function_is_named_for_a_dimension():
              if isinstance(node, ast.FunctionDef)]
     assert "_study" in names
     assert [name for name in names if re.search(r"\dd(_|$)", name)] == []
+
+
+def test_only_cosine_series_defines_deriv():
+    owners = {(path.name, node.name) for path in PACKAGE.glob("*.py")
+              for node in ast.walk(ast.parse(path.read_text()))
+              if isinstance(node, ast.ClassDef) and any(
+                  isinstance(item, ast.FunctionDef) and item.name == "deriv"
+                  for item in node.body)}
+    assert owners == {("exact.py", "CosineSeries")}
