@@ -105,14 +105,6 @@ def _required_j(args) -> str:
     return args.J
 
 
-def _write_or_print(text: str, out_path) -> None:
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 def _print_slope_table(records, checkpoints) -> None:
     print("slope summary (error ~ J^-slope):")
     for t in checkpoints:
@@ -163,6 +155,8 @@ def _steady_problem(args):
 
 
 def cmd_steady1d(args) -> int:
+    if not 0 < args.cfl < math.inf:  # a usage error, not a stability violation
+        raise ValueError(f"cfl ratio must be finite and positive, got {args.cfl}")
     problem, ss = _steady_problem(args)
     for J in parse_j_list(_required_j(args)):
         g = Grid1D(J, *problem.lengths)
@@ -202,7 +196,12 @@ def cmd_spectra(args) -> int:
                spectral.amplification_envelope(g, dt).tolist())
     lines = ["ell,lambda,amplification,envelope"]
     lines += [f"{ell},{lam_l!r},{amp!r},{env!r}" for ell, (lam_l, amp, env) in enumerate(rows)]
-    _write_or_print("\n".join(lines) + "\n", args.out)
+    text = "\n".join(lines) + "\n"
+    if args.out:
+        with open(args.out, "w") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
     return EXIT_OK
 
 

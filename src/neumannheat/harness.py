@@ -13,17 +13,17 @@ matches each further axis's spacing to dx):
     steady2d-centered 2D forced, Gaussian steady state away from the boundary
     steady2d-offset   2D forced, Gaussian steady state centered on a corner
 
-`_study` starts every run, at the one time step dt = cfl / sum 1/h^2 (cfl*dx^2
-in 1D), and reaches its checkpoints by exact propagation (`scheme1d.propagate`),
-not by stepping.  Errors compare the run against the exact solution sampled on
-the grid, at the realized time of the nearest step.  Normalization is per
-experiment: the homogeneous errors divide by the sampled initial datum's norm
-(the bump uses the norm of its mean-free part, whose decay the error actually
-tracks), the 1D steady errors divide by the sampled steady state's norm, and
-the 2D errors are absolute.  The continuous steady problem fixes its state
-only up to a constant, so the forced runs of `_run_steady` start at the
-discrete mean of the sampled steady state, the only mean the discrete dynamics
-can hold; `steady1d-w` starts at its datum.
+`_study` builds every study from its catalog case: the grid, the start, the
+exact reference and the normalizer.  It runs at the one time step
+dt = cfl / sum 1/h^2 (cfl*dx^2 in 1D) and reaches its checkpoints by exact
+propagation (`scheme1d.propagate`), not by stepping.  Errors compare the run
+against the exact state sampled on the grid at the realized time of the
+nearest step, and rel_err divides by a norm of the sampled exact(0): the
+whole of it, its mean-free part (the bump, whose fluctuation the error
+tracks), or 1 for the absolute 2D errors.  The continuous steady problem
+fixes its state only up to a constant, so a forced run with no start of its
+own starts at the discrete mean of the sampled state, the only mean the
+discrete dynamics can hold; `steady1d-w` starts at its datum.
 """
 
 from __future__ import annotations
@@ -117,45 +117,45 @@ class ErrorRecord:
     wall_ms: float
 
 
-def _study(cfg: ExperimentConfig, v0: Field, reference: Callable, normalizer: float,
-           rhs: Optional[scheme1d.DiscreteRHS] = None) -> list[ErrorRecord]:
-    """Run from v0, forced by ``rhs`` if given, at dt = cfl / sum 1/h^2 to the
-    configured checkpoints, and measure each error, the one place that does:
-    the norm of ``reference(t)`` (the exact state on v0's grid at the realized
-    time) minus the run, over ``normalizer`` (positive) for rel_err."""
-    g = v0.grid
+def _study(cfg: ExperimentConfig, J: int, case: Callable) -> list[ErrorRecord]:
+    """Build, run and measure one study at x-resolution J, the one place that
+    does.  ``case()`` gives (lengths, problem, exact, start): the box lengths in
+    array-axis order, the `ForcedProblem` or None, the exact state exact(t, x,
+    ...), and the start, None for the discrete mean of the sampled exact(0).
+    Each error is the norm of the sampled exact state at the realized time
+    minus the run, over the experiment's `_NORMALIZERS` figure for rel_err."""
+    lengths, problem, exact, start = case()
+    g = grid_for(J, *lengths[::-1])
+    initial = project(g, lambda *x: exact(0.0, *x))
+    normalization = EXPERIMENTS[cfg.experiment][2]
+    normalizer = _NORMALIZERS[normalization](initial)
     if not normalizer > 0:
-        raise ValueError(f"{cfg.experiment} at J={g.Jx}: the {EXPERIMENTS[cfg.experiment][2]} "
+        raise ValueError(f"{cfg.experiment} at J={g.Jx}: the {normalization} "
                          f"normalizer is {normalizer}, so rel_err is undefined")
+    v0 = project(g, mean(initial) if start is None else start)
+    rhs = None if problem is None else scheme1d.build_rhs(problem, g)
     st = scheme1d.new_run(g, cfg.cfl / sum(1.0 / h ** 2 for h in g.spacings), v0, rhs)
     t0, records = time.perf_counter(), []
     for cp in scheme1d.propagate(st, cfg.checkpoints):
-        err = norm_l2(Field(g, reference(cp.t_realized) - cp.field.values))
+        reference = project(g, lambda *x: exact(cp.t_realized, *x))
+        err = norm_l2(Field(g, reference.values - cp.field.values))
         records.append(ErrorRecord(cfg.experiment, g.Jx, g.dx, st.dt, cp.t_target, cp.t_realized,
                                    cp.n, err, err / normalizer, (time.perf_counter() - t0) * 1e3))
     return records
 
 
-def _run_homog(cfg: ExperimentConfig, J: int,
-               make_datum: Callable[[], CosineSeries]) -> list[ErrorRecord]:
-    datum = make_datum()
-    g = Grid1D(J, datum.L)
-    v0 = project(g, datum)
-    fluctuation = EXPERIMENTS[cfg.experiment][2] == "relative-to-initial-fluctuation"
-    normalizer = norm_l2(Field(g, v0.values - mean(v0)) if fluctuation else v0)
-    return _study(cfg, v0, lambda t: datum.evaluate(t, g.nodes()), normalizer)
+# rel_err's divisor from the sampled exact(0); a steady state is its own exact(0)
+_NORMALIZERS = {
+    "absolute": lambda u0: 1.0,
+    "relative-to-initial": norm_l2,
+    "relative-to-initial-fluctuation": lambda u0: norm_l2(Field(u0.grid, u0.values - mean(u0))),
+    "relative-to-steady": norm_l2,
+}
 
 
-def _run_steady(cfg: ExperimentConfig, J: int, make_case: Callable) -> list[ErrorRecord]:
-    """``make_case()`` gives the `ForcedProblem`, its exact steady state and the
-    start, None for the discrete mean of the sampled state."""
-    problem, exact, start = make_case()
-    g = grid_for(J, *problem.lengths[::-1])
-    target = project(g, exact)
-    v0 = project(g, mean(target) if start is None else start)
-    relative = EXPERIMENTS[cfg.experiment][2] == "relative-to-steady"
-    return _study(cfg, v0, lambda t: target.values, norm_l2(target) if relative else 1.0,
-                  scheme1d.build_rhs(problem, g))
+def _homog(datum: CosineSeries) -> tuple:
+    """The heat flow alone from a catalog datum, against its series solution."""
+    return (datum.L,), None, datum.evaluate, datum
 
 
 def _sec52(datum: bool) -> tuple:
@@ -163,13 +163,15 @@ def _sec52(datum: bool) -> tuple:
     ss = steady_1d()
     problem = scheme1d.NonhomogProblem(ss.source, ss.beta, ss.gamma, ss.L, ss.source_integral)
     start = (lambda x: ss.mean_value + companion_w(ss.beta, ss.gamma, ss.L)(x)) if datum else None
-    return problem, ss.solution, start
+    return (ss.L,), problem, lambda t, x: ss.solution(x), start
 
 
 def _gaussian(**gaussian) -> tuple:
     case = gaussian_2d(**gaussian)
-    return (scheme1d.ForcedProblem(case.f, (case.g2, case.g1), (case.Ly, case.Lx),
-                                   case.source_integral), case.u_inf, None)
+    lengths = (case.Ly, case.Lx)
+    return (lengths, scheme1d.ForcedProblem(case.f, (case.g2, case.g1), lengths,
+                                            case.source_integral),
+            lambda t, x, y: case.u_inf(x, y), None)
 
 
 _HOMOG_J = (17, 33, 65, 129, 257, 513)
@@ -178,19 +180,19 @@ _HAT_T = (0.005, 0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 1.0, 2.0)
 _STEADY_T = tuple(0.625 * k for k in range(1, 9))
 
 # The experiment catalog: id -> (default J list, default checkpoint times,
-# error normalization, runner, the runner's case: a callable of no arguments).
+# error normalization, `_study`'s case: a callable of no arguments).
 EXPERIMENTS = {
-    "homog-trigpoly": (_HOMOG_J, _HOMOG_T, "relative-to-initial", _run_homog, trig_poly),
+    "homog-trigpoly": (_HOMOG_J, _HOMOG_T, "relative-to-initial", lambda: _homog(trig_poly())),
     "homog-polybump": (_HOMOG_J, _HOMOG_T, "relative-to-initial-fluctuation",
-                       _run_homog, poly_bump),
-    "homog-hat": ((201, 401, 801), _HAT_T, "relative-to-initial", _run_homog, hat_function),
+                       lambda: _homog(poly_bump())),
+    "homog-hat": ((201, 401, 801), _HAT_T, "relative-to-initial", lambda: _homog(hat_function())),
     "steady1d-w": ((16, 32, 64, 128, 256, 512), _STEADY_T, "relative-to-steady",
-                   _run_steady, lambda: _sec52(True)),
+                   lambda: _sec52(True)),
     "steady1d-const": ((16, 32, 64, 128, 256, 512), _STEADY_T, "relative-to-steady",
-                       _run_steady, lambda: _sec52(False)),
-    "steady2d-centered": ((8, 16, 32, 64), _STEADY_T, "absolute", _run_steady,
+                       lambda: _sec52(False)),
+    "steady2d-centered": ((8, 16, 32, 64), _STEADY_T, "absolute",
                           lambda: _gaussian(alpha=15.0, beta_g=5.0, x0=1.0, y0=2.0)),
-    "steady2d-offset": ((8, 16, 32, 64), _STEADY_T, "absolute", _run_steady,
+    "steady2d-offset": ((8, 16, 32, 64), _STEADY_T, "absolute",
                         lambda: _gaussian(alpha=1.0, beta_g=5.0, x0=0.0, y0=4.0)),
 }
 
@@ -198,8 +200,8 @@ EXPERIMENTS = {
 def run_convergence(cfg: ExperimentConfig) -> list[ErrorRecord]:
     """Run the experiment at each grid resolution in turn; records come in
     deterministic (J ascending, time ascending) order."""
-    run, case = EXPERIMENTS[cfg.experiment][3:]
-    return [rec for J in sorted(cfg.J_list) for rec in run(cfg, J, case)]
+    case = EXPERIMENTS[cfg.experiment][3]
+    return [rec for J in sorted(cfg.J_list) for rec in _study(cfg, J, case)]
 
 
 def records_at(records: Sequence[ErrorRecord], t_target: float) -> list[ErrorRecord]:
@@ -212,7 +214,6 @@ class SlopeFit:
 
     slope: float
     intercept: float
-    residual: float
     J_used: tuple
 
 
@@ -229,10 +230,8 @@ def estimate_slope(records: Sequence[ErrorRecord]) -> SlopeFit:
     lgJ = np.log([r.J for r in records])
     lge = np.log([r.rel_err for r in records])
     A = np.vstack([lgJ, np.ones_like(lgJ)]).T
-    coef, res, _, _ = np.linalg.lstsq(A, lge, rcond=None)
-    residual = float(res[0]) if res.size else 0.0
-    return SlopeFit(-float(coef[0]), float(coef[1]), residual,
-                    tuple(sorted(r.J for r in records)))
+    coef = np.linalg.lstsq(A, lge, rcond=None)[0]
+    return SlopeFit(-float(coef[0]), float(coef[1]), tuple(sorted(r.J for r in records)))
 
 
 def _phi(a: float) -> float:

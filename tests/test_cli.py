@@ -86,6 +86,7 @@ def test_flag_errors_exit_2(tmp_path, capsys):
     for argv in (["homog", "--datum", "trigpoly", "--J", "17", "--t", "0.02", "--cfl=nan"],
                  ["steady2d", "--case", "centered", "--J", "8", "--t", "0.1", "--cfl=nan"],
                  ["homog", "--datum", "trigpoly", "--J", "17", "--t", "0.02", "--cfl=inf"],
+                 ["steady1d", "--J", "9", "--cfl=inf"],
                  ["sweep", "--config", str(cfgfile)]):
         assert run_cli(*argv) == 2
         assert "cfl ratio must be finite" in capsys.readouterr().err

@@ -7,7 +7,9 @@ package raises reaches the CLI's one exit-code mapping.  In `cli.py` only
 and the `FAILED:` line of `cmd_bounds` writes to stderr: a subcommand refuses
 by raising, never by printing a message and returning a code of its own.
 In `harness.py` only `_study` starts or carries a run, so every study takes
-its one time step, and no function is named for a number of axes.
+its one time step, only `run_convergence` calls `_study`, every catalog entry
+is one case shape (J list, checkpoints, normalization, case), and no function
+is named for a number of axes.
 `exact.CosineSeries` is the one exact-function type: no other class of the
 package gives analytic x-derivatives.
 """
@@ -72,6 +74,22 @@ def test_only_study_runs_a_study():
                 if called in ("new_run", "propagate"):
                     callers.add(name)
     assert callers == {"_study"}
+
+
+def test_only_run_convergence_calls_study():
+    callers = {name for name, fn in _functions(PACKAGE / "harness.py")
+               for node in ast.walk(fn)
+               if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_study"}
+    assert callers == {"run_convergence"}
+
+
+def test_every_experiment_has_four_fields():
+    for name, entry in neumannheat.harness.EXPERIMENTS.items():
+        assert len(entry) == 4, name
+        J_list, checkpoints, normalization, case = entry
+        assert all(isinstance(J, int) for J in J_list), name
+        assert all(isinstance(t, float) for t in checkpoints), name
+        assert normalization in neumannheat.harness._NORMALIZERS and callable(case), name
 
 
 def test_no_harness_function_is_named_for_a_dimension():
