@@ -9,8 +9,9 @@ values[..., iy, ix] is v(x_ix, y_iy, ...).  `Grid1D(J, L)` builds a one-axis
 grid, and `grid_for(Jx, Lx, Ly, ...)` a grid whose further axes match dx.
 
 All discrete norms use the scaled inner product <v, w> = (1/N) * sum v w over
-the N nodes; sums are accumulated with compensated (exact) summation so results
-are bit-stable across runs.
+the N nodes; every sum is `exact_sum`, the exactly rounded `math.fsum` value,
+which on large arrays comes from vectorised error-free extraction rather than
+Python floats, so results are bit-stable across runs.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ __all__ = [
     "mean2d", "norm2d", "project2d",
 ]
 
-_SUM_BLOCK = 16384  # entries `exact_sum` turns into one list at a time: about 0.5 MB
+_SUM_BLOCK = 16384  # entries `exact_sum` hands fsum as one list, or extracts in one row
 
 
 @dataclass(frozen=True)
@@ -137,13 +138,28 @@ def check_grid(g: Grid, *fields: Field) -> None:
 
 
 def exact_sum(a: np.ndarray) -> float:
-    """``math.fsum(a.ravel())``, fed as Python floats (which it reads several times
-    faster) one `_SUM_BLOCK` of entries at a time: exactly rounded, in flat memory."""
+    """``math.fsum(a.ravel())``, bit for bit.  Beyond `_SUM_BLOCK` entries, rows of
+    `_SUM_BLOCK` (zero-padded) are summed by error-free extraction (Rump, Ogita &
+    Oishi, SIAM J. Sci. Comput. 31, 2008): with 2^e > the row's max |p| and
+    sigma = 2^15 * 2^e, each q = (p + sigma) - sigma is a multiple of 2^-53 sigma
+    with |q| <= 2^e, so the row sum of q in any order, and p - q, are exact; fsum
+    rounds the row sums once every row is zero.  Entries that are not finite or
+    reach 2^1000 go to fsum as Python floats, so its errors are raised as before."""
     flat = a.ravel()
     if flat.size <= _SUM_BLOCK:
         return math.fsum(flat.tolist())
-    return math.fsum(itertools.chain.from_iterable(
-        flat[i:i + _SUM_BLOCK].tolist() for i in range(0, flat.size, _SUM_BLOCK)))
+    rows = np.zeros((-(-flat.size // _SUM_BLOCK), _SUM_BLOCK))
+    rows.ravel()[:flat.size] = flat
+    q, parts = np.empty_like(rows), []
+    while (mu := np.abs(rows, out=q).max(axis=1)).any():
+        if not mu.max() < 2.0 ** 1000:  # nan, inf, or sums that may overflow
+            return math.fsum(itertools.chain.from_iterable(
+                flat[i:i + _SUM_BLOCK].tolist() for i in range(0, flat.size, _SUM_BLOCK)))
+        sigma = np.ldexp(1.0, np.frexp(mu)[1] + 15)[:, None]  # 2^15 >= _SUM_BLOCK + 2
+        np.subtract(np.add(rows, sigma, out=q), sigma, out=q)
+        parts += q.sum(axis=1).tolist()
+        rows -= q
+    return math.fsum(parts)
 
 
 def inner(v: Field, w: Field) -> float:

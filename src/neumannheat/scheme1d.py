@@ -372,14 +372,20 @@ def solve_steady_laplace(p: ForcedProblem, g: Grid, s: float) -> Field:
     """
     if not 0 < s < math.inf:
         raise ValueError(f"shift must be positive and finite, got s={s}")
+    if len(g.shape) != 1:
+        raise ValueError(f"the shifted solve needs a grid of one axis, got shape {g.shape}")
     from scipy.linalg.lapack import dptsv
     rhs = _balanced_rhs(p, g)
     inv_dx2 = 1.0 / g.dx ** 2
     diag = np.full(g.J, s + 2.0 * inv_dx2)
     diag[0] = diag[-1] = s + inv_dx2
-    _, _, v, info = dptsv(diag, np.full(g.J - 1, -inv_dx2), rhs.b.values)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"dptsv failed with info={info}")
+    # every input is local to this call, so LAPACK may factor and solve in place
+    _, _, v, info = dptsv(diag, np.full(g.J - 1, -inv_dx2), rhs.b.values,
+                          overwrite_d=True, overwrite_e=True, overwrite_b=True)
+    if info != 0:  # a ValueError: a refusal
+        raise np.linalg.LinAlgError(
+            f"the shifted system is singular in floating point: s={s} vanishes "
+            f"against 2/dx^2={2.0 * inv_dx2:.6g} (dptsv info={info})")
     # the kernel direction amplifies the float residue of mean(b) by 1/s;
     # re-anchor it (this perturbs the residual by only s * mean(v) = mean(b))
     v -= exact_sum(v) / g.J

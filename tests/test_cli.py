@@ -142,6 +142,14 @@ def test_steady1d_iterate_and_laplace(capsys):
     assert "solver=laplace" in out and "residual=" in out
 
 
+def test_steady1d_laplace_refuses_a_shift_lost_against_the_stencil(capsys):
+    # dptsv found the system singular: "dptsv failed with info=9"
+    assert run_cli("steady1d", "--solver", "laplace", "--s", "1e-300", "--J", "9") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid arguments: the shifted system is singular in floating "
+                          "point: s=1e-300 vanishes against 2/dx^2=")
+
+
 @pytest.mark.parametrize("flag", ["--L", "--f-const", "--beta", "--gamma"])
 def test_steady1d_sec52_refuses_custom_data(flag, capsys):
     assert run_cli("steady1d", "--problem", "sec52", "--J", "17", flag, "0.5") == 2

@@ -131,6 +131,77 @@ def test_exact_sum_equals_fsum_bit_for_bit():
     assert exact_sum(np.zeros((0, 3))) == 0.0
 
 
+def _fsum_or_error(a):
+    """math.fsum(a.ravel()), or the type of the exception it raises."""
+    try:
+        return math.fsum(a.ravel())
+    except (ValueError, OverflowError) as exc:
+        return type(exc)
+
+
+def _assert_sums_like_fsum(a):
+    want = _fsum_or_error(a)
+    if isinstance(want, type):
+        with pytest.raises(want):
+            exact_sum(a)
+    elif math.isnan(want):
+        assert math.isnan(exact_sum(a))
+    else:
+        assert exact_sum(a) == want, a.shape
+
+
+def test_exact_sum_of_more_than_one_block_equals_fsum():
+    rng = np.random.default_rng(26)
+    C = grid._SUM_BLOCK
+    # sizes that are not a multiple of the block, over +-20 and +-300 decades
+    for n, decades in ((C + 1, 20), (2 * C + 3, 20), (5 * C - 7, 20), (3 * C + 11, 300)):
+        x = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-decades, decades, n)
+        _assert_sums_like_fsum(x)
+        x[n // 2:] = -x[:n - n // 2][::-1]
+        x[0] += 1e-300
+        _assert_sums_like_fsum(x)
+    # half-ulp ties whose halves sit in different rows, rounded to even or,
+    # with a tiny third term in a further row, away from the tie
+    for top in (1.0, 1.0 + 2.0 ** -52, -3.0):
+        x = np.zeros(3 * C)
+        x[5], x[C + 7] = top, math.copysign(math.ulp(top) / 2, top)
+        _assert_sums_like_fsum(x)
+        x[2 * C + 1] = 2.0 ** -300
+        _assert_sums_like_fsum(x)
+        x[2 * C + 1] = -2.0 ** -300
+        _assert_sums_like_fsum(x)
+    # subnormals, alone and next to normal numbers; all-zero rows; -0.0
+    tiny = rng.integers(-2 ** 40, 2 ** 40, 2 * C + 9) * 5e-324
+    _assert_sums_like_fsum(tiny)
+    tiny[C + 3] = 1e-300
+    _assert_sums_like_fsum(tiny)
+    x = rng.standard_normal(4 * C + 2)
+    x[C:3 * C] = 0.0
+    _assert_sums_like_fsum(x)
+    _assert_sums_like_fsum(np.zeros(2 * C + 1))
+    _assert_sums_like_fsum(np.full(2 * C + 1, -0.0))
+    # a non-contiguous two-axis view
+    y = rng.standard_normal((301, 250)) * 10.0 ** rng.uniform(-30, 30, (301, 250))
+    view = y[::2, ::-1].T
+    assert not view.flags.c_contiguous and view.size > C
+    _assert_sums_like_fsum(view)
+
+
+@pytest.mark.parametrize("special", [math.nan, math.inf, -math.inf, "inf-inf",
+                                     2.0 ** 1000, 2.0 ** 1023, "pair-at-max"])
+def test_exact_sum_of_more_than_one_block_keeps_fsum_special_values(special):
+    # what fsum returns or raises on nan, infinities, inf - inf and entries
+    # from 2^1000 on: the blocked sum hands such arrays to fsum itself
+    x = np.random.default_rng(2).standard_normal(3 * grid._SUM_BLOCK + 5)
+    if special == "inf-inf":
+        x[7], x[-2] = math.inf, -math.inf
+    elif special == "pair-at-max":
+        x[7] = x[-2] = 1.5 * 2.0 ** 1023  # overflows in fsum: OverflowError
+    else:
+        x[x.size // 2] = special
+    _assert_sums_like_fsum(x)
+
+
 def test_norm_examples():
     g = Grid1D(16, 1.0)
     assert norm_l2(ones(g)) == 1.0

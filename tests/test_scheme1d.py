@@ -15,7 +15,7 @@ from neumannheat import (CflViolationError, DiscreteRHS, Field, Field1D, Field2D
                          ones, propagate, run_to, solve_steady_2d,
                          solve_steady_iterative, solve_steady_laplace,
                          steady_1d)
-from neumannheat import _kernels
+from neumannheat import _kernels, grid, scheme1d
 from neumannheat.scheme1d import _iterate_to_steady
 from neumannheat.scheme2d import grid_for
 from neumannheat.spectral import laplacian
@@ -205,8 +205,6 @@ def test_forced_problem_refuses_a_mismatched_box():
 
 
 def test_steady_solvers_refuse_by_the_balance_without_summing_b(monkeypatch):
-    from neumannheat import grid, scheme1d
-
     def unread(*args):
         raise AssertionError("the refusal must not assemble or sum b")
     for name in ("build_rhs", "_build_rhs", "mean"):
@@ -488,7 +486,6 @@ def test_steady_stagnates_below_rounding_floor():
 
 @pytest.mark.parametrize("J,tol", [(65, 1e-16), (257, 1e-12)])
 def test_stagnated_solve_returns_best_iterate(J, tol, monkeypatch):
-    from neumannheat import scheme1d
     seen, real = [], scheme1d._residual
     monkeypatch.setattr(scheme1d, "_residual",
                         lambda *args: seen.append(real(*args)) or seen[-1])
@@ -676,6 +673,14 @@ def test_laplace_solver_contract():
             solve_steady_laplace(p52, g, s)
 
 
+def test_laplace_refuses_a_grid_of_more_than_one_axis(monkeypatch):
+    # b was assembled first, then g.J raised "too many values to unpack"
+    monkeypatch.setattr(scheme1d, "build_rhs", lambda *a: pytest.fail("b was assembled"))
+    p = ForcedProblem(0.0, (0.0, 0.0), (1.0, 1.0))
+    with pytest.raises(ValueError, match=r"one axis, got shape \(3, 4\)"):
+        solve_steady_laplace(p, Grid((3, 4), (1.0, 1.0)), 1e-3)
+
+
 def test_laplace_matches_dense_solve():
     p52, ss = sec52_problem()
     for J in (2, 5, 33):
@@ -798,6 +803,17 @@ def test_steady_residual_overflow_raises_instability_error(c):
         warnings.simplefilter("error")
         with pytest.raises(InstabilityError, match="residual rms is inf"):
             solve_steady_iterative(p, g, g.dx ** 2 / 2, Field1D(g, np.zeros(9)))
+
+
+@pytest.mark.parametrize("c", [1e300, 1.2e154])
+def test_residual_overflow_of_more_than_one_block_is_refused(c):
+    # the squares reach inf (1e300), or are finite but from 2^1000 on, where
+    # the blocked exact sum hands them to math.fsum and its OverflowError
+    g = Grid1D(3 * grid._SUM_BLOCK + 5, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InstabilityError, match="residual rms is inf"):
+            scheme1d._residual(g, np.zeros(g.J), np.full(g.J, c))
 
 
 def test_small_instance_matches_dense_matrix_power():
