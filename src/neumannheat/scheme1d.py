@@ -11,7 +11,7 @@ unbalanced one drifts at exactly mean(b), and the steady solvers refuse it.
 
 Runs step with the one numpy loop of `_kernels`: the reference for `propagate`, one
 `spectral.dctn`/`idctn` pair per checkpoint, and for the steady loop, a jump to its
-exact-arithmetic count, then one pair per checked block.  Only the shifted solve uses scipy.
+exact-arithmetic count, then one pair per checked block.  Everything runs on numpy alone.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import GridMismatchError, IncompatibleProblemError, InstabilityError
-from .grid import Field, Grid, check_grid, exact_sum, mean, sample
+from .grid import Field, Grid, check_grid, exact_sum, sample
 from .spectral import dctn, eigenvalues, geometric_sum, idctn, laplacian, require_stable
 
 __all__ = [
@@ -131,10 +131,10 @@ def _build_rhs(p: ForcedProblem, g: Grid) -> DiscreteRHS:
         low, high = [(slice(None),) * axis + (end,) for end in (0, -1)]
         b[low] -= term[low]
         b[high] += term[high]
-    # `Field` refuses a source or face flux that is not finite at a node
-    r = _balance_per_volume(p, g) - mean(Field(g, b))
-    b += r
-    return DiscreteRHS(Field(g, b), r)
+    r = _balance_per_volume(p, g) - exact_sum(b) / b.size  # fsum refuses inf - inf
+    with np.errstate(invalid="ignore", over="ignore"):
+        b += r  # a source or flux value that is not finite makes all of b not finite
+    return DiscreteRHS(Field(g, b), r)  # and `Field` refuses it
 
 
 def build_rhs(p: ForcedProblem, g: Grid) -> DiscreteRHS:
@@ -363,29 +363,59 @@ def solve_steady_iterative(p: ForcedProblem, g: Grid, dt: float, v0: Field,
     return _solve_steady(p, g, dt, v0, tol, max_steps)
 
 
+def _solve_shifted(x: np.ndarray, s: float, c: float) -> None:
+    """Solve (s Id - A) v = x in place, A the 1D Neumann stencil with 1/dx^2 = c, by
+    odd-even cyclic reduction (Buzbee, Golub & Nielson, SIAM J. Numer. Anal. 7, 1970):
+    Gaussian elimination on a symmetric permutation, so a definite matrix has positive
+    pivots.  The odd rows eliminated are interior but, for an even count, the last, so
+    each level is one off-diagonal e, three diagonals (first, interior, last) and x."""
+    singular = np.linalg.LinAlgError(f"the shifted system is singular in floating point: s={s} "
+                                     f"vanishes against 2/dx^2={2 * c:.6g}")  # a ValueError
+    if s + c == c:  # else the stored matrix is irreducibly diagonally dominant
+        raise singular
+    d0, d, dl, e = s + c, s + 2.0 * c, s + c, -c
+    work, levels = np.empty(x.size // 2), []
+    while (n := x.size) > 1:
+        if not min(d0, d, dl) > 0:
+            raise singular
+        even, odd = x[0::2], x[1::2]
+        r, rl = e / d, e / dl
+        w = np.multiply(odd, r, out=work[:odd.size])
+        if n % 2 == 0:  # the last row is eliminated
+            w[-1] = odd[-1] * rl
+        even[:odd.size] -= w
+        even[1:] -= w[:even.size - 1]
+        levels.append((x, d, dl, e))
+        d0, d, dl = (d0 - e * (rl if n == 2 else r), d - 2.0 * e * r,
+                     dl - e * r if n % 2 else d - e * (r + rl))
+        e, x = -e * r, even
+    if not d0 > 0:
+        raise singular
+    x /= d0
+    for x, d, dl, e in reversed(levels):
+        even, odd = x[0::2], x[1::2]
+        k = even.size - 1  # the odd rows between two even ones
+        if x.size % 2 == 0:
+            odd[-1] = (odd[-1] - e * even[-1]) / dl
+        t = np.add(even[:k], even[1:], out=work[:k])
+        t *= e
+        odd[:k] -= t
+        odd[:k] /= d
+
+
 def solve_steady_laplace(p: ForcedProblem, g: Grid, s: float) -> Field:
     """Direct solve of the shifted system (s*Id - A) v = b on a 1D grid.
 
     The shift makes the singular Neumann system definite; the solution has
     zero discrete mean and approaches the zero-mean steady state at rate O(s).
-    The matrix is symmetric positive definite and tridiagonal: LAPACK dptsv.
+    The matrix is symmetric positive definite and tridiagonal: `_solve_shifted`.
     """
     if not 0 < s < math.inf:
         raise ValueError(f"shift must be positive and finite, got s={s}")
     if len(g.shape) != 1:
         raise ValueError(f"the shifted solve needs a grid of one axis, got shape {g.shape}")
-    from scipy.linalg.lapack import dptsv
-    rhs = _balanced_rhs(p, g)
-    inv_dx2 = 1.0 / g.dx ** 2
-    diag = np.full(g.J, s + 2.0 * inv_dx2)
-    diag[0] = diag[-1] = s + inv_dx2
-    # every input is local to this call, so LAPACK may factor and solve in place
-    _, _, v, info = dptsv(diag, np.full(g.J - 1, -inv_dx2), rhs.b.values,
-                          overwrite_d=True, overwrite_e=True, overwrite_b=True)
-    if info != 0:  # a ValueError: a refusal
-        raise np.linalg.LinAlgError(
-            f"the shifted system is singular in floating point: s={s} vanishes "
-            f"against 2/dx^2={2.0 * inv_dx2:.6g} (dptsv info={info})")
+    v = _balanced_rhs(p, g).b.values  # local to this call: solved in place
+    _solve_shifted(v, s, 1.0 / g.dx ** 2)
     # the kernel direction amplifies the float residue of mean(b) by 1/s;
     # re-anchor it (this perturbs the residual by only s * mean(v) = mean(b))
     v -= exact_sum(v) / g.J

@@ -207,7 +207,7 @@ def test_forced_problem_refuses_a_mismatched_box():
 def test_steady_solvers_refuse_by_the_balance_without_summing_b(monkeypatch):
     def unread(*args):
         raise AssertionError("the refusal must not assemble or sum b")
-    for name in ("build_rhs", "_build_rhs", "mean"):
+    for name in ("build_rhs", "_build_rhs", "exact_sum"):
         monkeypatch.setattr(scheme1d, name, unread)
     monkeypatch.setattr(grid, "mean", unread)
     g = Grid1D(9, 1.0)
@@ -245,6 +245,21 @@ def test_forced_problem_refuses_non_finite_balance_terms():
             NonhomogProblem(zero, 0.0, 0.0, 1.0, f_integral=bad)
         with pytest.raises(ValueError, match="balance terms must be finite"):
             ForcedProblem(zero, (0.0, lambda x, y: bad + 0.0 * x * y), (1.0, 2.0))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("source", [True, False])
+def test_build_rhs_refuses_a_value_that_is_not_finite_at_a_node(bad, source):
+    # not finite on the row y = 0.5 of nodes, which the balance never samples:
+    # its source integral is given, and its x-face rule has Gauss points in y.
+    # An infinite flux enters b as -inf on one face and +inf on the other,
+    # which math.fsum refuses in the mean.
+    g = Grid((5, 5), (1.0, 1.0))
+    spike = lambda x, y: np.where(y == 0.5, bad, 0.0 * x)
+    p = ForcedProblem(spike if source else 0.0, (0.0, 0.0 if source else spike),
+                      g.lengths, f_integral=0.0)
+    with pytest.raises(ValueError, match="non-finite entries|inf \\+ inf in fsum"):
+        build_rhs(p, g)
 
 
 def test_build_rhs_leaves_the_source_array_alone():
@@ -671,6 +686,12 @@ def test_laplace_solver_contract():
     for s in (0.0, math.inf, math.nan):  # s = inf used to return an all-zero field
         with pytest.raises(ValueError, match="shift must be positive and finite"):
             solve_steady_laplace(p52, g, s)
+    # s lost against 1/dx^2 (J=6, L=1): every reduced pivot of that singular
+    # matrix comes out positive, so the up-front check refuses; an indefinite
+    # matrix (s < 0) is refused by a pivot that is not positive
+    for s, c in ((1e-300, 1.0 / 0.2 ** 2), (-0.5, 1.0)):
+        with pytest.raises(np.linalg.LinAlgError, match="singular in floating point"):
+            scheme1d._solve_shifted(np.ones(6), s, c)
 
 
 def test_laplace_refuses_a_grid_of_more_than_one_axis(monkeypatch):
@@ -682,14 +703,31 @@ def test_laplace_refuses_a_grid_of_more_than_one_axis(monkeypatch):
 
 
 def test_laplace_matches_dense_solve():
+    # both parities of every reduction level, and reductions down to one unknown
     p52, ss = sec52_problem()
-    for J in (2, 5, 33):
+    for J in range(2, 41):
         g = Grid1D(J, ss.L)
         b = build_rhs(p52, g).b.values
-        for s in (1e-3, 1.0):
+        for s in (1e-6, 1e-3, 1.0, 1e3):
             ref = np.linalg.solve(s * np.eye(J) - dense_neumann_matrix(J, g.dx), b)
             v = solve_steady_laplace(p52, g, s).values
             assert np.abs(v - (ref - ref.mean())).max() <= 1e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("J, tol", [(257, 1e-12), (1_000_001, 1e-6)])
+def test_laplace_matches_lapack_dptsv(J, tol):
+    # LAPACK's LDL^T solve of the same system, on the same b, re-anchored alike
+    from scipy.linalg.lapack import dptsv
+    p52, ss = sec52_problem()
+    g = Grid1D(J, ss.L)
+    b, inv_dx2 = build_rhs(p52, g).b.values, 1.0 / g.dx ** 2
+    diag = np.full(J, 1e-3 + 2.0 * inv_dx2)
+    diag[0] = diag[-1] = 1e-3 + inv_dx2
+    _, _, ref, info = dptsv(diag, np.full(J - 1, -inv_dx2), b)
+    assert info == 0
+    ref -= grid.exact_sum(ref) / J
+    v = solve_steady_laplace(p52, g, 1e-3).values
+    assert np.abs(v - ref).max() <= tol * np.abs(ref).max()
 
 
 def test_laplace_zero_rhs():
