@@ -10,8 +10,9 @@ grid, and `grid_for(Jx, Lx, Ly, ...)` a grid whose further axes match dx.
 
 All discrete norms use the scaled inner product <v, w> = (1/N) * sum v w over
 the N nodes; every sum is `exact_sum`, the exactly rounded `math.fsum` value,
-which on large arrays comes from vectorised error-free extraction rather than
-Python floats, so results are bit-stable across runs.
+which on large arrays, and in `exact_sums` on each row of a 2D array, comes
+from vectorised error-free extraction rather than Python floats, so results
+are bit-stable across runs.
 """
 
 from __future__ import annotations
@@ -27,11 +28,11 @@ from .errors import GridMismatchError
 
 __all__ = [
     "Grid", "Field", "Grid1D", "Field1D", "Field2D", "grid_for", "check_grid",
-    "exact_sum", "inner", "mean", "norm_l2", "sample", "project", "ones",
+    "exact_sum", "exact_sums", "inner", "mean", "norm_l2", "sample", "project", "ones",
     "mean2d", "norm2d", "project2d",
 ]
 
-_SUM_BLOCK = 16384  # entries `exact_sum` hands fsum as one list, or extracts in one row
+_SUM_BLOCK = 16384  # widest list `exact_sum` hands fsum, widest row it or `exact_sums` extracts
 
 
 @dataclass(frozen=True)
@@ -160,6 +161,41 @@ def exact_sum(a: np.ndarray) -> float:
         parts += q.sum(axis=1).tolist()
         rows -= q
     return math.fsum(parts)
+
+
+def exact_sums(rows: np.ndarray) -> list:
+    """``[exact_sum(row) for row in rows]`` of a 2D array, bit for bit, from one
+    vectorised pass instead of a Python float per entry.  Per row, as in
+    `exact_sum`, q = (p + sigma) - sigma and r = p - q are exact, and so is
+    t = sum q in any order.  s = fl(sum r), in any order, is within
+    gamma_{n-1} sum|r| < 2^-52 n fl(sum|r|) of sum r (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2002, 4.2): that product, rounded once,
+    is the bound, plus 2^-1022 in case it underflows.  TwoSum gives res + err =
+    t + s exactly, so the row sum is within |err| + bound of res, and rounds to
+    res when that is strictly below half the gap from |res| down to its
+    neighbour, the smaller gap (half the upper one when |res| is a power of
+    two); rounding is monotone, so the rounded left side may be compared.
+    Other rows go to `exact_sum`: res == 0 (fsum picks the sign of zero); a max
+    |p| that is not finite or reaches 2^1000 (fsum raises as before) or is below
+    2^-900 (near where 2^-1022 outweighs the gap); rows wider than
+    `_SUM_BLOCK`; near ties."""
+    n = rows.shape[1]
+    if not 0 < n <= _SUM_BLOCK:
+        return [exact_sum(row) for row in rows]
+    w = np.empty(rows.shape)  # |p|, then q, then r = p - q, then |r|
+    mu = np.abs(rows, out=w).max(axis=1)
+    with np.errstate(invalid="ignore", over="ignore"):  # the rows that go to exact_sum
+        sigma = np.ldexp(1.0, np.frexp(mu)[1] + 15)[:, None]
+        t = np.subtract(np.add(rows, sigma, out=w), sigma, out=w).sum(axis=1)
+        s = np.subtract(rows, w, out=w).sum(axis=1)
+        bound = np.abs(w, out=w).sum(axis=1) * (n * 2.0 ** -52) + 2.0 ** -1022
+        res = t + s
+        z = res - t
+        err = (t - (res - z)) + (s - z)
+        a = np.abs(res)  # a - nextafter(a, 0) is 0 when res == 0
+        sure = ((np.abs(err) + bound < (a - np.nextafter(a, 0.0)) / 2)
+                & (2.0 ** -900 <= mu) & (mu < 2.0 ** 1000))
+    return [v if k else exact_sum(row) for v, k, row in zip(res.tolist(), sure.tolist(), rows)]
 
 
 def inner(v: Field, w: Field) -> float:

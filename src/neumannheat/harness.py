@@ -322,11 +322,12 @@ def bound_sweep(J_list: Sequence[int] = range(2, 513),
     ratios, at (J, cfl, n or m) or (J, function); hold when <= 1).  One
     spectrum per grid: the exactly rounded sums of all (cfl, n) and (cfl, m)
     come from one broadcast array each, eta once per cfl.  Refused: an empty
-    sweep list, a non-finite cfl, an L outside [1e-60, 1e60] (sums scale as L^4)."""
+    sweep list, a cfl that is not finite and positive, an L outside
+    [1e-60, 1e60] (sums scale as L^4)."""
     if not all(map(len, (J_list, cfls, ns, ms))):
         raise ValueError("bound_sweep needs nonempty J_list, cfls, ns and ms")
-    if not all(map(math.isfinite, cfls)):  # a usage error, not a stability violation
-        raise ValueError(f"cfl ratio must be finite, got {cfls}")
+    if not all([0 < c < math.inf for c in cfls]):  # a usage error, not a stability violation
+        raise ValueError(f"cfl ratio must be finite and positive, got {cfls}")
     # the sums scale as L^4, the squared terms as L^4/J^4; the grids refuse
     # J < 2 and L <= 0, inf or nan
     if 0 < L < math.inf and not 1e-60 <= L <= 1e60:

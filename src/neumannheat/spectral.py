@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CflViolationError
-from .grid import Field, Grid, check_grid, exact_sum, ones
+from .grid import Field, Grid, check_grid, exact_sums, ones
 
 __all__ = [
     "NeumannLaplacian1D", "laplacian", "eigenvalue", "eigenvalues", "dctn", "idctn", "eigenvector",
@@ -248,7 +248,8 @@ def resolvent_power_sums(g: Grid, dts, ns) -> list:
     # one power per n, with n a Python number as one pair has it (numpy squares n = 2)
     qk = np.concatenate([(1.0 + dt * lam) ** n for n in ns], axis=1)
     s = geometric_sum(lam, qk, np.array(ns, float)[:, None], dt)
-    return [[exact_sum(row) for row in block] for block in s * s]
+    s *= s  # in place, so that exact_sums' work array adds nothing to the peak memory
+    return np.reshape(exact_sums(s.reshape(-1, g.J - 1)), s.shape[:2]).tolist()
 
 
 def resolvent_power_sum(g: Grid, dt: float, n: int) -> float:
@@ -270,7 +271,7 @@ def heat_kernel_spectrum_sums(g: Grid, alphas, ms) -> tuple[list, list]:
         raise ValueError(f"need m >= 1, got {min(ms)}")
     am = np.array(alphas, float)[:, None] * np.array(ms, float)
     terms = np.exp(-am[..., None] * np.sin(np.arange(1, g.J) * np.pi / g.J) ** 2)
-    values = [[g.dx * exact_sum(row) for row in block] for block in terms]
+    values = (g.dx * np.reshape(exact_sums(terms.reshape(-1, g.J - 1)), am.shape)).tolist()
     return values, (g.L * math.sqrt(math.pi) / np.sqrt(am)).tolist()
 
 

@@ -3,8 +3,8 @@
 The fixture is `csv_text` of each `EXPERIMENTS` default config with the
 `wall_ms` column dropped.  The grid, step and time columns must match as
 strings; `abs_err` and `rel_err` within a relative 1e-9.  A change that moves
-catalog rows on purpose regenerates the fixture, with every other golden
-output, by `PYTHONPATH=src python tests/test_golden.py --write` and says so
+catalog rows on purpose regenerates the fixture by
+`PYTHONPATH=src python tests/test_golden.py --write catalog.csv` and says so
 in CHANGES.md.
 """
 

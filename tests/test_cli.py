@@ -92,6 +92,12 @@ def test_flag_errors_exit_2(tmp_path, capsys):
         assert "cfl ratio must be finite" in capsys.readouterr().err
     assert run_cli("bounds", "--J", "2..6", "--L=inf") == 2
     assert "interval length must be positive and finite" in capsys.readouterr().err
+    # a ratio of 0 or -1 was refused as "time step must be positive, got
+    # dt=0.0", a dt never given (cfl/4 at J = 3)
+    for cfl in ("0", "-1"):
+        assert run_cli("bounds", "--J", "2..6", f"--cfl-list=0.5,{cfl}") == 2
+        err = capsys.readouterr().err
+        assert "cfl ratio must be finite and positive" in err and "time step" not in err
 
 
 def test_spectra_refuses_a_spacing_whose_spectrum_overflows(capsys):

@@ -7,15 +7,17 @@ CSV in `test_catalog.py`.  Text must match exactly, except on a line that
 prints a residual: there the text between numbers must match exactly and each
 number within a relative 1e-9.
 
-A change that moves a golden output on purpose rewrites every fixture under
-`data/`, `catalog.csv` included, with
+A change that moves a golden output on purpose rewrites the fixtures it moves,
+named by their file names under `data/`, with
 
-    PYTHONPATH=src python tests/test_golden.py --write
+    PYTHONPATH=src python tests/test_golden.py --write cli-bounds.txt demo-06_bound_suite.txt
 
-and names each moved line in CHANGES.md.
+and names each moved line in CHANGES.md; with no names, `--write` rewrites
+every fixture, `catalog.csv` included.
 """
 
 import contextlib
+import functools
 import io
 import math
 import re
@@ -84,19 +86,29 @@ def test_cli_stdout_matches_the_golden_fixture(name):
     assert_golden(cli_stdout(CLI[name]), f"cli-{name}")
 
 
-def write() -> None:
-    outputs = {f"cli-{name}.txt": cli_stdout(argv) for name, argv in CLI.items()}
-    for path in DEMOS:
-        with contextlib.redirect_stdout(io.StringIO()) as out:
-            runpy.run_path(str(path), run_name="__main__")
-        outputs[f"{demo_name(path)}.txt"] = out.getvalue()
-    outputs["catalog.csv"] = catalog_text()
-    for name, text in outputs.items():
-        (DATA / name).write_text(text)
+def demo_stdout(path: Path) -> str:
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        runpy.run_path(str(path), run_name="__main__")
+    return out.getvalue()
+
+
+def write(names=()) -> None:
+    """Rewrite the fixtures named in ``names`` (file names under `data/`, such
+    as `cli-bounds.txt`), or every fixture when ``names`` is empty."""
+    outputs = {f"cli-{name}.txt": functools.partial(cli_stdout, argv)
+               for name, argv in CLI.items()}
+    outputs.update({f"{demo_name(path)}.txt": functools.partial(demo_stdout, path)
+                    for path in DEMOS})
+    outputs["catalog.csv"] = catalog_text
+    unknown = sorted(set(names) - set(outputs))
+    if unknown:
+        sys.exit(f"no fixture named {', '.join(unknown)}; the fixtures are {', '.join(outputs)}")
+    for name in names or outputs:
+        (DATA / name).write_text(outputs[name]())
         print(f"wrote {DATA / name}")
 
 
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--write"]:
-        sys.exit("usage: PYTHONPATH=src python tests/test_golden.py --write")
-    write()
+    if sys.argv[1:2] != ["--write"]:
+        sys.exit("usage: PYTHONPATH=src python tests/test_golden.py --write [fixture ...]")
+    write(sys.argv[2:])

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from neumannheat import (Field, Field1D, Field2D, Grid, Grid1D,
-                         GridMismatchError, inner, mean, mean2d, norm2d,
+                         GridMismatchError, bound_sweep, inner, mean, mean2d, norm2d,
                          default_config, norm_l2, ones, project, project2d,
                          run_convergence)
-from neumannheat import grid
-from neumannheat.grid import check_grid, exact_sum
+from neumannheat import grid, spectral
+from neumannheat.grid import check_grid, exact_sum, exact_sums
 from neumannheat.exact import cosine_mode
 from neumannheat.spectral import eigenvalues, eigenvector
 
@@ -200,6 +200,108 @@ def test_exact_sum_of_more_than_one_block_keeps_fsum_special_values(special):
     else:
         x[x.size // 2] = special
     _assert_sums_like_fsum(x)
+
+
+def _assert_rows_sum_like_fsum(rows):
+    """`exact_sums(rows)` is each row's fsum bit for bit (repr tells -0.0 from
+    0.0), or raises the type that the first failing row's `exact_sum` raises."""
+    want = [_fsum_or_error(row) for row in rows]
+    errors = [w for w in want if isinstance(w, type)]
+    if errors:
+        with pytest.raises(errors[0]):
+            exact_sums(rows)
+    else:
+        assert list(map(repr, exact_sums(rows))) == list(map(repr, want)), rows
+
+
+def _near_tie_rows(top):
+    """Rows whose sum is ``top`` plus half the gap to either neighbour: the
+    exact tie, the tie with a tiny term to either side, and the value just
+    inside the tie plus five quarter-gaps that a running sum drops one by one
+    but that carry the exact sum past the tie."""
+    rows = []
+    for half in ((math.nextafter(top, math.inf) - top) / 2,
+                 (math.nextafter(top, -math.inf) - top) / 2):
+        inside = math.nextafter(half, 0.0)
+        quarter = (half - inside) / 4
+        rows += [[top, half, 0.0, 0.0, 0.0, 0.0, 0.0],
+                 [top, half, 2.0 ** -300, 0.0, 0.0, 0.0, 0.0],
+                 [top, half, -2.0 ** -300, 0.0, 0.0, 0.0, 0.0],
+                 [top, inside, quarter, quarter, quarter, quarter, quarter],
+                 [top, inside, -quarter, -quarter, -quarter, -quarter, -quarter]]
+    return rows
+
+
+def test_exact_sums_of_near_ties_equal_fsum():
+    # ties on both sides of values inside a binade and of powers of two, where
+    # the gap below is half the gap above, so sums land on 2^k from either side
+    tops = [1.5, -3.0, 1.0 + 2.0 ** -52, 1e300, 2.0 ** -890 * 3]
+    tops += [s * 2.0 ** k for k in (-899, -40, 0, 1, 52, 999) for s in (1.0, -1.0)]
+    tops += [math.nextafter(2.0 ** k, 0.0) for k in (0, 7)]
+    rows = np.array([row for top in tops for row in _near_tie_rows(top)])
+    _assert_rows_sum_like_fsum(rows)
+    for row in rows:
+        _assert_rows_sum_like_fsum(row[None, :])
+        _assert_rows_sum_like_fsum(np.concatenate([row, np.zeros(504)])[None, :])
+    # random tops, each with a random near-tie tail split in several parts
+    rng = np.random.default_rng(28)
+    top = rng.choice([-1.0, 1.0], 4000) * 2.0 ** rng.integers(-60, 60, 4000)
+    top *= np.where(rng.random(4000) < 0.5, 1.0, rng.uniform(1.0, 2.0, 4000))
+    half = np.spacing(top) / 2 * rng.choice([-1.0, 1.0, 0.5, -0.5], 4000)
+    split = rng.uniform(0.0, 1.0, (4000, 4)) * half[:, None]
+    noise = half[:, None] * rng.choice([0.0, 1e-3, 1e-9, 2.0 ** -53], (4000, 2))
+    _assert_rows_sum_like_fsum(np.column_stack([top, half - split.sum(axis=1), split, noise]))
+
+
+def test_exact_sums_equal_fsum_on_cancellation_and_range_edges():
+    sub, C = 5e-324, grid._SUM_BLOCK
+    for row in ([1.0, -1.0], [-0.0, -0.0], [0.0, -0.0], [-0.0], [0.0], [1.0, -1.0, -0.0],
+                [1e300, 1.0, -1e300], [0.75, 0.25], [1.0 + 2.0 ** -52, -2.0 ** -52],
+                [0.5, 0.5 - 2.0 ** -54], [2.0, -2.0 ** -52, -2.0 ** -53],
+                # subnormals, and a max just under and just over 2^-900 and 2^1000
+                [sub, sub, -sub], [1e-310, -1e-311, 3 * sub], [2.0 ** -1022, -sub],
+                [math.nextafter(2.0 ** -900, 0.0), 2.0 ** -950, -sub],
+                [2.0 ** -900, 2.0 ** -950, -sub], [2.0 ** -900, -2.0 ** -953 * 3],
+                [math.nextafter(2.0 ** 1000, 0.0)] * 2 + [1.0],
+                [2.0 ** 1000, 1.0, -2.0 ** 1000], [-2.0 ** 1000, 2.0 ** 1000],
+                # nan, infinities, inf - inf and pairs that overflow in fsum
+                [math.nan, 1.0], [math.inf, 1.0], [-math.inf, 1.0],
+                [math.inf, -math.inf], [1.5 * 2.0 ** 1023] * 2, [1e308, 1e308, -1e308]):
+        _assert_rows_sum_like_fsum(np.array([row]))
+        _assert_rows_sum_like_fsum(np.array([[0.1] * len(row), row, [-3.0] * len(row)]))
+    rng = np.random.default_rng(29)
+    for n in (1, 2, 511, C, C + 1):
+        # magnitudes over +-20 decades, each large value cancelled by its
+        # negative in the same row, so only an exactly rounded sum gets it right
+        x = rng.choice([-1.0, 1.0], (6, n)) * 10.0 ** rng.uniform(-20, 20, (6, n))
+        jitter = 1.0 + 1e-16 * rng.standard_normal(n - n // 2)
+        x[:, n // 2:] = -x[:, :n - n // 2][:, ::-1] * jitter
+        x[0] = 0.0
+        x[1, 0] = 1.0
+        _assert_rows_sum_like_fsum(x)
+        x[2, -1] = math.inf
+        _assert_rows_sum_like_fsum(x)
+    assert exact_sums(np.zeros((0, 4))) == [] and exact_sums(np.zeros((2, 0))) == [0.0, 0.0]
+    # a non-contiguous two-axis view
+    y = rng.standard_normal((301, 250)) * 10.0 ** rng.uniform(-30, 30, (301, 250))
+    view = y[::2, ::-1].T
+    assert not view.flags.c_contiguous
+    _assert_rows_sum_like_fsum(view)
+
+
+def test_exact_sums_of_every_row_of_the_bound_sweep_equal_fsum(monkeypatch):
+    seen = []
+
+    def recording(rows):
+        seen.append(rows.copy())
+        return grid.exact_sums(rows)
+
+    monkeypatch.setattr(spectral, "exact_sums", recording)
+    bound_sweep()
+    # 511 grids, each with 3 cfls times 4 n and 3 cfls times 4 m
+    assert len(seen) == 2 * 511 and sum(map(len, seen)) == 511 * 24
+    for rows in seen:
+        assert list(map(repr, exact_sums(rows))) == [repr(math.fsum(row.tolist())) for row in rows]
 
 
 def test_norm_examples():

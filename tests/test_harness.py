@@ -275,13 +275,14 @@ def test_bound_sweep_refusals():
                        ({"cfls": (0.5, 0.6)}, CflViolationError),
                        ({"cfls": (0.5, math.inf)}, ValueError),
                        ({"cfls": (math.nan,)}, ValueError),
+                       ({"cfls": (0.5, 0.0)}, ValueError), ({"cfls": (-1.0,)}, ValueError),
                        # 1e200 overflowed dx**2, 1e77 the resolvent bound (its
                        # ratio read 0), and 1e-100 underflowed it to 0
                        ({"L": 1e200}, ValueError), ({"L": 1e77}, ValueError),
                        ({"L": 1e-100}, ValueError)):
         with pytest.raises(error) as info:
             bound_sweep(**{**full, **bad})
-        assert info.type is error, bad  # a non-finite cfl is no stability violation
+        assert info.type is error, bad  # a bad cfl is no stability violation
     # at J = 282 the last node, 281 * (L / 281), exceeds L = 1e60 by rounding;
     # the sampling check still evaluates the cosine mode there
     assert all(w.ok for w in bound_sweep(**{**full, "J_list": (2, 3, 282), "L": 1e60}).values())
