@@ -40,7 +40,7 @@ from .consistency import l_delta
 from .errors import CflViolationError
 from .exact import (CosineSeries, companion_w, cosine_mode, gaussian_2d,
                     hat_function, poly_bump, steady_1d, trig_poly)
-from .grid import Field, Grid, Grid1D, grid_for, mean, norm_l2, project
+from .grid import Field, Grid, Grid1D, exact_sums, grid_for, mean, norm_l2, project, sample
 
 __all__ = [
     "ExperimentConfig", "ErrorRecord", "SlopeFit", "EXPERIMENTS",
@@ -289,6 +289,18 @@ def h1_constant() -> H1Function:
     return H1Function(lambda x: np.ones_like(np.asarray(x, dtype=float)), 1.0, "1")
 
 
+# entries of an array of a block of grids' nodes end to end, in rows (one per
+# (cfl, n) in the bound sweep): 1024 modes of 12 rows, which keeps the peak
+# memory near that of one grid at a time
+_SWEEP_BLOCK = 12288
+
+
+def _blocks(Js, rows: int) -> list:
+    """Slices of runs of the node counts ``Js``, about `_SWEEP_BLOCK` entries in ``rows`` rows."""
+    cuts = np.flatnonzero(np.diff(np.cumsum(Js) * rows // _SWEEP_BLOCK)) + 1
+    return [slice(a, b) for a, b in zip([0, *cuts.tolist()], [*cuts.tolist(), len(Js)])]
+
+
 def quadrature_inequality_check(v: H1Function, J_sweep: Sequence[int],
                                 L: float) -> WorstCase:
     """Check the sampling inequality
@@ -300,14 +312,23 @@ def quadrature_inequality_check(v: H1Function, J_sweep: Sequence[int],
     if not J_sweep:
         raise ValueError("the sampling inequality needs a nonempty J_sweep")
     worst = (0.0, 0)
-    for J in J_sweep:
-        g = Grid1D(J, L)
-        lhs = norm_l2(project(g, v.fn)) ** 2
-        rhs = (J - 1) / J * 2.0 * (1.0 + g.dx) * v.h1_norm_sq
-        ratio = lhs / rhs
-        if ratio > worst[0]:
-            worst = (ratio, J)
+    for block in _blocks(J_sweep, 4):  # sampling and summing hold about 4 arrays of nodes
+        grids = [Grid1D(J, L) for J in J_sweep[block]]
+        for g, ratio in zip(grids, _sampling_ratios(v, grids)):
+            if ratio > worst[0]:
+                worst = (ratio, g.J)
     return WorstCase(worst[0], (worst[1], v.label), worst[0] <= 1.0)
+
+
+def _sampling_ratios(v: H1Function, grids) -> list:
+    """norm_l2(project(g, v.fn)) ** 2 / (((J-1)/J) * 2 * (1 + dx) * ||v||_{H^1}^2) on
+    each one-axis grid, bit for bit, from v sampled once on all their nodes."""
+    values = sample(v.fn, [np.concatenate([g.nodes() for g in grids])])
+    if not np.isfinite(values).all():  # as `project` refuses
+        raise ValueError("field contains non-finite entries")
+    sums = exact_sums(values * values, np.cumsum([0] + [g.J for g in grids[:-1]]))
+    return [math.sqrt(s / g.J) ** 2 / ((g.J - 1) / g.J * 2.0 * (1.0 + g.dx) * v.h1_norm_sq)
+            for g, s in zip(grids, sums)]
 
 
 def bound_sweep(J_list: Sequence[int] = range(2, 513),
@@ -319,9 +340,9 @@ def bound_sweep(J_list: Sequence[int] = range(2, 513),
     (J, cfl) of the sweep, the sampling inequality over ``J_list``.  Keys:
     "amplification" (smallest envelope margin, at (J, cfl, mode); holds when
     >= 0), then "eta_sum", "resolvent", "kernel" and "quadrature" (value/bound
-    ratios, at (J, cfl, n or m) or (J, function); hold when <= 1).  One
-    spectrum per grid: the exactly rounded sums of all (cfl, n) and (cfl, m)
-    come from one broadcast array each, eta once per cfl.  Refused: an empty
+    ratios, at (J, cfl, n or m) or (J, function); hold when <= 1), the first in
+    sweep order among equals.  One flat spectrum per block of grids: all its
+    (cfl, n) and (cfl, m) sums come from one array each.  Refused: an empty
     sweep list, a cfl that is not finite and positive, an L outside
     [1e-60, 1e60] (sums scale as L^4)."""
     if not all(map(len, (J_list, cfls, ns, ms))):
@@ -332,30 +353,32 @@ def bound_sweep(J_list: Sequence[int] = range(2, 513),
     # J < 2 and L <= 0, inf or nan
     if 0 < L < math.inf and not 1e-60 <= L <= 1e60:
         raise ValueError(f"L must lie in [1e-60, 1e60] for the bound sweep, got {L}")
-    grids = [Grid1D(J, L) for J in J_list]
-    worst = {}
+    grids, worst = [Grid1D(J, L) for J in J_list], {}
 
-    def keep(name, value, where, sign=1.0):  # sign -1 keeps the minimum
-        if name not in worst or sign * value > sign * worst[name][0]:
-            worst[name] = (value, where)
+    def keep(name, values, where, sign=1.0):  # the first worst in sweep order; -1: the least
+        at = np.unravel_index(np.argmax(sign * values), values.shape)
+        if name not in worst or sign * values[at] > sign * worst[name][0]:
+            worst[name] = values[at].item(), where(*at)
 
-    for J, g in zip(J_list, grids):
-        dts = [c * g.dx ** 2 for c in cfls]
-        resolvent = spectral.resolvent_power_sums(g, dts, ns)
-        kernel, kernel_bound = spectral.heat_kernel_spectrum_sums(g, cfls, ms)
-        amplification = spectral.amplification_bound_checks(g, dts)
-        for i, (c, dt, rep) in enumerate(zip(cfls, dts, amplification)):
-            keep("amplification", rep.worst_margin, (J, c, rep.worst_index), -1.0)
-            for n, e, r in zip(ns, spectral.eta_geometric_sums(g, dt, ns), resolvent[i]):
-                keep("eta_sum", e / (2.0 * L ** 2), (J, c, n))
-                keep("resolvent", r / spectral.resolvent_power_sum_bound(L), (J, c, n))
-            for m, value, bound in zip(ms, kernel[i], kernel_bound[i]):
-                keep("kernel", value / bound, (J, c, m))
+    for block in _blocks(J_list, len(cfls) * max(len(ns), len(ms))):
+        gs, Js = grids[block], J_list[block]
+        dts = [[c * g.dx ** 2 for c in cfls] for g in gs]
+        resolvent = np.array(spectral.resolvent_power_sums(gs, dts, ns))
+        keep("resolvent", resolvent / spectral.resolvent_power_sum_bound(L),
+             lambda k, i, j: (Js[k], cfls[i], ns[j]))
+        keep("kernel", np.divide(*spectral.heat_kernel_spectrum_sums(gs, cfls, ms)),
+             lambda k, i, j: (Js[k], cfls[i], ms[j]))
+        reps = spectral.amplification_bound_checks(gs, dts)
+        keep("amplification", np.array([[rep.worst_margin for rep in r] for r in reps]),
+             lambda k, i: (Js[k], cfls[i], reps[k][i].worst_index), -1.0)
+        eta = [[spectral.eta_geometric_sums(g, dt, ns) for dt in d] for g, d in zip(gs, dts)]
+        keep("eta_sum", np.array(eta) / (2.0 * L ** 2), lambda k, i, j: (Js[k], cfls[i], ns[j]))
     for h1 in (h1_constant(), h1_linear(L), h1_cosine_mode(1, L)):
         rep = quadrature_inequality_check(h1, J_list, L)
-        keep("quadrature", rep.value, rep.where)
-    return {name: WorstCase(v, where, v >= 0.0 if name == "amplification" else v <= 1.0)
-            for name, (v, where) in worst.items()}
+        keep("quadrature", np.array(rep.value), lambda: rep.where)
+    return {name: WorstCase(*worst[name], worst[name][0] >= 0.0 if name == "amplification"
+                            else worst[name][0] <= 1.0)
+            for name in ("amplification", "eta_sum", "resolvent", "kernel", "quadrature")}
 
 
 def csv_text(records: Sequence[ErrorRecord]) -> str:

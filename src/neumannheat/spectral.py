@@ -93,15 +93,30 @@ def eigenvalue(g: Grid, ell: int) -> float:
     return -4.0 / g.dx ** 2 * math.sin(ell * math.pi / (2 * g.J)) ** 2
 
 
+def _eigenvalues(scale, ell, J) -> np.ndarray:
+    """scale * sin^2(ell pi / (2J)) entrywise: lambda_ell for scale = -4/h^2."""
+    return scale * np.sin(ell * np.pi / (2 * J)) ** 2
+
+
 def eigenvalues(g: Grid) -> np.ndarray:
     """All eigenvalues of `laplacian` on the grid in DCT-II mode order, shaped
     like a field: lambda_l at [l] in 1D, the Kronecker sum
     lambda_ly + lambda_lx at [ly, lx] in 2D, and so on per axis."""
     out = np.zeros(g.shape)
     for axis, (J, h) in enumerate(zip(g.shape, g.spacings)):
-        lam = -4.0 / h ** 2 * np.sin(np.arange(J) * np.pi / (2 * J)) ** 2
+        lam = _eigenvalues(-4.0 / h ** 2, np.arange(J), J)
         out += lam.reshape([J if a == axis else 1 for a in range(out.ndim)])
     return out
+
+
+def _spectrum(grids, first: int) -> tuple:
+    """The modes l = first..J-1 of the 1D ``grids`` end to end, one flat spectrum:
+    per mode l, J and -4/h^2, each mode's grid, and where each grid's modes start."""
+    width = np.array([g.J for g in grids]) - first  # g.J: 1D grids only
+    start = np.cumsum(width) - width
+    index = np.repeat(np.arange(len(grids)), width)
+    scale = np.array([-4.0 / g.dx ** 2 for g in grids])[index]  # h^2 a Python float
+    return np.arange(len(index)) - start[index] + first, (width + first)[index], scale, index, start
 
 
 @functools.lru_cache(maxsize=64)
@@ -172,50 +187,64 @@ def eta(g: Grid, dt: float) -> float:
 
 @dataclass(frozen=True)
 class AmplificationReport:
-    """Per-mode slack of |1 + dt*lambda_l| below its exponential envelope."""
+    """Per-mode slack of |1 + dt*lambda_l| below its envelope, and its first minimum."""
 
     grid: Grid
     dt: float
     margins: np.ndarray
-    ok: bool
+    worst_margin: float
+    worst_index: int
 
     @property
-    def worst_margin(self) -> float:
-        return float(self.margins.min())
+    def ok(self) -> bool:
+        return self.worst_margin >= 0.0
 
-    @property
-    def worst_index(self) -> int:
-        return int(self.margins.argmin())
+
+def _envelope(a, ell, J) -> np.ndarray:
+    """exp(-a sin^2(ell pi / J)) entrywise: the amplification envelope for
+    a = dt/dx^2, the heat-kernel term for a = alpha*m."""
+    return np.exp(-a * np.sin(ell * np.pi / J) ** 2)
 
 
 def amplification_envelope(g: Grid, dt) -> np.ndarray:
     """exp(-(dt/dx^2) sin^2(l pi / J)) for l = 0..J-1: the per-mode bound on
-    |1 + dt*lambda_l| under the stability restriction; a column of dts gives a row each."""
-    return np.exp(-(dt / g.dx ** 2) * np.sin(np.arange(g.J) * np.pi / g.J) ** 2)
+    |1 + dt*lambda_l| under the stability restriction."""
+    return _envelope(dt / g.dx ** 2, np.arange(g.J), g.J)
 
 
-def amplification_bound_checks(g: Grid, dts) -> list[AmplificationReport]:
-    """Check |1 + dt*lambda_l| <= `amplification_envelope` for all l and each dt of ``dts``."""
-    require_stable(g, *dts)
-    dt = np.array(dts, float)[:, None]
-    margins = amplification_envelope(g, dt) - np.abs(1.0 + dt * eigenvalues(g))
-    return [AmplificationReport(g, d, m, bool(np.all(m >= 0.0))) for d, m in zip(dts, margins)]
+def amplification_bound_checks(grids, dts) -> list:
+    """Check |1 + dt*lambda_l| <= `amplification_envelope` for all l, at [k][i]
+    for grid grids[k] and dt = dts[k][i], on one flat spectrum."""
+    for g, d in zip(grids, dts):
+        require_stable(g, *d)
+    ell, J, scale, index, start = _spectrum(grids, 0)
+    dt = np.array(dts, float).T[:, index]  # [i, mode]
+    a = dt / np.array([g.dx ** 2 for g in grids])[index]
+    margins = _envelope(a, ell, J) - np.abs(1.0 + dt * _eigenvalues(scale, ell, J))
+    worst = np.minimum.reduceat(margins, start, axis=1)
+    first = np.minimum.reduceat(np.where(margins == worst[:, index], ell, J), start, axis=1)
+    worst, first = worst.T.tolist(), first.T.tolist()  # [grid][i]
+    return [[AmplificationReport(g, d, m[s:s + g.J], w, f)
+             for d, m, w, f in zip(ds, margins, ws, fs)]
+            for g, s, ds, ws, fs in zip(grids, start.tolist(), dts, worst, first)]
 
 
 def amplification_bound_check(g: Grid, dt: float) -> AmplificationReport:
-    """The one-dt case of `amplification_bound_checks`."""
-    return amplification_bound_checks(g, (dt,))[0]
+    """The one-grid, one-dt case of `amplification_bound_checks`."""
+    return amplification_bound_checks([g], [[dt]])[0][0]
 
 
 def geometric_sum(lam, qk, k, dt):
     """dt * sum_{i<k} q^i per entry of ``lam`` (a float or an array), given
     qk = q^k for the ratio q = 1 + dt*lam: (1 - q^k)/(-lam), or k*dt where
     |1 - q| < 1e-14 (the constant mode, lambda = 0, and ratios the closed
-    form cannot resolve); ``k`` and ``dt`` may be arrays that broadcast to qk."""
+    form cannot resolve); ``k`` and ``dt`` may be arrays that broadcast to qk,
+    and an array qk is overwritten with the result."""
     if isinstance(lam, float):  # one ratio (eta): float arithmetic, a few times faster
         return k * dt if abs(dt * lam) < 1e-14 else (1.0 - qk) / -lam
     near = np.abs(dt * lam) < 1e-14
-    return np.divide(1.0 - qk, -lam, out=np.full(qk.shape, k * dt), where=~near)
+    np.divide(np.subtract(1.0, qk, out=qk), -lam, out=qk, where=~near)
+    return np.multiply(k, dt, out=qk, where=near)
 
 
 def eta_geometric_sums(g: Grid, dt: float, ns) -> list:
@@ -234,48 +263,58 @@ def eta_geometric_sum(g: Grid, dt: float, n: int) -> float:
     return eta_geometric_sums(g, dt, (n,))[0]
 
 
-def resolvent_power_sums(g: Grid, dts, ns) -> list:
+def resolvent_power_sums(grids, dts, ns) -> list:
     """sum_l |dt * sum_{k<n} (1 + dt*lambda_l)^k|^2 over the nonzero modes, at
-    [i][j] for dt = dts[i] and n = ns[j], from one spectrum.
+    [k][i][j] for grids[k], dt = dts[k][i] and n = ns[j], from one flat spectrum.
 
     Each inner sum uses the closed geometric form (guarded near ratio 1), so
     the cost is O(J) per (dt, n) regardless of n.  Each sum is exactly rounded
     and bounded by 4 * pi^4 * L^4 / 90 uniformly in n and dt under the CFL rule."""
-    require_stable(g, *dts)
+    for g, d in zip(grids, dts):
+        require_stable(g, *d)
     if min(ns) < 1:
         raise ValueError(f"need n >= 1, got {min(ns)}")
-    lam, dt = eigenvalues(g)[1:g.J], np.array(dts, float)[:, None, None]  # g.J: 1D grids only
-    # one power per n, with n a Python number as one pair has it (numpy squares n = 2)
-    qk = np.concatenate([(1.0 + dt * lam) ** n for n in ns], axis=1)
+    ell, J, scale, index, start = _spectrum(grids, 1)
+    lam, dt = _eigenvalues(scale, ell, J), np.array(dts, float).T[:, None, index]  # [i, n, mode]
+    q, qk = (1.0 + dt * lam)[:, 0], np.zeros((len(dt), len(ns), len(lam)))
+    with np.errstate(divide="ignore"):  # log2(0) = -inf
+        log2q = np.log2(np.abs(q))
+    for j, n in enumerate(ns):
+        # 1 - x rounds to 1 for |x| < 2^-54, so powers far below (underflows, which
+        # numpy is slowest at) stay 0; -128 leaves room for the rounding of log2
+        live = n * log2q > -128.0
+        # n a Python number, as one pair has it (numpy squares n = 2)
+        qk[:, j][live] = q[live] ** n
     s = geometric_sum(lam, qk, np.array(ns, float)[:, None], dt)
     s *= s  # in place, so that exact_sums' work array adds nothing to the peak memory
-    return np.reshape(exact_sums(s.reshape(-1, g.J - 1)), s.shape[:2]).tolist()
+    return exact_sums(s, start)
 
 
 def resolvent_power_sum(g: Grid, dt: float, n: int) -> float:
-    """The one-(dt, n) case of `resolvent_power_sums`."""
-    return resolvent_power_sums(g, (dt,), (n,))[0][0]
+    """The one-grid, one-(dt, n) case of `resolvent_power_sums`."""
+    return resolvent_power_sums([g], [[dt]], (n,))[0][0][0]
 
 
 def resolvent_power_sum_bound(L: float) -> float:
     return 4.0 * math.pi ** 4 * L ** 4 / 90.0
 
 
-def heat_kernel_spectrum_sums(g: Grid, alphas, ms) -> tuple[list, list]:
+def heat_kernel_spectrum_sums(grids, alphas, ms) -> tuple[list, list]:
     """Riemann-type sums dx * sum_l exp(-alpha*m*sin^2(l pi / J)), exactly
-    rounded, and their bounds L*sqrt(pi)/sqrt(m*alpha), at [i][j] for
+    rounded, and their bounds L*sqrt(pi)/sqrt(m*alpha), at [k][i][j] for grids[k],
     alpha = alphas[i] and m = ms[j]; no sum exceeds its bound, uniformly in J."""
     if not all(a > 0 for a in alphas):
         raise ValueError(f"need alpha > 0, got {alphas}")
     if min(ms) < 1:
         raise ValueError(f"need m >= 1, got {min(ms)}")
     am = np.array(alphas, float)[:, None] * np.array(ms, float)
-    terms = np.exp(-am[..., None] * np.sin(np.arange(1, g.J) * np.pi / g.J) ** 2)
-    values = (g.dx * np.reshape(exact_sums(terms.reshape(-1, g.J - 1)), am.shape)).tolist()
-    return values, (g.L * math.sqrt(math.pi) / np.sqrt(am)).tolist()
+    ell, J, _, _, start = _spectrum(grids, 1)
+    dx, L = np.array([[g.dx, g.L] for g in grids]).T[:, :, None, None]
+    values = dx * np.array(exact_sums(_envelope(am[..., None], ell, J), start))
+    return values.tolist(), (L * math.sqrt(math.pi) / np.sqrt(am)).tolist()
 
 
 def heat_kernel_spectrum_sum(g: Grid, alpha: float, m: int) -> tuple[float, float]:
-    """The one-(alpha, m) case of `heat_kernel_spectrum_sums`: (value, bound)."""
-    values, bounds = heat_kernel_spectrum_sums(g, (alpha,), (m,))
-    return values[0][0], bounds[0][0]
+    """The one-grid, one-(alpha, m) case of `heat_kernel_spectrum_sums`: (value, bound)."""
+    values, bounds = heat_kernel_spectrum_sums([g], (alpha,), (m,))
+    return values[0][0][0], bounds[0][0][0]

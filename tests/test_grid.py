@@ -7,7 +7,7 @@ from neumannheat import (Field, Field1D, Field2D, Grid, Grid1D,
                          GridMismatchError, bound_sweep, inner, mean, mean2d, norm2d,
                          default_config, norm_l2, ones, project, project2d,
                          run_convergence)
-from neumannheat import grid, spectral
+from neumannheat import grid, harness, spectral
 from neumannheat.grid import check_grid, exact_sum, exact_sums
 from neumannheat.exact import cosine_mode
 from neumannheat.spectral import eigenvalues, eigenvector
@@ -202,16 +202,37 @@ def test_exact_sum_of_more_than_one_block_keeps_fsum_special_values(special):
     _assert_sums_like_fsum(x)
 
 
+def _assert_segments_sum_like_fsum(a, starts):
+    """`exact_sums(a, starts)` of a 1D array is each segment's fsum bit for bit
+    (repr tells -0.0 from 0.0), or raises the type that the first failing
+    segment's `exact_sum` raises."""
+    want = [_fsum_or_error(segment) for segment in np.split(a, starts[1:])]
+    errors = [w for w in want if isinstance(w, type)]
+    if errors:
+        with pytest.raises(errors[0]):
+            exact_sums(a, starts)
+    else:
+        assert list(map(repr, exact_sums(a, starts))) == list(map(repr, want)), (a, starts)
+
+
 def _assert_rows_sum_like_fsum(rows):
-    """`exact_sums(rows)` is each row's fsum bit for bit (repr tells -0.0 from
-    0.0), or raises the type that the first failing row's `exact_sum` raises."""
+    """The fsum of each row of a 2D array, bit for bit, from `exact_sums` of
+    the rows whole (or the first failing row's error), and again from
+    `_assert_segments_sum_like_fsum` of the rows end to end, cut to ragged
+    widths: row k loses its last k % width entries."""
+    rows = np.asarray(rows)
     want = [_fsum_or_error(row) for row in rows]
     errors = [w for w in want if isinstance(w, type)]
     if errors:
         with pytest.raises(errors[0]):
-            exact_sums(rows)
+            exact_sums(rows, [0])
     else:
-        assert list(map(repr, exact_sums(rows))) == list(map(repr, want)), rows
+        assert list(map(repr, exact_sums(rows, [0])[0])) == list(map(repr, want)), rows
+    n = rows.shape[1]
+    if n:
+        ragged = [row[:n - k % n] for k, row in enumerate(rows)]
+        _assert_segments_sum_like_fsum(np.concatenate(ragged),
+                                       np.cumsum([0] + [len(r) for r in ragged[:-1]]))
 
 
 def _near_tie_rows(top):
@@ -281,27 +302,49 @@ def test_exact_sums_equal_fsum_on_cancellation_and_range_edges():
         _assert_rows_sum_like_fsum(x)
         x[2, -1] = math.inf
         _assert_rows_sum_like_fsum(x)
-    assert exact_sums(np.zeros((0, 4))) == [] and exact_sums(np.zeros((2, 0))) == [0.0, 0.0]
-    # a non-contiguous two-axis view
+    assert exact_sums(np.zeros((0, 4)), [0]) == [[]] and exact_sums(np.zeros(0), []) == []
+    assert exact_sums(np.zeros((2, 0)), [0]) == [[0.0, 0.0]]
+    assert exact_sums(np.zeros(0), [0, 0]) == [0.0, 0.0]
+    # an empty segment among others, which reduceat would give the next entry
+    assert exact_sums(np.array([1.0, 2.0, -0.0]), [0, 1, 1, 2]) == [1.0, 0.0, 2.0, -0.0]
+    _assert_segments_sum_like_fsum(np.array([1.0, 2.0, -0.0]), [0, 1, 1, 2])
+    # segments of the rows of a 3-axis array
+    z = rng.standard_normal((3, 2, 40)) * 10.0 ** rng.uniform(-20, 20, (3, 2, 40))
+    assert exact_sums(z, [0, 7, 8, 30]) == [[[math.fsum(z[k, m, i:j]) for m in range(2)]
+                                            for k in range(3)]
+                                           for i, j in ((0, 7), (7, 8), (8, 30), (30, 40))]
+    # a non-contiguous view, and segments of one to 301 entries
     y = rng.standard_normal((301, 250)) * 10.0 ** rng.uniform(-30, 30, (301, 250))
     view = y[::2, ::-1].T
     assert not view.flags.c_contiguous
     _assert_rows_sum_like_fsum(view)
+    flat = y.ravel()[::-3]
+    assert not flat.flags.c_contiguous
+    _assert_segments_sum_like_fsum(flat, np.cumsum(np.arange(300)))
 
 
 def test_exact_sums_of_every_row_of_the_bound_sweep_equal_fsum(monkeypatch):
     seen = []
 
-    def recording(rows):
-        seen.append(rows.copy())
-        return grid.exact_sums(rows)
+    def recording(a, starts):
+        seen.append((a.copy(), np.array(starts)))
+        return grid.exact_sums(a, starts)
 
     monkeypatch.setattr(spectral, "exact_sums", recording)
     bound_sweep()
-    # 511 grids, each with 3 cfls times 4 n and 3 cfls times 4 m
-    assert len(seen) == 2 * 511 and sum(map(len, seen)) == 511 * 24
-    for rows in seen:
-        assert list(map(repr, exact_sums(rows))) == [repr(math.fsum(row.tolist())) for row in rows]
+    # one flat spectrum per block of grids for the resolvent sums, (3 cfls,
+    # 4 n, modes), and one for the kernel sums, (3 cfls, 4 m, modes): 511
+    # grids, each with 24 segments
+    assert len(seen) == 2 * len(harness._blocks(range(2, 513), 12)) < 2 * 511
+    assert [a.shape[:2] for a, _ in seen[:2]] == [(3, 4), (3, 4)]
+    assert sum(len(starts) * 12 for _, starts in seen) == 511 * 24
+    assert any(len(set(np.diff(starts).tolist())) > 1 for _, starts in seen)  # ragged
+    for a, starts in seen:
+        segments = np.split(a, starts[1:], axis=-1)
+        sums = [v for segment in exact_sums(a, starts) for row in segment for v in row]
+        assert list(map(repr, sums)) == \
+            [repr(math.fsum(segment[i, j].tolist()))
+             for segment in segments for i in range(3) for j in range(4)]
 
 
 def test_norm_examples():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ from neumannheat import (CflViolationError, CosineSeries, Grid1D, bound_sweep,
                          default_config, emit_csv, epsilon_diagnostics, estimate_slope,
                          quadrature_inequality_check, run_convergence,
                          trig_poly)
+from neumannheat import harness, spectral
+from neumannheat.grid import norm_l2, project
 from neumannheat.harness import (EXPERIMENTS, ErrorRecord, H1Function,
                                  csv_text, h1_constant,
                                  h1_cosine_mode, h1_linear, records_at)
@@ -157,6 +160,20 @@ def test_quadrature_inequality():
     assert not quadrature_inequality_check(fake, sweep, 1.0).ok
 
 
+def test_sampling_ratios_equal_the_one_grid_ratios():
+    # each ratio of the check, sampled per block of grids, is the one-grid
+    # norm_l2(project(g, fn)) ** 2 / rhs bit for bit: y ** 2 of a Python float
+    # y = sqrt(mean) differs from numpy's square of y for h1_linear at J = 368,
+    # L = 3.7 (and J = 154, 191 at L = 1e60), at L = 1e60 the last node of
+    # J = 282 lies past L by rounding, and J = 20000 is wider than an extracted row
+    for L in (1.0, 3.7, 1e60):
+        grids = [Grid1D(J, L) for J in [*range(2, 600), 282, 20000, 3]]
+        for h1 in (h1_constant(), h1_linear(L), h1_cosine_mode(1, L)):
+            assert harness._sampling_ratios(h1, grids) == \
+                [norm_l2(project(g, h1.fn)) ** 2 / ((g.J - 1) / g.J * 2.0 * (1.0 + g.dx)
+                                                    * h1.h1_norm_sq) for g in grids]
+
+
 def test_h1_norms_match_quadrature():
     for h1, L in ((h1_cosine_mode(1, 1.0), 1.0), (h1_cosine_mode(3, 2.0), 2.0),
                   (h1_linear(1.0), 1.0)):
@@ -235,9 +252,11 @@ def test_bound_sweep_refuses_empty_lists():
             bound_sweep(**{**full, name: ()})
 
 
-def _scalar_sweep(J_list, cfls, ns, ms, L):
+def _scalar_sweep(J_list, cfls, ns, ms, L, sums=None):
     """The worst cases of `bound_sweep` from one scalar call per (J, cfl, n)
-    and (J, cfl, m), as criterion 08 sweeps; ties keep the first in sweep order."""
+    and (J, cfl, m), as criterion 08 sweeps; ties keep the first in sweep order.
+    A dict ``sums`` receives each resolvent sum at ("resolvent", J, cfl, n)
+    and each (value, bound) of the kernel at ("kernel", J, cfl, m)."""
     worst = {}
 
     def keep(name, value, where, sign=1.0):
@@ -252,11 +271,15 @@ def _scalar_sweep(J_list, cfls, ns, ms, L):
             keep("amplification", rep.worst_margin, (J, c, rep.worst_index), -1.0)
             for n in ns:
                 keep("eta_sum", eta_geometric_sum(g, dt, n) / (2.0 * L ** 2), (J, c, n))
-                keep("resolvent", resolvent_power_sum(g, dt, n)
-                     / resolvent_power_sum_bound(L), (J, c, n))
+                r = resolvent_power_sum(g, dt, n)
+                keep("resolvent", r / resolvent_power_sum_bound(L), (J, c, n))
+                if sums is not None:
+                    sums["resolvent", J, c, n] = r
             for m in ms:
                 value, bound = heat_kernel_spectrum_sum(g, c, m)
                 keep("kernel", value / bound, (J, c, m))
+                if sums is not None:
+                    sums["kernel", J, c, m] = value, bound
     return worst
 
 
@@ -267,6 +290,56 @@ def test_bound_sweep_is_bit_identical_to_scalar_calls():
         worst = bound_sweep(J_list, cfls, ns=ns, ms=ms, L=L)
         for name, (value, where) in _scalar_sweep(J_list, cfls, ns, ms, L).items():
             assert (worst[name].value, worst[name].where) == (value, where), name
+
+
+def test_bound_sweep_is_bit_identical_across_blocks_of_grids(monkeypatch):
+    # J lists out of order whose grids fill several blocks, at L where the
+    # sums scale by 1e+-240: every per-grid resolvent and kernel sum of a
+    # block is its one-grid function's, and the worst cases are the scalar sweep's
+    blocks, sums = [], {}
+
+    def recording(name):
+        whole = getattr(spectral, name)
+
+        def record(grids, *args):
+            blocks.append((name, grids, whole(grids, *args)))
+            return blocks[-1][2]
+        return record
+
+    for name in ("resolvent_power_sums", "heat_kernel_spectrum_sums"):
+        monkeypatch.setattr(spectral, name, recording(name))
+    for J_list, cfls, ns, ms in (([512, 2, 300, 3, 511, 17, 1500, 2, 2100, 700], (0.5, 0.37, 0.1),
+                                  (1, 2, 10, 10 ** 6), (1, 7, 1000)),
+                                 (range(2, 200), (0.5, 0.1), (1, 2, 10 ** 6), (1, 1000))):
+        for L in (3.0, 1e60, 1e-60):
+            blocks.clear()
+            worst = bound_sweep(J_list, cfls, ns=ns, ms=ms, L=L)
+            swept = blocks[:]  # the one-grid functions below add their own
+            assert 4 < len(swept) < 2 * len(J_list)
+            assert [g.J for name, grids, _ in swept if name == "resolvent_power_sums"
+                    for g in grids] == list(J_list)
+            for name, (value, where) in _scalar_sweep(J_list, cfls, ns, ms, L, sums).items():
+                assert (worst[name].value, worst[name].where) == (value, where), (name, L)
+            for name, grids, out in swept:
+                for k, g in enumerate(grids):
+                    if name == "resolvent_power_sums":
+                        assert out[k] == [[sums["resolvent", g.J, c, n] for n in ns] for c in cfls]
+                    else:
+                        assert [list(zip(*vb)) for vb in zip(out[0][k], out[1][k])] == \
+                            [[sums["kernel", g.J, c, m] for m in ms] for c in cfls]
+
+
+def test_bound_sweep_peak_memory_stays_below_2_mb():
+    # the sweep holds one block of grids' arrays at a time; the whole
+    # (pairs, sum of J) spectrum of the default sweep at once takes tens of MB
+    bound_sweep(J_list=(2, 3))  # one-time allocations of the first call
+    tracemalloc.start()
+    try:
+        bound_sweep()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2 ** 20
 
 
 def test_bound_sweep_refusals():

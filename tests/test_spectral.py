@@ -230,24 +230,43 @@ def test_amplification_bound():
 
 
 def test_batched_amplification_check_matches_the_one_dt_check():
-    # every row of the batch gives the bits of its own one-dt check, and of
-    # the envelope minus |1 + dt*lambda_l| written out for that one dt
+    # every (grid, dt) of one flat spectrum gives the bits of its own one-dt
+    # check, and of the envelope minus |1 + dt*lambda_l| written out for that
+    # one dt, with the first smallest margin and its mode
     cfls = (0.5, 0.25, 0.1)
-    for J in range(2, 65):
-        g = Grid1D(J, 1.0)
-        dts = [c * g.dx ** 2 for c in cfls]
-        reps = amplification_bound_checks(g, dts)
-        assert [rep.dt for rep in reps] == dts
-        for rep, dt in zip(reps, dts):
-            one = amplification_bound_check(g, dt)
-            closed = (np.exp(-(dt / g.dx ** 2) * np.sin(np.arange(J) * np.pi / J) ** 2)
-                      - np.abs(1.0 + dt * eigenvalues(g)))
-            assert np.array_equal(rep.margins, one.margins)
-            assert np.array_equal(rep.margins, closed)
-            assert rep.ok and one.ok
+    for Js, L in ((range(2, 65), 1.0), ([64, 2, 17, 3, 5], 3.7)):
+        grids = [Grid1D(J, L) for J in Js]
+        dts = [[c * g.dx ** 2 for c in cfls] for g in grids]
+        for g, reps, ds in zip(grids, amplification_bound_checks(grids, dts), dts):
+            assert [rep.dt for rep in reps] == ds
+            for rep, dt in zip(reps, ds):
+                one = amplification_bound_check(g, dt)
+                closed = (np.exp(-(dt / g.dx ** 2) * np.sin(np.arange(g.J) * np.pi / g.J) ** 2)
+                          - np.abs(1.0 + dt * eigenvalues(g)))
+                assert np.array_equal(rep.margins, one.margins)
+                assert np.array_equal(rep.margins, closed)
+                assert (rep.worst_margin, rep.worst_index) == (one.worst_margin, one.worst_index) \
+                    == (closed.min(), closed.argmin())
+                assert rep.ok and one.ok
     g = Grid1D(9, 1.0)
     with pytest.raises(CflViolationError):
-        amplification_bound_checks(g, [0.25 * g.dx ** 2, g.dx ** 2, 0.1 * g.dx ** 2])
+        amplification_bound_checks([g], [[0.25 * g.dx ** 2, g.dx ** 2, 0.1 * g.dx ** 2]])
+
+
+def test_amplification_worst_is_the_first_smallest_margin_of_each_grid(monkeypatch):
+    # under the stability rule no margin is below mode 0's 0.0, so the worst
+    # is at mode 0; forged integer margins, with ties, put it anywhere
+    rng = np.random.default_rng(5)
+    monkeypatch.setattr(spectral, "_eigenvalues", lambda scale, ell, J: np.zeros(ell.shape))
+    monkeypatch.setattr(spectral, "_envelope", lambda a, ell, J: rng.choice(
+        [0.0, 1.0, 2.0], np.broadcast(a, ell).shape, p=[0.05, 0.5, 0.45]))
+    grids = [Grid1D(J, 1.0) for J in (7, 2, 30, 3, 11, 2)]
+    reps = [rep for reps in amplification_bound_checks(
+        grids, [[c * g.dx ** 2 for c in (0.5, 0.1)] for g in grids]) for rep in reps]
+    for rep in reps:
+        assert (rep.worst_margin, rep.worst_index, rep.ok) == \
+            (rep.margins.min(), rep.margins.argmin(), bool(np.all(rep.margins >= 0.0)))
+    assert len({rep.worst_index for rep in reps}) > 2 and {rep.ok for rep in reps} == {True, False}
 
 
 def test_eta_geometric_sum():
@@ -295,36 +314,42 @@ def test_heat_kernel_spectrum_sum():
 
 
 def test_batched_sums_match_per_call_sums():
-    # every (dt, n) and (alpha, m) of one broadcast array gives the bits of
-    # its own per-call sum over a fresh spectrum; dt = 1e-18 puts every ratio
-    # of J <= 9 and some of J = 65 within 1e-14 of 1 (the k*dt fallback),
-    # numpy squares for a Python n = 2, and counts beyond int64 still work
+    # every (grid, dt, n) and (grid, alpha, m) of one flat spectrum gives the
+    # bits of its own per-call sum over a fresh spectrum; dt = 1e-18 puts every
+    # ratio of J <= 9 and some of J = 65 within 1e-14 of 1 (the k*dt
+    # fallback), numpy squares for a Python n = 2, and counts beyond int64
+    # still work
     cfls, ns, ms = (0.5, 0.37, 0.1), (1, 2, 7, 1000, 10 ** 6, 10 ** 20), (1, 3, 7, 10 ** 30)
-    for J in (2, 3, 9, 65):
-        g = Grid1D(J, 1.0)
-        dts = [c * g.dx ** 2 for c in cfls] + [1e-18]
-        lam = eigenvalues(g)[1:]
-        per_call = [[math.fsum(s * s) for s in
-                     (geometric_sum(lam, (1.0 + dt * lam) ** n, n, dt) for n in ns)]
-                    for dt in dts]
-        assert resolvent_power_sums(g, dts, ns) == per_call
-        assert [[resolvent_power_sum(g, dt, n) for n in ns] for dt in dts] == per_call
-        sin2 = np.sin(np.arange(1, J) * np.pi / J) ** 2
-        values, bounds = heat_kernel_spectrum_sums(g, cfls, ms)
-        assert values == [[g.dx * math.fsum(np.exp(-c * m * sin2)) for m in ms] for c in cfls]
-        assert bounds == [[math.sqrt(math.pi) / math.sqrt(m * c) for m in ms] for c in cfls]
-        assert [[heat_kernel_spectrum_sum(g, c, m) for m in ms] for c in cfls] == \
-            [list(zip(v, b)) for v, b in zip(values, bounds)]
+    for Js, L in (((2, 3, 9, 65), 1.0), ((65, 2, 9, 3), 3.7)):
+        grids = [Grid1D(J, L) for J in Js]
+        dts = [[c * g.dx ** 2 for c in cfls] + [1e-18] for g in grids]
+        resolvent = resolvent_power_sums(grids, dts, ns)
+        values, bounds = heat_kernel_spectrum_sums(grids, cfls, ms)
+        for k, g in enumerate(grids):
+            lam = eigenvalues(g)[1:]
+            per_call = [[math.fsum(s * s) for s in
+                         (geometric_sum(lam, (1.0 + dt * lam) ** n, n, dt) for n in ns)]
+                        for dt in dts[k]]
+            assert resolvent[k] == per_call
+            assert [[resolvent_power_sum(g, dt, n) for n in ns] for dt in dts[k]] == per_call
+            sin2 = np.sin(np.arange(1, g.J) * np.pi / g.J) ** 2
+            assert values[k] == [[g.dx * math.fsum(np.exp(-c * m * sin2)) for m in ms]
+                                 for c in cfls]
+            assert bounds[k] == [[L * math.sqrt(math.pi) / math.sqrt(m * c) for m in ms]
+                                 for c in cfls]
+            assert [[heat_kernel_spectrum_sum(g, c, m) for m in ms] for c in cfls] == \
+                [list(zip(v, b)) for v, b in zip(values[k], bounds[k])]
 
 
 def test_batched_sums_refuse_what_the_per_call_sums_refuse():
-    g = Grid1D(9, 1.0)
+    g, g3 = Grid1D(9, 1.0), Grid1D(3, 1.0)
     with pytest.raises(ValueError, match="n >= 1"):
-        resolvent_power_sums(g, [g.dx ** 2 / 4], (1, 0))
-    with pytest.raises(CflViolationError):
-        resolvent_power_sums(g, [g.dx ** 2 / 4, 0.6 * g.dx ** 2], (1,))
+        resolvent_power_sums([g], [[g.dx ** 2 / 4]], (1, 0))
+    # the first failing grid of a block is named
+    with pytest.raises(CflViolationError, match=r"limit of Grid\(shape=\(9,\)"):
+        resolvent_power_sums([g3, g, g3], [[g3.dx ** 2 / 4], [0.6 * g.dx ** 2], [g3.dx ** 2]], (1,))
     with pytest.raises(ValueError, match="m >= 1"):
-        heat_kernel_spectrum_sums(g, (0.5,), (1, 0))
+        heat_kernel_spectrum_sums([g], (0.5,), (1, 0))
     for alpha in (0.0, math.nan):
         with pytest.raises(ValueError, match="alpha > 0"):
-            heat_kernel_spectrum_sums(g, (0.5, alpha), (1,))
+            heat_kernel_spectrum_sums([g], (0.5, alpha), (1,))
