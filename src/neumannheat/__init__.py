@@ -12,7 +12,7 @@ from .spectral import (NeumannLaplacian1D, amplification_bound_check, cfl_ok,
                        eigenvalue, eigenvalues, eigenvector, eta,
                        eta_geometric_sum, heat_kernel_spectrum_sum,
                        resolvent_power_sum)
-from .exact import (CosineSeries, Gaussian2DProblem, SteadyState1D,
+from .exact import (CosineSeries, GaussianProblem, SteadyState1D,
                     companion_w, cosine_mode, gaussian_2d, hat_function,
                     poly_bump, steady_1d, trig_poly)
 from .consistency import l1, l2, l_delta, split_defect

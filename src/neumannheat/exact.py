@@ -1,6 +1,6 @@
 """Exact-solution oracles: cosine-series solutions of the homogeneous Neumann
-heat problem, the catalog of initial data used by the convergence studies, and
-the closed-form steady states of the 1D and 2D nonhomogeneous problems.
+heat problem, the catalog of initial data used by the convergence studies, the
+closed-form 1D steady state, and a product Gaussian on any number of axes.
 
 Series are expressed in the orthonormal cosine basis of L^2(0, L) with the
 scaled inner product (1/L) * integral:
@@ -30,7 +30,7 @@ __all__ = [
     "cosine_mode", "CosineSeries",
     "trig_poly", "poly_bump", "hat_function",
     "SteadyState1D", "steady_1d", "companion_w",
-    "Gaussian2DProblem", "gaussian_2d",
+    "GaussianProblem", "gaussian_2d",
 ]
 
 _SQRT2 = math.sqrt(2.0)
@@ -139,8 +139,8 @@ class CosineSeries:
     def deriv(self, k: int, x):
         """The k-th x-derivative of the datum at x, from the stored modes;
         refused when their tail does not resolve order k."""
-        if k < 0:
-            raise ValueError(f"derivative order must be nonnegative, got {k}")
+        if not (k >= 0 and float(k).is_integer()):
+            raise ValueError(f"derivative order must be a nonnegative whole number, got {k}")
         self._check_tail(0.0, k)
         return _mode_sum(self.alpha, self.L, self._points(x), k)
 
@@ -254,51 +254,56 @@ def companion_w(beta: float, gamma: float, L: float) -> np.polynomial.Polynomial
 
 
 @dataclass(frozen=True)
-class Gaussian2DProblem:
-    """Manufactured 2D steady state exp(-a(x-x0)^2 - b(y-y0)^2) on
-    (0,2) x (0,4), with its source and boundary flux data."""
+class GaussianProblem:
+    """Manufactured steady state u_inf = prod_i X_i(s_i), X_i(s) = exp(-a_i (s - c_i)^2)
+    for a_i, c_i in ``widths``, ``centers``, on the box [0, lengths] (array-axis
+    order, x last, as `Grid.lengths`).  One factor rule, `_product`, gives u_inf,
+    f = -sum_i X_i'' prod_{j!=i} X_j, ``fluxes[i]`` = X_i' prod_{j!=i} X_j (in the
+    order `ForcedProblem` takes them) and `source_integral`; callables take x first."""
 
-    alpha: float
-    beta_g: float
-    x0: float
-    y0: float
-    Lx: float = 2.0
-    Ly: float = 4.0
+    widths: tuple
+    centers: tuple
+    lengths: tuple
 
     def __post_init__(self):
-        if not (self.alpha > 0 and self.beta_g > 0):
+        if not all(a > 0 for a in self.widths):
             raise ValueError("Gaussian widths must be positive")
 
-    def u_inf(self, x, y):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        return np.exp(-self.alpha * (x - self.x0) ** 2 - self.beta_g * (y - self.y0) ** 2)
+    def _product(self, x, k: int = 0, axes=()):
+        """prod_i X_i at the coordinates x (x first), times sum_{i in axes} X_i^(k) / X_i
+        (-2a(s - c) for k = 1, 2a(2a(s - c)^2 - 1) for k = 2), both from their first term."""
+        d = [s - c for s, c in zip(x[::-1], self.centers, strict=True)]
+        X = [np.exp(-w * e ** 2) for w, e in zip(self.widths, d, strict=True)]
+        r = [-2 * w * e if k == 1 else 2 * w * (2 * w * e ** 2 - 1)
+             for w, e in ((self.widths[i], d[i]) for i in axes)]
+        return math.prod(X[1:], start=X[0] * sum(r[1:], start=r[0]) if r else X[0])
 
-    def f(self, x, y):
-        a, b = self.alpha, self.beta_g
-        return (2 * a * (1 - 2 * a * (x - self.x0) ** 2)
-                + 2 * b * (1 - 2 * b * (y - self.y0) ** 2)) * self.u_inf(x, y)
+    def u_inf(self, *x):
+        return self._product(x)
 
-    def g1(self, x, y):
-        """x-derivative of the steady state (flux data on the vertical sides)."""
-        return -2 * self.alpha * (x - self.x0) * self.u_inf(x, y)
+    def f(self, *x):
+        return -self._product(x, 2, range(len(self.widths)))
 
-    def g2(self, x, y):
-        """y-derivative of the steady state (flux data on the horizontal sides)."""
-        return -2 * self.beta_g * (y - self.y0) * self.u_inf(x, y)
+    @property
+    def fluxes(self) -> tuple:
+        return tuple(lambda *x, i=i: self._product(x, 1, (i,)) for i in range(len(self.widths)))
 
     @property
     def source_integral(self) -> float:
-        """int f over the rectangle in closed form: u_inf = X(x) Y(y) and
-        f = -(X''Y + XY''), so the integral is -(X'|_0^Lx int Y + Y'|_0^Ly int X)."""
-        def factor(a, c, L):  # int_0^L exp(-a(s - c)^2) ds, and -X'|_0^L
-            r, e = math.sqrt(a), lambda s: s * math.exp(-a * s * s)
-            return (math.sqrt(math.pi) / (2 * r) * (math.erf(r * (L - c)) + math.erf(r * c)),
-                    2 * a * (e(L - c) + e(c)))
-        (ix, jx), (iy, jy) = (factor(self.alpha, self.x0, self.Lx),
-                              factor(self.beta_g, self.y0, self.Ly))
-        return jx * iy + jy * ix
+        """int f over the box in closed form, sum_i -[X_i']_0^L_i prod_{j!=i} int X_j:
+        the jump is the flux with every other factor at its peak 1, and
+        int_0^L X = sqrt(pi/a)/2 (erf(sqrt(a)(L - c)) + erf(sqrt(a) c))."""
+        ints, jumps = [], []
+        for i, (a, c, L) in enumerate(zip(self.widths, self.centers, self.lengths, strict=True)):
+            r, at = math.sqrt(a), [*self.centers[:i], np.array([0.0, L]), *self.centers[i + 1:]]
+            ints.append(math.sqrt(math.pi) / (2 * r) * (math.erf(r * (L - c)) + math.erf(r * c)))
+            jumps.append(float(np.subtract(*self._product(at[::-1], 1, (i,)))))
+        return sum(j * math.prod(ints[:i] + ints[i + 1:]) for i, j in enumerate(jumps))
+
+    # the two-axis names that bench/ reads; ROADMAP item 8 removes them
+    Lx, Ly = property(lambda p: p.lengths[-1]), property(lambda p: p.lengths[-2])
+    g1, g2 = property(lambda p: p.fluxes[-1]), property(lambda p: p.fluxes[-2])
 
 
-def gaussian_2d(alpha: float, beta_g: float, x0: float, y0: float) -> Gaussian2DProblem:
-    return Gaussian2DProblem(alpha, beta_g, x0, y0)
+def gaussian_2d(alpha: float, beta_g: float, x0: float, y0: float) -> GaussianProblem:
+    return GaussianProblem((beta_g, alpha), (y0, x0), (4.0, 2.0))

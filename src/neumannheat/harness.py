@@ -167,11 +167,9 @@ def _sec52(datum: bool) -> tuple:
 
 
 def _gaussian(**gaussian) -> tuple:
-    case = gaussian_2d(**gaussian)
-    lengths = (case.Ly, case.Lx)
-    return (lengths, scheme1d.ForcedProblem(case.f, (case.g2, case.g1), lengths,
-                                            case.source_integral),
-            lambda t, x, y: case.u_inf(x, y), None)
+    p = gaussian_2d(**gaussian)
+    return (p.lengths, scheme1d.ForcedProblem(p.f, p.fluxes, p.lengths, p.source_integral),
+            lambda t, *x: p.u_inf(*x), None)
 
 
 _HOMOG_J = (17, 33, 65, 129, 257, 513)

@@ -247,13 +247,18 @@ def geometric_sum(lam, qk, k, dt):
     return np.multiply(k, dt, out=qk, where=near)
 
 
+def _require_counts(name: str, counts) -> None:
+    """Refuse unless each count is a whole number >= 1: an int or an integral float."""
+    if min(counts, default=0) < 1 or not all(float(c).is_integer() for c in counts):
+        raise ValueError(f"need whole {name} >= 1, got {list(counts)}")
+
+
 def eta_geometric_sums(g: Grid, dt: float, ns) -> list:
     """dt * sum_{k<n} eta^k for each n of ``ns``, from one eta, via the closed
     geometric form; under the stability restriction each is bounded by 2 L^2
     uniformly in n, J and dt."""
     require_stable(g, dt)
-    if min(ns) < 1:
-        raise ValueError(f"need n >= 1, got {min(ns)}")
+    _require_counts("n", ns)
     e = eta(g, dt)
     return [geometric_sum((e - 1.0) / dt, e ** n, n, dt) for n in ns]
 
@@ -272,8 +277,7 @@ def resolvent_power_sums(grids, dts, ns) -> list:
     and bounded by 4 * pi^4 * L^4 / 90 uniformly in n and dt under the CFL rule."""
     for g, d in zip(grids, dts):
         require_stable(g, *d)
-    if min(ns) < 1:
-        raise ValueError(f"need n >= 1, got {min(ns)}")
+    _require_counts("n", ns)
     ell, J, scale, index, start = _spectrum(grids, 1)
     lam, dt = _eigenvalues(scale, ell, J), np.array(dts, float).T[:, None, index]  # [i, n, mode]
     q, qk = (1.0 + dt * lam)[:, 0], np.zeros((len(dt), len(ns), len(lam)))
@@ -305,8 +309,7 @@ def heat_kernel_spectrum_sums(grids, alphas, ms) -> tuple[list, list]:
     alpha = alphas[i] and m = ms[j]; no sum exceeds its bound, uniformly in J."""
     if not all(a > 0 for a in alphas):
         raise ValueError(f"need alpha > 0, got {alphas}")
-    if min(ms) < 1:
-        raise ValueError(f"need m >= 1, got {min(ms)}")
+    _require_counts("m", ms)
     am = np.array(alphas, float)[:, None] * np.array(ms, float)
     ell, J, _, _, start = _spectrum(grids, 1)
     dx, L = np.array([[g.dx, g.L] for g in grids]).T[:, :, None, None]

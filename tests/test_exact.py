@@ -5,9 +5,9 @@ import pytest
 import sympy as sp
 from scipy import integrate
 
-from neumannheat import (CosineSeries, SeriesTruncationError, companion_w,
-                         cosine_mode, gaussian_2d, hat_function, poly_bump,
-                         steady_1d, trig_poly)
+from neumannheat import (CosineSeries, GaussianProblem, SeriesTruncationError,
+                         companion_w, cosine_mode, gaussian_2d, hat_function,
+                         poly_bump, steady_1d, trig_poly)
 
 from oracles import hat_solution_images, quad_cosine_coefficient
 
@@ -145,6 +145,15 @@ def test_poly_bump_exact_at_zero():
         d.deriv(2, x)
     with pytest.raises(ValueError, match="nonnegative"):
         d.deriv(-1, x)
+
+
+def test_series_refuses_derivative_orders_that_are_not_whole():
+    # trig_poly().deriv(1.5, [0.3]) used to return 77.63, a "fractional derivative"
+    s, x = trig_poly(), np.array([0.3])
+    for k in (1.5, math.nan, math.inf, -0.5):
+        with pytest.raises(ValueError, match="nonnegative whole number"):
+            s.deriv(k, x)
+    assert np.array_equal(s.deriv(2.0, x), s.deriv(2, x))
 
 
 def test_hat_coefficients():
@@ -302,6 +311,40 @@ def test_gaussian_2d_source_integral_matches_tensor_rule():
         gap = (check_compatibility(ForcedProblem(case.f, fluxes, lengths, case.source_integral))
                - check_compatibility(ForcedProblem(case.f, fluxes, lengths)))
         assert abs(gap) <= 1e-15
+
+
+# ---------------------------------------------------------------- 3D Gaussian
+# on (0,2) x (0,4) x (0,2), its data in array-axis order (z, y, x): centered on
+# the face y = 4 and near z = 0, so that the z faces carry a flux of order one
+_WIDTHS3, _CENTERS3, _LENGTHS3 = (2.0, 5.0, 15.0), (0.5, 4.0, 1.0), (2.0, 4.0, 2.0)
+
+
+def test_gaussian_3d_symbolic():
+    x, y, z = sp.symbols("x y z")
+    u = sp.exp(-sum(sp.nsimplify(a) * (s - sp.nsimplify(c)) ** 2
+                    for a, c, s in zip(_WIDTHS3, _CENTERS3, (z, y, x))))
+    prob = GaussianProblem(_WIDTHS3, _CENTERS3, _LENGTHS3)
+    X, Y, Z = np.meshgrid(np.linspace(0, 2, 9), np.linspace(0, 4, 11), np.linspace(0, 2, 7),
+                          indexing="ij")
+
+    def ref(expr):
+        return sp.lambdify((x, y, z), expr, "numpy")(X, Y, Z)
+
+    assert np.abs(prob.u_inf(X, Y, Z) - ref(u)).max() < 1e-14
+    assert np.abs(prob.f(X, Y, Z) - ref(-sum(sp.diff(u, s, 2) for s in (x, y, z)))).max() < 1e-9
+    assert len(prob.fluxes) == 3
+    for flux, s in zip(prob.fluxes, (z, y, x)):  # array-axis order
+        assert np.abs(flux(X, Y, Z) - ref(sp.diff(u, s))).max() < 1e-12
+
+
+def test_gaussian_3d_source_integral_matches_tensor_rule():
+    from neumannheat.scheme1d import ForcedProblem, check_compatibility
+    p = GaussianProblem(_WIDTHS3, _CENTERS3, _LENGTHS3)
+    closed = ForcedProblem(p.f, p.fluxes, p.lengths, p.source_integral)
+    # without the closed form, f's integral comes from the tensor Gauss rule
+    gap = check_compatibility(closed) - check_compatibility(ForcedProblem(p.f, p.fluxes, p.lengths))
+    assert abs(gap) <= 1e-15
+    assert abs(check_compatibility(closed)) < 1e-12
 
 
 def test_cosine_mode_derivatives_symbolic():

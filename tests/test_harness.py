@@ -345,6 +345,9 @@ def test_bound_sweep_peak_memory_stays_below_2_mb():
 def test_bound_sweep_refusals():
     full = dict(J_list=(2, 3), cfls=(0.5,), ns=(1,), ms=(1,))
     for bad, error in (({"ns": (1, 0)}, ValueError), ({"ms": (0,)}, ValueError),
+                       # ns = (2.5,) read as a resolvent bound of WorstCase(nan, ok=False)
+                       ({"ns": (2.5,)}, ValueError), ({"ns": (1, math.nan)}, ValueError),
+                       ({"ms": (1.5,)}, ValueError), ({"ms": (math.inf,)}, ValueError),
                        ({"cfls": (0.5, 0.6)}, CflViolationError),
                        ({"cfls": (0.5, math.inf)}, ValueError),
                        ({"cfls": (math.nan,)}, ValueError),

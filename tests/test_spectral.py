@@ -341,6 +341,32 @@ def test_batched_sums_match_per_call_sums():
                 [list(zip(v, b)) for v, b in zip(values[k], bounds[k])]
 
 
+_G9 = Grid1D(9, 1.0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: resolvent_power_sum(_G9, _G9.dx ** 2 / 4, 2.5),
+    lambda: resolvent_power_sums([_G9], [[_G9.dx ** 2 / 4]], (1, math.inf)),
+    lambda: eta_geometric_sum(_G9, _G9.dx ** 2 / 4, math.nan),
+    lambda: eta_geometric_sum(_G9, _G9.dx ** 2 / 4, 1.5),
+    lambda: heat_kernel_spectrum_sum(_G9, 0.5, math.nan),
+    lambda: heat_kernel_spectrum_sum(_G9, 0.5, math.inf),
+    lambda: heat_kernel_spectrum_sums([_G9], (0.5,), (2, 7.25)),
+], ids=["resolvent-fraction", "resolvent-inf", "eta-nan", "eta-fraction", "kernel-nan",
+        "kernel-inf", "kernel-fraction"])
+def test_step_counts_must_be_whole_numbers(call):
+    # each returned a number, nan or 0.0 for a count that is no step count
+    with pytest.raises(ValueError, match="need whole [nm] >= 1"):
+        call()
+
+
+def test_integral_float_step_counts_equal_their_ints():
+    dt = _G9.dx ** 2 / 4
+    assert resolvent_power_sum(_G9, dt, 10.0) == resolvent_power_sum(_G9, dt, 10)
+    assert eta_geometric_sum(_G9, dt, 1e3) == eta_geometric_sum(_G9, dt, 1000)
+    assert heat_kernel_spectrum_sum(_G9, 0.5, 4.0) == heat_kernel_spectrum_sum(_G9, 0.5, 4)
+
+
 def test_batched_sums_refuse_what_the_per_call_sums_refuse():
     g, g3 = Grid1D(9, 1.0), Grid1D(3, 1.0)
     with pytest.raises(ValueError, match="n >= 1"):
