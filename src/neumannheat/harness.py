@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -117,14 +117,14 @@ class ErrorRecord:
     wall_ms: float
 
 
-def _study(cfg: ExperimentConfig, J: int, case: Callable) -> list[ErrorRecord]:
+def _study(cfg: ExperimentConfig, J: int, case: tuple) -> list[ErrorRecord]:
     """Build, run and measure one study at x-resolution J, the one place that
-    does.  ``case()`` gives (lengths, problem, exact, start): the box lengths in
+    does.  ``case`` is (lengths, problem, exact, start): the box lengths in
     array-axis order, the `ForcedProblem` or None, the exact state exact(t, x,
     ...), and the start, None for the discrete mean of the sampled exact(0).
     Each error is the norm of the sampled exact state at the realized time
     minus the run, over the experiment's `_NORMALIZERS` figure for rel_err."""
-    lengths, problem, exact, start = case()
+    lengths, problem, exact, start = case
     g = grid_for(J, *lengths[::-1])
     initial = project(g, lambda *x: exact(0.0, *x))
     normalization = EXPERIMENTS[cfg.experiment][2]
@@ -196,9 +196,9 @@ EXPERIMENTS = {
 
 
 def run_convergence(cfg: ExperimentConfig) -> list[ErrorRecord]:
-    """Run the experiment at each grid resolution in turn; records come in
-    deterministic (J ascending, time ascending) order."""
-    case = EXPERIMENTS[cfg.experiment][3]
+    """Run the experiment's case, built once, at each grid resolution in turn;
+    records come in deterministic (J ascending, time ascending) order."""
+    case = EXPERIMENTS[cfg.experiment][3]()
     return [rec for J in sorted(cfg.J_list) for rec in _study(cfg, J, case)]
 
 
@@ -288,9 +288,9 @@ def h1_constant() -> H1Function:
 
 
 # entries of an array of a block of grids' nodes end to end, in rows (one per
-# (cfl, n) in the bound sweep): 1024 modes of 12 rows, which keeps the peak
-# memory near that of one grid at a time
-_SWEEP_BLOCK = 12288
+# (cfl, n) in the bound sweep): 3072 modes of 12 rows, where the fixed cost per
+# block has stopped falling and the sweep's peak memory stays below 2 MB
+_SWEEP_BLOCK = 36864
 
 
 def _blocks(Js, rows: int) -> list:
@@ -309,24 +309,24 @@ def quadrature_inequality_check(v: H1Function, J_sweep: Sequence[int],
     holds when it is <= 1.  An empty sweep is refused."""
     if not J_sweep:
         raise ValueError("the sampling inequality needs a nonempty J_sweep")
-    worst = (0.0, 0)
-    for block in _blocks(J_sweep, 4):  # sampling and summing hold about 4 arrays of nodes
-        grids = [Grid1D(J, L) for J in J_sweep[block]]
-        for g, ratio in zip(grids, _sampling_ratios(v, grids)):
-            if ratio > worst[0]:
-                worst = (ratio, g.J)
-    return WorstCase(worst[0], (worst[1], v.label), worst[0] <= 1.0)
+    ratios = _sampling_ratios(v, [Grid1D(J, L) for J in J_sweep])
+    worst = int(np.argmax(ratios))  # the first largest
+    return WorstCase(ratios[worst], (J_sweep[worst], v.label), ratios[worst] <= 1.0)
 
 
 def _sampling_ratios(v: H1Function, grids) -> list:
     """norm_l2(project(g, v.fn)) ** 2 / (((J-1)/J) * 2 * (1 + dx) * ||v||_{H^1}^2) on
-    each one-axis grid, bit for bit, from v sampled once on all their nodes."""
-    values = sample(v.fn, [np.concatenate([g.nodes() for g in grids])])
-    if not np.isfinite(values).all():  # as `project` refuses
-        raise ValueError("field contains non-finite entries")
-    sums = exact_sums(values * values, np.cumsum([0] + [g.J for g in grids[:-1]]))
-    return [math.sqrt(s / g.J) ** 2 / ((g.J - 1) / g.J * 2.0 * (1.0 + g.dx) * v.h1_norm_sq)
-            for g, s in zip(grids, sums)]
+    each one-axis grid, bit for bit, from v sampled once per block of grids on all its nodes."""
+    ratios = []
+    for block in _blocks([g.J for g in grids], 4):  # sampling and summing hold 4 node arrays
+        gs = grids[block]
+        values = sample(v.fn, [np.concatenate([g.nodes() for g in gs])])
+        if not np.isfinite(values).all():  # as `project` refuses
+            raise ValueError("field contains non-finite entries")
+        sums = exact_sums(values * values, np.cumsum([0] + [g.J for g in gs[:-1]]))
+        ratios += [math.sqrt(s / g.J) ** 2 / ((g.J - 1) / g.J * 2.0 * (1.0 + g.dx) * v.h1_norm_sq)
+                   for g, s in zip(gs, sums)]
+    return ratios
 
 
 def bound_sweep(J_list: Sequence[int] = range(2, 513),
@@ -339,10 +339,10 @@ def bound_sweep(J_list: Sequence[int] = range(2, 513),
     "amplification" (smallest envelope margin, at (J, cfl, mode); holds when
     >= 0), then "eta_sum", "resolvent", "kernel" and "quadrature" (value/bound
     ratios, at (J, cfl, n or m) or (J, function); hold when <= 1), the first in
-    sweep order among equals.  One flat spectrum per block of grids: all its
-    (cfl, n) and (cfl, m) sums come from one array each.  Refused: an empty
-    sweep list, a cfl that is not finite and positive, an L outside
-    [1e-60, 1e60] (sums scale as L^4)."""
+    sweep order among equals.  Each grid is built once; one flat spectrum per
+    block of grids gives all its (cfl, n) sums, (cfl, m) sums and margins.
+    Refused: an empty sweep list, a cfl that is not finite and positive, an L
+    outside [1e-60, 1e60] (sums scale as L^4)."""
     if not all(map(len, (J_list, cfls, ns, ms))):
         raise ValueError("bound_sweep needs nonempty J_list, cfls, ns and ms")
     if not all([0 < c < math.inf for c in cfls]):  # a usage error, not a stability violation
@@ -371,9 +371,8 @@ def bound_sweep(J_list: Sequence[int] = range(2, 513),
              lambda k, i: (Js[k], cfls[i], reps[k][i].worst_index), -1.0)
         eta = [[spectral.eta_geometric_sums(g, dt, ns) for dt in d] for g, d in zip(gs, dts)]
         keep("eta_sum", np.array(eta) / (2.0 * L ** 2), lambda k, i, j: (Js[k], cfls[i], ns[j]))
-    for h1 in (h1_constant(), h1_linear(L), h1_cosine_mode(1, L)):
-        rep = quadrature_inequality_check(h1, J_list, L)
-        keep("quadrature", np.array(rep.value), lambda: rep.where)
+    for h1 in (h1_constant(), h1_linear(L), h1_cosine_mode(1, L)):  # on the sweep's grids
+        keep("quadrature", np.array(_sampling_ratios(h1, grids)), lambda k: (J_list[k], h1.label))
     return {name: WorstCase(*worst[name], worst[name][0] >= 0.0 if name == "amplification"
                             else worst[name][0] <= 1.0)
             for name in ("amplification", "eta_sum", "resolvent", "kernel", "quadrature")}

@@ -26,7 +26,7 @@ import numpy as np
 from . import _kernels
 from .errors import GridMismatchError, IncompatibleProblemError, InstabilityError
 from .grid import Field, Grid, check_grid, exact_sum, sample
-from .spectral import dctn, eigenvalues, geometric_sum, idctn, laplacian, require_stable
+from .spectral import dctn, eigenvalues, geometric_sum, idctn, laplacian, power, require_stable
 
 __all__ = [
     "ForcedProblem", "NonhomogProblem", "DiscreteRHS", "RunState", "Checkpoint",
@@ -195,7 +195,7 @@ def _propagate_to(st: RunState, n_target: int) -> None:
     k = n_target - st.n
     if k > 0:
         lam = eigenvalues(st.grid)
-        qk = (1.0 + st.dt * lam) ** k
+        qk = power(1.0 + st.dt * lam, k)
         vhat = qk * dctn(st.values)
         if st.rhs is not None:
             vhat += geometric_sum(lam, qk, k, st.dt) * dctn(st.rhs.b.values)
@@ -311,12 +311,12 @@ def _iterate_to_steady(st: RunState, tol: float, max_steps: int) -> SteadySolve:
     rhat = dctn(r)
     cap = max_steps // CHECK_EVERY  # n* = cap + 1: out of reach, no jump
     n_star = bisect.bisect_left(range(cap + 1), True, key=lambda checks: np.linalg.norm(
-        q ** (checks * CHECK_EVERY) * rhat) <= tol * math.sqrt(q.size))
+        power(q, checks * CHECK_EVERY) * rhat) <= tol * math.sqrt(q.size))
     jumped = first = (n_star - 1) * CHECK_EVERY if 0 < n_star <= cap else 0
     best, stagnant = (res, st.values, st.n), 0
     while res > tol and st.n < max_steps and stagnant < 10:
         k, first = first or min(CHECK_EVERY, max_steps - st.n), 0
-        gk = geometric_sum(lam, q ** k, k, st.dt)
+        gk = geometric_sum(lam, power(q, k), k, st.dt)
         st.values = st.values - idctn(gk * dctn(r))
         st.n += k
         r, res = _residual(st.grid, st.values, b)  # refuses non-finite values too

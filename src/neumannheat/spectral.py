@@ -34,7 +34,7 @@ __all__ = [
     "NeumannLaplacian1D", "laplacian", "eigenvalue", "eigenvalues", "dctn", "idctn", "eigenvector",
     "eta", "cfl_ok", "require_stable", "amplification_envelope", "amplification_bound_check",
     "amplification_bound_checks", "AmplificationReport", "geometric_sum", "eta_geometric_sum",
-    "eta_geometric_sums", "resolvent_power_sum", "resolvent_power_sums",
+    "eta_geometric_sums", "power", "resolvent_power_sum", "resolvent_power_sums",
     "heat_kernel_spectrum_sum", "heat_kernel_spectrum_sums",
 ]
 
@@ -247,6 +247,16 @@ def geometric_sum(lam, qk, k, dt):
     return np.multiply(k, dt, out=qk, where=near)
 
 
+def power(q: np.ndarray, k: int) -> np.ndarray:
+    """q ** k for a whole k >= 0, bit for bit, with pow only where k * log2|q| > -1080:
+    below, |q|^k underflows to 0, signed as q for odd k, and pow is slowest there."""
+    out = np.copysign(0.0, q) if k % 2 else np.zeros_like(q)
+    with np.errstate(divide="ignore", invalid="ignore"):  # log2(0) = -inf, and 0 * -inf
+        live = ~(k * np.log2(np.abs(q)) <= -1080.0)  # is nan: 0 ** 0 = 1 stays live
+    out[live] = q[live] ** k  # k a Python number, as `q ** k` has it (numpy squares k = 2)
+    return out
+
+
 def _require_counts(name: str, counts) -> None:
     """Refuse unless each count is a whole number >= 1: an int or an integral float."""
     if min(counts, default=0) < 1 or not all(float(c).is_integer() for c in counts):
@@ -284,10 +294,9 @@ def resolvent_power_sums(grids, dts, ns) -> list:
     with np.errstate(divide="ignore"):  # log2(0) = -inf
         log2q = np.log2(np.abs(q))
     for j, n in enumerate(ns):
-        # 1 - x rounds to 1 for |x| < 2^-54, so powers far below (underflows, which
-        # numpy is slowest at) stay 0; -128 leaves room for the rounding of log2
+        # `power` with the floor -128: 1 - x rounds to 1 for |x| < 2^-54, so far
+        # smaller powers stay 0 (-128 leaves room for the rounding of log2)
         live = n * log2q > -128.0
-        # n a Python number, as one pair has it (numpy squares n = 2)
         qk[:, j][live] = q[live] ** n
     s = geometric_sum(lam, qk, np.array(ns, float)[:, None], dt)
     s *= s  # in place, so that exact_sums' work array adds nothing to the peak memory

@@ -66,6 +66,21 @@ def test_run_convergence_basic():
         assert r.t_realized == pytest.approx(r.n * r.dt, abs=0.0)
 
 
+def test_run_convergence_builds_its_case_once(monkeypatch):
+    J_list, checkpoints, normalization, case = EXPERIMENTS["steady2d-offset"]
+    calls = []
+
+    def counted():
+        calls.append(1)
+        return case()
+
+    monkeypatch.setitem(EXPERIMENTS, "steady2d-offset",
+                        (J_list, checkpoints, normalization, counted))
+    cfg = default_config("steady2d-offset", J_list=(8, 16, 4), checkpoints=(0.625,))
+    assert [r.J for r in run_convergence(cfg)] == [4, 8, 16]
+    assert len(calls) == 1
+
+
 def test_unknown_experiment_rejected():
     with pytest.raises(ValueError):
         default_config("nope")
@@ -158,6 +173,9 @@ def test_quadrature_inequality():
     # forged norm must fail: claim a much smaller H^1 norm than the truth
     fake = H1Function(h1_cosine_mode(1, 1.0).fn, 0.1, "forged")
     assert not quadrature_inequality_check(fake, sweep, 1.0).ok
+    # the worst case is at a grid of the sweep even where every ratio is 0
+    zero = H1Function(lambda x: 0.0 * x, 1.0, "zero")
+    assert quadrature_inequality_check(zero, sweep, 1.0).where == (2, "zero")
 
 
 def test_sampling_ratios_equal_the_one_grid_ratios():
@@ -296,6 +314,7 @@ def test_bound_sweep_is_bit_identical_across_blocks_of_grids(monkeypatch):
     # J lists out of order whose grids fill several blocks, at L where the
     # sums scale by 1e+-240: every per-grid resolvent and kernel sum of a
     # block is its one-grid function's, and the worst cases are the scalar sweep's
+    monkeypatch.setattr(harness, "_SWEEP_BLOCK", 12288)  # so that the sweeps span > 4 blocks
     blocks, sums = [], {}
 
     def recording(name):
@@ -327,6 +346,14 @@ def test_bound_sweep_is_bit_identical_across_blocks_of_grids(monkeypatch):
                     else:
                         assert [list(zip(*vb)) for vb in zip(out[0][k], out[1][k])] == \
                             [[sums["kernel", g.J, c, m] for m in ms] for c in cfls]
+
+
+def test_default_bound_sweep_is_the_same_for_any_block_size(monkeypatch):
+    # 3072 entries make 385 blocks of 1 to 21 grids, 10 ** 9 one block of all 511
+    default = repr(bound_sweep())
+    for size in (3072, 12288, 10 ** 9):
+        monkeypatch.setattr(harness, "_SWEEP_BLOCK", size)
+        assert repr(bound_sweep()) == default, size
 
 
 def test_bound_sweep_peak_memory_stays_below_2_mb():

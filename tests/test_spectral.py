@@ -14,8 +14,8 @@ from neumannheat import (CflViolationError, Field1D, Grid, Grid1D,
                          norm_l2, ones, resolvent_power_sum)
 from neumannheat import spectral
 from neumannheat.spectral import (amplification_bound_checks, eigenvalues, geometric_sum,
-                                  heat_kernel_spectrum_sums, laplacian, resolvent_power_sum_bound,
-                                  resolvent_power_sums)
+                                  heat_kernel_spectrum_sums, laplacian, power,
+                                  resolvent_power_sum_bound, resolvent_power_sums)
 
 from oracles import brute_eta_sum, brute_resolvent_power_sum, dense_neumann_matrix
 
@@ -267,6 +267,17 @@ def test_amplification_worst_is_the_first_smallest_margin_of_each_grid(monkeypat
         assert (rep.worst_margin, rep.worst_index, rep.ok) == \
             (rep.margins.min(), rep.margins.argmin(), bool(np.all(rep.margins >= 0.0)))
     assert len({rep.worst_index for rep in reps}) > 2 and {rep.ok for rep in reps} == {True, False}
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3, 63, 64, 65, 1001, 10 ** 6 + 1, 5 * 10 ** 7])
+def test_power_equals_pow_bitwise(k):
+    # pow is skipped where |q|^k underflows to a zero whose sign is q's for odd
+    # k, (-0.0)^odd included, and 0^0 = 1; bases 2^(-e/k) sit at the cut
+    cut = 2.0 ** (-np.arange(1060, 1090) / max(k, 1))
+    base = np.concatenate([[0.0, 1.0, 5e-324, 1e-300], cut,
+                           np.random.default_rng(k).uniform(-1, 1, 2000)])
+    for q in (np.concatenate([base, -base]), np.stack([-base, base])):  # 1D, and 2D as in 2D runs
+        assert np.array_equal(power(q, k).view(np.int64), (q ** k).view(np.int64))
 
 
 def test_eta_geometric_sum():
