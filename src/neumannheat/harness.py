@@ -339,8 +339,8 @@ def bound_sweep(J_list: Sequence[int] = range(2, 513),
     "amplification" (smallest envelope margin, at (J, cfl, mode); holds when
     >= 0), then "eta_sum", "resolvent", "kernel" and "quadrature" (value/bound
     ratios, at (J, cfl, n or m) or (J, function); hold when <= 1), the first in
-    sweep order among equals.  Each grid is built once; one flat spectrum per
-    block of grids gives all its (cfl, n) sums, (cfl, m) sums and margins.
+    sweep order among equals.  Each grid is built once; each block of grids
+    makes one call of each batched `spectral` function for all its figures.
     Refused: an empty sweep list, a cfl that is not finite and positive, an L
     outside [1e-60, 1e60] (sums scale as L^4)."""
     if not all(map(len, (J_list, cfls, ns, ms))):
@@ -351,7 +351,7 @@ def bound_sweep(J_list: Sequence[int] = range(2, 513),
     # J < 2 and L <= 0, inf or nan
     if 0 < L < math.inf and not 1e-60 <= L <= 1e60:
         raise ValueError(f"L must lie in [1e-60, 1e60] for the bound sweep, got {L}")
-    grids, worst = [Grid1D(J, L) for J in J_list], {}
+    grids, worst, bound = [Grid1D(J, L) for J in J_list], {}, spectral.resolvent_power_sum_bound(L)
 
     def keep(name, values, where, sign=1.0):  # the first worst in sweep order; -1: the least
         at = np.unravel_index(np.argmax(sign * values), values.shape)
@@ -361,16 +361,13 @@ def bound_sweep(J_list: Sequence[int] = range(2, 513),
     for block in _blocks(J_list, len(cfls) * max(len(ns), len(ms))):
         gs, Js = grids[block], J_list[block]
         dts = [[c * g.dx ** 2 for c in cfls] for g in gs]
-        resolvent = np.array(spectral.resolvent_power_sums(gs, dts, ns))
-        keep("resolvent", resolvent / spectral.resolvent_power_sum_bound(L),
-             lambda k, i, j: (Js[k], cfls[i], ns[j]))
-        keep("kernel", np.divide(*spectral.heat_kernel_spectrum_sums(gs, cfls, ms)),
-             lambda k, i, j: (Js[k], cfls[i], ms[j]))
-        reps = spectral.amplification_bound_checks(gs, dts)
-        keep("amplification", np.array([[rep.worst_margin for rep in r] for r in reps]),
-             lambda k, i: (Js[k], cfls[i], reps[k][i].worst_index), -1.0)
-        eta = [[spectral.eta_geometric_sums(g, dt, ns) for dt in d] for g, d in zip(gs, dts)]
-        keep("eta_sum", np.array(eta) / (2.0 * L ** 2), lambda k, i, j: (Js[k], cfls[i], ns[j]))
+        margin, first = spectral.amplification_bound_checks(gs, dts)
+        keep("amplification", np.array(margin), lambda k, i: (Js[k], cfls[i], first[k][i]), -1.0)
+        for name, ratios, counts in (  # value/bound at [k][i][j]
+                ("eta_sum", np.divide(spectral.eta_geometric_sums(gs, dts, ns), 2.0 * L ** 2), ns),
+                ("resolvent", np.divide(spectral.resolvent_power_sums(gs, dts, ns), bound), ns),
+                ("kernel", np.divide(*spectral.heat_kernel_spectrum_sums(gs, cfls, ms)), ms)):
+            keep(name, ratios, lambda k, i, j: (Js[k], cfls[i], counts[j]))
     for h1 in (h1_constant(), h1_linear(L), h1_cosine_mode(1, L)):  # on the sweep's grids
         keep("quadrature", np.array(_sampling_ratios(h1, grids)), lambda k: (J_list[k], h1.label))
     return {name: WorstCase(*worst[name], worst[name][0] >= 0.0 if name == "amplification"

@@ -126,14 +126,15 @@ def _build_rhs(p: ForcedProblem, g: Grid) -> DiscreteRHS:
         raise GridMismatchError(f"problem on the box {p.lengths} does not match {g}")
     coords = g.coordinates()
     b = np.array(sample(p.f, coords))  # a fresh array: f may return one it keeps
-    for axis, flux, (ends, _) in _axes(p):
-        term = sample(flux, coords[:axis] + [ends] + coords[axis + 1:]) / g.spacings[axis]
-        low, high = [(slice(None),) * axis + (end,) for end in (0, -1)]
-        b[low] -= term[low]
-        b[high] += term[high]
-    r = _balance_per_volume(p, g) - exact_sum(b) / b.size  # fsum refuses inf - inf
+    # a value that is not finite, or a flux/h or sum that overflows, makes all of b not finite
     with np.errstate(invalid="ignore", over="ignore"):
-        b += r  # a source or flux value that is not finite makes all of b not finite
+        for axis, flux, (ends, _) in _axes(p):
+            term = sample(flux, coords[:axis] + [ends] + coords[axis + 1:]) / g.spacings[axis]
+            low, high = [(slice(None),) * axis + (end,) for end in (0, -1)]
+            b[low] -= term[low]
+            b[high] += term[high]
+        r = _balance_per_volume(p, g) - exact_sum(b) / b.size  # fsum refuses inf - inf
+        b += r
     return DiscreteRHS(Field(g, b), r)  # and `Field` refuses it
 
 

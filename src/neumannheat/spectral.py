@@ -16,7 +16,9 @@ eigenvectors W_0 = 1 and (W_l)_j = sqrt(2) cos(l (j + 1/2) pi / J), an
 orthonormal family for the scaled inner product.  Eigenpairs always come from
 these closed forms, never from a numerical eigensolver.  The eigenvectors are
 the orthonormal DCT-II basis (`dctn`, `idctn`), per axis on any number of axes,
-and one stability rule, `cfl_ok`, serves every grid.
+and one stability rule, `cfl_ok`, serves every grid.  The four bound figures
+take one block: 1D grids, the time steps dts[k][i] of grids[k] (or the kernel's
+alphas[i]) and counts, giving [k][i][j]; a one-grid function is its one-grid case.
 """
 
 from __future__ import annotations
@@ -109,14 +111,24 @@ def eigenvalues(g: Grid) -> np.ndarray:
     return out
 
 
-def _spectrum(grids, first: int) -> tuple:
-    """The modes l = first..J-1 of the 1D ``grids`` end to end, one flat spectrum:
-    per mode l, J and -4/h^2, each mode's grid, and where each grid's modes start."""
+def _spectrum(grids, first: int, dts, **counts) -> tuple:
+    """The modes l = first..J-1 of the 1D ``grids`` end to end, one flat spectrum: per
+    mode l, J, h^2 and the time steps dts[k] of its grid k at [i, mode], each mode's k,
+    and where each grid's modes start.  Refused: no grids, unpaired or unstable dts,
+    and counts (n=ns, m=ms) that are not whole numbers >= 1 (ints or integral floats)."""
+    if not grids:
+        raise ValueError("need a nonempty block of grids")
+    for g, d in zip(grids, dts, strict=True):
+        require_stable(g, *d)
+    for name, c in counts.items():
+        if min(c, default=0) < 1 or not all(float(x).is_integer() for x in c):
+            raise ValueError(f"need whole {name} >= 1, got {list(c)}")
     width = np.array([g.J for g in grids]) - first  # g.J: 1D grids only
     start = np.cumsum(width) - width
     index = np.repeat(np.arange(len(grids)), width)
-    scale = np.array([-4.0 / g.dx ** 2 for g in grids])[index]  # h^2 a Python float
-    return np.arange(len(index)) - start[index] + first, (width + first)[index], scale, index, start
+    h2 = np.array([g.dx ** 2 for g in grids])[index]  # h^2 a Python float
+    return (np.arange(len(index)) - start[index] + first, (width + first)[index], h2,
+            np.array(dts, float).T[:, index], index, start)
 
 
 @functools.lru_cache(maxsize=64)
@@ -187,11 +199,10 @@ def eta(g: Grid, dt: float) -> float:
 
 @dataclass(frozen=True)
 class AmplificationReport:
-    """Per-mode slack of |1 + dt*lambda_l| below its envelope, and its first minimum."""
+    """The smallest slack of |1 + dt*lambda_l| below its envelope, and its first mode."""
 
     grid: Grid
     dt: float
-    margins: np.ndarray
     worst_margin: float
     worst_index: int
 
@@ -212,26 +223,21 @@ def amplification_envelope(g: Grid, dt) -> np.ndarray:
     return _envelope(dt / g.dx ** 2, np.arange(g.J), g.J)
 
 
-def amplification_bound_checks(grids, dts) -> list:
-    """Check |1 + dt*lambda_l| <= `amplification_envelope` for all l, at [k][i]
-    for grid grids[k] and dt = dts[k][i], on one flat spectrum."""
-    for g, d in zip(grids, dts):
-        require_stable(g, *d)
-    ell, J, scale, index, start = _spectrum(grids, 0)
-    dt = np.array(dts, float).T[:, index]  # [i, mode]
-    a = dt / np.array([g.dx ** 2 for g in grids])[index]
-    margins = _envelope(a, ell, J) - np.abs(1.0 + dt * _eigenvalues(scale, ell, J))
+def amplification_bound_checks(grids, dts) -> tuple[list, list]:
+    """The smallest margin of `amplification_envelope` over |1 + dt*lambda_l|,
+    l = 0..J-1, and its first mode, at [k][i] for grids[k] and dt = dts[k][i],
+    from one flat spectrum: the bound holds where the margin is >= 0."""
+    ell, J, h2, dt, index, start = _spectrum(grids, 0, dts)
+    margins = _envelope(dt / h2, ell, J) - np.abs(1.0 + dt * _eigenvalues(-4.0 / h2, ell, J))
     worst = np.minimum.reduceat(margins, start, axis=1)
     first = np.minimum.reduceat(np.where(margins == worst[:, index], ell, J), start, axis=1)
-    worst, first = worst.T.tolist(), first.T.tolist()  # [grid][i]
-    return [[AmplificationReport(g, d, m[s:s + g.J], w, f)
-             for d, m, w, f in zip(ds, margins, ws, fs)]
-            for g, s, ds, ws, fs in zip(grids, start.tolist(), dts, worst, first)]
+    return worst.T.tolist(), first.T.tolist()
 
 
 def amplification_bound_check(g: Grid, dt: float) -> AmplificationReport:
     """The one-grid, one-dt case of `amplification_bound_checks`."""
-    return amplification_bound_checks([g], [[dt]])[0][0]
+    (worst,), (first,) = amplification_bound_checks([g], [[dt]])
+    return AmplificationReport(g, dt, worst[0], first[0])
 
 
 def geometric_sum(lam, qk, k, dt):
@@ -257,25 +263,18 @@ def power(q: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
-def _require_counts(name: str, counts) -> None:
-    """Refuse unless each count is a whole number >= 1: an int or an integral float."""
-    if min(counts, default=0) < 1 or not all(float(c).is_integer() for c in counts):
-        raise ValueError(f"need whole {name} >= 1, got {list(counts)}")
-
-
-def eta_geometric_sums(g: Grid, dt: float, ns) -> list:
-    """dt * sum_{k<n} eta^k for each n of ``ns``, from one eta, via the closed
-    geometric form; under the stability restriction each is bounded by 2 L^2
-    uniformly in n, J and dt."""
-    require_stable(g, dt)
-    _require_counts("n", ns)
-    e = eta(g, dt)
-    return [geometric_sum((e - 1.0) / dt, e ** n, n, dt) for n in ns]
+def eta_geometric_sums(grids, dts, ns) -> list:
+    """dt * sum_{k<n} eta^k at [k][i][j] for grids[k], dt = dts[k][i] and
+    n = ns[j], from one `eta` per (grid, dt), via the closed geometric form;
+    under the stability restriction each is bounded by 2 L^2 uniformly in n, J and dt."""
+    _spectrum(grids, 0, dts, n=ns)  # the block's refusals
+    return [[[geometric_sum((e - 1.0) / dt, e ** n, n, dt) for n in ns]
+             for dt, e in ((dt, eta(g, dt)) for dt in d)] for g, d in zip(grids, dts)]
 
 
 def eta_geometric_sum(g: Grid, dt: float, n: int) -> float:
-    """The one-n case of `eta_geometric_sums`."""
-    return eta_geometric_sums(g, dt, (n,))[0]
+    """The one-grid, one-(dt, n) case of `eta_geometric_sums`."""
+    return eta_geometric_sums([g], [[dt]], (n,))[0][0][0]
 
 
 def resolvent_power_sums(grids, dts, ns) -> list:
@@ -285,12 +284,9 @@ def resolvent_power_sums(grids, dts, ns) -> list:
     Each inner sum uses the closed geometric form (guarded near ratio 1), so
     the cost is O(J) per (dt, n) regardless of n.  Each sum is exactly rounded
     and bounded by 4 * pi^4 * L^4 / 90 uniformly in n and dt under the CFL rule."""
-    for g, d in zip(grids, dts):
-        require_stable(g, *d)
-    _require_counts("n", ns)
-    ell, J, scale, index, start = _spectrum(grids, 1)
-    lam, dt = _eigenvalues(scale, ell, J), np.array(dts, float).T[:, None, index]  # [i, n, mode]
-    q, qk = (1.0 + dt * lam)[:, 0], np.zeros((len(dt), len(ns), len(lam)))
+    ell, J, h2, dt, _, start = _spectrum(grids, 1, dts, n=ns)
+    lam = _eigenvalues(-4.0 / h2, ell, J)
+    q, qk = 1.0 + dt * lam, np.zeros((len(dt), len(ns), len(lam)))  # qk at [i, n, mode]
     with np.errstate(divide="ignore"):  # log2(0) = -inf
         log2q = np.log2(np.abs(q))
     for j, n in enumerate(ns):
@@ -298,7 +294,7 @@ def resolvent_power_sums(grids, dts, ns) -> list:
         # smaller powers stay 0 (-128 leaves room for the rounding of log2)
         live = n * log2q > -128.0
         qk[:, j][live] = q[live] ** n
-    s = geometric_sum(lam, qk, np.array(ns, float)[:, None], dt)
+    s = geometric_sum(lam, qk, np.array(ns, float)[:, None], dt[:, None])
     s *= s  # in place, so that exact_sums' work array adds nothing to the peak memory
     return exact_sums(s, start)
 
@@ -318,9 +314,8 @@ def heat_kernel_spectrum_sums(grids, alphas, ms) -> tuple[list, list]:
     alpha = alphas[i] and m = ms[j]; no sum exceeds its bound, uniformly in J."""
     if not all(a > 0 for a in alphas):
         raise ValueError(f"need alpha > 0, got {alphas}")
-    _require_counts("m", ms)
+    ell, J, _, _, _, start = _spectrum(grids, 1, [()] * len(grids), m=ms)  # no time steps
     am = np.array(alphas, float)[:, None] * np.array(ms, float)
-    ell, J, _, _, start = _spectrum(grids, 1)
     dx, L = np.array([[g.dx, g.L] for g in grids]).T[:, :, None, None]
     values = dx * np.array(exact_sums(_envelope(am[..., None], ell, J), start))
     return values.tolist(), (L * math.sqrt(math.pi) / np.sqrt(am)).tolist()

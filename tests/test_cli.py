@@ -488,6 +488,11 @@ def test_console_entry_point():
     pytest.param(("steady1d", "--problem", "custom", "--f-const", "1e200", "--gamma=-1e200",
                   "--J", "9", "--L", "1", "--solver", "laplace"), 2, "invalid arguments: ",
                  id="shifted-residual-overflow"),
+    # flux/h overflowed outside errstate: a numpy warning came before the refusal line
+    *[pytest.param(("steady1d", "--problem", "custom", "--f-const", "0", "--beta", "1e308",
+                    "--gamma", "1e308", "--L", "1", "--J", "5", "--solver", solver), 2,
+                   "invalid arguments: ", id=f"flux-overflow-{solver}")
+      for solver in ("iterate", "laplace")],
     # an unreadable or malformed config printed a message of its own
     pytest.param(("sweep", "--config", "{missing}"), 4, "I/O failure: ", id="missing-config"),
     pytest.param(("sweep", "--config", "{malformed}"), 2,

@@ -13,8 +13,8 @@ from neumannheat import (CflViolationError, Field1D, Grid, Grid1D,
                          eta_geometric_sum, heat_kernel_spectrum_sum, inner,
                          norm_l2, ones, resolvent_power_sum)
 from neumannheat import spectral
-from neumannheat.spectral import (amplification_bound_checks, eigenvalues, geometric_sum,
-                                  heat_kernel_spectrum_sums, laplacian, power,
+from neumannheat.spectral import (amplification_bound_checks, eigenvalues, eta_geometric_sums,
+                                  geometric_sum, heat_kernel_spectrum_sums, laplacian, power,
                                   resolvent_power_sum_bound, resolvent_power_sums)
 
 from oracles import brute_eta_sum, brute_resolvent_power_sum, dense_neumann_matrix
@@ -223,31 +223,29 @@ def test_amplification_bound():
         g = Grid1D(J, 1.0)
         rep = amplification_bound_check(g, c * g.dx ** 2)
         assert rep.ok
-        assert rep.margins[0] == 0.0  # both sides are exactly 1 at ell = 0
-        assert rep.margins.min() >= 0.0
+        # both sides are exactly 1 at ell = 0, and no margin is below it
+        assert (rep.worst_margin, rep.worst_index) == (0.0, 0)
     with pytest.raises(CflViolationError):
         amplification_bound_check(Grid1D(9, 1.0), Grid1D(9, 1.0).dx ** 2)
 
 
 def test_batched_amplification_check_matches_the_one_dt_check():
     # every (grid, dt) of one flat spectrum gives the bits of its own one-dt
-    # check, and of the envelope minus |1 + dt*lambda_l| written out for that
-    # one dt, with the first smallest margin and its mode
+    # check, and the first smallest margin and its mode of the envelope minus
+    # |1 + dt*lambda_l| written out for that one dt
     cfls = (0.5, 0.25, 0.1)
     for Js, L in ((range(2, 65), 1.0), ([64, 2, 17, 3, 5], 3.7)):
         grids = [Grid1D(J, L) for J in Js]
         dts = [[c * g.dx ** 2 for c in cfls] for g in grids]
-        for g, reps, ds in zip(grids, amplification_bound_checks(grids, dts), dts):
-            assert [rep.dt for rep in reps] == ds
-            for rep, dt in zip(reps, ds):
+        worst, first = amplification_bound_checks(grids, dts)
+        for g, ds, margins, modes in zip(grids, dts, worst, first):
+            for dt, margin, mode in zip(ds, margins, modes):
                 one = amplification_bound_check(g, dt)
                 closed = (np.exp(-(dt / g.dx ** 2) * np.sin(np.arange(g.J) * np.pi / g.J) ** 2)
                           - np.abs(1.0 + dt * eigenvalues(g)))
-                assert np.array_equal(rep.margins, one.margins)
-                assert np.array_equal(rep.margins, closed)
-                assert (rep.worst_margin, rep.worst_index) == (one.worst_margin, one.worst_index) \
+                assert (margin, mode) == (one.worst_margin, one.worst_index) \
                     == (closed.min(), closed.argmin())
-                assert rep.ok and one.ok
+                assert one.dt == dt and one.ok
     g = Grid1D(9, 1.0)
     with pytest.raises(CflViolationError):
         amplification_bound_checks([g], [[0.25 * g.dx ** 2, g.dx ** 2, 0.1 * g.dx ** 2]])
@@ -256,17 +254,25 @@ def test_batched_amplification_check_matches_the_one_dt_check():
 def test_amplification_worst_is_the_first_smallest_margin_of_each_grid(monkeypatch):
     # under the stability rule no margin is below mode 0's 0.0, so the worst
     # is at mode 0; forged integer margins, with ties, put it anywhere
-    rng = np.random.default_rng(5)
+    # (zero eigenvalues make each margin the forged envelope minus 1)
+    rng, forged = np.random.default_rng(5), []
+
+    def forge(a, ell, J):
+        forged.append(rng.choice([0.0, 1.0, 2.0], np.broadcast(a, ell).shape, p=[0.05, 0.5, 0.45]))
+        return forged[-1]
+
     monkeypatch.setattr(spectral, "_eigenvalues", lambda scale, ell, J: np.zeros(ell.shape))
-    monkeypatch.setattr(spectral, "_envelope", lambda a, ell, J: rng.choice(
-        [0.0, 1.0, 2.0], np.broadcast(a, ell).shape, p=[0.05, 0.5, 0.45]))
-    grids = [Grid1D(J, 1.0) for J in (7, 2, 30, 3, 11, 2)]
-    reps = [rep for reps in amplification_bound_checks(
-        grids, [[c * g.dx ** 2 for c in (0.5, 0.1)] for g in grids]) for rep in reps]
-    for rep in reps:
-        assert (rep.worst_margin, rep.worst_index, rep.ok) == \
-            (rep.margins.min(), rep.margins.argmin(), bool(np.all(rep.margins >= 0.0)))
-    assert len({rep.worst_index for rep in reps}) > 2 and {rep.ok for rep in reps} == {True, False}
+    monkeypatch.setattr(spectral, "_envelope", forge)
+    Js = (7, 2, 30, 3, 11, 2)
+    grids = [Grid1D(J, 1.0) for J in Js]
+    worst, first = amplification_bound_checks(grids, [[c * g.dx ** 2 for c in (0.5, 0.1)]
+                                                      for g in grids])
+    (envelope,) = forged
+    for k, (J, s) in enumerate(zip(Js, np.cumsum(Js) - Js)):
+        for i, margins in enumerate(envelope[:, s:s + J] - 1.0):
+            assert (worst[k][i], first[k][i]) == (margins.min(), margins.argmin())
+    assert len({f for fs in first for f in fs}) > 2
+    assert {w >= 0.0 for ws in worst for w in ws} == {True, False}
 
 
 @pytest.mark.parametrize("k", [0, 1, 2, 3, 63, 64, 65, 1001, 10 ** 6 + 1, 5 * 10 ** 7])
@@ -326,17 +332,23 @@ def test_heat_kernel_spectrum_sum():
 
 def test_batched_sums_match_per_call_sums():
     # every (grid, dt, n) and (grid, alpha, m) of one flat spectrum gives the
-    # bits of its own per-call sum over a fresh spectrum; dt = 1e-18 puts every
-    # ratio of J <= 9 and some of J = 65 within 1e-14 of 1 (the k*dt
-    # fallback), numpy squares for a Python n = 2, and counts beyond int64
-    # still work
+    # bits of its own per-call sum over a fresh spectrum, and each (grid, dt, n)
+    # of an eta block those of its own eta; dt = 1e-18 L^2 puts every ratio of
+    # J <= 9 and some of J = 65 within 1e-14 of 1 (the k*dt fallback), eta is
+    # 0 at J = 2 and cfl 1/2, numpy squares for a Python n = 2, and counts
+    # beyond int64 still work
     cfls, ns, ms = (0.5, 0.37, 0.1), (1, 2, 7, 1000, 10 ** 6, 10 ** 20), (1, 3, 7, 10 ** 30)
-    for Js, L in (((2, 3, 9, 65), 1.0), ((65, 2, 9, 3), 3.7)):
+    for Js, L in (((2, 3, 9, 65), 1.0), ((65, 2, 9, 3), 3.7), ((2, 9, 65), 1e60),
+                  ((65, 3, 2), 1e-60)):
         grids = [Grid1D(J, L) for J in Js]
-        dts = [[c * g.dx ** 2 for c in cfls] + [1e-18] for g in grids]
+        dts = [[c * g.dx ** 2 for c in cfls] + [1e-18 * L ** 2] for g in grids]
         resolvent = resolvent_power_sums(grids, dts, ns)
         values, bounds = heat_kernel_spectrum_sums(grids, cfls, ms)
+        etas = eta_geometric_sums(grids, dts, ns)
         for k, g in enumerate(grids):
+            assert etas[k] == [[geometric_sum((eta(g, dt) - 1.0) / dt, eta(g, dt) ** n, n, dt)
+                                for n in ns] for dt in dts[k]]
+            assert etas[k] == [[eta_geometric_sum(g, dt, n) for n in ns] for dt in dts[k]]
             lam = eigenvalues(g)[1:]
             per_call = [[math.fsum(s * s) for s in
                          (geometric_sum(lam, (1.0 + dt * lam) ** n, n, dt) for n in ns)]
@@ -363,11 +375,22 @@ _G9 = Grid1D(9, 1.0)
     lambda: heat_kernel_spectrum_sum(_G9, 0.5, math.nan),
     lambda: heat_kernel_spectrum_sum(_G9, 0.5, math.inf),
     lambda: heat_kernel_spectrum_sums([_G9], (0.5,), (2, 7.25)),
+    # a block whose dts rows do not pair with its grids: fewer rows raised an
+    # IndexError, extra rows (even an unstable dt) went unchecked, and an
+    # empty block raised a numpy TypeError
+    lambda: resolvent_power_sums([_G9, _G9], [[_G9.dx ** 2 / 4]], (1,)),
+    lambda: amplification_bound_checks([_G9], [[_G9.dx ** 2 / 4], [10.0]]),
+    lambda: eta_geometric_sums([_G9], [[_G9.dx ** 2 / 4], [10.0]], (1,)),
+    lambda: amplification_bound_checks([], []),
+    lambda: eta_geometric_sums([], [], (1,)),
+    lambda: heat_kernel_spectrum_sums([], (0.5,), (1,)),
 ], ids=["resolvent-fraction", "resolvent-inf", "eta-nan", "eta-fraction", "kernel-nan",
-        "kernel-inf", "kernel-fraction"])
+        "kernel-inf", "kernel-fraction", "resolvent-fewer-dts", "amplification-more-dts",
+        "eta-more-dts", "amplification-empty", "eta-empty", "kernel-empty"])
 def test_step_counts_must_be_whole_numbers(call):
-    # each returned a number, nan or 0.0 for a count that is no step count
-    with pytest.raises(ValueError, match="need whole [nm] >= 1"):
+    # each returned a number, nan or 0.0 for a count that is no step count,
+    # or misread a block of grids
+    with pytest.raises(ValueError, match="need whole [nm] >= 1|argument 2 is|nonempty block"):
         call()
 
 

@@ -9,7 +9,8 @@ by raising, never by printing a message and returning a code of its own.
 In `harness.py` only `_study` starts or carries a run, so every study takes
 its one time step, only `run_convergence` calls `_study`, every catalog entry
 is one case shape (J list, checkpoints, normalization, case), and no function
-is named for a number of axes.
+is named for a number of axes.  `bound_sweep` makes one call per block of
+each batched spectral function and no one-grid spectral call.
 `exact.CosineSeries` is the one exact-function type: no other class of the
 package gives analytic x-derivatives.
 """
@@ -90,6 +91,17 @@ def test_every_experiment_has_four_fields():
         assert all(isinstance(J, int) for J in J_list), name
         assert all(isinstance(t, float) for t in checkpoints), name
         assert normalization in neumannheat.harness._NORMALIZERS and callable(case), name
+
+
+def test_bound_sweep_calls_each_block_function_once_and_no_one_grid_function():
+    (sweep,) = [fn for name, fn in _functions(PACKAGE / "harness.py") if name == "bound_sweep"]
+    called = [getattr(node.func, "attr", getattr(node.func, "id", None))
+              for node in ast.walk(sweep) if isinstance(node, ast.Call)]
+    for name in ("amplification_bound_checks", "eta_geometric_sums", "resolvent_power_sums",
+                 "heat_kernel_spectrum_sums"):
+        assert called.count(name) == 1, name
+    assert not {"eta", "eta_geometric_sum", "amplification_bound_check", "resolvent_power_sum",
+                "heat_kernel_spectrum_sum"} & set(called)
 
 
 def test_no_harness_function_is_named_for_a_dimension():
