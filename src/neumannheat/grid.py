@@ -10,7 +10,7 @@ grid, and `grid_for(Jx, Lx, Ly, ...)` a grid whose further axes match dx.
 
 All discrete norms use the scaled inner product <v, w> = (1/N) * sum v w over
 the N nodes; every sum is `exact_sum`, the exactly rounded `math.fsum` value,
-which on large arrays, and in `exact_sums` on each segment of an array, comes
+which on large arrays, and in `exact_sums` on each row of an array, comes
 from vectorised error-free extraction rather than Python floats, so results
 are bit-stable across runs.
 """
@@ -163,46 +163,39 @@ def exact_sum(a: np.ndarray) -> float:
     return math.fsum(parts)
 
 
-def exact_sums(a: np.ndarray, starts) -> list:
-    """``[exact_sum(a[..., i:j]) for i, j in zip(starts, [*starts[1:], n])]`` per
-    row of the leading axes of ``a``, as nested lists [segment][row...]: each
-    row, n long, cut at the increasing ``starts`` ([0] takes it whole), bit for
-    bit, from one vectorised pass instead of a Python float per entry.  Per
-    segment, as in `exact_sum`, q = (p + sigma) - sigma and r = p - q are exact,
-    and so is t = sum q in any order.  s = fl(sum r), in any order, is within
+def exact_sums(a: np.ndarray) -> np.ndarray:
+    """``exact_sum`` of each row of ``a`` along its last axis, shaped ``a.shape[:-1]``,
+    bit for bit, from one vectorised pass instead of a Python float per entry.  Per
+    row, as in `exact_sum`, q = (p + sigma) - sigma and r = p - q are exact, and so
+    is t = sum q in any order.  s = fl(sum r), in any order, is within
     gamma_{n-1} sum|r| < 2^-52 n fl(sum|r|) of sum r for n entries (Higham,
     Accuracy and Stability of Numerical Algorithms, 2002, 4.2): that product,
     rounded once, is the bound, plus 2^-1022 in case it underflows.  TwoSum
-    gives res + err = t + s exactly, so the segment sum is within |err| + bound
+    gives res + err = t + s exactly, so the row sum is within |err| + bound
     of res, and rounds to res when that is strictly below half the gap from
     |res| down to its neighbour, the smaller gap (half the upper one when |res|
     is a power of two); rounding is monotone, so the rounded left side may be
-    compared.  Other segments go to `exact_sum`: res == 0 (fsum picks the sign
+    compared.  Other rows go to `exact_sum`: res == 0 (fsum picks the sign
     of zero); a max |p| that is not finite or reaches 2^1000 (fsum raises as
     before) or is below 2^-900 (near where 2^-1022 outweighs the gap); near
-    ties; and all of them when one is empty or longer than `_SUM_BLOCK`."""
-    starts = np.asarray(starts, dtype=np.intp)
-    n = np.append(starts[1:], a.shape[-1]) - starts
-    res = np.zeros((*a.shape[:-1], len(starts)))
-    sure = np.zeros(res.shape, bool)
-    if ((0 < n) & (n <= _SUM_BLOCK)).all():
+    ties; and all of them when rows are empty or longer than `_SUM_BLOCK`."""
+    n, res, sure = a.shape[-1], np.zeros(a.shape[:-1]), np.zeros(a.shape[:-1], bool)
+    if 0 < n <= _SUM_BLOCK:
         w = np.abs(a)  # |p|, then q, then r = p - q, then |r|
-        mu = np.maximum.reduceat(w, starts, axis=-1)
-        with np.errstate(invalid="ignore", over="ignore"):  # the segments that go to exact_sum
-            sigma = np.repeat(np.ldexp(1.0, np.frexp(mu)[1] + 15), n, axis=-1)
-            t = np.add.reduceat(np.subtract(np.add(a, sigma, out=w), sigma, out=w), starts, axis=-1)
-            s = np.add.reduceat(np.subtract(a, w, out=w), starts, axis=-1)
-            bound = (np.add.reduceat(np.abs(w, out=w), starts, axis=-1) * (n * 2.0 ** -52)
-                     + 2.0 ** -1022)
-            res = t + s
+        mu = w.max(axis=-1)
+        with np.errstate(invalid="ignore", over="ignore"):  # the rows that go to exact_sum
+            sigma = np.ldexp(1.0, np.frexp(mu)[1] + 15)[..., None]
+            t = np.subtract(np.add(a, sigma, out=w), sigma, out=w).sum(axis=-1)
+            s = np.subtract(a, w, out=w).sum(axis=-1)
+            bound = np.abs(w, out=w).sum(axis=-1) * (n * 2.0 ** -52) + 2.0 ** -1022
+            res[...] = t + s  # in place: res and sure stay arrays when a is 1D
             z = res - t
             err = (t - (res - z)) + (s - z)
             r = np.abs(res)  # r - nextafter(r, 0) is 0 when res == 0
-            sure = ((np.abs(err) + bound < (r - np.nextafter(r, 0.0)) / 2)
+            sure[...] = ((np.abs(err) + bound < (r - np.nextafter(r, 0.0)) / 2)
                     & (2.0 ** -900 <= mu) & (mu < 2.0 ** 1000))
-    for *row, i in np.argwhere(~sure).tolist():
-        res[(*row, i)] = exact_sum(a[(*row, slice(starts[i], starts[i] + n[i]))])
-    return np.moveaxis(res, -1, 0).tolist()
+    res[~sure] = [exact_sum(row) for row in a[~sure]]  # in row order: the first error raises
+    return res
 
 
 def inner(v: Field, w: Field) -> float:

@@ -287,16 +287,19 @@ def h1_constant() -> H1Function:
     return H1Function(lambda x: np.ones_like(np.asarray(x, dtype=float)), 1.0, "1")
 
 
-# entries of an array of a block of grids' nodes end to end, in rows (one per
-# (cfl, n) in the bound sweep): 3072 modes of 12 rows, where the fixed cost per
-# block has stopped falling and the sweep's peak memory stays below 2 MB
+# entries of an array of a block of grids zero-padded to its largest J, in rows
+# (one per (cfl, n) in the bound sweep): 3072 padded modes of 12 rows, where the
+# fixed cost per block has stopped falling and the sweep's peak memory stays below 2 MB
 _SWEEP_BLOCK = 36864
 
 
 def _blocks(Js, rows: int) -> list:
-    """Slices of runs of the node counts ``Js``, about `_SWEEP_BLOCK` entries in ``rows`` rows."""
-    cuts = np.flatnonzero(np.diff(np.cumsum(Js) * rows // _SWEEP_BLOCK)) + 1
-    return [slice(a, b) for a, b in zip([0, *cuts.tolist()], [*cuts.tolist(), len(Js)])]
+    """Slices of ``Js``: one grid, or a run whose count * max J * ``rows`` <= `_SWEEP_BLOCK`."""
+    cuts, top = [0], 0  # top: the largest J of the run from cuts[-1] to k
+    for k, J in enumerate(Js):
+        if (k + 1 - cuts[-1]) * (top := max(top, J)) * rows > _SWEEP_BLOCK and k > cuts[-1]:
+            cuts, top = [*cuts, k], J
+    return [slice(a, b) for a, b in zip(cuts, [*cuts[1:], len(Js)])]
 
 
 def quadrature_inequality_check(v: H1Function, J_sweep: Sequence[int],
@@ -307,25 +310,26 @@ def quadrature_inequality_check(v: H1Function, J_sweep: Sequence[int],
 
     for every grid in the sweep; the worst lhs/rhs ratio, at (J, v.label),
     holds when it is <= 1.  An empty sweep is refused."""
-    if not J_sweep:
+    if len(J_sweep) == 0:  # J_sweep may be an array
         raise ValueError("the sampling inequality needs a nonempty J_sweep")
     ratios = _sampling_ratios(v, [Grid1D(J, L) for J in J_sweep])
-    worst = int(np.argmax(ratios))  # the first largest
-    return WorstCase(ratios[worst], (J_sweep[worst], v.label), ratios[worst] <= 1.0)
+    worst = int(np.argmax(ratios))  # the first largest; int: J_sweep may hold numpy ints
+    return WorstCase(ratios[worst], (int(J_sweep[worst]), v.label), ratios[worst] <= 1.0)
 
 
 def _sampling_ratios(v: H1Function, grids) -> list:
-    """norm_l2(project(g, v.fn)) ** 2 / (((J-1)/J) * 2 * (1 + dx) * ||v||_{H^1}^2) on
-    each one-axis grid, bit for bit, from v sampled once per block of grids on all its nodes."""
+    """norm_l2(project(g, v.fn)) ** 2 / (((J-1)/J) * 2 * (1 + dx) * ||v||_{H^1}^2) on each
+    one-axis grid, bit for bit, from v sampled once per block of grids, padded with x = 0."""
     ratios = []
     for block in _blocks([g.J for g in grids], 4):  # sampling and summing hold 4 node arrays
-        gs = grids[block]
-        values = sample(v.fn, [np.concatenate([g.nodes() for g in gs])])
+        J, h = np.array([[g.J, g.dx] for g in grids[block]]).T[:, :, None]
+        x = np.where((j := np.arange(J.max())) < J, j * h, 0.0)
+        values = sample(v.fn, [x.ravel()]).reshape(x.shape)
         if not np.isfinite(values).all():  # as `project` refuses
             raise ValueError("field contains non-finite entries")
-        sums = exact_sums(values * values, np.cumsum([0] + [g.J for g in gs[:-1]]))
+        sums = exact_sums(np.where(j < J, values * values, 0.0)).tolist()
         ratios += [math.sqrt(s / g.J) ** 2 / ((g.J - 1) / g.J * 2.0 * (1.0 + g.dx) * v.h1_norm_sq)
-                   for g, s in zip(gs, sums)]
+                   for g, s in zip(grids[block], sums)]
     return ratios
 
 
@@ -359,17 +363,17 @@ def bound_sweep(J_list: Sequence[int] = range(2, 513),
             worst[name] = values[at].item(), where(*at)
 
     for block in _blocks(J_list, len(cfls) * max(len(ns), len(ms))):
-        gs, Js = grids[block], J_list[block]
+        gs = grids[block]  # g.J, not J_list[k]: a Python int, whatever J_list holds
         dts = [[c * g.dx ** 2 for c in cfls] for g in gs]
         margin, first = spectral.amplification_bound_checks(gs, dts)
-        keep("amplification", np.array(margin), lambda k, i: (Js[k], cfls[i], first[k][i]), -1.0)
+        keep("amplification", np.array(margin), lambda k, i: (gs[k].J, cfls[i], first[k][i]), -1.0)
         for name, ratios, counts in (  # value/bound at [k][i][j]
                 ("eta_sum", np.divide(spectral.eta_geometric_sums(gs, dts, ns), 2.0 * L ** 2), ns),
                 ("resolvent", np.divide(spectral.resolvent_power_sums(gs, dts, ns), bound), ns),
                 ("kernel", np.divide(*spectral.heat_kernel_spectrum_sums(gs, cfls, ms)), ms)):
-            keep(name, ratios, lambda k, i, j: (Js[k], cfls[i], counts[j]))
+            keep(name, ratios, lambda k, i, j: (gs[k].J, cfls[i], counts[j]))
     for h1 in (h1_constant(), h1_linear(L), h1_cosine_mode(1, L)):  # on the sweep's grids
-        keep("quadrature", np.array(_sampling_ratios(h1, grids)), lambda k: (J_list[k], h1.label))
+        keep("quadrature", np.array(_sampling_ratios(h1, grids)), lambda k: (grids[k].J, h1.label))
     return {name: WorstCase(*worst[name], worst[name][0] >= 0.0 if name == "amplification"
                             else worst[name][0] <= 1.0)
             for name in ("amplification", "eta_sum", "resolvent", "kernel", "quadrature")}

@@ -112,10 +112,9 @@ def eigenvalues(g: Grid) -> np.ndarray:
 
 
 def _spectrum(grids, first: int, dts, **counts) -> tuple:
-    """The modes l = first..J-1 of the 1D ``grids`` end to end, one flat spectrum: per
-    mode l, J, h^2 and the time steps dts[k] of its grid k at [i, mode], each mode's k,
-    and where each grid's modes start.  Refused: no grids, unpaired or unstable dts,
-    and counts (n=ns, m=ms) that are not whole numbers >= 1 (ints or integral floats)."""
+    """The 1D ``grids`` padded to the largest J: modes l = first..max J - 1, J and h^2 at [k, 0],
+    dts[k][i] at [i, k, 0], live = l < J at [k, mode].  Refused: no grids, unpaired or unstable
+    dts, and counts (n=ns, m=ms) that are not whole numbers >= 1 (ints or integral floats)."""
     if not grids:
         raise ValueError("need a nonempty block of grids")
     for g, d in zip(grids, dts, strict=True):
@@ -123,12 +122,9 @@ def _spectrum(grids, first: int, dts, **counts) -> tuple:
     for name, c in counts.items():
         if min(c, default=0) < 1 or not all(float(x).is_integer() for x in c):
             raise ValueError(f"need whole {name} >= 1, got {list(c)}")
-    width = np.array([g.J for g in grids]) - first  # g.J: 1D grids only
-    start = np.cumsum(width) - width
-    index = np.repeat(np.arange(len(grids)), width)
-    h2 = np.array([g.dx ** 2 for g in grids])[index]  # h^2 a Python float
-    return (np.arange(len(index)) - start[index] + first, (width + first)[index], h2,
-            np.array(dts, float).T[:, index], index, start)
+    J, h2 = np.array([[g.J, g.dx ** 2] for g in grids]).T[:, :, None]  # g.J: 1D grids only
+    ell = np.arange(first, J.max())
+    return ell, J, h2, np.array(dts, float).T[..., None], ell < J
 
 
 @functools.lru_cache(maxsize=64)
@@ -191,10 +187,15 @@ def eta(g: Grid, dt: float) -> float:
     eta = max over 1 <= l <= J-1 of |1 + dt*lambda_l|.  Since l -> 1+dt*lambda_l
     is monotone in l, only the extreme modes can attain the maximum.
     """
-    if not dt > 0:
-        raise ValueError(f"time step must be positive, got dt={dt}")
-    return max(abs(1.0 + dt * eigenvalue(g, 1)),
-               abs(1.0 + dt * eigenvalue(g, g.J - 1)))
+    return _etas(g, (dt,))[0]
+
+
+def _etas(g: Grid, dts) -> list:
+    """`eta` at each of ``dts``, from one pair of extreme eigenvalues."""
+    if not all(dt > 0 for dt in dts):
+        raise ValueError(f"time step must be positive, got dt={min(dts)}")
+    first, last = eigenvalue(g, 1), eigenvalue(g, g.J - 1)
+    return [max(abs(1.0 + dt * first), abs(1.0 + dt * last)) for dt in dts]
 
 
 @dataclass(frozen=True)
@@ -226,12 +227,11 @@ def amplification_envelope(g: Grid, dt) -> np.ndarray:
 def amplification_bound_checks(grids, dts) -> tuple[list, list]:
     """The smallest margin of `amplification_envelope` over |1 + dt*lambda_l|,
     l = 0..J-1, and its first mode, at [k][i] for grids[k] and dt = dts[k][i],
-    from one flat spectrum: the bound holds where the margin is >= 0."""
-    ell, J, h2, dt, index, start = _spectrum(grids, 0, dts)
+    from one padded block (padded margins +inf): the bound holds where the margin is >= 0."""
+    ell, J, h2, dt, live = _spectrum(grids, 0, dts)
     margins = _envelope(dt / h2, ell, J) - np.abs(1.0 + dt * _eigenvalues(-4.0 / h2, ell, J))
-    worst = np.minimum.reduceat(margins, start, axis=1)
-    first = np.minimum.reduceat(np.where(margins == worst[:, index], ell, J), start, axis=1)
-    return worst.T.tolist(), first.T.tolist()
+    np.copyto(margins, np.inf, where=~live)
+    return margins.min(axis=-1).T.tolist(), margins.argmin(axis=-1).T.tolist()
 
 
 def amplification_bound_check(g: Grid, dt: float) -> AmplificationReport:
@@ -269,7 +269,7 @@ def eta_geometric_sums(grids, dts, ns) -> list:
     under the stability restriction each is bounded by 2 L^2 uniformly in n, J and dt."""
     _spectrum(grids, 0, dts, n=ns)  # the block's refusals
     return [[[geometric_sum((e - 1.0) / dt, e ** n, n, dt) for n in ns]
-             for dt, e in ((dt, eta(g, dt)) for dt in d)] for g, d in zip(grids, dts)]
+             for dt, e in zip(d, _etas(g, d))] for g, d in zip(grids, dts)]
 
 
 def eta_geometric_sum(g: Grid, dt: float, n: int) -> float:
@@ -279,24 +279,25 @@ def eta_geometric_sum(g: Grid, dt: float, n: int) -> float:
 
 def resolvent_power_sums(grids, dts, ns) -> list:
     """sum_l |dt * sum_{k<n} (1 + dt*lambda_l)^k|^2 over the nonzero modes, at
-    [k][i][j] for grids[k], dt = dts[k][i] and n = ns[j], from one flat spectrum.
+    [k][i][j] for grids[k], dt = dts[k][i] and n = ns[j], from one padded block.
 
     Each inner sum uses the closed geometric form (guarded near ratio 1), so
     the cost is O(J) per (dt, n) regardless of n.  Each sum is exactly rounded
     and bounded by 4 * pi^4 * L^4 / 90 uniformly in n and dt under the CFL rule."""
-    ell, J, h2, dt, _, start = _spectrum(grids, 1, dts, n=ns)
+    ell, J, h2, dt, live = _spectrum(grids, 1, dts, n=ns)
     lam = _eigenvalues(-4.0 / h2, ell, J)
-    q, qk = 1.0 + dt * lam, np.zeros((len(dt), len(ns), len(lam)))  # qk at [i, n, mode]
+    q, qk = 1.0 + dt * lam, np.zeros((*dt.shape[:2], len(ns), len(ell)))  # qk at [i, k, n, mode]
     with np.errstate(divide="ignore"):  # log2(0) = -inf
-        log2q = np.log2(np.abs(q))
+        log2q = np.log2(np.abs(q), out=np.full(q.shape, -np.inf), where=live)  # padded: no power
     for j, n in enumerate(ns):
         # `power` with the floor -128: 1 - x rounds to 1 for |x| < 2^-54, so far
         # smaller powers stay 0 (-128 leaves room for the rounding of log2)
-        live = n * log2q > -128.0
-        qk[:, j][live] = q[live] ** n
-    s = geometric_sum(lam, qk, np.array(ns, float)[:, None], dt[:, None])
+        on = n * log2q > -128.0
+        qk[:, :, j][on] = q[on] ** n
+    s = geometric_sum(lam[:, None], qk, np.array(ns, float)[:, None], dt[..., None])
+    np.copyto(s, 0.0, where=~live[:, None])
     s *= s  # in place, so that exact_sums' work array adds nothing to the peak memory
-    return exact_sums(s, start)
+    return exact_sums(s).swapaxes(0, 1).tolist()
 
 
 def resolvent_power_sum(g: Grid, dt: float, n: int) -> float:
@@ -314,10 +315,12 @@ def heat_kernel_spectrum_sums(grids, alphas, ms) -> tuple[list, list]:
     alpha = alphas[i] and m = ms[j]; no sum exceeds its bound, uniformly in J."""
     if not all(a > 0 for a in alphas):
         raise ValueError(f"need alpha > 0, got {alphas}")
-    ell, J, _, _, _, start = _spectrum(grids, 1, [()] * len(grids), m=ms)  # no time steps
+    ell, J, _, _, live = _spectrum(grids, 1, [()] * len(grids), m=ms)  # no time steps
     am = np.array(alphas, float)[:, None] * np.array(ms, float)
     dx, L = np.array([[g.dx, g.L] for g in grids]).T[:, :, None, None]
-    values = dx * np.array(exact_sums(_envelope(am[..., None], ell, J), start))
+    terms = _envelope(am[:, None, :, None], ell, J[:, None])  # at [i, k, m, mode]
+    np.copyto(terms, 0.0, where=~live[:, None])  # np.where on a broadcast mask is far slower
+    values = dx * exact_sums(terms).swapaxes(0, 1)
     return values.tolist(), (L * math.sqrt(math.pi) / np.sqrt(am)).tolist()
 
 

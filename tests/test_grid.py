@@ -202,37 +202,23 @@ def test_exact_sum_of_more_than_one_block_keeps_fsum_special_values(special):
     _assert_sums_like_fsum(x)
 
 
-def _assert_segments_sum_like_fsum(a, starts):
-    """`exact_sums(a, starts)` of a 1D array is each segment's fsum bit for bit
-    (repr tells -0.0 from 0.0), or raises the type that the first failing
-    segment's `exact_sum` raises."""
-    want = [_fsum_or_error(segment) for segment in np.split(a, starts[1:])]
-    errors = [w for w in want if isinstance(w, type)]
-    if errors:
-        with pytest.raises(errors[0]):
-            exact_sums(a, starts)
-    else:
-        assert list(map(repr, exact_sums(a, starts))) == list(map(repr, want)), (a, starts)
-
-
 def _assert_rows_sum_like_fsum(rows):
-    """The fsum of each row of a 2D array, bit for bit, from `exact_sums` of
-    the rows whole (or the first failing row's error), and again from
-    `_assert_segments_sum_like_fsum` of the rows end to end, cut to ragged
-    widths: row k loses its last k % width entries."""
+    """The fsum of each row of a 2D array, bit for bit (repr tells -0.0 from
+    0.0), from `exact_sums` of the rows (or the first failing row's error), and
+    again with row k's last k % width entries set to +0.0, as a block of grids
+    padded to its largest J has them."""
     rows = np.asarray(rows)
-    want = [_fsum_or_error(row) for row in rows]
-    errors = [w for w in want if isinstance(w, type)]
-    if errors:
-        with pytest.raises(errors[0]):
-            exact_sums(rows, [0])
-    else:
-        assert list(map(repr, exact_sums(rows, [0])[0])) == list(map(repr, want)), rows
-    n = rows.shape[1]
-    if n:
-        ragged = [row[:n - k % n] for k, row in enumerate(rows)]
-        _assert_segments_sum_like_fsum(np.concatenate(ragged),
-                                       np.cumsum([0] + [len(r) for r in ragged[:-1]]))
+    padded, n = rows.copy(), rows.shape[1]
+    for k in range(len(rows)):
+        padded[k, n - k % max(n, 1):] = 0.0
+    for a in (rows, padded):
+        want = [_fsum_or_error(row) for row in a]
+        errors = [w for w in want if isinstance(w, type)]
+        if errors:
+            with pytest.raises(errors[0]):
+                exact_sums(a)
+        else:
+            assert list(map(repr, exact_sums(a).tolist())) == list(map(repr, want)), a
 
 
 def _near_tie_rows(top):
@@ -302,49 +288,52 @@ def test_exact_sums_equal_fsum_on_cancellation_and_range_edges():
         _assert_rows_sum_like_fsum(x)
         x[2, -1] = math.inf
         _assert_rows_sum_like_fsum(x)
-    assert exact_sums(np.zeros((0, 4)), [0]) == [[]] and exact_sums(np.zeros(0), []) == []
-    assert exact_sums(np.zeros((2, 0)), [0]) == [[0.0, 0.0]]
-    assert exact_sums(np.zeros(0), [0, 0]) == [0.0, 0.0]
-    # an empty segment among others, which reduceat would give the next entry
-    assert exact_sums(np.array([1.0, 2.0, -0.0]), [0, 1, 1, 2]) == [1.0, 0.0, 2.0, -0.0]
-    _assert_segments_sum_like_fsum(np.array([1.0, 2.0, -0.0]), [0, 1, 1, 2])
-    # segments of the rows of a 3-axis array
+    assert exact_sums(np.zeros((0, 4))).shape == (0,)
+    assert exact_sums(np.zeros((2, 0))).tolist() == [0.0, 0.0]
+    # a 1D array is one row; the empty row sums to +0.0
+    assert repr(exact_sums(np.zeros(0)).tolist()) == "0.0"
+    assert repr(exact_sums(np.array([1e300, 1.0, -1e300, -0.0])).tolist()) == "1.0"
+    # the rows of a 3-axis array
     z = rng.standard_normal((3, 2, 40)) * 10.0 ** rng.uniform(-20, 20, (3, 2, 40))
-    assert exact_sums(z, [0, 7, 8, 30]) == [[[math.fsum(z[k, m, i:j]) for m in range(2)]
-                                            for k in range(3)]
-                                           for i, j in ((0, 7), (7, 8), (8, 30), (30, 40))]
-    # a non-contiguous view, and segments of one to 301 entries
+    assert exact_sums(z).tolist() == [[math.fsum(z[k, m]) for m in range(2)] for k in range(3)]
+    # non-contiguous views, one with a row longer than _SUM_BLOCK, and rows of
+    # one to 220 entries zero-padded to 220
     y = rng.standard_normal((301, 250)) * 10.0 ** rng.uniform(-30, 30, (301, 250))
     view = y[::2, ::-1].T
     assert not view.flags.c_contiguous
     _assert_rows_sum_like_fsum(view)
     flat = y.ravel()[::-3]
-    assert not flat.flags.c_contiguous
-    _assert_segments_sum_like_fsum(flat, np.cumsum(np.arange(300)))
+    assert not flat.flags.c_contiguous and flat.size > C
+    _assert_rows_sum_like_fsum(flat[None, :])
+    segments = np.split(flat, np.cumsum(np.arange(1, 221)))[:-1]
+    padded = np.zeros((220, 220))
+    for k, segment in enumerate(segments):
+        padded[k, :k + 1] = segment
+    assert list(map(repr, exact_sums(padded[:, ::-1]).tolist())) == \
+        [repr(math.fsum(segment)) for segment in segments]
 
 
 def test_exact_sums_of_every_row_of_the_bound_sweep_equal_fsum(monkeypatch):
     seen = []
 
-    def recording(a, starts):
-        seen.append((a.copy(), np.array(starts)))
-        return grid.exact_sums(a, starts)
+    def recording(a):
+        seen.append(a.copy())
+        return grid.exact_sums(a)
 
     monkeypatch.setattr(spectral, "exact_sums", recording)
     bound_sweep()
-    # one flat spectrum per block of grids for the resolvent sums, (3 cfls,
-    # 4 n, modes), and one for the kernel sums, (3 cfls, 4 m, modes): 511
-    # grids, each with 24 segments
-    assert len(seen) == 2 * len(harness._blocks(range(2, 513), 12)) < 2 * 511
-    assert [a.shape[:2] for a, _ in seen[:2]] == [(3, 4), (3, 4)]
-    assert sum(len(starts) * 12 for _, starts in seen) == 511 * 24
-    assert any(len(set(np.diff(starts).tolist())) > 1 for _, starts in seen)  # ragged
-    for a, starts in seen:
-        segments = np.split(a, starts[1:], axis=-1)
-        sums = [v for segment in exact_sums(a, starts) for row in segment for v in row]
-        assert list(map(repr, sums)) == \
-            [repr(math.fsum(segment[i, j].tolist()))
-             for segment in segments for i in range(3) for j in range(4)]
+    # per block of grids, one (3 cfls, grids, 4 n, modes) array for the
+    # resolvent sums and one (3 cfls, grids, 4 m, modes) for the kernel sums,
+    # modes 1..max J - 1: grid k's row holds its J - 1 terms, then +0.0
+    blocks = [range(2, 513)[block] for block in harness._blocks(range(2, 513), 12)]
+    assert len(seen) == 2 * len(blocks) < 2 * 511
+    for a, Js in zip(seen, [Js for Js in blocks for _ in range(2)], strict=True):
+        assert a.shape == (3, len(Js), 4, max(Js) - 1)
+        sums = exact_sums(a)
+        for k, J in enumerate(Js):
+            assert not a[:, k, :, J - 1:].any() and not np.signbit(a[:, k, :, J - 1:]).any()
+            assert list(map(repr, sums[:, k].ravel().tolist())) == \
+                [repr(math.fsum(a[i, k, j, :J - 1].tolist())) for i in range(3) for j in range(4)]
 
 
 def test_norm_examples():

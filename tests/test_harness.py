@@ -6,7 +6,7 @@ import pytest
 from scipy import integrate
 
 from neumannheat import (CflViolationError, CosineSeries, Grid1D, bound_sweep,
-                         default_config, emit_csv, epsilon_diagnostics, estimate_slope,
+                         cosine_mode, default_config, emit_csv, epsilon_diagnostics, estimate_slope,
                          quadrature_inequality_check, run_convergence,
                          trig_poly)
 from neumannheat import harness, spectral
@@ -192,6 +192,47 @@ def test_sampling_ratios_equal_the_one_grid_ratios():
                                                     * h1.h1_norm_sq) for g in grids]
 
 
+def test_sampling_check_samples_each_grid_on_its_own_nodes():
+    # in a block of J = 600 and J = 2, the padded nodes of J = 2 are x = 0, not
+    # j * h past L: a cosine series, which refuses points outside [0, L], runs,
+    # and a function that is nan at one node of one grid is refused
+    grids = [Grid1D(J, 1.0) for J in (600, 2, 37, 2, 3)]
+    mode = H1Function(cosine_mode(2, 1.0), 1.0 + (2 * math.pi) ** 2, "cos mode 2")
+    assert harness._sampling_ratios(mode, grids) == \
+        [norm_l2(project(g, mode.fn)) ** 2 / ((g.J - 1) / g.J * 2.0 * (1.0 + g.dx)
+                                               * mode.h1_norm_sq) for g in grids]
+    node = grids[2].nodes()[5]
+    hole = H1Function(lambda x: np.where(x == node, math.nan, 1.0), 1.0, "hole")
+    assert (np.concatenate([g.nodes() for g in grids]) == node).sum() == 1
+    with pytest.raises(ValueError, match="non-finite"):
+        harness._sampling_ratios(hole, grids)
+
+
+def test_sweeps_over_an_array_of_J_report_python_ints():
+    # `if not J_sweep` raised numpy's "truth value of an array is ambiguous",
+    # and bound_sweep reported where=(np.int64(5), ...)
+    rep = quadrature_inequality_check(h1_linear(1.0), np.arange(2, 6), 1.0)
+    assert rep.ok and rep.where == (2, "x") and type(rep.where[0]) is int
+    for name, worst in bound_sweep(J_list=np.arange(2, 6)).items():
+        assert type(worst.where[0]) is int and worst.where[0] in range(2, 6), name
+
+
+def test_blocks_cut_by_padded_area():
+    # out of order, every block of more than one grid holds at most
+    # _SWEEP_BLOCK entries padded to its largest J, and takes the next grid
+    # only within that
+    rng, size = np.random.default_rng(33), harness._SWEEP_BLOCK
+    for Js in (rng.permutation(np.arange(2, 513)).tolist(), [600, 2, 3, 20000, 2, 599, 601, 2],
+               rng.integers(2, 3000, 400).tolist(), [5000]):
+        for rows in (4, 12):
+            blocks = harness._blocks(Js, rows)
+            assert [J for block in blocks for J in Js[block]] == Js
+            for block in blocks:
+                run, after = Js[block], Js[block.stop:block.stop + 1]
+                assert run and (len(run) == 1 or len(run) * max(run) * rows <= size)
+                assert not after or (len(run) + 1) * max(run + after) * rows > size
+
+
 def test_h1_norms_match_quadrature():
     for h1, L in ((h1_cosine_mode(1, 1.0), 1.0), (h1_cosine_mode(3, 2.0), 2.0),
                   (h1_linear(1.0), 1.0)):
@@ -363,6 +404,20 @@ def test_bound_sweep_peak_memory_stays_below_2_mb():
     tracemalloc.start()
     try:
         bound_sweep()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2 ** 20
+
+
+def test_bound_sweep_out_of_order_peak_memory_stays_below_2_mb():
+    # blocks are cut by padded area, so an out-of-order J list, whose blocks
+    # pad small grids to J near 512, holds no more at a time than the default sweep
+    J_list = np.random.default_rng(34).permutation(np.arange(2, 513)).tolist()
+    bound_sweep(J_list=(2, 3))  # one-time allocations of the first call
+    tracemalloc.start()
+    try:
+        bound_sweep(J_list=J_list)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -268,11 +268,30 @@ def test_amplification_worst_is_the_first_smallest_margin_of_each_grid(monkeypat
     worst, first = amplification_bound_checks(grids, [[c * g.dx ** 2 for c in (0.5, 0.1)]
                                                       for g in grids])
     (envelope,) = forged
-    for k, (J, s) in enumerate(zip(Js, np.cumsum(Js) - Js)):
-        for i, margins in enumerate(envelope[:, s:s + J] - 1.0):
+    for k, J in enumerate(Js):  # the envelope at [i, k, mode], padded to J = 30
+        for i, margins in enumerate(envelope[:, k, :J] - 1.0):
             assert (worst[k][i], first[k][i]) == (margins.min(), margins.argmin())
     assert len({f for fs in first for f in fs}) > 2
     assert {w >= 0.0 for ws in worst for w in ws} == {True, False}
+
+
+def test_a_padded_block_gives_each_grid_its_one_grid_figures():
+    # J = 2 beside J = 600, out of order: its row holds 598 padded modes whose
+    # margins, powers and terms must reach none of its figures
+    Js, cfls, ns, ms = (600, 2, 17, 2, 600, 3), (0.5, 0.37, 0.1), (1, 2, 10, 10 ** 6), (1, 7, 1000)
+    grids = [Grid1D(J, 3.0) for J in Js]
+    dts = [[c * g.dx ** 2 for c in cfls] for g in grids]
+    worst, first = amplification_bound_checks(grids, dts)
+    sums = eta_geometric_sums(grids, dts, ns), resolvent_power_sums(grids, dts, ns)
+    values, bounds = heat_kernel_spectrum_sums(grids, cfls, ms)
+    for k, (g, d) in enumerate(zip(grids, dts)):
+        for i, dt in enumerate(d):
+            report = amplification_bound_check(g, dt)
+            assert (worst[k][i], first[k][i]) == (report.worst_margin, report.worst_index)
+            assert [s[k][i] for s in sums] == [[eta_geometric_sum(g, dt, n) for n in ns],
+                                              [resolvent_power_sum(g, dt, n) for n in ns]]
+            assert list(zip(values[k][i], bounds[k][i])) == \
+                [heat_kernel_spectrum_sum(g, cfls[i], m) for m in ms]
 
 
 @pytest.mark.parametrize("k", [0, 1, 2, 3, 63, 64, 65, 1001, 10 ** 6 + 1, 5 * 10 ** 7])
