@@ -287,21 +287,6 @@ def h1_constant() -> H1Function:
     return H1Function(lambda x: np.ones_like(np.asarray(x, dtype=float)), 1.0, "1")
 
 
-# entries of an array of a block of grids zero-padded to its largest J, in rows
-# (one per (cfl, n) in the bound sweep): 3072 padded modes of 12 rows, where the
-# fixed cost per block has stopped falling and the sweep's peak memory stays below 2 MB
-_SWEEP_BLOCK = 36864
-
-
-def _blocks(Js, rows: int) -> list:
-    """Slices of ``Js``: one grid, or a run whose count * max J * ``rows`` <= `_SWEEP_BLOCK`."""
-    cuts, top = [0], 0  # top: the largest J of the run from cuts[-1] to k
-    for k, J in enumerate(Js):
-        if (k + 1 - cuts[-1]) * (top := max(top, J)) * rows > _SWEEP_BLOCK and k > cuts[-1]:
-            cuts, top = [*cuts, k], J
-    return [slice(a, b) for a, b in zip(cuts, [*cuts[1:], len(Js)])]
-
-
 def quadrature_inequality_check(v: H1Function, J_sweep: Sequence[int],
                                 L: float) -> WorstCase:
     """Check the sampling inequality
@@ -310,27 +295,30 @@ def quadrature_inequality_check(v: H1Function, J_sweep: Sequence[int],
 
     for every grid in the sweep; the worst lhs/rhs ratio, at (J, v.label),
     holds when it is <= 1.  An empty sweep is refused."""
-    if len(J_sweep) == 0:  # J_sweep may be an array
-        raise ValueError("the sampling inequality needs a nonempty J_sweep")
-    ratios = _sampling_ratios(v, [Grid1D(J, L) for J in J_sweep])
-    worst = int(np.argmax(ratios))  # the first largest; int: J_sweep may hold numpy ints
-    return WorstCase(ratios[worst], (int(J_sweep[worst]), v.label), ratios[worst] <= 1.0)
+    grids = [Grid1D(J, L) for J in J_sweep]  # g.J: a Python int, whatever J_sweep holds
+    return _worst(_sampling_ratios([v], grids), lambda f, k: (grids[k].J, v.label))
 
 
-def _sampling_ratios(v: H1Function, grids) -> list:
-    """norm_l2(project(g, v.fn)) ** 2 / (((J-1)/J) * 2 * (1 + dx) * ||v||_{H^1}^2) on each
-    one-axis grid, bit for bit, from v sampled once per block of grids, padded with x = 0."""
-    ratios = []
-    for block in _blocks([g.J for g in grids], 4):  # sampling and summing hold 4 node arrays
-        J, h = np.array([[g.J, g.dx] for g in grids[block]]).T[:, :, None]
-        x = np.where((j := np.arange(J.max())) < J, j * h, 0.0)
-        values = sample(v.fn, [x.ravel()]).reshape(x.shape)
-        if not np.isfinite(values).all():  # as `project` refuses
-            raise ValueError("field contains non-finite entries")
-        sums = exact_sums(np.where(j < J, values * values, 0.0)).tolist()
-        ratios += [math.sqrt(s / g.J) ** 2 / ((g.J - 1) / g.J * 2.0 * (1.0 + g.dx) * v.h1_norm_sq)
-                   for g, s in zip(grids[block], sums)]
-    return ratios
+def _sampling_ratios(fns, grids) -> list:
+    """norm_l2(project(g, v.fn)) ** 2 / (((J-1)/J) * 2 * (1 + dx) * ||v||_{H^1}^2) at [f][k] for
+    v = fns[f] on grids[k], bit for bit, each v sampled once per padded block (x = 0 padded)."""
+    sums = [[] for _ in fns]
+    for j, _, h, _, _, live in spectral._spectrum(grids, 0, [()] * len(grids), 4):  # 4 node arrays
+        x = np.where(live, j * h, 0.0).ravel()
+        for v, s in zip(fns, sums):
+            values = sample(v.fn, [x]).reshape(live.shape)
+            if not np.isfinite(values).all():  # as `project` refuses
+                raise ValueError("field contains non-finite entries")
+            s += exact_sums(np.where(live, values * values, 0.0)).tolist()
+    return [[math.sqrt(s / g.J) ** 2 / ((g.J - 1) / g.J * 2.0 * (1.0 + g.dx) * v.h1_norm_sq)
+             for g, s in zip(grids, vs)] for v, vs in zip(fns, sums)]
+
+
+def _worst(values, where, least: bool = False) -> WorstCase:
+    """The first least (ok if >= 0) or largest (ok if <= 1) entry of ``values``, at where(*at)."""
+    at = np.unravel_index(np.argmin(values) if least else np.argmax(values), np.shape(values))
+    value = np.asarray(values)[at].item()
+    return WorstCase(value, where(*at), value >= 0.0 if least else value <= 1.0)
 
 
 def bound_sweep(J_list: Sequence[int] = range(2, 513),
@@ -338,45 +326,36 @@ def bound_sweep(J_list: Sequence[int] = range(2, 513),
                 ns: Sequence[int] = (1, 10, 1000, 1_000_000),
                 ms: Sequence[int] = (1, 10, 100, 1000),
                 L: float = 1.0) -> dict[str, WorstCase]:
-    """Worst case of each bound: the four spectral-sum bounds at every
-    (J, cfl) of the sweep, the sampling inequality over ``J_list``.  Keys:
-    "amplification" (smallest envelope margin, at (J, cfl, mode); holds when
-    >= 0), then "eta_sum", "resolvent", "kernel" and "quadrature" (value/bound
-    ratios, at (J, cfl, n or m) or (J, function); hold when <= 1), the first in
-    sweep order among equals.  Each grid is built once; each block of grids
-    makes one call of each batched `spectral` function for all its figures.
-    Refused: an empty sweep list, a cfl that is not finite and positive, an L
-    outside [1e-60, 1e60] (sums scale as L^4)."""
+    """Worst case of each bound: the four spectral-sum bounds at every (J, cfl) of the sweep, the
+    sampling inequality over ``J_list``.  Keys: "amplification" (smallest envelope margin, at
+    (J, cfl, mode); holds when >= 0), then "eta_sum", "resolvent", "kernel" and "quadrature"
+    (value/bound ratios, at (J, cfl, n or m) or (J, function); hold when <= 1), the first in sweep
+    order among equals.  Each grid is built once, and each figure is one call over all the grids,
+    which `spectral` reads in padded blocks.  Refused: an empty sweep list, a cfl that is not
+    finite and positive, an L outside [1e-60, 1e60] (sums scale as L^4)."""
     if not all(map(len, (J_list, cfls, ns, ms))):
         raise ValueError("bound_sweep needs nonempty J_list, cfls, ns and ms")
     if not all([0 < c < math.inf for c in cfls]):  # a usage error, not a stability violation
         raise ValueError(f"cfl ratio must be finite and positive, got {cfls}")
-    # the sums scale as L^4, the squared terms as L^4/J^4; the grids refuse
-    # J < 2 and L <= 0, inf or nan
+    # sums scale as L^4, squared terms as L^4/J^4; the grids refuse J < 2 and L <= 0, inf or nan
     if 0 < L < math.inf and not 1e-60 <= L <= 1e60:
         raise ValueError(f"L must lie in [1e-60, 1e60] for the bound sweep, got {L}")
-    grids, worst, bound = [Grid1D(J, L) for J in J_list], {}, spectral.resolvent_power_sum_bound(L)
-
-    def keep(name, values, where, sign=1.0):  # the first worst in sweep order; -1: the least
-        at = np.unravel_index(np.argmax(sign * values), values.shape)
-        if name not in worst or sign * values[at] > sign * worst[name][0]:
-            worst[name] = values[at].item(), where(*at)
-
-    for block in _blocks(J_list, len(cfls) * max(len(ns), len(ms))):
-        gs = grids[block]  # g.J, not J_list[k]: a Python int, whatever J_list holds
-        dts = [[c * g.dx ** 2 for c in cfls] for g in gs]
-        margin, first = spectral.amplification_bound_checks(gs, dts)
-        keep("amplification", np.array(margin), lambda k, i: (gs[k].J, cfls[i], first[k][i]), -1.0)
-        for name, ratios, counts in (  # value/bound at [k][i][j]
-                ("eta_sum", np.divide(spectral.eta_geometric_sums(gs, dts, ns), 2.0 * L ** 2), ns),
-                ("resolvent", np.divide(spectral.resolvent_power_sums(gs, dts, ns), bound), ns),
-                ("kernel", np.divide(*spectral.heat_kernel_spectrum_sums(gs, cfls, ms)), ms)):
-            keep(name, ratios, lambda k, i, j: (gs[k].J, cfls[i], counts[j]))
-    for h1 in (h1_constant(), h1_linear(L), h1_cosine_mode(1, L)):  # on the sweep's grids
-        keep("quadrature", np.array(_sampling_ratios(h1, grids)), lambda k: (grids[k].J, h1.label))
-    return {name: WorstCase(*worst[name], worst[name][0] >= 0.0 if name == "amplification"
-                            else worst[name][0] <= 1.0)
-            for name in ("amplification", "eta_sum", "resolvent", "kernel", "quadrature")}
+    grids = [Grid1D(J, L) for J in J_list]  # g.J: a Python int, whatever J_list holds
+    dts = [[c * g.dx ** 2 for c in cfls] for g in grids]
+    fns = (h1_constant(), h1_linear(L), h1_cosine_mode(1, L))
+    bound = spectral.resolvent_power_sum_bound(L)
+    margin, first = spectral.amplification_bound_checks(grids, dts)
+    return {  # value/bound ratios at [k][i][j] (J, cfl, n or m); the sampling check's at [f][k]
+        "amplification": _worst(margin, lambda k, i: (grids[k].J, cfls[i], first[k][i]),
+                                least=True),
+        "eta_sum": _worst(np.divide(spectral.eta_geometric_sums(grids, dts, ns), 2.0 * L ** 2),
+                          lambda k, i, j: (grids[k].J, cfls[i], ns[j])),
+        "resolvent": _worst(np.divide(spectral.resolvent_power_sums(grids, dts, ns), bound),
+                            lambda k, i, j: (grids[k].J, cfls[i], ns[j])),
+        "kernel": _worst(np.divide(*spectral.heat_kernel_spectrum_sums(grids, cfls, ms)),
+                         lambda k, i, j: (grids[k].J, cfls[i], ms[j])),
+        "quadrature": _worst(_sampling_ratios(fns, grids), lambda f, k: (grids[k].J, fns[f].label)),
+    }
 
 
 def csv_text(records: Sequence[ErrorRecord]) -> str:

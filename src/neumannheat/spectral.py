@@ -16,8 +16,8 @@ eigenvectors W_0 = 1 and (W_l)_j = sqrt(2) cos(l (j + 1/2) pi / J), an
 orthonormal family for the scaled inner product.  Eigenpairs always come from
 these closed forms, never from a numerical eigensolver.  The eigenvectors are
 the orthonormal DCT-II basis (`dctn`, `idctn`), per axis on any number of axes,
-and one stability rule, `cfl_ok`, serves every grid.  The four bound figures
-take one block: 1D grids, the time steps dts[k][i] of grids[k] (or the kernel's
+and one stability rule, `cfl_ok`, serves every grid.  The four bound figures take 1D grids,
+read in zero-padded blocks (`_spectrum`), the time steps dts[k][i] of grids[k] (or the kernel's
 alphas[i]) and counts, giving [k][i][j]; a one-grid function is its one-grid case.
 """
 
@@ -26,6 +26,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from sys import float_info
 
 import numpy as np
 
@@ -111,20 +112,33 @@ def eigenvalues(g: Grid) -> np.ndarray:
     return out
 
 
-def _spectrum(grids, first: int, dts, **counts) -> tuple:
-    """The 1D ``grids`` padded to the largest J: modes l = first..max J - 1, J and h^2 at [k, 0],
-    dts[k][i] at [i, k, 0], live = l < J at [k, mode].  Refused: no grids, unpaired or unstable
-    dts, and counts (n=ns, m=ms) that are not whole numbers >= 1 (ints or integral floats)."""
+# count * max J * rows of a padded block, the rows of its caller's largest array: at 12 (the default
+# sweep) 3072 modes, where the cost per block has stopped falling and the peak memory is < 2 MB
+_BLOCK = 36864
+
+
+def _spectrum(grids, first: int, dts, rows: int, **counts):
+    """The 1D ``grids`` in runs of one grid or of count * max J * ``rows`` <= `_BLOCK`, padded
+    when read: l = first..max J - 1, J, h, h^2 at [k, 0], dts[k][i] at [i, k, 0], live l < J.
+    Refused at once: no grids, unpaired or unstable dts, counts not whole in [1, max float]."""
     if not grids:
         raise ValueError("need a nonempty block of grids")
     for g, d in zip(grids, dts, strict=True):
         require_stable(g, *d)
-    for name, c in counts.items():
-        if min(c, default=0) < 1 or not all(float(x).is_integer() for x in c):
+    for name, c in counts.items():  # float(x) of a larger int overflows
+        if not len(c) or not all(1 <= x <= float_info.max and float(x).is_integer() for x in c):
             raise ValueError(f"need whole {name} >= 1, got {list(c)}")
-    J, h2 = np.array([[g.J, g.dx ** 2] for g in grids]).T[:, :, None]  # g.J: 1D grids only
-    ell = np.arange(first, J.max())
-    return ell, J, h2, np.array(dts, float).T[..., None], ell < J
+
+    def blocks():
+        cuts, top = [0], 0  # top: the largest J of the run from cuts[-1] to k
+        for k, g in enumerate(grids):
+            if (k + 1 - cuts[-1]) * (top := max(top, g.J)) * rows > _BLOCK and k > cuts[-1]:
+                cuts, top = [*cuts, k], g.J
+        for a, b in zip(cuts, [*cuts[1:], len(grids)]):
+            J, h, h2 = np.array([[g.J, g.dx, g.dx ** 2] for g in grids[a:b]]).T[:, :, None]  # 1D
+            ell = np.arange(first, J.max())
+            yield ell, J, h, h2, np.array(dts[a:b], float).T[..., None], ell < J
+    return blocks()
 
 
 @functools.lru_cache(maxsize=64)
@@ -226,12 +240,15 @@ def amplification_envelope(g: Grid, dt) -> np.ndarray:
 
 def amplification_bound_checks(grids, dts) -> tuple[list, list]:
     """The smallest margin of `amplification_envelope` over |1 + dt*lambda_l|,
-    l = 0..J-1, and its first mode, at [k][i] for grids[k] and dt = dts[k][i],
-    from one padded block (padded margins +inf): the bound holds where the margin is >= 0."""
-    ell, J, h2, dt, live = _spectrum(grids, 0, dts)
-    margins = _envelope(dt / h2, ell, J) - np.abs(1.0 + dt * _eigenvalues(-4.0 / h2, ell, J))
-    np.copyto(margins, np.inf, where=~live)
-    return margins.min(axis=-1).T.tolist(), margins.argmin(axis=-1).T.tolist()
+    l = 0..J-1, and its first mode, at [k][i] for grids[k] and dt = dts[k][i], from padded
+    blocks of 4 temporaries per dt (padded margins +inf): the bound holds where it is >= 0."""
+    worst, first = [], []
+    for ell, J, _, h2, dt, live in _spectrum(grids, 0, dts, 4 * max(map(len, dts), default=0)):
+        margins = _envelope(dt / h2, ell, J) - np.abs(1.0 + dt * _eigenvalues(-4.0 / h2, ell, J))
+        np.copyto(margins, np.inf, where=~live)
+        worst.append(margins.min(axis=-1))
+        first.append(margins.argmin(axis=-1))
+    return np.concatenate(worst, axis=1).T.tolist(), np.concatenate(first, axis=1).T.tolist()
 
 
 def amplification_bound_check(g: Grid, dt: float) -> AmplificationReport:
@@ -267,7 +284,7 @@ def eta_geometric_sums(grids, dts, ns) -> list:
     """dt * sum_{k<n} eta^k at [k][i][j] for grids[k], dt = dts[k][i] and
     n = ns[j], from one `eta` per (grid, dt), via the closed geometric form;
     under the stability restriction each is bounded by 2 L^2 uniformly in n, J and dt."""
-    _spectrum(grids, 0, dts, n=ns)  # the block's refusals
+    _spectrum(grids, 0, dts, 0, n=ns)  # the refusals; no block is read
     return [[[geometric_sum((e - 1.0) / dt, e ** n, n, dt) for n in ns]
              for dt, e in zip(d, _etas(g, d))] for g, d in zip(grids, dts)]
 
@@ -279,25 +296,27 @@ def eta_geometric_sum(g: Grid, dt: float, n: int) -> float:
 
 def resolvent_power_sums(grids, dts, ns) -> list:
     """sum_l |dt * sum_{k<n} (1 + dt*lambda_l)^k|^2 over the nonzero modes, at
-    [k][i][j] for grids[k], dt = dts[k][i] and n = ns[j], from one padded block.
+    [k][i][j] for grids[k], dt = dts[k][i] and n = ns[j], from padded blocks.
 
     Each inner sum uses the closed geometric form (guarded near ratio 1), so
     the cost is O(J) per (dt, n) regardless of n.  Each sum is exactly rounded
     and bounded by 4 * pi^4 * L^4 / 90 uniformly in n and dt under the CFL rule."""
-    ell, J, h2, dt, live = _spectrum(grids, 1, dts, n=ns)
-    lam = _eigenvalues(-4.0 / h2, ell, J)
-    q, qk = 1.0 + dt * lam, np.zeros((*dt.shape[:2], len(ns), len(ell)))  # qk at [i, k, n, mode]
-    with np.errstate(divide="ignore"):  # log2(0) = -inf
-        log2q = np.log2(np.abs(q), out=np.full(q.shape, -np.inf), where=live)  # padded: no power
-    for j, n in enumerate(ns):
-        # `power` with the floor -128: 1 - x rounds to 1 for |x| < 2^-54, so far
-        # smaller powers stay 0 (-128 leaves room for the rounding of log2)
-        on = n * log2q > -128.0
-        qk[:, :, j][on] = q[on] ** n
-    s = geometric_sum(lam[:, None], qk, np.array(ns, float)[:, None], dt[..., None])
-    np.copyto(s, 0.0, where=~live[:, None])
-    s *= s  # in place, so that exact_sums' work array adds nothing to the peak memory
-    return exact_sums(s).swapaxes(0, 1).tolist()
+    sums, rows = [], len(ns) * max(map(len, dts), default=0)  # the rows of qk
+    for ell, J, _, h2, dt, live in _spectrum(grids, 1, dts, rows, n=ns):
+        lam = _eigenvalues(-4.0 / h2, ell, J)
+        q, qk = 1.0 + dt * lam, np.zeros((*dt.shape[:2], len(ns), len(ell)))  # at [i, k, n, mode]
+        with np.errstate(divide="ignore"):  # log2(0) = -inf, as at the padding: no power there
+            log2q = np.log2(np.abs(q), out=np.full(q.shape, -np.inf), where=live)
+        for j, n in enumerate(ns):
+            # `power` with the floor -128: 1 - x rounds to 1 for |x| < 2^-54, so far
+            # smaller powers stay 0 (-128 leaves room for the rounding of log2)
+            on = n * log2q > -128.0
+            qk[:, :, j][on] = q[on] ** n
+        s = geometric_sum(lam[:, None], qk, np.array(ns, float)[:, None], dt[..., None])
+        np.copyto(s, 0.0, where=~live[:, None])
+        s *= s  # in place, so that exact_sums' work array adds nothing to the peak memory
+        sums.append(exact_sums(s))
+    return np.concatenate(sums, axis=1).swapaxes(0, 1).tolist()
 
 
 def resolvent_power_sum(g: Grid, dt: float, n: int) -> float:
@@ -313,15 +332,16 @@ def heat_kernel_spectrum_sums(grids, alphas, ms) -> tuple[list, list]:
     """Riemann-type sums dx * sum_l exp(-alpha*m*sin^2(l pi / J)), exactly
     rounded, and their bounds L*sqrt(pi)/sqrt(m*alpha), at [k][i][j] for grids[k],
     alpha = alphas[i] and m = ms[j]; no sum exceeds its bound, uniformly in J."""
-    if not all(a > 0 for a in alphas):
-        raise ValueError(f"need alpha > 0, got {alphas}")
-    ell, J, _, _, live = _spectrum(grids, 1, [()] * len(grids), m=ms)  # no time steps
-    am = np.array(alphas, float)[:, None] * np.array(ms, float)
-    dx, L = np.array([[g.dx, g.L] for g in grids]).T[:, :, None, None]
-    terms = _envelope(am[:, None, :, None], ell, J[:, None])  # at [i, k, m, mode]
-    np.copyto(terms, 0.0, where=~live[:, None])  # np.where on a broadcast mask is far slower
-    values = dx * exact_sums(terms).swapaxes(0, 1)
-    return values.tolist(), (L * math.sqrt(math.pi) / np.sqrt(am)).tolist()
+    blocks = _spectrum(grids, 1, [()] * len(grids), len(alphas) * len(ms), m=ms)  # no time steps
+    if not all(0 < a * m < math.inf for a in alphas for m in ms):
+        raise ValueError(f"need alpha > 0 and every alpha * m finite, got {alphas} and {ms}")
+    am, values = np.array(alphas, float)[:, None] * np.array(ms, float), []
+    for ell, J, h, _, _, live in blocks:
+        terms = _envelope(am[:, None, :, None], ell, J[:, None])  # at [i, k, m, mode]
+        np.copyto(terms, 0.0, where=~live[:, None])  # np.where on a broadcast mask is far slower
+        values.append(h[..., None] * exact_sums(terms).swapaxes(0, 1))
+    bounds = np.divide.outer([g.L * math.sqrt(math.pi) for g in grids], np.sqrt(am))
+    return np.concatenate(values).tolist(), bounds.tolist()
 
 
 def heat_kernel_spectrum_sum(g: Grid, alpha: float, m: int) -> tuple[float, float]:

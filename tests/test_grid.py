@@ -7,7 +7,7 @@ from neumannheat import (Field, Field1D, Field2D, Grid, Grid1D,
                          GridMismatchError, bound_sweep, inner, mean, mean2d, norm2d,
                          default_config, norm_l2, ones, project, project2d,
                          run_convergence)
-from neumannheat import grid, harness, spectral
+from neumannheat import grid, spectral
 from neumannheat.grid import check_grid, exact_sum, exact_sums
 from neumannheat.exact import cosine_mode
 from neumannheat.spectral import eigenvalues, eigenvector
@@ -323,11 +323,14 @@ def test_exact_sums_of_every_row_of_the_bound_sweep_equal_fsum(monkeypatch):
     monkeypatch.setattr(spectral, "exact_sums", recording)
     bound_sweep()
     # per block of grids, one (3 cfls, grids, 4 n, modes) array for the
-    # resolvent sums and one (3 cfls, grids, 4 m, modes) for the kernel sums,
-    # modes 1..max J - 1: grid k's row holds its J - 1 terms, then +0.0
-    blocks = [range(2, 513)[block] for block in harness._blocks(range(2, 513), 12)]
+    # resolvent sums, then per block one (3 cfls, grids, 4 m, modes) for the
+    # kernel sums, modes 1..max J - 1: grid k's row holds its J - 1 terms, then +0.0
+    grids = [Grid1D(J, 1.0) for J in range(2, 513)]
+    blocks = [J.ravel().astype(int).tolist()
+              for _, J, *_ in spectral._spectrum(grids, 1, [()] * 511, 12)]
+    assert [J for Js in blocks for J in Js] == list(range(2, 513))
     assert len(seen) == 2 * len(blocks) < 2 * 511
-    for a, Js in zip(seen, [Js for Js in blocks for _ in range(2)], strict=True):
+    for a, Js in zip(seen, blocks + blocks, strict=True):
         assert a.shape == (3, len(Js), 4, max(Js) - 1)
         sums = exact_sums(a)
         for k, J in enumerate(Js):

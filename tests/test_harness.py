@@ -186,10 +186,10 @@ def test_sampling_ratios_equal_the_one_grid_ratios():
     # J = 282 lies past L by rounding, and J = 20000 is wider than an extracted row
     for L in (1.0, 3.7, 1e60):
         grids = [Grid1D(J, L) for J in [*range(2, 600), 282, 20000, 3]]
-        for h1 in (h1_constant(), h1_linear(L), h1_cosine_mode(1, L)):
-            assert harness._sampling_ratios(h1, grids) == \
-                [norm_l2(project(g, h1.fn)) ** 2 / ((g.J - 1) / g.J * 2.0 * (1.0 + g.dx)
-                                                    * h1.h1_norm_sq) for g in grids]
+        fns = (h1_constant(), h1_linear(L), h1_cosine_mode(1, L))
+        assert harness._sampling_ratios(fns, grids) == \
+            [[norm_l2(project(g, h1.fn)) ** 2 / ((g.J - 1) / g.J * 2.0 * (1.0 + g.dx)
+                                                 * h1.h1_norm_sq) for g in grids] for h1 in fns]
 
 
 def test_sampling_check_samples_each_grid_on_its_own_nodes():
@@ -198,14 +198,14 @@ def test_sampling_check_samples_each_grid_on_its_own_nodes():
     # and a function that is nan at one node of one grid is refused
     grids = [Grid1D(J, 1.0) for J in (600, 2, 37, 2, 3)]
     mode = H1Function(cosine_mode(2, 1.0), 1.0 + (2 * math.pi) ** 2, "cos mode 2")
-    assert harness._sampling_ratios(mode, grids) == \
-        [norm_l2(project(g, mode.fn)) ** 2 / ((g.J - 1) / g.J * 2.0 * (1.0 + g.dx)
-                                               * mode.h1_norm_sq) for g in grids]
+    assert harness._sampling_ratios([mode], grids) == \
+        [[norm_l2(project(g, mode.fn)) ** 2 / ((g.J - 1) / g.J * 2.0 * (1.0 + g.dx)
+                                                * mode.h1_norm_sq) for g in grids]]
     node = grids[2].nodes()[5]
     hole = H1Function(lambda x: np.where(x == node, math.nan, 1.0), 1.0, "hole")
     assert (np.concatenate([g.nodes() for g in grids]) == node).sum() == 1
     with pytest.raises(ValueError, match="non-finite"):
-        harness._sampling_ratios(hole, grids)
+        harness._sampling_ratios([mode, hole], grids)
 
 
 def test_sweeps_over_an_array_of_J_report_python_ints():
@@ -219,18 +219,19 @@ def test_sweeps_over_an_array_of_J_report_python_ints():
 
 def test_blocks_cut_by_padded_area():
     # out of order, every block of more than one grid holds at most
-    # _SWEEP_BLOCK entries padded to its largest J, and takes the next grid
+    # spectral._BLOCK entries padded to its largest J, and takes the next grid
     # only within that
-    rng, size = np.random.default_rng(33), harness._SWEEP_BLOCK
+    rng, size = np.random.default_rng(33), spectral._BLOCK
     for Js in (rng.permutation(np.arange(2, 513)).tolist(), [600, 2, 3, 20000, 2, 599, 601, 2],
                rng.integers(2, 3000, 400).tolist(), [5000]):
+        grids = [Grid1D(J, 1.0) for J in Js]
         for rows in (4, 12):
-            blocks = harness._blocks(Js, rows)
-            assert [J for block in blocks for J in Js[block]] == Js
-            for block in blocks:
-                run, after = Js[block], Js[block.stop:block.stop + 1]
+            runs = [J.ravel().astype(int).tolist()
+                    for _, J, *_ in spectral._spectrum(grids, 0, [()] * len(Js), rows)]
+            assert [J for run in runs for J in run] == Js
+            for run, after in zip(runs, [*runs[1:], []]):
                 assert run and (len(run) == 1 or len(run) * max(run) * rows <= size)
-                assert not after or (len(run) + 1) * max(run + after) * rows > size
+                assert not after or (len(run) + 1) * max(run + after[:1]) * rows > size
 
 
 def test_h1_norms_match_quadrature():
@@ -353,16 +354,21 @@ def test_bound_sweep_is_bit_identical_to_scalar_calls():
 
 def test_bound_sweep_is_bit_identical_across_blocks_of_grids(monkeypatch):
     # J lists out of order whose grids fill several blocks, at L where the
-    # sums scale by 1e+-240: every per-grid resolvent and kernel sum of a
-    # block is its one-grid function's, and the worst cases are the scalar sweep's
-    monkeypatch.setattr(harness, "_SWEEP_BLOCK", 12288)  # so that the sweeps span > 4 blocks
-    blocks, sums = [], {}
+    # sums scale by 1e+-240: every per-grid resolvent and kernel sum of the
+    # sweep's blocks is its one-grid function's, and the worst cases are the scalar sweep's
+    monkeypatch.setattr(spectral, "_BLOCK", 12288)  # so that the sweeps span > 4 blocks
+    blocks, sums, read = [], {}, []
+    spectrum = spectral._spectrum
+    monkeypatch.setattr(spectral, "_spectrum",  # counts the blocks read; refuses at once
+                        lambda *args, **counts: (read.append(len(b[1])) or b
+                                                 for b in spectrum(*args, **counts)))
 
     def recording(name):
         whole = getattr(spectral, name)
 
         def record(grids, *args):
-            blocks.append((name, grids, whole(grids, *args)))
+            before = len(read)
+            blocks.append((name, grids, whole(grids, *args), len(read) - before))
             return blocks[-1][2]
         return record
 
@@ -375,12 +381,12 @@ def test_bound_sweep_is_bit_identical_across_blocks_of_grids(monkeypatch):
             blocks.clear()
             worst = bound_sweep(J_list, cfls, ns=ns, ms=ms, L=L)
             swept = blocks[:]  # the one-grid functions below add their own
-            assert 4 < len(swept) < 2 * len(J_list)
-            assert [g.J for name, grids, _ in swept if name == "resolvent_power_sums"
+            assert len(swept) == 2 and 4 < sum(n for *_, n in swept) < 2 * len(J_list)
+            assert [g.J for name, grids, *_ in swept if name == "resolvent_power_sums"
                     for g in grids] == list(J_list)
             for name, (value, where) in _scalar_sweep(J_list, cfls, ns, ms, L, sums).items():
                 assert (worst[name].value, worst[name].where) == (value, where), (name, L)
-            for name, grids, out in swept:
+            for name, grids, out, _ in swept:
                 for k, g in enumerate(grids):
                     if name == "resolvent_power_sums":
                         assert out[k] == [[sums["resolvent", g.J, c, n] for n in ns] for c in cfls]
@@ -393,7 +399,7 @@ def test_default_bound_sweep_is_the_same_for_any_block_size(monkeypatch):
     # 3072 entries make 385 blocks of 1 to 21 grids, 10 ** 9 one block of all 511
     default = repr(bound_sweep())
     for size in (3072, 12288, 10 ** 9):
-        monkeypatch.setattr(harness, "_SWEEP_BLOCK", size)
+        monkeypatch.setattr(spectral, "_BLOCK", size)
         assert repr(bound_sweep()) == default, size
 
 

@@ -403,14 +403,30 @@ _G9 = Grid1D(9, 1.0)
     lambda: amplification_bound_checks([], []),
     lambda: eta_geometric_sums([], [], (1,)),
     lambda: heat_kernel_spectrum_sums([], (0.5,), (1,)),
+    # float(10 ** 400) raised OverflowError, which is no ValueError
+    lambda: eta_geometric_sum(_G9, _G9.dx ** 2 / 4, 10 ** 400),
 ], ids=["resolvent-fraction", "resolvent-inf", "eta-nan", "eta-fraction", "kernel-nan",
         "kernel-inf", "kernel-fraction", "resolvent-fewer-dts", "amplification-more-dts",
-        "eta-more-dts", "amplification-empty", "eta-empty", "kernel-empty"])
+        "eta-more-dts", "amplification-empty", "eta-empty", "kernel-empty", "eta-too-large"])
 def test_step_counts_must_be_whole_numbers(call):
     # each returned a number, nan or 0.0 for a count that is no step count,
     # or misread a block of grids
     with pytest.raises(ValueError, match="need whole [nm] >= 1|argument 2 is|nonempty block"):
         call()
+
+
+def test_eta_sums_over_the_default_grids_build_no_padded_block(monkeypatch):
+    # eta needs each grid's two extreme eigenvalues: `_spectrum`'s refusals
+    # run, but no padded (grids x modes) block is built only to be thrown away
+    grids = [Grid1D(J, 1.0) for J in range(2, 513)]
+    dts, ns = [[c * g.dx ** 2 for c in (0.5, 0.25, 0.1)] for g in grids], (1, 10, 1000, 10 ** 6)
+    expected, built = eta_geometric_sums(grids, dts, ns), []
+    for name in ("array", "arange", "zeros", "empty"):  # what a padded block is built from
+        monkeypatch.setattr(np, name, lambda *args, _name=name, _whole=getattr(np, name), **kw:
+                            built.append(_name) or _whole(*args, **kw))
+    sums = eta_geometric_sums(grids, dts, ns)
+    monkeypatch.undo()
+    assert built == [] and sums == expected
 
 
 def test_integral_float_step_counts_equal_their_ints():
@@ -429,6 +445,10 @@ def test_batched_sums_refuse_what_the_per_call_sums_refuse():
         resolvent_power_sums([g3, g, g3], [[g3.dx ** 2 / 4], [0.6 * g.dx ** 2], [g3.dx ** 2]], (1,))
     with pytest.raises(ValueError, match="m >= 1"):
         heat_kernel_spectrum_sums([g], (0.5,), (1, 0))
-    for alpha in (0.0, math.nan):
+    # alpha * m = inf gave the bound-less value 0.0, and 1e308 * 10 a numpy
+    # overflow warning as well
+    for alpha in (0.0, math.nan, math.inf, 1e308):
         with pytest.raises(ValueError, match="alpha > 0"):
-            heat_kernel_spectrum_sums([g], (0.5, alpha), (1,))
+            heat_kernel_spectrum_sums([g], (0.5, alpha), (1, 10))
+    with pytest.raises(ValueError, match="alpha > 0"):
+        heat_kernel_spectrum_sum(Grid1D(5, 1.0), math.inf, 1)

@@ -9,8 +9,10 @@ by raising, never by printing a message and returning a code of its own.
 In `harness.py` only `_study` starts or carries a run, so every study takes
 its one time step, only `run_convergence` calls `_study`, every catalog entry
 is one case shape (J list, checkpoints, normalization, case), and no function
-is named for a number of axes.  `bound_sweep` makes one call per block of
-each batched spectral function and no one-grid spectral call.
+is named for a number of axes.  `bound_sweep` makes one call of each batched
+spectral function over all its grids, one call of `_sampling_ratios` and no
+one-grid spectral call, and loops over nothing: `spectral._spectrum` alone cuts
+grids into padded blocks, so `harness.py` defines no block size or block cutter.
 `exact.CosineSeries` is the one exact-function type: no other class of the
 package gives analytic x-derivatives.
 """
@@ -102,6 +104,24 @@ def test_bound_sweep_calls_each_block_function_once_and_no_one_grid_function():
         assert called.count(name) == 1, name
     assert not {"eta", "eta_geometric_sum", "amplification_bound_check", "resolvent_power_sum",
                 "heat_kernel_spectrum_sum"} & set(called)
+
+
+def test_bound_sweep_loops_over_no_blocks_and_samples_once():
+    (sweep,) = [fn for name, fn in _functions(PACKAGE / "harness.py") if name == "bound_sweep"]
+    assert not [node for node in ast.walk(sweep) if isinstance(node, (ast.For, ast.While))]
+    called = [getattr(node.func, "attr", getattr(node.func, "id", None))
+              for node in ast.walk(sweep) if isinstance(node, ast.Call)]
+    assert called.count("_sampling_ratios") == 1
+
+
+def test_harness_defines_no_block_size_or_block_cutter():
+    tree = ast.parse((PACKAGE / "harness.py").read_text())
+    names = [node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+    names += [target.id for node in tree.body if isinstance(node, (ast.Assign, ast.AnnAssign))
+              for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+              if isinstance(target, ast.Name)]
+    assert "bound_sweep" in names and "EXPERIMENTS" in names
+    assert [name for name in names if "block" in name.lower()] == []
 
 
 def test_no_harness_function_is_named_for_a_dimension():
