@@ -21,6 +21,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass, field
+from sys import float_info
 
 import numpy as np
 
@@ -52,8 +53,8 @@ class Grid:
             shape = tuple([operator.index(J) for J in shape])
         except TypeError:
             raise ValueError(f"node counts must be integers, got shape {shape}") from None
-        if min(shape) < 2:
-            raise ValueError(f"need at least 2 nodes per axis, got shape {shape}")
+        if not all([2 <= J <= float_info.max for J in shape]):  # float(J) of a larger J overflows
+            raise ValueError(f"need 2 to {float_info.max:g} nodes per axis, got shape {shape}")
         if not all([0 < L < math.inf for L in lengths]):
             raise ValueError(
                 f"every interval length must be positive and finite, got {lengths}")
@@ -62,7 +63,7 @@ class Grid:
         # -4 sum 1/h^2, and the balance is divided by N times the cell volume
         if not (all([0 < h * h < math.inf for h in spacings])
                 and 4 * sum([1 / (h * h) for h in spacings]) < math.inf
-                and 0 < math.prod(shape) * math.prod(spacings) < math.inf):
+                and 0 < math.prod(map(float, shape)) * math.prod(spacings) < math.inf):
             raise ValueError(f"every spacing's square and its reciprocal must be "
                              f"positive and finite, and so must 4 * sum(1/h^2) and "
                              f"N * cell volume, got spacings {spacings}")
@@ -107,7 +108,8 @@ def Grid1D(J: int, L: float) -> Grid:
 def grid_for(Jx: int, Lx: float, *lengths: float) -> Grid:
     """Jx nodes on [0, Lx] and, on each further axis of ``lengths`` (y, z, ...),
     the J whose spacing best matches dx: round((L / Lx) * (Jx - 1)) + 1."""
-    shape = [round((L / Lx) * (Jx - 1)) + 1 for L in lengths]
+    Grid((Jx,), (Lx,))  # refuses Jx and Lx before the spans; Grid refuses a span past the floats
+    shape = [round(min((L / Lx) * (Jx - 1), float_info.max)) + 1 for L in lengths]
     return Grid((*shape[::-1], Jx), (*lengths[::-1], Lx))
 
 

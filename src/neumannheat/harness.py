@@ -299,8 +299,8 @@ def quadrature_inequality_check(v: H1Function, J_sweep: Sequence[int],
     return _worst(_sampling_ratios([v], grids), lambda f, k: (grids[k].J, v.label))
 
 
-def _sampling_ratios(fns, grids) -> list:
-    """norm_l2(project(g, v.fn)) ** 2 / (((J-1)/J) * 2 * (1 + dx) * ||v||_{H^1}^2) at [f][k] for
+def _sampling_ratios(fns, grids) -> np.ndarray:
+    """norm_l2(project(g, v.fn)) ** 2 / (((J-1)/J) * 2 * (1 + dx) * ||v||_{H^1}^2) at [f, k] for
     v = fns[f] on grids[k], bit for bit, each v sampled once per padded block (x = 0 padded)."""
     sums = [[] for _ in fns]
     for j, _, h, _, _, live in spectral._spectrum(grids, 0, [()] * len(grids), 4):  # 4 node arrays
@@ -309,15 +309,17 @@ def _sampling_ratios(fns, grids) -> list:
             values = sample(v.fn, [x]).reshape(live.shape)
             if not np.isfinite(values).all():  # as `project` refuses
                 raise ValueError("field contains non-finite entries")
-            s += exact_sums(np.where(live, values * values, 0.0)).tolist()
-    return [[math.sqrt(s / g.J) ** 2 / ((g.J - 1) / g.J * 2.0 * (1.0 + g.dx) * v.h1_norm_sq)
-             for g, s in zip(grids, vs)] for v, vs in zip(fns, sums)]
+            s.append(exact_sums(np.where(live, values * values, 0.0)))
+    J, h = np.array([[g.J, g.dx] for g in grids]).T
+    # float_power is pow, as y ** 2 of a Python float y; numpy's y ** 2 is y * y, not always equal
+    return (np.float_power(np.sqrt(np.array([np.concatenate(s) for s in sums]) / J), 2.0)
+            / ((J - 1) / J * 2.0 * (1.0 + h) * np.array([[v.h1_norm_sq] for v in fns])))
 
 
-def _worst(values, where, least: bool = False) -> WorstCase:
+def _worst(values: np.ndarray, where, least: bool = False) -> WorstCase:
     """The first least (ok if >= 0) or largest (ok if <= 1) entry of ``values``, at where(*at)."""
-    at = np.unravel_index(np.argmin(values) if least else np.argmax(values), np.shape(values))
-    value = np.asarray(values)[at].item()
+    at = np.unravel_index(values.argmin() if least else values.argmax(), values.shape)
+    value = values[at].item()
     return WorstCase(value, where(*at), value >= 0.0 if least else value <= 1.0)
 
 
@@ -330,9 +332,9 @@ def bound_sweep(J_list: Sequence[int] = range(2, 513),
     sampling inequality over ``J_list``.  Keys: "amplification" (smallest envelope margin, at
     (J, cfl, mode); holds when >= 0), then "eta_sum", "resolvent", "kernel" and "quadrature"
     (value/bound ratios, at (J, cfl, n or m) or (J, function); hold when <= 1), the first in sweep
-    order among equals.  Each grid is built once, and each figure is one call over all the grids,
-    which `spectral` reads in padded blocks.  Refused: an empty sweep list, a cfl that is not
-    finite and positive, an L outside [1e-60, 1e60] (sums scale as L^4)."""
+    order among equals.  Each grid is built once, and each figure is one float array from one call
+    over all the grids, which `spectral` reads in padded blocks.  Refused: an empty sweep list, a
+    cfl that is not finite and positive, an L outside [1e-60, 1e60] (sums scale as L^4)."""
     if not all(map(len, (J_list, cfls, ns, ms))):
         raise ValueError("bound_sweep needs nonempty J_list, cfls, ns and ms")
     if not all([0 < c < math.inf for c in cfls]):  # a usage error, not a stability violation
@@ -345,12 +347,12 @@ def bound_sweep(J_list: Sequence[int] = range(2, 513),
     fns = (h1_constant(), h1_linear(L), h1_cosine_mode(1, L))
     bound = spectral.resolvent_power_sum_bound(L)
     margin, first = spectral.amplification_bound_checks(grids, dts)
-    return {  # value/bound ratios at [k][i][j] (J, cfl, n or m); the sampling check's at [f][k]
-        "amplification": _worst(margin, lambda k, i: (grids[k].J, cfls[i], first[k][i]),
+    return {  # value/bound ratios at [k, i, j] (J, cfl, n or m); the sampling check's at [f, k]
+        "amplification": _worst(margin, lambda k, i: (grids[k].J, cfls[i], first[k, i].item()),
                                 least=True),
-        "eta_sum": _worst(np.divide(spectral.eta_geometric_sums(grids, dts, ns), 2.0 * L ** 2),
+        "eta_sum": _worst(spectral.eta_geometric_sums(grids, dts, ns) / (2.0 * L ** 2),
                           lambda k, i, j: (grids[k].J, cfls[i], ns[j])),
-        "resolvent": _worst(np.divide(spectral.resolvent_power_sums(grids, dts, ns), bound),
+        "resolvent": _worst(spectral.resolvent_power_sums(grids, dts, ns) / bound,
                             lambda k, i, j: (grids[k].J, cfls[i], ns[j])),
         "kernel": _worst(np.divide(*spectral.heat_kernel_spectrum_sums(grids, cfls, ms)),
                          lambda k, i, j: (grids[k].J, cfls[i], ms[j])),

@@ -222,9 +222,9 @@ def _run_checkpoints(st: RunState, checkpoints, advance=_advance_to) -> list[Che
     targets = list(checkpoints)
     if not targets:
         raise ValueError("need at least one checkpoint")
-    if (not all(0 <= t < math.inf for t in targets)
+    if (not all(0 <= t / st.dt < math.inf for t in targets)  # round(t / dt) of inf overflows
             or any(b < a for a, b in zip(targets, targets[1:]))):
-        raise ValueError("checkpoints must be finite, nonnegative and nondecreasing")
+        raise ValueError("checkpoints must be finite, nonnegative and nondecreasing (t/dt finite)")
     out = []
     for t in targets:
         n_rec = round(t / st.dt)

@@ -16,9 +16,9 @@ eigenvectors W_0 = 1 and (W_l)_j = sqrt(2) cos(l (j + 1/2) pi / J), an
 orthonormal family for the scaled inner product.  Eigenpairs always come from
 these closed forms, never from a numerical eigensolver.  The eigenvectors are
 the orthonormal DCT-II basis (`dctn`, `idctn`), per axis on any number of axes,
-and one stability rule, `cfl_ok`, serves every grid.  The four bound figures take 1D grids,
-read in zero-padded blocks (`_spectrum`), the time steps dts[k][i] of grids[k] (or the kernel's
-alphas[i]) and counts, giving [k][i][j]; a one-grid function is its one-grid case.
+and one stability rule, `cfl_ok`, serves every grid.  Each of the four bound figures is one float
+array at [k, i, j] over 1D grids[k], read in zero-padded blocks (`_spectrum`), their time steps
+dts[k][i] (or the kernel's alphas[i]) and counts; its one-grid case returns Python numbers.
 """
 
 from __future__ import annotations
@@ -238,33 +238,28 @@ def amplification_envelope(g: Grid, dt) -> np.ndarray:
     return _envelope(dt / g.dx ** 2, np.arange(g.J), g.J)
 
 
-def amplification_bound_checks(grids, dts) -> tuple[list, list]:
+def amplification_bound_checks(grids, dts) -> tuple[np.ndarray, np.ndarray]:
     """The smallest margin of `amplification_envelope` over |1 + dt*lambda_l|,
-    l = 0..J-1, and its first mode, at [k][i] for grids[k] and dt = dts[k][i], from padded
+    l = 0..J-1, and its first mode, at [k, i] for grids[k] and dt = dts[k][i], from padded
     blocks of 4 temporaries per dt (padded margins +inf): the bound holds where it is >= 0."""
-    worst, first = [], []
+    worst = []  # per block, the smallest margins and their first modes at [i, k]
     for ell, J, _, h2, dt, live in _spectrum(grids, 0, dts, 4 * max(map(len, dts), default=0)):
         margins = _envelope(dt / h2, ell, J) - np.abs(1.0 + dt * _eigenvalues(-4.0 / h2, ell, J))
         np.copyto(margins, np.inf, where=~live)
-        worst.append(margins.min(axis=-1))
-        first.append(margins.argmin(axis=-1))
-    return np.concatenate(worst, axis=1).T.tolist(), np.concatenate(first, axis=1).T.tolist()
+        worst.append((margins.min(axis=-1), margins.argmin(axis=-1)))
+    return tuple(np.concatenate(a, axis=1).T for a in zip(*worst))
 
 
 def amplification_bound_check(g: Grid, dt: float) -> AmplificationReport:
     """The one-grid, one-dt case of `amplification_bound_checks`."""
-    (worst,), (first,) = amplification_bound_checks([g], [[dt]])
-    return AmplificationReport(g, dt, worst[0], first[0])
+    return AmplificationReport(g, dt, *(a.item() for a in amplification_bound_checks([g], [[dt]])))
 
 
 def geometric_sum(lam, qk, k, dt):
-    """dt * sum_{i<k} q^i per entry of ``lam`` (a float or an array), given
-    qk = q^k for the ratio q = 1 + dt*lam: (1 - q^k)/(-lam), or k*dt where
-    |1 - q| < 1e-14 (the constant mode, lambda = 0, and ratios the closed
-    form cannot resolve); ``k`` and ``dt`` may be arrays that broadcast to qk,
-    and an array qk is overwritten with the result."""
-    if isinstance(lam, float):  # one ratio (eta): float arithmetic, a few times faster
-        return k * dt if abs(dt * lam) < 1e-14 else (1.0 - qk) / -lam
+    """dt * sum_{i<k} q^i per entry of the array ``lam``, given the array qk = q^k for the
+    ratio q = 1 + dt*lam: (1 - q^k)/(-lam), or k*dt where |1 - q| < 1e-14 (the constant mode,
+    lambda = 0, and ratios the closed form cannot resolve); ``k`` and ``dt`` may be arrays
+    that broadcast to qk, which is overwritten with the result."""
     near = np.abs(dt * lam) < 1e-14
     np.divide(np.subtract(1.0, qk, out=qk), -lam, out=qk, where=~near)
     return np.multiply(k, dt, out=qk, where=near)
@@ -280,23 +275,24 @@ def power(q: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
-def eta_geometric_sums(grids, dts, ns) -> list:
-    """dt * sum_{k<n} eta^k at [k][i][j] for grids[k], dt = dts[k][i] and
+def eta_geometric_sums(grids, dts, ns) -> np.ndarray:
+    """dt * sum_{k<n} eta^k at [k, i, j] for grids[k], dt = dts[k][i] and
     n = ns[j], from one `eta` per (grid, dt), via the closed geometric form;
     under the stability restriction each is bounded by 2 L^2 uniformly in n, J and dt."""
     _spectrum(grids, 0, dts, 0, n=ns)  # the refusals; no block is read
-    return [[[geometric_sum((e - 1.0) / dt, e ** n, n, dt) for n in ns]
-             for dt, e in zip(d, _etas(g, d))] for g, d in zip(grids, dts)]
+    etas, dt = [_etas(g, d) for g, d in zip(grids, dts)], np.array(dts, float)[..., None]
+    qk = np.array([[[e ** n for n in ns] for e in es] for es in etas])  # Python pow, as `eta` ** n
+    return geometric_sum((np.array(etas)[..., None] - 1.0) / dt, qk, np.array(ns, float), dt)
 
 
 def eta_geometric_sum(g: Grid, dt: float, n: int) -> float:
     """The one-grid, one-(dt, n) case of `eta_geometric_sums`."""
-    return eta_geometric_sums([g], [[dt]], (n,))[0][0][0]
+    return eta_geometric_sums([g], [[dt]], (n,)).item()
 
 
-def resolvent_power_sums(grids, dts, ns) -> list:
+def resolvent_power_sums(grids, dts, ns) -> np.ndarray:
     """sum_l |dt * sum_{k<n} (1 + dt*lambda_l)^k|^2 over the nonzero modes, at
-    [k][i][j] for grids[k], dt = dts[k][i] and n = ns[j], from padded blocks.
+    [k, i, j] for grids[k], dt = dts[k][i] and n = ns[j], from padded blocks.
 
     Each inner sum uses the closed geometric form (guarded near ratio 1), so
     the cost is O(J) per (dt, n) regardless of n.  Each sum is exactly rounded
@@ -316,21 +312,21 @@ def resolvent_power_sums(grids, dts, ns) -> list:
         np.copyto(s, 0.0, where=~live[:, None])
         s *= s  # in place, so that exact_sums' work array adds nothing to the peak memory
         sums.append(exact_sums(s))
-    return np.concatenate(sums, axis=1).swapaxes(0, 1).tolist()
+    return np.concatenate(sums, axis=1).swapaxes(0, 1)
 
 
 def resolvent_power_sum(g: Grid, dt: float, n: int) -> float:
     """The one-grid, one-(dt, n) case of `resolvent_power_sums`."""
-    return resolvent_power_sums([g], [[dt]], (n,))[0][0][0]
+    return resolvent_power_sums([g], [[dt]], (n,)).item()
 
 
 def resolvent_power_sum_bound(L: float) -> float:
     return 4.0 * math.pi ** 4 * L ** 4 / 90.0
 
 
-def heat_kernel_spectrum_sums(grids, alphas, ms) -> tuple[list, list]:
+def heat_kernel_spectrum_sums(grids, alphas, ms) -> tuple[np.ndarray, np.ndarray]:
     """Riemann-type sums dx * sum_l exp(-alpha*m*sin^2(l pi / J)), exactly
-    rounded, and their bounds L*sqrt(pi)/sqrt(m*alpha), at [k][i][j] for grids[k],
+    rounded, and their bounds L*sqrt(pi)/sqrt(m*alpha), at [k, i, j] for grids[k],
     alpha = alphas[i] and m = ms[j]; no sum exceeds its bound, uniformly in J."""
     blocks = _spectrum(grids, 1, [()] * len(grids), len(alphas) * len(ms), m=ms)  # no time steps
     if not all(0 < a * m < math.inf for a in alphas for m in ms):
@@ -341,10 +337,9 @@ def heat_kernel_spectrum_sums(grids, alphas, ms) -> tuple[list, list]:
         np.copyto(terms, 0.0, where=~live[:, None])  # np.where on a broadcast mask is far slower
         values.append(h[..., None] * exact_sums(terms).swapaxes(0, 1))
     bounds = np.divide.outer([g.L * math.sqrt(math.pi) for g in grids], np.sqrt(am))
-    return np.concatenate(values).tolist(), bounds.tolist()
+    return np.concatenate(values), bounds
 
 
 def heat_kernel_spectrum_sum(g: Grid, alpha: float, m: int) -> tuple[float, float]:
     """The one-grid, one-(alpha, m) case of `heat_kernel_spectrum_sums`: (value, bound)."""
-    values, bounds = heat_kernel_spectrum_sums([g], (alpha,), (m,))
-    return values[0][0][0], bounds[0][0][0]
+    return tuple(a.item() for a in heat_kernel_spectrum_sums([g], (alpha,), (m,)))

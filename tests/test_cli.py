@@ -493,6 +493,13 @@ def test_console_entry_point():
                     "--gamma", "1e308", "--L", "1", "--J", "5", "--solver", solver), 2,
                    "invalid arguments: ", id=f"flux-overflow-{solver}")
       for solver in ("iterate", "laplace")],
+    # t / dt overflowed to inf, and round(t / dt) raised OverflowError: exit 1
+    pytest.param(("homog", "--datum", "trigpoly", "--J", "17,33,65", "--t", "1e308"), 2,
+                 "invalid arguments: ", id="checkpoint-steps-overflow"),
+    pytest.param(("steady2d", "--case", "centered", "--J", "8", "--t", "1e308"), 2,
+                 "invalid arguments: ", id="checkpoint-steps-overflow-2d"),
+    # a node count past the largest float overflowed L / (J - 1): exit 1
+    pytest.param(("spectra", "--J", "9" * 401), 2, "invalid arguments: ", id="node-count-overflow"),
     # an unreadable or malformed config printed a message of its own
     pytest.param(("sweep", "--config", "{missing}"), 4, "I/O failure: ", id="missing-config"),
     pytest.param(("sweep", "--config", "{malformed}"), 2,

@@ -46,6 +46,18 @@ def test_grid_degenerate_and_invalid():
         with pytest.raises(ValueError, match="spacing's square"):
             Grid(shape, lengths)
     Grid1D(3, 1e150), Grid1D(3, 1e-150)  # squares and reciprocals in range
+    # a count past the largest float overflowed L / (J - 1) (OverflowError), in
+    # grid_for before any Grid was made; so did N = 10^600 times the cell volume
+    with pytest.raises(ValueError, match="nodes per axis"):
+        Grid1D(10 ** 400, 1.0)
+    with pytest.raises(ValueError, match="nodes per axis"):
+        grid.grid_for(10 ** 400, 2.0, 4.0)
+    with pytest.raises(ValueError, match="spacing's square"):
+        Grid((10 ** 300, 10 ** 300), (1e160, 1e160))
+    # a span past the floats overflowed round(), and Lx = 0 divided by zero
+    for args in ((5, 1e-300, 1e300), (5, 0.0, 1.0), (5, 1.0, math.inf)):
+        with pytest.raises(ValueError):
+            grid.grid_for(*args)
 
 
 def test_grid_refuses_node_counts_that_are_not_integers():

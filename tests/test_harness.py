@@ -187,7 +187,8 @@ def test_sampling_ratios_equal_the_one_grid_ratios():
     for L in (1.0, 3.7, 1e60):
         grids = [Grid1D(J, L) for J in [*range(2, 600), 282, 20000, 3]]
         fns = (h1_constant(), h1_linear(L), h1_cosine_mode(1, L))
-        assert harness._sampling_ratios(fns, grids) == \
+        ratios = harness._sampling_ratios(fns, grids)
+        assert ratios.dtype == float and ratios.tolist() == \
             [[norm_l2(project(g, h1.fn)) ** 2 / ((g.J - 1) / g.J * 2.0 * (1.0 + g.dx)
                                                  * h1.h1_norm_sq) for g in grids] for h1 in fns]
 
@@ -198,7 +199,7 @@ def test_sampling_check_samples_each_grid_on_its_own_nodes():
     # and a function that is nan at one node of one grid is refused
     grids = [Grid1D(J, 1.0) for J in (600, 2, 37, 2, 3)]
     mode = H1Function(cosine_mode(2, 1.0), 1.0 + (2 * math.pi) ** 2, "cos mode 2")
-    assert harness._sampling_ratios([mode], grids) == \
+    assert harness._sampling_ratios([mode], grids).tolist() == \
         [[norm_l2(project(g, mode.fn)) ** 2 / ((g.J - 1) / g.J * 2.0 * (1.0 + g.dx)
                                                 * mode.h1_norm_sq) for g in grids]]
     node = grids[2].nodes()[5]
@@ -215,6 +216,20 @@ def test_sweeps_over_an_array_of_J_report_python_ints():
     assert rep.ok and rep.where == (2, "x") and type(rep.where[0]) is int
     for name, worst in bound_sweep(J_list=np.arange(2, 6)).items():
         assert type(worst.where[0]) is int and worst.where[0] in range(2, 6), name
+
+
+def test_one_grid_figures_and_worst_cases_hold_python_numbers():
+    # the batched figures are float arrays; their one-grid cases and the
+    # sweep's worst cases give Python numbers, not numpy scalars
+    g, dt = Grid1D(9, 1.0), Grid1D(9, 1.0).dx ** 2 / 4
+    report = amplification_bound_check(g, dt)
+    assert type(report.worst_margin) is float and type(report.worst_index) is int
+    assert type(eta_geometric_sum(g, dt, 10)) is float
+    assert type(resolvent_power_sum(g, dt, 10)) is float
+    assert [type(x) for x in heat_kernel_spectrum_sum(g, 0.5, 10)] == [float, float]
+    for name, worst in bound_sweep().items():
+        assert type(worst.value) is float and type(worst.ok) is bool, name
+        assert not [x for x in worst.where if isinstance(x, np.generic)], name
 
 
 def test_blocks_cut_by_padded_area():
@@ -389,9 +404,11 @@ def test_bound_sweep_is_bit_identical_across_blocks_of_grids(monkeypatch):
             for name, grids, out, _ in swept:
                 for k, g in enumerate(grids):
                     if name == "resolvent_power_sums":
-                        assert out[k] == [[sums["resolvent", g.J, c, n] for n in ns] for c in cfls]
+                        assert out[k].tolist() == \
+                            [[sums["resolvent", g.J, c, n] for n in ns] for c in cfls]
                     else:
-                        assert [list(zip(*vb)) for vb in zip(out[0][k], out[1][k])] == \
+                        assert [list(zip(*vb)) for vb in zip(out[0][k].tolist(),
+                                                              out[1][k].tolist())] == \
                             [[sums["kernel", g.J, c, m] for m in ms] for c in cfls]
 
 

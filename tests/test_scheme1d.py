@@ -446,6 +446,16 @@ def test_propagate_checkpoint_contract():
                 advance(st, bad)
 
 
+def test_checkpoints_whose_step_count_overflows_are_refused():
+    # t / dt = inf made round(t / dt) raise OverflowError, which is no ValueError
+    g = Grid1D(9, 1.0)
+    for advance in (run_to, propagate):
+        st = new_run(g, g.dx ** 2 / 2, ones(g))
+        with pytest.raises(ValueError, match="checkpoints must be finite"):
+            advance(st, [0.0, 1e308])
+        assert st.n == 0
+
+
 def test_steady_iterative_homogeneous_decays_to_mean():
     g = Grid1D(17, 1.0)
     p0 = NonhomogProblem(lambda x: np.zeros_like(x), 0.0, 0.0, 1.0, f_integral=0.0)

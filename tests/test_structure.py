@@ -13,6 +13,9 @@ is named for a number of axes.  `bound_sweep` makes one call of each batched
 spectral function over all its grids, one call of `_sampling_ratios` and no
 one-grid spectral call, and loops over nothing: `spectral._spectrum` alone cuts
 grids into padded blocks, so `harness.py` defines no block size or block cutter.
+Every bound figure stays one float array from `spectral` to `bound_sweep`: the
+batched figures, `_sampling_ratios` and `bound_sweep` call no `tolist`, and
+`spectral.geometric_sum` has one (array) path, with no `isinstance` branch.
 `exact.CosineSeries` is the one exact-function type: no other class of the
 package gives analytic x-derivatives.
 """
@@ -112,6 +115,22 @@ def test_bound_sweep_loops_over_no_blocks_and_samples_once():
     called = [getattr(node.func, "attr", getattr(node.func, "id", None))
               for node in ast.walk(sweep) if isinstance(node, ast.Call)]
     assert called.count("_sampling_ratios") == 1
+
+
+def _called(fn):
+    """The names of the functions and methods that ``fn`` calls."""
+    return {getattr(node.func, "attr", getattr(node.func, "id", None))
+            for node in ast.walk(fn) if isinstance(node, ast.Call)}
+
+
+def test_bound_figures_stay_arrays_and_geometric_sum_has_one_path():
+    spectral = dict(_functions(PACKAGE / "spectral.py"))
+    harness = dict(_functions(PACKAGE / "harness.py"))
+    for fn in [spectral["amplification_bound_checks"], spectral["eta_geometric_sums"],
+               spectral["resolvent_power_sums"], spectral["heat_kernel_spectrum_sums"],
+               harness["_sampling_ratios"], harness["bound_sweep"]]:
+        assert "tolist" not in _called(fn), fn.name
+    assert "isinstance" not in _called(spectral["geometric_sum"])
 
 
 def test_harness_defines_no_block_size_or_block_cutter():
