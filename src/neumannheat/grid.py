@@ -10,9 +10,9 @@ grid, and `grid_for(Jx, Lx, Ly, ...)` a grid whose further axes match dx.
 
 All discrete norms use the scaled inner product <v, w> = (1/N) * sum v w over
 the N nodes; every sum is `exact_sum`, the exactly rounded `math.fsum` value,
-which on large arrays, and in `exact_sums` on each row of an array, comes
-from vectorised error-free extraction rather than Python floats, so results
-are bit-stable across runs.
+which on large arrays (in cache-sized groups of rows), and in `exact_sums` on
+each row of an array, comes from vectorised error-free extraction rather than
+Python floats, so results are bit-stable across runs.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ __all__ = [
 ]
 
 _SUM_BLOCK = 16384  # widest list `exact_sum` hands fsum, widest row it or `exact_sums` extracts
+_SUM_GROUP = 4  # rows `exact_sum` extracts at once: with their work array 1 MB, in a 2 MB L2
 
 
 @dataclass(frozen=True)
@@ -142,26 +143,29 @@ def check_grid(g: Grid, *fields: Field) -> None:
 
 def exact_sum(a: np.ndarray) -> float:
     """``math.fsum(a.ravel())``, bit for bit.  Beyond `_SUM_BLOCK` entries, rows of
-    `_SUM_BLOCK` (zero-padded) are summed by error-free extraction (Rump, Ogita &
-    Oishi, SIAM J. Sci. Comput. 31, 2008): with 2^e > the row's max |p| and
+    `_SUM_BLOCK` (the last zero-padded) are summed by error-free extraction (Rump,
+    Ogita & Oishi, SIAM J. Sci. Comput. 31, 2008), one group of `_SUM_GROUP` rows
+    at a time until its rows are zero: with 2^e > a row's max |p| and
     sigma = 2^15 * 2^e, each q = (p + sigma) - sigma is a multiple of 2^-53 sigma
-    with |q| <= 2^e, so the row sum of q in any order, and p - q, are exact; fsum
-    rounds the row sums once every row is zero.  Entries that are not finite or
-    reach 2^1000 go to fsum as Python floats, so its errors are raised as before."""
+    with |q| <= 2^e, so the row sum of q in any order, and p - q, are exact; one
+    fsum rounds every group's exact row sums, whose order cannot change it.  Entries
+    that are not finite or reach 2^1000 go to fsum as Python floats, so its errors
+    are raised as before, whichever group they are in."""
     flat = a.ravel()
     if flat.size <= _SUM_BLOCK:
         return math.fsum(flat.tolist())
-    rows = np.zeros((-(-flat.size // _SUM_BLOCK), _SUM_BLOCK))
-    rows.ravel()[:flat.size] = flat
-    q, parts = np.empty_like(rows), []
-    while (mu := np.abs(rows, out=q).max(axis=1)).any():
-        if not mu.max() < 2.0 ** 1000:  # nan, inf, or sums that may overflow
-            return math.fsum(itertools.chain.from_iterable(
-                flat[i:i + _SUM_BLOCK].tolist() for i in range(0, flat.size, _SUM_BLOCK)))
-        sigma = np.ldexp(1.0, np.frexp(mu)[1] + 15)[:, None]  # 2^15 >= _SUM_BLOCK + 2
-        np.subtract(np.add(rows, sigma, out=q), sigma, out=q)
-        parts += q.sum(axis=1).tolist()
-        rows -= q
+    rows = np.empty((_SUM_GROUP, _SUM_BLOCK))
+    q, parts, buf = np.empty_like(rows), [], rows.ravel()
+    for group in (flat[i:i + buf.size] for i in range(0, flat.size, buf.size)):
+        buf[:group.size], buf[group.size:] = group, 0.0
+        while (mu := np.abs(rows, out=q).max(axis=1)).any():
+            if not mu.max() < 2.0 ** 1000:  # nan, inf, or sums that may overflow
+                return math.fsum(itertools.chain.from_iterable(
+                    flat[i:i + _SUM_BLOCK].tolist() for i in range(0, flat.size, _SUM_BLOCK)))
+            sigma = np.ldexp(1.0, np.frexp(mu)[1] + 15)[:, None]  # 2^15 >= _SUM_BLOCK + 2
+            np.subtract(np.add(rows, sigma, out=q), sigma, out=q)
+            parts += q.sum(axis=1).tolist()
+            rows -= q
     return math.fsum(parts)
 
 

@@ -7,7 +7,8 @@ matches each further axis's spacing to dx):
 
     homog-trigpoly    1D homogeneous, finite cosine datum, L=1
     homog-polybump    1D homogeneous, quartic bump datum, L=1
-    homog-hat         1D homogeneous, triangular datum, L=2
+    homog-hat         1D homogeneous, triangular datum, L=2; its early slope ~2
+                      (criterion 05) holds on J - 1 in 200N, not on (211, 421, 841)
     steady1d-w        1D forced, datum = target mean + companion quadratic
     steady1d-const    1D forced, constant datum at the discrete target mean
     steady2d-centered 2D forced, Gaussian steady state away from the boundary

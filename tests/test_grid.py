@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,9 +8,9 @@ from neumannheat import (Field, Field1D, Field2D, Grid, Grid1D,
                          GridMismatchError, bound_sweep, inner, mean, mean2d, norm2d,
                          default_config, norm_l2, ones, project, project2d,
                          run_convergence)
-from neumannheat import grid, spectral
+from neumannheat import grid, scheme1d, spectral
 from neumannheat.grid import check_grid, exact_sum, exact_sums
-from neumannheat.exact import cosine_mode
+from neumannheat.exact import cosine_mode, steady_1d
 from neumannheat.spectral import eigenvalues, eigenvector
 
 
@@ -132,8 +133,10 @@ def test_mean_is_inner_with_ones_bitwise():
 
 def test_exact_sum_equals_fsum_bit_for_bit():
     rng = np.random.default_rng(20)
-    C = grid._SUM_BLOCK
-    for n in (1, 7, C - 1, C, C + 1, 3 * C + 5):
+    C, G = grid._SUM_BLOCK, grid._SUM_GROUP * grid._SUM_BLOCK
+    # up to and past one row of the extraction, and one group of rows (G - 1,
+    # G, G + 1), and two whole groups and a nearly empty third
+    for n in (1, 7, C - 1, C, C + 1, 3 * C + 5, G - 1, G, G + 1, 2 * G + 3):
         # magnitudes over +-20 decades, and each large value cancelled by its
         # negative elsewhere, so that only an exactly rounded sum gets it right
         x = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-20, 20, n)
@@ -212,6 +215,53 @@ def test_exact_sum_of_more_than_one_block_keeps_fsum_special_values(special):
     else:
         x[x.size // 2] = special
     _assert_sums_like_fsum(x)
+
+
+@pytest.mark.parametrize("special", [math.nan, math.inf, -math.inf, "inf-inf",
+                                     1e308, "1e308s"])
+def test_exact_sum_keeps_fsum_special_values_found_in_the_last_group(special):
+    # the earlier groups are extracted to exact row sums before the last
+    # group's first pass meets the entry that sends the whole array to fsum
+    G = grid._SUM_GROUP * grid._SUM_BLOCK
+    x = np.random.default_rng(3).standard_normal(2 * G + 5) * 1e10
+    if special == "inf-inf":
+        x[-4], x[-1] = math.inf, -math.inf
+    elif special == "1e308s":
+        x[-3:] = 1e308  # overflows in fsum: OverflowError
+    else:
+        x[-2] = special
+    _assert_sums_like_fsum(x)
+
+
+def test_exact_sum_equals_fsum_on_the_big_shifted_solve(monkeypatch):
+    # the shifted solve at J = 10^6 + 1 sums b0, whose sum cancels to about
+    # -N r, and the solved v, whose mean is near zero
+    recorded = []
+
+    def recording(a):
+        recorded.append(a.copy())
+        return exact_sum(a)
+
+    monkeypatch.setattr(scheme1d, "exact_sum", recording)
+    ss = steady_1d()
+    p = scheme1d.NonhomogProblem(ss.source, ss.beta, ss.gamma, ss.L, ss.source_integral)
+    scheme1d.solve_steady_laplace(p, Grid1D(1_000_001, ss.L), 1e-3)
+    assert [a.size for a in recorded] == [1_000_001, 1_000_001]
+    for a in recorded:
+        assert exact_sum(a) == math.fsum(a)
+
+
+def test_exact_sum_peak_memory_stays_below_2_mb():
+    # one group of rows and its work array at a time, not the whole padded array twice
+    x = np.random.default_rng(4).standard_normal(1_000_001)
+    exact_sum(x[:2 * grid._SUM_BLOCK])  # one-time allocations of the first call
+    tracemalloc.start()
+    try:
+        exact_sum(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2 ** 20
 
 
 def _assert_rows_sum_like_fsum(rows):

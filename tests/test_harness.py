@@ -66,6 +66,22 @@ def test_run_convergence_basic():
         assert r.t_realized == pytest.approx(r.n * r.dt, abs=0.0)
 
 
+def _hat_early_slope(J_list):
+    cfg = default_config("homog-hat", J_list=J_list, checkpoints=(0.02,))
+    return estimate_slope(run_convergence(cfg)).slope
+
+
+def test_hat_early_second_order_regime_holds_on_the_catalog_grids():
+    # J - 1 = 200, 400, 800: criterion 05's grids, where the slope reads 1.97
+    assert _hat_early_slope((201, 401, 801)) >= 1.85
+
+
+def test_hat_early_second_order_regime_is_absent_off_the_catalog_grid_family():
+    # negative result: with J - 1 not a multiple of 200 the t = 0.02 error is
+    # 46 to 158 times that at (201, 401, 801) and falls at a slope of 1.07, not 2
+    assert _hat_early_slope((211, 421, 841)) < 1.5
+
+
 def test_run_convergence_builds_its_case_once(monkeypatch):
     J_list, checkpoints, normalization, case = EXPERIMENTS["steady2d-offset"]
     calls = []
