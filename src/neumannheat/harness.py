@@ -14,14 +14,15 @@ matches each further axis's spacing to dx):
     steady2d-centered 2D forced, Gaussian steady state away from the boundary
     steady2d-offset   2D forced, Gaussian steady state centered on a corner
 
-`_study` builds every study from its catalog case: the grid, the start, the
-exact reference and the normalizer.  It runs at the one time step
-dt = cfl / sum 1/h^2 (cfl*dx^2 in 1D) and reaches its checkpoints by exact
-propagation (`scheme1d.propagate`), not by stepping.  Errors compare the run
-against the exact state sampled on the grid at the realized time of the
-nearest step, and rel_err divides by a norm of the sampled exact(0): the
-whole of it, its mean-free part (the bump, whose fluctuation the error
-tracks), or 1 for the absolute 2D errors.  The continuous steady problem
+`_checkpoints` builds every study from its catalog case: the grid, the start,
+the exact reference and the normalizer.  It runs at the one time step
+dt = cfl / sum 1/h^2 (cfl*dx^2 in 1D), reaches its checkpoints by exact
+propagation (`scheme1d.propagate`), not by stepping, and yields each
+checkpoint's field, from which `run_convergence` makes the records.  Errors
+compare the run against the exact state sampled on the grid at the realized
+time of the nearest step, and rel_err divides by a norm of the sampled
+exact(0): the whole of it, its mean-free part (the bump, whose fluctuation the
+error tracks), or 1 for the absolute 2D errors.  The continuous steady problem
 fixes its state only up to a constant, so a forced run with no start of its
 own starts at the discrete mean of the sampled state, the only mean the
 discrete dynamics can hold; `steady1d-w` starts at its datum.
@@ -118,13 +119,13 @@ class ErrorRecord:
     wall_ms: float
 
 
-def _study(cfg: ExperimentConfig, J: int, case: tuple) -> list[ErrorRecord]:
-    """Build, run and measure one study at x-resolution J, the one place that
-    does.  ``case`` is (lengths, problem, exact, start): the box lengths in
-    array-axis order, the `ForcedProblem` or None, the exact state exact(t, x,
-    ...), and the start, None for the discrete mean of the sampled exact(0).
-    Each error is the norm of the sampled exact state at the realized time
-    minus the run, over the experiment's `_NORMALIZERS` figure for rel_err."""
+def _checkpoints(cfg: ExperimentConfig, J: int, case: tuple):
+    """Build and run one study at x-resolution J, the one place that does, and yield
+    (grid, dt, `Checkpoint`, exact state sampled at the realized time, normalizer) per
+    checkpoint.  ``case`` is (lengths, problem, exact, start): the box lengths in
+    array-axis order, the `ForcedProblem` or None, the exact state exact(t, x, ...),
+    and the start, None for the discrete mean of the sampled exact(0).  A normalizer,
+    the experiment's `_NORMALIZERS` figure, that is not positive is refused."""
     lengths, problem, exact, start = case
     g = grid_for(J, *lengths[::-1])
     initial = project(g, lambda *x: exact(0.0, *x))
@@ -136,13 +137,8 @@ def _study(cfg: ExperimentConfig, J: int, case: tuple) -> list[ErrorRecord]:
     v0 = project(g, mean(initial) if start is None else start)
     rhs = None if problem is None else scheme1d.build_rhs(problem, g)
     st = scheme1d.new_run(g, cfg.cfl / sum(1.0 / h ** 2 for h in g.spacings), v0, rhs)
-    t0, records = time.perf_counter(), []
     for cp in scheme1d.propagate(st, cfg.checkpoints):
-        reference = project(g, lambda *x: exact(cp.t_realized, *x))
-        err = norm_l2(Field(g, reference.values - cp.field.values))
-        records.append(ErrorRecord(cfg.experiment, g.Jx, g.dx, st.dt, cp.t_target, cp.t_realized,
-                                   cp.n, err, err / normalizer, (time.perf_counter() - t0) * 1e3))
-    return records
+        yield g, st.dt, cp, project(g, lambda *x: exact(cp.t_realized, *x)), normalizer
 
 
 # rel_err's divisor from the sampled exact(0); a steady state is its own exact(0)
@@ -179,7 +175,7 @@ _HAT_T = (0.005, 0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 1.0, 2.0)
 _STEADY_T = tuple(0.625 * k for k in range(1, 9))
 
 # The experiment catalog: id -> (default J list, default checkpoint times,
-# error normalization, `_study`'s case: a callable of no arguments).
+# error normalization, `_checkpoints`'s case: a callable of no arguments).
 EXPERIMENTS = {
     "homog-trigpoly": (_HOMOG_J, _HOMOG_T, "relative-to-initial", lambda: _homog(trig_poly())),
     "homog-polybump": (_HOMOG_J, _HOMOG_T, "relative-to-initial-fluctuation",
@@ -197,10 +193,17 @@ EXPERIMENTS = {
 
 
 def run_convergence(cfg: ExperimentConfig) -> list[ErrorRecord]:
-    """Run the experiment's case, built once, at each grid resolution in turn;
-    records come in deterministic (J ascending, time ascending) order."""
-    case = EXPERIMENTS[cfg.experiment][3]()
-    return [rec for J in sorted(cfg.J_list) for rec in _study(cfg, J, case)]
+    """Run the experiment's case, built once, at each grid resolution in turn, in
+    (J, time) ascending order: abs_err = norm_l2(reference - run), rel_err = abs_err
+    / normalizer, wall_ms from the start of the study (grid and start included)."""
+    case, records = EXPERIMENTS[cfg.experiment][3](), []
+    for J in sorted(cfg.J_list):
+        t0 = time.perf_counter()
+        for g, dt, cp, reference, norm in _checkpoints(cfg, J, case):
+            err = norm_l2(Field(g, reference.values - cp.field.values))
+            records.append(ErrorRecord(cfg.experiment, g.Jx, g.dx, dt, cp.t_target, cp.t_realized,
+                                       cp.n, err, err / norm, (time.perf_counter() - t0) * 1e3))
+    return records
 
 
 def records_at(records: Sequence[ErrorRecord], t_target: float) -> list[ErrorRecord]:
@@ -348,15 +351,14 @@ def bound_sweep(J_list: Sequence[int] = range(2, 513),
     fns = (h1_constant(), h1_linear(L), h1_cosine_mode(1, L))
     bound = spectral.resolvent_power_sum_bound(L)
     margin, first = spectral.amplification_bound_checks(grids, dts)
+    # where: Python numbers, whatever the sweep lists hold
+    at = lambda counts: lambda k, i, j: (grids[k].J, float(cfls[i]), int(counts[j]))
     return {  # value/bound ratios at [k, i, j] (J, cfl, n or m); the sampling check's at [f, k]
-        "amplification": _worst(margin, lambda k, i: (grids[k].J, cfls[i], first[k, i].item()),
-                                least=True),
-        "eta_sum": _worst(spectral.eta_geometric_sums(grids, dts, ns) / (2.0 * L ** 2),
-                          lambda k, i, j: (grids[k].J, cfls[i], ns[j])),
-        "resolvent": _worst(spectral.resolvent_power_sums(grids, dts, ns) / bound,
-                            lambda k, i, j: (grids[k].J, cfls[i], ns[j])),
-        "kernel": _worst(np.divide(*spectral.heat_kernel_spectrum_sums(grids, cfls, ms)),
-                         lambda k, i, j: (grids[k].J, cfls[i], ms[j])),
+        "amplification": _worst(margin, lambda k, i: (grids[k].J, float(cfls[i]),
+                                                      first[k, i].item()), least=True),
+        "eta_sum": _worst(spectral.eta_geometric_sums(grids, dts, ns) / (2.0 * L ** 2), at(ns)),
+        "resolvent": _worst(spectral.resolvent_power_sums(grids, dts, ns) / bound, at(ns)),
+        "kernel": _worst(np.divide(*spectral.heat_kernel_spectrum_sums(grids, cfls, ms)), at(ms)),
         "quadrature": _worst(_sampling_ratios(fns, grids), lambda f, k: (grids[k].J, fns[f].label)),
     }
 

@@ -9,7 +9,8 @@ conserves its mean and converges to the steady state with that mean; an
 unbalanced one drifts at exactly mean(b), and the steady solvers refuse it.
 `scheme2d` keeps two-axis names over this code for `bench/`.
 
-Runs step with the one numpy loop of `_kernels`: the reference for `propagate`, one
+`_run_checkpoints` alone advances a run, counts its steps and refuses non-finite values.
+`run_to` steps with the one numpy loop of `_kernels`: the reference for `propagate`, one
 `spectral.dctn`/`idctn` pair per checkpoint, and for the steady loop, a jump to its
 exact-arithmetic count, then one pair per checked block.  Everything runs on numpy alone.
 """
@@ -177,37 +178,23 @@ def new_run(g: Grid, dt: float, v0: Field, rhs: Optional[DiscreteRHS] = None) ->
     return RunState(g, dt, 0, v0.values.copy(), rhs)
 
 
-def _advance_to(st: RunState, n_target: int) -> None:
-    """Advance to step n_target in one call of the stepping loop, then check
-    that the values stayed finite."""
-    k = n_target - st.n
-    if k > 0:
-        c = [st.dt / h ** 2 for h in st.grid.spacings]
-        dtb = None if st.rhs is None else st.dt * st.rhs.b.values
-        st.values = _kernels.advance(st.values, c, dtb, k)
-        st.n = n_target
-    _check_finite(st)
+def _step(st: RunState, k: int) -> np.ndarray:
+    """The values k steps on, by one call of the stepping loop."""
+    c = [st.dt / h ** 2 for h in st.grid.spacings]
+    dtb = None if st.rhs is None else st.dt * st.rhs.b.values
+    return _kernels.advance(st.values, c, dtb, k)
 
 
-def _propagate_to(st: RunState, n_target: int) -> None:
-    """Advance to step n_target in the DCT-II basis, where k steps multiply
+def _jump(st: RunState, k: int) -> np.ndarray:
+    """The values k steps on, in the DCT-II basis, where k steps multiply
     mode l by q_l^k and add `geometric_sum` times the forcing mode; the constant
     mode's gain k*dt makes the mean drift at exactly mean(b)."""
-    k = n_target - st.n
-    if k > 0:
-        lam = eigenvalues(st.grid)
-        qk = power(1.0 + st.dt * lam, k)
-        vhat = qk * dctn(st.values)
-        if st.rhs is not None:
-            vhat += geometric_sum(lam, qk, k, st.dt) * dctn(st.rhs.b.values)
-        st.values = idctn(vhat)
-        st.n = n_target
-    _check_finite(st)
-
-
-def _check_finite(st: RunState) -> None:
-    if not np.all(np.isfinite(st.values)):
-        raise InstabilityError(f"non-finite values at step {st.n}")
+    lam = eigenvalues(st.grid)
+    qk = power(1.0 + st.dt * lam, k)
+    vhat = qk * dctn(st.values)
+    if st.rhs is not None:
+        vhat += geometric_sum(lam, qk, k, st.dt) * dctn(st.rhs.b.values)
+    return idctn(vhat)
 
 
 @dataclass(frozen=True)
@@ -218,7 +205,8 @@ class Checkpoint:
     field: Field
 
 
-def _run_checkpoints(st: RunState, checkpoints, advance=_advance_to) -> list[Checkpoint]:
+def _run_checkpoints(st: RunState, checkpoints, update=_step) -> list[Checkpoint]:
+    """Advance st to each checkpoint's step by ``update``, `_step` or `_jump`."""
     targets = list(checkpoints)
     if not targets:
         raise ValueError("need at least one checkpoint")
@@ -230,7 +218,10 @@ def _run_checkpoints(st: RunState, checkpoints, advance=_advance_to) -> list[Che
         n_rec = round(t / st.dt)
         if n_rec < st.n:
             raise ValueError(f"checkpoint t={t} rounds behind the current step {st.n}")
-        advance(st, n_rec)
+        if n_rec > st.n:
+            st.values, st.n = update(st, n_rec - st.n), n_rec
+        if not np.all(np.isfinite(st.values)):
+            raise InstabilityError(f"non-finite values at step {st.n}")
         out.append(Checkpoint(t, st.t, st.n, st.field))
     return out
 
@@ -249,7 +240,7 @@ def propagate(st: RunState, checkpoints) -> list[Checkpoint]:
     """`run_to` by exact propagation instead of stepping: the same checkpoint
     rules, step counts and records, on any grid; the values agree
     with stepping to rounding."""
-    return _run_checkpoints(st, checkpoints, _propagate_to)
+    return _run_checkpoints(st, checkpoints, _jump)
 
 
 @dataclass(frozen=True)

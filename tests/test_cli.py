@@ -472,7 +472,7 @@ def test_console_entry_point():
 
 @pytest.mark.parametrize("argv,code,prefix", [
     # the sampled datum (hat) or its mean-free part (polybump) is all zeros at
-    # J=2, and _study's rel_err divided by zero: ZeroDivisionError, exit 1
+    # J=2, and the study's rel_err divided by zero: ZeroDivisionError, exit 1
     pytest.param(("homog", "--datum", "polybump", "--J", "2,3,5", "--t", "0.1"), 2,
                  "invalid arguments: ", id="zero-fluctuation-normalizer"),
     pytest.param(("homog", "--datum", "hat", "--J", "2,4,6", "--t", "0.1"), 2,

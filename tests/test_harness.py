@@ -10,7 +10,8 @@ from neumannheat import (CflViolationError, CosineSeries, Grid1D, bound_sweep,
                          quadrature_inequality_check, run_convergence,
                          trig_poly)
 from neumannheat import harness, spectral
-from neumannheat.grid import norm_l2, project
+from neumannheat.exact import hat_function
+from neumannheat.grid import Field, mean, norm_l2, project
 from neumannheat.harness import (EXPERIMENTS, ErrorRecord, H1Function,
                                  csv_text, h1_constant,
                                  h1_cosine_mode, h1_linear, records_at)
@@ -64,6 +65,45 @@ def test_run_convergence_basic():
     # realized times sit on the step lattice
     for r in recs:
         assert r.t_realized == pytest.approx(r.n * r.dt, abs=0.0)
+
+
+def _study_fields(experiment, J, checkpoints=None):
+    """The (grid, dt, checkpoint, reference, normalizer) of one study, as
+    `run_convergence` reads them."""
+    cfg = default_config(experiment, J_list=(J,), checkpoints=checkpoints)
+    return harness._checkpoints(cfg, J, EXPERIMENTS[experiment][3]())
+
+
+def test_checkpoint_fields_give_the_records_bit_for_bit():
+    for experiment, J_list in (("homog-trigpoly", (17, 33)), ("steady2d-offset", (8, 16))):
+        records = run_convergence(default_config(experiment, J_list=J_list))
+        studies = [row for J in J_list for row in _study_fields(experiment, J)]
+        assert len(studies) == len(records)
+        for (g, dt, cp, reference, normalizer), r in zip(studies, records):
+            err = norm_l2(Field(g, reference.values - cp.field.values))
+            assert (g.Jx, dt, cp.t_target, cp.t_realized, cp.n) == \
+                (r.J, r.dt, r.t_target, r.t_realized, r.n)
+            assert (err, err / normalizer) == (r.abs_err, r.rel_err)
+            assert cp.n * dt == cp.t_realized
+
+
+def test_a_zero_normalizer_is_refused_before_a_checkpoint():
+    # the sampled hat is all zeros at J = 2
+    with pytest.raises(ValueError, match="normalizer is 0.0"):
+        next(_study_fields("homog-hat", 2))
+
+
+def test_hat_late_error_is_the_node_mean_gap_off_the_kink_nodes():
+    # at J - 1 not a multiple of 100 the outer kinks x = 0.98 and 1.02 are not
+    # nodes; the run keeps the sampled datum's node mean, the exact state
+    # tends to the continuous mean width/L = 0.01, and the error is their gap
+    for J, gap in ((251, 3.5857e-4), (2251, 4.9361e-7)):
+        ((g, dt, cp, reference, normalizer),) = _study_fields("homog-hat", J, (5.0,))
+        sampled = mean(project(g, hat_function()))
+        assert mean(cp.field) == pytest.approx(sampled, rel=1e-13, abs=0.0)
+        assert abs(sampled - 0.01) == pytest.approx(gap, rel=1e-4)
+        err = norm_l2(Field(g, reference.values - cp.field.values))
+        assert err == pytest.approx(abs(sampled - 0.01), rel=1e-6)
 
 
 def _hat_early_slope(J_list):
@@ -232,6 +272,12 @@ def test_sweeps_over_an_array_of_J_report_python_ints():
     assert rep.ok and rep.where == (2, "x") and type(rep.where[0]) is int
     for name, worst in bound_sweep(J_list=np.arange(2, 6)).items():
         assert type(worst.where[0]) is int and worst.where[0] in range(2, 6), name
+    # and the cfl and n or m of where=(int, np.float64, np.int64)
+    arrays = dict(J_list=np.arange(2, 6), cfls=np.array([0.5, 0.25]), ns=np.array([1, 10]),
+                  ms=np.array([1, 10]))
+    for name, worst in bound_sweep(**arrays).items():
+        if name != "quadrature":
+            assert [type(x) for x in worst.where] == [int, float, int], name
 
 
 def test_one_grid_figures_and_worst_cases_hold_python_numbers():

@@ -6,13 +6,15 @@ package raises reaches the CLI's one exit-code mapping.  In `cli.py` only
 `main` maps an exception or a refusal to an exit code, and nothing but `main`
 and the `FAILED:` line of `cmd_bounds` writes to stderr: a subcommand refuses
 by raising, never by printing a message and returning a code of its own.
-In `harness.py` only `_study` starts or carries a run, so every study takes
-its one time step, only `run_convergence` calls `_study`, every catalog entry
-is one case shape (J list, checkpoints, normalization, case), and no function
-is named for a number of axes.  `bound_sweep` makes one call of each batched
-spectral function over all its grids, one call of `_sampling_ratios` and no
-one-grid spectral call, and loops over nothing: `spectral._spectrum` alone cuts
-grids into padded blocks, so `harness.py` defines no block size or block cutter.
+In `harness.py` only `_checkpoints` starts or carries a run, so every study
+takes its one time step, only `run_convergence` calls `_checkpoints`, every
+catalog entry is one case shape (J list, checkpoints, normalization, case), and
+no function is named for a number of axes.  In `scheme1d.py` only
+`_run_checkpoints` and the steady loop move a run's step or values.
+`bound_sweep` makes one call of each batched spectral function over all its
+grids, one call of `_sampling_ratios` and no one-grid spectral call, and loops
+over nothing: `spectral._spectrum` alone cuts grids into padded blocks, so
+`harness.py` defines no block size or block cutter.
 Every bound figure stays one float array from `spectral` to `bound_sweep`: the
 batched figures, `_sampling_ratios` and `bound_sweep` call no `tolist`, and
 `spectral.geometric_sum` has one (array) path, with no `isinstance` branch.
@@ -79,14 +81,21 @@ def test_only_study_runs_a_study():
                 called = getattr(node.func, "attr", getattr(node.func, "id", None))
                 if called in ("new_run", "propagate"):
                     callers.add(name)
-    assert callers == {"_study"}
+    assert callers == {"_checkpoints"}
 
 
 def test_only_run_convergence_calls_study():
     callers = {name for name, fn in _functions(PACKAGE / "harness.py")
                for node in ast.walk(fn)
-               if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_study"}
+               if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_checkpoints"}
     assert callers == {"run_convergence"}
+
+
+def test_only_run_checkpoints_and_the_steady_loop_advance_a_run():
+    movers = {name for name, fn in _functions(PACKAGE / "scheme1d.py") for node in ast.walk(fn)
+              if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+              and node.attr in ("n", "values")}
+    assert movers == {"_run_checkpoints", "_iterate_to_steady"}
 
 
 def test_every_experiment_has_four_fields():
@@ -146,7 +155,7 @@ def test_harness_defines_no_block_size_or_block_cutter():
 def test_no_harness_function_is_named_for_a_dimension():
     names = [node.name for node in ast.walk(ast.parse((PACKAGE / "harness.py").read_text()))
              if isinstance(node, ast.FunctionDef)]
-    assert "_study" in names
+    assert "_checkpoints" in names
     assert [name for name in names if re.search(r"\dd(_|$)", name)] == []
 
 
