@@ -229,8 +229,11 @@ class SteadyState1D:
     mean_value = -193.0 / 384.0
 
     def source(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.where(x <= self.breakpoint, 1.0, 2.0 * x)
+        """f as 2x clamped below at 1, in one array: doubling is exact, so 2x <= 1
+        exactly when x <= 1/2, and the clamp is the piecewise f bit for bit, nan included."""
+        f = np.array(x, dtype=float)
+        f *= 2.0
+        return np.maximum(f, 1.0, out=f)
 
     def solution(self, x):
         x = np.asarray(x, dtype=float)

@@ -93,8 +93,12 @@ class Grid:
         return L
 
     def coordinates(self) -> list:
-        """Each axis's node coordinates j*h, in array-axis order."""
-        return [np.arange(J) * h for J, h in zip(self.shape, self.spacings)]
+        """Each axis's node coordinates j*h, in array-axis order: j counts in
+        floats, which hold it exactly, and is scaled by h in place."""
+        axes = [np.arange(float(J)) for J in self.shape]
+        for x, h in zip(axes, self.spacings):
+            x *= h
+        return axes
 
     def nodes(self) -> np.ndarray:
         """The x coordinates of the nodes."""

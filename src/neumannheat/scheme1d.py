@@ -185,15 +185,14 @@ def _step(st: RunState, k: int) -> np.ndarray:
     return _kernels.advance(st.values, c, dtb, k)
 
 
-def _jump(st: RunState, k: int) -> np.ndarray:
+def _jump(st: RunState, k: int, lam: np.ndarray, bhat: Optional[np.ndarray]) -> np.ndarray:
     """The values k steps on, in the DCT-II basis, where k steps multiply
-    mode l by q_l^k and add `geometric_sum` times the forcing mode; the constant
-    mode's gain k*dt makes the mean drift at exactly mean(b)."""
-    lam = eigenvalues(st.grid)
+    mode l (eigenvalue lam_l) by q_l^k and add `geometric_sum` times the forcing
+    mode bhat_l; the constant mode's gain k*dt makes the mean drift at exactly mean(b)."""
     qk = power(1.0 + st.dt * lam, k)
     vhat = qk * dctn(st.values)
-    if st.rhs is not None:
-        vhat += geometric_sum(lam, qk, k, st.dt) * dctn(st.rhs.b.values)
+    if bhat is not None:
+        vhat += geometric_sum(lam, qk, k, st.dt) * bhat
     return idctn(vhat)
 
 
@@ -239,8 +238,11 @@ def run_to(st: RunState, checkpoints) -> list[Checkpoint]:
 def propagate(st: RunState, checkpoints) -> list[Checkpoint]:
     """`run_to` by exact propagation instead of stepping: the same checkpoint
     rules, step counts and records, on any grid; the values agree
-    with stepping to rounding."""
-    return _run_checkpoints(st, checkpoints, _jump)
+    with stepping to rounding.  The eigenvalues and the forcing's modes are
+    computed once per call: b does not change in a run."""
+    lam = eigenvalues(st.grid)
+    bhat = None if st.rhs is None else dctn(st.rhs.b.values)
+    return _run_checkpoints(st, checkpoints, lambda s, k: _jump(s, k, lam, bhat))
 
 
 @dataclass(frozen=True)

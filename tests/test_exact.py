@@ -223,6 +223,23 @@ def test_single_mode_derivative_decay_is_sharp():
 
 # ---------------------------------------------------------------- steady 1D
 
+def test_steady_source_is_the_piecewise_form_byte_for_byte():
+    ss = steady_1d()
+    special = [0.5, np.nextafter(0.5, 1.0), np.nextafter(0.5, -1.0), 0.0, -0.0, 2.0,
+               math.inf, -math.inf, math.nan]
+    for x in (np.arange(1_000_001) * (2.0 / 1_000_000), np.array(special)):
+        before = x.copy()
+        want = np.where(x <= 0.5, 1.0, 2.0 * x)
+        assert ss.source(x).tobytes() == want.tobytes()
+        assert x.tobytes() == before.tobytes()  # the input is left as it was
+    for v in special:
+        for x in (float(v), np.array(v), [v]):
+            a = np.asarray(x, dtype=float)
+            want, got = np.where(a <= 0.5, 1.0, 2.0 * a), ss.source(x)
+            assert type(got) is type(want) and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+
 def test_steady_problem_balance_and_solution():
     ss = steady_1d()
     x = sp.symbols("x")

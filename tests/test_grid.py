@@ -27,6 +27,31 @@ def test_grid_geometry():
     assert np.array_equal(g3.nodes(), g3.coordinates()[-1])
 
 
+@pytest.mark.parametrize("shape, lengths", [
+    ((2,), (math.pi,)), ((3,), (0.3,)), ((17,), (2.0,)), ((1_000_001,), (2.0,)),
+    ((5, 9), (1.3, math.e)), ((4, 17, 33), (0.1, 2.0, math.pi))])
+def test_coordinates_are_the_integer_index_times_h_byte_for_byte(shape, lengths):
+    g = Grid(shape, lengths)
+    for x, J, h in zip(g.coordinates(), shape, g.spacings, strict=True):
+        want = np.arange(J) * h
+        assert x.dtype == want.dtype and x.tobytes() == want.tobytes()
+
+
+def test_coordinates_and_source_allocate_one_full_size_array():
+    # 10**6 + 1 nodes are 7.6 MiB: each call builds its result in place, with no
+    # integer index, product or mask beside it
+    g, ss = Grid1D(1_000_001, 2.0), steady_1d()
+    x = g.nodes()
+    for call in (g.coordinates, lambda: ss.source(x)):
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8.5 * 2 ** 20
+
+
 def test_grid_degenerate_and_invalid():
     Grid1D(2, 1.0)  # smallest legal grid
     with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -9,7 +10,7 @@ from neumannheat import (CflViolationError, CosineSeries, Grid1D, bound_sweep,
                          cosine_mode, default_config, emit_csv, epsilon_diagnostics, estimate_slope,
                          quadrature_inequality_check, run_convergence,
                          trig_poly)
-from neumannheat import harness, spectral
+from neumannheat import harness, scheme1d, spectral
 from neumannheat.exact import hat_function
 from neumannheat.grid import Field, mean, norm_l2, project
 from neumannheat.harness import (EXPERIMENTS, ErrorRecord, H1Function,
@@ -85,6 +86,30 @@ def test_checkpoint_fields_give_the_records_bit_for_bit():
                 (r.J, r.dt, r.t_target, r.t_realized, r.n)
             assert (err, err / normalizer) == (r.abs_err, r.rel_err)
             assert cp.n * dt == cp.t_realized
+
+
+def _propagate_transforming_b_at_each_checkpoint(st, checkpoints):
+    """`scheme1d.propagate` with the eigenvalues and the DCT-II of b computed
+    again at every checkpoint: the reference for computing them once."""
+    def jump(st, k):
+        lam = spectral.eigenvalues(st.grid)
+        qk = spectral.power(1.0 + st.dt * lam, k)
+        vhat = qk * spectral.dctn(st.values)
+        vhat += spectral.geometric_sum(lam, qk, k, st.dt) * spectral.dctn(st.rhs.b.values)
+        return spectral.idctn(vhat)
+    return scheme1d._run_checkpoints(st, checkpoints, jump)
+
+
+def test_a_forced_study_transforms_its_forcing_once(monkeypatch):
+    cfg = default_config("steady2d-offset", J_list=(64,))
+    calls = []
+    monkeypatch.setattr(scheme1d, "dctn", lambda a: calls.append(a.shape) or spectral.dctn(a))
+    records = run_convergence(cfg)
+    # one transform of the values per checkpoint, one of b for the whole run
+    assert len(records) == 8 and len(calls) == 9
+    monkeypatch.setattr(scheme1d, "propagate", _propagate_transforming_b_at_each_checkpoint)
+    for r, want in zip(records, run_convergence(cfg), strict=True):
+        assert dataclasses.replace(r, wall_ms=0.0) == dataclasses.replace(want, wall_ms=0.0)
 
 
 def test_a_zero_normalizer_is_refused_before_a_checkpoint():
